@@ -32,6 +32,7 @@ from .fpgroup import (
     psl2z_images,
     rg_sequence,
     samples_to_csv,
+    sl2_order,
     sl2z_images,
     trend_summary,
 )
@@ -249,13 +250,22 @@ def cmd_verify(args, report: Report) -> int:
 
     try:
         if args.mod:
-            if args.target == "SL2Z":
-                images = [sl2z_images(n) for n in _parse_int_list(args.mod)]
-            elif args.target == "PSL2Z":
-                images = [psl2z_images(n) for n in _parse_int_list(args.mod)]
-            else:
+            if args.target not in ("SL2Z", "PSL2Z"):
                 report.add("error: --mod congruence chains exist only for SL2Z and PSL2Z")
                 return EXIT_PARSE
+            levels = _parse_int_list(args.mod)
+            # The image builders enumerate all n^4 matrices, so bound each
+            # quotient's order before building any.  The order is above
+            # n^3/4 (prod_p (1 - 1/p^2) > 6/pi^2, halved for PSL), so a
+            # large level is rejected without factoring n.
+            limit = args.coset_limit
+            for n in levels:
+                if n ** 3 > 4 * limit or sl2_order(n, args.target == "PSL2Z") > limit:
+                    report.add(f"inconclusive: congruence level {n} exceeds the "
+                               f"coset limit {limit}")
+                    return EXIT_LIMIT
+            build = sl2z_images if args.target == "SL2Z" else psl2z_images
+            images = [build(n) for n in levels]
             tables = kernel_chain_cayley(pres, images, limit=args.coset_limit)
         elif args.abelian_kill:
             images = [mod_cycle_images(pres, k) for k in _parse_int_list(args.abelian_kill)]

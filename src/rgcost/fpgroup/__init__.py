@@ -30,6 +30,7 @@ from .chains import (
     psl2z_images,
     rg_sequence,
     samples_to_csv,
+    sl2_order,
     sl2z_images,
     trend_summary,
 )
@@ -63,6 +64,7 @@ __all__ = [
     "reidemeister_schreier",
     "rg_sequence",
     "samples_to_csv",
+    "sl2_order",
     "sl2z_images",
     "smith_normal_form",
     "tietze_simplify",

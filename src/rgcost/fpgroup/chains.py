@@ -173,6 +173,24 @@ def samples_to_csv(samples) -> str:
 # Image builders for the shipped presentations
 
 
+def sl2_order(n: int, projective: bool = False) -> int:
+    """|SL(2, Z/n)| = n^3 prod_{p | n} (1 - 1/p^2), computed without
+    enumerating.  With projective, |PSL(2, Z/n)|: half of that when n > 2,
+    where m and -m are always distinct."""
+    if n < 2:
+        raise ValueError("modulus must be >= 2")
+    order, m, p = n ** 3, n, 2
+    while p * p <= m:
+        if m % p == 0:
+            order = order // (p * p) * (p * p - 1)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        order = order // (m * m) * (m * m - 1)
+    return order // 2 if projective and n > 2 else order
+
+
 def _sl2_elements(n: int) -> list[tuple[int, int, int, int]]:
     """All of SL(2, Z/n) as tuples (a, b, c, d), lexicographically sorted."""
     out = []

@@ -9,6 +9,8 @@ those presentations down to useful generator counts.
 
 from __future__ import annotations
 
+import heapq
+from collections import Counter
 from dataclasses import dataclass
 
 from .coset import CosetTable, inv_col, letter_to_col
@@ -136,90 +138,132 @@ def reidemeister_schreier(pres: Presentation, table: CosetTable,
 # Tietze simplification
 
 
+def _least_rotation(word: Word) -> Word:
+    """Lexicographically least rotation of a nonempty word, in linear time
+    (Duval's Lyndon factorization run over the doubled word)."""
+    n = len(word)
+    s = word + word
+    i = start = 0
+    while i < n:
+        start = i
+        j, k = i + 1, i
+        while j < 2 * n and s[k] <= s[j]:
+            k = i if s[k] < s[j] else k + 1
+            j += 1
+        while i <= k:
+            i += j - k
+    return s[start:start + n]
+
+
 def _rotation_key(word: Word) -> Word:
-    candidates = []
-    for w in (word, invert_word(word)):
-        for k in range(len(w)):
-            candidates.append(w[k:] + w[:k])
-    return min(candidates) if candidates else word
-
-
-def _substitute(word: Word, gen: int, replacement: Word) -> Word:
-    inv_repl = invert_word(replacement)
-    out: list[int] = []
-    for x in word:
-        if x == gen:
-            out.extend(replacement)
-        elif x == -gen:
-            out.extend(inv_repl)
-        else:
-            out.append(x)
-    return free_reduce(out)
-
-
-def _renumber(word: Word, removed: int) -> Word:
-    return tuple(x - 1 if x > removed else (x + 1 if x < -removed else x) for x in word)
+    """Canonical form of a cyclic word up to rotation and inversion."""
+    return min(_least_rotation(word), _least_rotation(invert_word(word)))
 
 
 def tietze_simplify(pres: Presentation) -> Presentation:
     """Iteratively eliminate generators occurring exactly once in a relator.
 
-    Each pass cyclically reduces relators, drops empties and duplicates (up
-    to rotation and inversion), then eliminates through the shortest
-    eligible relator.  Deterministic; stops at a fixpoint.
+    Relators are kept cyclically reduced and free of duplicates up to
+    rotation and inversion (the earliest copy stays).  Each step eliminates
+    the smallest generator occurring once in the shortest such relator,
+    ties broken by list position.  Deterministic; stops at a fixpoint.
+
+    The pass is incremental (after Havas, Kenne, Richardson and Robertson,
+    "A Tietze transformation program", 1984): a generator -> relator
+    occurrence index limits substitution to the relators that contain the
+    eliminated generator, each relator's canonical key is computed once per
+    change, and eligible relators wait in a heap keyed (length, position)
+    whose stale entries are skipped when popped.  Generators keep their
+    input numbers until one monotone renumbering at the end, so every
+    choice is the one a whole-list pass would make.
     """
-    names = list(pres.generators)
-    relators = [cyclic_reduce(r) for r in pres.relators]
+    n = len(pres.relators)
+    words: list[Word | None] = [None] * n  # by list position; None once dropped
+    keys: list[Word | None] = [None] * n
+    once = [0] * n  # smallest generator occurring once in the relator, 0 if none
+    key_pos: dict[Word, int] = {}
+    occ: dict[int, set[int]] = {g: set() for g in range(1, pres.num_generators + 1)}
+    heap: list[tuple[int, int]] = []
 
-    while True:
-        relators = [cyclic_reduce(r) for r in relators if cyclic_reduce(r)]
-        seen: set[Word] = set()
-        deduped = []
-        for r in relators:
-            key = _rotation_key(r)
-            if key not in seen:
-                seen.add(key)
-                deduped.append(r)
-        relators = deduped
+    def drop(pos: int) -> None:
+        for g in set(map(abs, words[pos])):
+            occ[g].discard(pos)
+        del key_pos[keys[pos]]
+        words[pos] = keys[pos] = None
 
-        target = None
-        for ridx in sorted(range(len(relators)), key=lambda k: (len(relators[k]), k)):
-            counts: dict[int, int] = {}
-            for x in relators[ridx]:
-                counts[abs(x)] = counts.get(abs(x), 0) + 1
-            once = [g for g, c in counts.items() if c == 1]
-            if once:
-                target = (ridx, min(once))
-                break
-        if target is None:
-            break
+    def place(pos: int, word: Word) -> None:
+        if not word:
+            return
+        key = _rotation_key(word)
+        other = key_pos.get(key)
+        if other is not None:
+            if other < pos:
+                return
+            drop(other)
+        key_pos[key] = pos
+        words[pos], keys[pos] = word, key
+        counts = Counter(map(abs, word))
+        for g in counts:
+            occ[g].add(pos)
+        single = [g for g, c in counts.items() if c == 1]
+        once[pos] = min(single) if single else 0
+        if single:
+            heapq.heappush(heap, (len(word), pos))
 
-        ridx, gen = target
-        rel = relators[ridx]
-        pos = next(i for i, x in enumerate(rel) if abs(x) == gen)
-        u, v = rel[:pos], rel[pos + 1:]
-        if rel[pos] > 0:
+    for pos, rel in enumerate(pres.relators):
+        place(pos, cyclic_reduce(rel))
+
+    while heap:
+        length, pos = heapq.heappop(heap)
+        rel = words[pos]
+        if rel is None or len(rel) != length or not once[pos]:
+            continue  # stale: dropped or rewritten since it was pushed
+        gen = once[pos]
+        i = next(i for i, x in enumerate(rel) if abs(x) == gen)
+        u, v = rel[:i], rel[i + 1:]
+        if rel[i] > 0:
             # u g v = 1  =>  g = u^-1 v^-1
             replacement = free_reduce(invert_word(u) + invert_word(v))
         else:
             # u g^-1 v = 1  =>  g = v u
             replacement = free_reduce(v + u)
-        del relators[ridx]
-        relators = [_substitute(r, gen, replacement) for r in relators]
-        relators = [_renumber(r, gen) for r in relators]
-        del names[gen - 1]
+        inverse = invert_word(replacement)
+        drop(pos)
+        # drop every relator the substitution rewrites before placing any,
+        # so none of them collides with another's outdated key
+        touched = sorted(occ[gen])
+        old = [words[t] for t in touched]
+        for t in touched:
+            drop(t)
+        del occ[gen]
+        for t, word in zip(touched, old):
+            out: list[int] = []
+            for x in word:
+                if x == gen:
+                    out.extend(replacement)
+                elif x == -gen:
+                    out.extend(inverse)
+                else:
+                    out.append(x)
+            place(t, cyclic_reduce(out))
 
-    return Presentation(tuple(names), relators)
+    survivors = sorted(occ)
+    number = {g: k for k, g in enumerate(survivors, start=1)}
+    relators = [tuple(number[x] if x > 0 else -number[-x] for x in w)
+                for w in words if w is not None]
+    return Presentation(tuple(pres.generators[g - 1] for g in survivors), relators)
 
 
 def d_bounds(pres: Presentation) -> tuple[int, int]:
     """Bounds on the minimal number of generators.
 
-    Lower bound: minimal generators of the abelianization (free rank plus
-    the number of invariant factors > 1).  Upper bound: generator count
-    after Tietze simplification.  Exact d is not computable in general;
-    callers get the honest interval.
+    Both bounds come from one Tietze simplification.  Upper bound: its
+    generator count.  Lower bound: minimal generators of the
+    abelianization (free rank plus the number of invariant factors > 1),
+    read from the simplified presentation: Tietze moves preserve the
+    isomorphism type, so it presents the same group with the same
+    abelianization, through a much smaller relation matrix.  Exact d is
+    not computable in general; callers get the honest interval.
     """
-    inv = abelian_invariants(pres)
     simplified = tietze_simplify(pres)
-    return inv.min_generators, simplified.num_generators
+    return abelian_invariants(simplified).min_generators, simplified.num_generators

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import networkx as nx
-
 NAME_CHARS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_"
 
 
@@ -294,6 +292,8 @@ def girth(g: LabelledGraph):
 
 def is_planar(g: LabelledGraph) -> bool:
     """Planarity via the DFS-based left-right criterion."""
+    import networkx as nx  # deferred: costs every CLI start, needed only here
+
     G = nx.Graph()
     G.add_nodes_from(range(g.num_vertices))
     G.add_edges_from(g._labels.keys())

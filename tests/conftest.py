@@ -8,6 +8,13 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
+from rgcost.fpgroup.presentation import (
+    Presentation,
+    Word,
+    cyclic_reduce,
+    free_reduce,
+    invert_word,
+)
 from rgcost.lgraph import LabelledGraph, components
 
 
@@ -242,3 +249,86 @@ def brute_sl2_order(n: int) -> int:
                     if (a * d - b * c) % n == 1 % n:
                         count += 1
     return count
+
+
+# ---------------------------------------------------------------------------
+# reference Tietze simplification
+
+
+# The original whole-list Tietze pass: every step re-reduces, re-keys and
+# re-sorts every relator.  The incremental library version must make the
+# same elimination choices, so its output is compared to this one exactly.
+def _rotation_key(word: Word) -> Word:
+    candidates = []
+    for w in (word, invert_word(word)):
+        for k in range(len(w)):
+            candidates.append(w[k:] + w[:k])
+    return min(candidates) if candidates else word
+
+
+def _substitute(word: Word, gen: int, replacement: Word) -> Word:
+    inv_repl = invert_word(replacement)
+    out: list[int] = []
+    for x in word:
+        if x == gen:
+            out.extend(replacement)
+        elif x == -gen:
+            out.extend(inv_repl)
+        else:
+            out.append(x)
+    return free_reduce(out)
+
+
+def _renumber(word: Word, removed: int) -> Word:
+    return tuple(x - 1 if x > removed else (x + 1 if x < -removed else x) for x in word)
+
+
+def reference_tietze_simplify(pres: Presentation) -> Presentation:
+    """Iteratively eliminate generators occurring exactly once in a relator.
+
+    Each pass cyclically reduces relators, drops empties and duplicates (up
+    to rotation and inversion), then eliminates through the shortest
+    eligible relator.  Deterministic; stops at a fixpoint.
+    """
+    names = list(pres.generators)
+    relators = [cyclic_reduce(r) for r in pres.relators]
+
+    while True:
+        relators = [cyclic_reduce(r) for r in relators if cyclic_reduce(r)]
+        seen: set[Word] = set()
+        deduped = []
+        for r in relators:
+            key = _rotation_key(r)
+            if key not in seen:
+                seen.add(key)
+                deduped.append(r)
+        relators = deduped
+
+        target = None
+        for ridx in sorted(range(len(relators)), key=lambda k: (len(relators[k]), k)):
+            counts: dict[int, int] = {}
+            for x in relators[ridx]:
+                counts[abs(x)] = counts.get(abs(x), 0) + 1
+            once = [g for g, c in counts.items() if c == 1]
+            if once:
+                target = (ridx, min(once))
+                break
+        if target is None:
+            break
+
+        ridx, gen = target
+        rel = relators[ridx]
+        pos = next(i for i, x in enumerate(rel) if abs(x) == gen)
+        u, v = rel[:pos], rel[pos + 1:]
+        if rel[pos] > 0:
+            # u g v = 1  =>  g = u^-1 v^-1
+            replacement = free_reduce(invert_word(u) + invert_word(v))
+        else:
+            # u g^-1 v = 1  =>  g = v u
+            replacement = free_reduce(v + u)
+        del relators[ridx]
+        relators = [_substitute(r, gen, replacement) for r in relators]
+        relators = [_renumber(r, gen) for r in relators]
+        del names[gen - 1]
+
+    return Presentation(tuple(names), relators)

@@ -15,6 +15,7 @@ from rgcost.fpgroup import (
     psl2z_images,
     rg_sequence,
     samples_to_csv,
+    sl2_order,
     sl2z_images,
     trend_summary,
 )
@@ -33,6 +34,18 @@ class TestImageBuilders:
     def test_psl2_orders(self, n, order):
         assert brute_sl2_order(n) // 2 == order
         assert len(psl2z_images(n)["a"]) == order
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_order_formula_against_bruteforce(self, n):
+        assert sl2_order(n) == brute_sl2_order(n)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_projective_order_matches_enumeration(self, n):
+        assert sl2_order(n, projective=True) == len(psl2z_images(n)["a"])
+
+    def test_order_rejects_small_modulus(self):
+        with pytest.raises(ValueError):
+            sl2_order(1)
 
     def test_mod_cycle(self):
         b3, _ = builtin_presentation("braid3")

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -189,6 +190,26 @@ class TestVerifyCommand:
         assert code == 5
         assert "inconclusive" in out
 
+    def test_large_level_exits_5_before_enumerating(self, capsys):
+        # |SL(2,Z/400)| = 46,080,000 is known without enumerating the
+        # 400^4 matrices, which would take hours
+        start = time.perf_counter()
+        code, out = run_cli(
+            ["verify", "SL2Z", "--mod", "400", "--coset-limit", "1000"], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 5
+        assert "inconclusive: congruence level 400 exceeds the coset limit 1000" in out
+
+    @pytest.mark.parametrize("target,level,order", [("SL2Z", 6, 144), ("PSL2Z", 6, 72)])
+    def test_level_bound_is_the_quotient_order(self, target, level, order, capsys):
+        code, _ = run_cli(["verify", target, "--mod", str(level),
+                           "--coset-limit", str(order)], capsys)
+        assert code == 0
+        code, out = run_cli(["verify", target, "--mod", str(level),
+                             "--coset-limit", str(order - 1)], capsys)
+        assert code == 5
+        assert f"congruence level {level} exceeds the coset limit {order - 1}" in out
+
     def test_presentation_file_target(self, tmp_path, capsys):
         path = tmp_path / "b3.pres"
         path.write_text("gens: x y\nrel: x y x Y X Y\n")
@@ -207,6 +228,83 @@ class TestVerifyCommand:
         assert Fraction(rl) == Fraction(1, 12) and Fraction(ru) == Fraction(1, 12)
 
 
+# Pinned `verify` output after the two header lines.  d_upper depends on the
+# exact order of Tietze eliminations and d_lower on the abelianization, so a
+# rewrite of either that moves any row fails here.
+GOLDEN_VERIFY = [
+    ("verify SL2Z --mod 3,4,5,6,7,8",
+     """\
+index,d_lower,d_upper,r_lower,r_upper
+24,3,3,1/12,1/12
+48,5,5,1/12,1/12
+120,11,11,1/12,1/12
+144,13,13,1/12,1/12
+336,29,29,1/12,1/12
+384,33,33,1/12,1/12
+trend: r_upper non-increasing; final interval [1/12, 1/12] at index 384
+matches symbolic 1/12
+"""),
+    ("verify PSL2Z --mod 3,4,5,6,7,8",
+     """\
+index,d_lower,d_upper,r_lower,r_upper
+12,3,3,1/6,1/6
+24,5,5,1/6,1/6
+60,11,11,1/6,1/6
+72,13,13,1/6,1/6
+168,29,29,1/6,1/6
+192,33,33,1/6,1/6
+trend: r_upper non-increasing; final interval [1/6, 1/6] at index 192
+matches symbolic 1/6
+"""),
+    ("verify braid5 --abelian-kill 2,4,8",
+     """\
+index,d_lower,d_upper,r_lower,r_upper
+2,4,4,3/2,3/2
+4,4,6,3/4,5/4
+8,4,7,3/8,3/4
+trend: r_upper non-increasing; final interval [3/8, 3/4] at index 8
+symbolic target 0
+"""),
+    ("verify braid3 --abelian-kill 32,64",
+     """\
+index,d_lower,d_upper,r_lower,r_upper
+32,2,3,1/32,1/16
+64,2,3,1/64,1/32
+trend: r_upper non-increasing; final interval [1/64, 1/32] at index 64
+symbolic target 0
+"""),
+    ("verify braid3 --low-index 10",
+     """\
+index,d_lower,d_upper,r_lower,r_upper
+1,1,2,0,1
+2,2,2,1/2,1/2
+3,3,3,2/3,2/3
+4,2,2,1/4,1/4
+5,1,3,0,2/5
+6,3,3,1/3,1/3
+6,3,3,1/3,1/3
+7,1,3,0,2/7
+8,2,3,1/8,1/4
+9,3,3,2/9,2/9
+10,2,3,1/10,1/5
+trend: r_upper not monotone; final interval [1/10, 1/5] at index 10
+symbolic target 0
+"""),
+]
+
+
+class TestGoldenVerify:
+    @pytest.mark.parametrize("command,expected", GOLDEN_VERIFY,
+                             ids=[c for c, _ in GOLDEN_VERIFY])
+    def test_rows_unchanged(self, command, expected, capsys):
+        code, out = run_cli(command.split(), capsys)
+        assert code == 0
+        echo, digest, rows = out.split("\n", 2)
+        assert echo == "# rgcost --no-timestamp " + command
+        assert digest.startswith("# input builtin:")
+        assert rows == expected
+
+
 class TestDeterminism:
     def test_byte_identical_across_processes(self, tmp_path):
         path = tmp_path / "b4.graph"
@@ -220,6 +318,14 @@ class TestDeterminism:
                 capture_output=True, text=True, env=env, check=True)
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
+
+    def test_cli_import_skips_networkx(self):
+        # only planarity needs networkx; importing it costs every CLI start
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, rgcost.cli; print('networkx' in sys.modules)"],
+            capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "False"
 
     def test_verify_deterministic(self, capsys):
         _, out1 = run_cli(["verify", "PSL2Z", "--mod", "3,5"], capsys)

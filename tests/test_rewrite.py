@@ -1,9 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import _rotation_key, reference_tietze_simplify
 from rgcost.fpgroup import (
     CosetTable,
+    Presentation,
     EnumerationLimit,
     abelian_invariants,
     d_bounds,
@@ -16,6 +20,7 @@ from rgcost.fpgroup import (
     tietze_simplify,
     todd_coxeter,
 )
+from rgcost.fpgroup.rewrite import _rotation_key as library_rotation_key
 
 
 def stabilizer_table(gen_perms, generators):
@@ -183,3 +188,86 @@ class TestTietzeAndBounds:
         p = parse_presentation("gens: x y\nrel: x y X Y\nrel: y X Y x\nrel: x y X Y\n")
         simplified = tietze_simplify(p)
         assert len(simplified.relators) == 1
+
+
+# ---------------------------------------------------------------------------
+# Tietze against the reference pass, and abelianization before and after
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def _letters(ngens):
+    return st.integers(1, ngens).flatmap(lambda g: st.sampled_from((g, -g)))
+
+
+@st.composite
+def random_presentations(draw):
+    ngens = draw(st.integers(1, 5))
+    relators = draw(st.lists(st.lists(_letters(ngens), min_size=1, max_size=9), max_size=7))
+    return Presentation([f"g{i}" for i in range(ngens)], relators)
+
+
+# (group, extra relator or None): with the extra relator the group has a
+# finite quotient (SL(2,Z/k), PSL(2,Z/k), B3/<<s1^k>>), so coset
+# enumeration over it always completes, and its coset table is a complete,
+# valid table for a finite-index subgroup of the group itself.
+SUBGROUP_SOURCES = [
+    ("SL2Z", "a b a b a b"),
+    ("SL2Z", "a b a b a b a b"),
+    ("SL2Z", "a b a b a b a b a b"),
+    ("PSL2Z", "a b a b a b a b"),
+    ("PSL2Z", "a b a b a b a b a b"),
+    ("braid3", "s1 s1 s1"),
+    ("braid3", "s1 s1 s1 s1"),
+    ("gens: a b\nrel: a a\nrel: b b\nrel: a b a b a b\n", None),  # S3
+    ("gens: a b\nrel: a a a a\nrel: a a B B\nrel: B a b a\n", None),  # quaternion
+]
+
+
+@st.composite
+def finite_index_subgroups(draw):
+    """Reidemeister-Schreier presentation of a random finite-index subgroup:
+    a random subgroup of a finite quotient, or a braid3 exponent kernel."""
+    if draw(st.booleans()):
+        b3, _ = builtin_presentation("braid3")
+        k = draw(st.integers(1, 40))
+        return reidemeister_schreier(b3, cayley_table(b3, mod_cycle_images(b3, k)))
+    source, extra = draw(st.sampled_from(SUBGROUP_SOURCES))
+    if extra is None:
+        pres = quotient = parse_presentation(source)
+    else:
+        pres, _ = builtin_presentation(source)
+        quotient = Presentation(pres.generators,
+                                pres.relators + (pres.word_from_text(extra),))
+    words = draw(st.lists(st.lists(_letters(pres.num_generators), min_size=1, max_size=4),
+                          max_size=2))
+    table = todd_coxeter(quotient, subgroup=words, coset_limit=5000)
+    table.validate(pres)
+    return reidemeister_schreier(pres, table)
+
+
+class TestTietzeMatchesReference:
+    @PROPERTY
+    @given(random_presentations())
+    def test_random_presentations(self, pres):
+        out, ref = tietze_simplify(pres), reference_tietze_simplify(pres)
+        assert (out.generators, out.relators) == (ref.generators, ref.relators)
+
+    @PROPERTY
+    @given(finite_index_subgroups())
+    def test_subgroup_presentations(self, sub):
+        out, ref = tietze_simplify(sub), reference_tietze_simplify(sub)
+        assert (out.generators, out.relators) == (ref.generators, ref.relators)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.integers(-4, 4).filter(bool), min_size=1, max_size=16))
+    def test_rotation_key_is_least_rotation(self, letters):
+        word = tuple(letters)
+        assert library_rotation_key(word) == _rotation_key(word)
+
+
+class TestSimplifiedAbelianization:
+    @PROPERTY
+    @given(finite_index_subgroups())
+    def test_invariants_survive_tietze(self, sub):
+        assert abelian_invariants(sub) == abelian_invariants(tietze_simplify(sub))
