@@ -68,12 +68,6 @@ class Report:
             print(line)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, ge.Unknown):
-        return str(value)
-    return str(value)
-
-
 def _read_file(path: str, report: Report) -> str:
     try:
         with open(path, "rb") as fh:
@@ -144,8 +138,8 @@ def cmd_expr(args, report: Report) -> int:
         return EXIT_PARSE
     price = ge.evaluate(expr)
     report.add(
-        f"cost={_fmt(price.cost)} rg={_fmt(price.rank_gradient)} "
-        f"betti1={_fmt(price.betti1)} fixed_price={str(price.fixed_price).lower()}"
+        f"cost={price.cost} rg={price.rank_gradient} "
+        f"betti1={price.betti1} fixed_price={str(price.fixed_price).lower()}"
     )
     report.add("rules:")
     for entry in price.rule_trace:
@@ -271,8 +265,7 @@ def cmd_verify(args, report: Report) -> int:
             images = [mod_cycle_images(pres, k) for k in _parse_int_list(args.abelian_kill)]
             tables = kernel_chain_cayley(pres, images, limit=args.coset_limit)
         else:
-            tables = low_index_normal(pres, args.low_index)
-            tables = sorted(tables, key=lambda t: (t.index, t.rows))
+            tables = low_index_normal(pres, args.low_index, limit=args.coset_limit)
     except NotHomomorphism as exc:
         report.add(f"error: {exc}")
         return EXIT_PARSE
@@ -342,7 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--low-index", metavar="N", type=int, default=None,
                    help="use all normal subgroups of index <= N")
     p.add_argument("--coset-limit", metavar="N", type=int, default=100_000,
-                   help="live coset cap for enumerations (default 100000)")
+                   help="coset cap for enumerations and the low-index search "
+                        "(default 100000)")
     p.add_argument("--csv", metavar="PATH", help="also write the sample rows as CSV")
     p.add_argument("--dump-presentation", action="store_true",
                    help="print the target's presentation file and exit")

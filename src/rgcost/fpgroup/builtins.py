@@ -44,8 +44,13 @@ _BRAID_RE = re.compile(r"^braid([0-9]+)$")
 
 
 def braid_presentation(n: int) -> Presentation:
-    """Braid group on n strands: the Artin group of a path of n-1 vertices
-    with all edges labelled 3."""
+    """The Artin group of a path of n-1 vertices with all edges labelled 3.
+
+    For n <= 3 this is the braid group on n strands.  For n >= 4 it is
+    not: an absent edge means no relation here, so the far-commutation
+    relations s_i s_j = s_j s_i (|i - j| >= 2) are missing.  For example,
+    the index-2 kernel of braid5 has H1 = Z + (Z/3)^3.
+    """
     if n < 2:
         raise ValueError("braid groups need at least 2 strands")
     vertices = [f"s{i}" for i in range(1, n)]

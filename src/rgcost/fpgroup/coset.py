@@ -19,8 +19,8 @@ class EnumerationLimit(RuntimeError):
     """The live-coset limit was reached; explicitly inconclusive (this is
     never a proof that the index is infinite)."""
 
-    def __init__(self, live: int, limit: int):
-        super().__init__(f"coset limit exceeded: {live} live cosets (limit {limit})")
+    def __init__(self, live: int, limit: int, what: str = "live cosets"):
+        super().__init__(f"coset limit exceeded: {live} {what} (limit {limit})")
         self.live = live
         self.limit = limit
 

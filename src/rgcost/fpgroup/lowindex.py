@@ -1,91 +1,111 @@
 """Normal subgroups of small index by coset-table backtracking.
 
-The search enumerates complete coset tables on at most max_index cosets
-(depth-first over the first undefined entry, new cosets numbered in
-discovery order), deduplicates by the standardized table, and keeps the
-tables whose point stabilizer is normal.  Normality test: the stabilizer
-of a transitive action is normal exactly when the action is regular, i.e.
-when the permutation group generated by the columns has order equal to
-the number of cosets.
+This is the low-index method (Sims, *Computation with Finitely Presented
+Groups*, 1994; Holt, Eick, O'Brien, *Handbook of Computational Group
+Theory*, 2005, §5.4) cut down to normal subgroups.  The search fills
+partial coset tables on at most max_index cosets depth-first, always at
+the first undefined entry in row-major order, with new cosets numbered in
+order of definition, and closes each node under relator deductions.
+Every complete table it reaches is therefore already standardized, and
+distinct branches give distinct tables.
+
+Translation test.  The complete table of a normal subgroup N is the
+Cayley graph of G/N, whose colour-preserving automorphisms act regularly.
+So for every coset a, the assignment 0 -> a must extend, breadth-first
+along the edges x.c for which phi(x).c is defined too, to a partial map
+that is consistent and injective; a node where some a fails has no normal
+completion and is cut, with its whole subtree.  On a complete table the
+test is exact: each extended map is then an automorphism, and the
+automorphisms of a transitive action (its centralizer, N_G(H)/H) are
+transitive exactly when the point stabilizer H is normal.
+
+Budget.  The search counts every coset it opens, summed over all
+branches, and raises EnumerationLimit (inconclusive) when that count
+would pass the limit.
 """
 
 from __future__ import annotations
 
-from .coset import CosetTable, inv_col, standardize_rows, word_to_cols
+from .coset import CosetTable, EnumerationLimit, inv_col, word_to_cols
 from .presentation import Presentation
 
 HARD_CAP = 64
 
 
-def low_index_normal(pres: Presentation, max_index: int) -> list[CosetTable]:
+def low_index_normal(pres: Presentation, max_index: int,
+                     limit: int = 100_000) -> list[CosetTable]:
     """All normal subgroups of index <= max_index, as coset tables sorted
-    by (index, table).  Index 1 (the whole group) is included."""
+    by (index, table).  Index 1 (the whole group) is included.  Raises
+    EnumerationLimit when the search would open more than limit cosets."""
     if max_index < 1:
         raise ValueError("max_index must be >= 1")
     if max_index > HARD_CAP:
         raise ValueError(f"max_index {max_index} exceeds the hard cap {HARD_CAP}")
     ncols = 2 * pres.num_generators
-    relator_cols = [word_to_cols(r) for r in pres.relators]
+    relator_cols = [(cols, tuple(inv_col(c) for c in cols))
+                    for cols in map(word_to_cols, pres.relators)]
 
-    complete: dict[tuple, CosetTable] = {}
-
-    def propagate(table) -> bool:
-        """Deduction closure: scan every relator at every coset, filling
-        single gaps; False on contradiction."""
-        changed = True
-        while changed:
-            changed = False
-            for alpha in range(len(table)):
-                for cols in relator_cols:
-                    state = _scan(table, alpha, cols)
-                    if state == "dead":
-                        return False
-                    if state == "deduced":
-                        changed = True
-        return True
-
-    def first_hole(table):
-        for alpha in range(len(table)):
-            for col in range(ncols):
-                if table[alpha][col] is None:
-                    return alpha, col
-        return None
-
-    def search(table):
-        if not propagate(table):
-            return
-        hole = first_hole(table)
+    out = []
+    opened = 1
+    stack = [[[None] * ncols]]
+    while stack:
+        table = stack.pop()
+        if not _propagate(table, relator_cols) or not _has_translations(table):
+            continue
+        hole = _first_hole(table)
         if hole is None:
-            rows = standardize_rows([list(r) for r in table])
-            if rows not in complete:
-                complete[rows] = CosetTable(
-                    generators=pres.generators, rows=rows, subgroup_words=())
-            return
+            found = CosetTable(generators=pres.generators,
+                               rows=tuple(tuple(row) for row in table))
+            found.validate(pres)
+            out.append(found)
+            continue
         alpha, col = hole
         candidates = [b for b in range(len(table)) if table[b][inv_col(col)] is None]
         if len(table) < max_index:
+            opened += 1
+            if opened > limit:
+                raise EnumerationLimit(opened, limit, "cosets opened by the low-index search")
             candidates.append(len(table))
-        for beta in candidates:
+        # pushed in reverse so branches are explored in candidate order
+        for beta in reversed(candidates):
             branch = [row[:] for row in table]
             if beta == len(table):
                 branch.append([None] * ncols)
             branch[alpha][col] = beta
             branch[beta][inv_col(col)] = alpha
-            search(branch)
+            stack.append(branch)
 
-    search([[None] * ncols])
-
-    out = []
-    for rows, table in complete.items():
-        if _is_regular(table):
-            table.validate(pres)
-            out.append(table)
     out.sort(key=lambda t: (t.index, t.rows))
     return out
 
 
-def _scan(table, alpha: int, cols) -> str:
-    """Scan one relator at one coset on a partial table.
+def _propagate(table, relator_cols) -> bool:
+    """Deduction closure: scan every relator at every coset, filling
+    single gaps; False on contradiction."""
+    changed = True
+    while changed:
+        changed = False
+        for alpha in range(len(table)):
+            for cols, inv_cols in relator_cols:
+                state = _scan(table, alpha, cols, inv_cols)
+                if state == "dead":
+                    return False
+                if state == "deduced":
+                    changed = True
+    return True
+
+
+def _first_hole(table):
+    for alpha, row in enumerate(table):
+        for col, entry in enumerate(row):
+            if entry is None:
+                return alpha, col
+    return None
+
+
+def _scan(table, alpha: int, cols, inv_cols) -> str:
+    """Scan one relator (columns, and their inverse columns) at one coset
+    on a partial table.
 
     Returns "dead" on contradiction, "deduced" when a single gap was
     filled, "ok" otherwise (complete or still open).
@@ -97,41 +117,42 @@ def _scan(table, alpha: int, cols) -> str:
         i += 1
     if i > j:
         return "ok" if f == b else "dead"
-    while j >= i and table[b][inv_col(cols[j])] is not None:
-        b = table[b][inv_col(cols[j])]
+    while j >= i and table[b][inv_cols[j]] is not None:
+        b = table[b][inv_cols[j]]
         j -= 1
     if j < i:
         return "dead"
     if j == i:
-        existing = table[f][cols[i]]
-        if existing is not None:
-            return "ok" if existing == b else "dead"
-        back = table[b][inv_col(cols[i])]
-        if back is not None:
-            return "ok" if back == f else "dead"
+        # both scans stopped at this entry, so it and its inverse are empty
         table[f][cols[i]] = b
-        table[b][inv_col(cols[i])] = f
+        table[b][inv_cols[i]] = f
         return "deduced"
     return "ok"
 
 
-def _is_regular(table: CosetTable) -> bool:
-    """True when the permutation group generated by the generator columns
-    has order exactly the index (closure capped just above it)."""
-    k = table.index
-    gens = [table.perm(g + 1) for g in range(len(table.generators))]
-    identity = tuple(range(k))
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for q in frontier:
-            for p in gens:
-                prod = tuple(p[x] for x in q)
-                if prod not in seen:
-                    if len(seen) >= k:
+def _has_translations(table) -> bool:
+    """True when, for every coset a, the map 0 -> a extends along the edges
+    defined at both ends (x.c and phi(x).c) to a consistent, injective
+    partial map.  A partial table failing this has no regular completion."""
+    n = len(table)
+    for a in range(1, n):
+        phi = [None] * n
+        used = [False] * n
+        phi[0] = a
+        used[a] = True
+        queue = [0]
+        for x in queue:
+            row, image_row = table[x], table[phi[x]]
+            for col, y in enumerate(row):
+                z = image_row[col]
+                if y is None or z is None:
+                    continue
+                if phi[y] is None:
+                    if used[z]:
                         return False
-                    seen.add(prod)
-                    nxt.append(prod)
-        frontier = nxt
-    return len(seen) == k
+                    phi[y] = z
+                    used[z] = True
+                    queue.append(y)
+                elif phi[y] != z:
+                    return False
+    return True

@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
+from rgcost.fpgroup.coset import CosetTable, inv_col, standardize_rows, word_to_cols
 from rgcost.fpgroup.presentation import (
     Presentation,
     Word,
@@ -332,3 +333,133 @@ def reference_tietze_simplify(pres: Presentation) -> Presentation:
         del names[gen - 1]
 
     return Presentation(tuple(names), relators)
+
+
+# ---------------------------------------------------------------------------
+# reference low-index search
+
+
+# The original search: enumerate every subgroup of index <= max_index by
+# unpruned backtracking, then keep the regular actions.  The pruned library
+# search must return exactly these tables, in the same order.
+REFERENCE_HARD_CAP = 64
+
+
+def reference_low_index_normal(pres: Presentation, max_index: int) -> list[CosetTable]:
+    """All normal subgroups of index <= max_index, as coset tables sorted
+    by (index, table).  Index 1 (the whole group) is included."""
+    if max_index < 1:
+        raise ValueError("max_index must be >= 1")
+    if max_index > REFERENCE_HARD_CAP:
+        raise ValueError(f"max_index {max_index} exceeds the hard cap {REFERENCE_HARD_CAP}")
+    ncols = 2 * pres.num_generators
+    relator_cols = [word_to_cols(r) for r in pres.relators]
+
+    complete: dict[tuple, CosetTable] = {}
+
+    def propagate(table) -> bool:
+        """Deduction closure: scan every relator at every coset, filling
+        single gaps; False on contradiction."""
+        changed = True
+        while changed:
+            changed = False
+            for alpha in range(len(table)):
+                for cols in relator_cols:
+                    state = _scan(table, alpha, cols)
+                    if state == "dead":
+                        return False
+                    if state == "deduced":
+                        changed = True
+        return True
+
+    def first_hole(table):
+        for alpha in range(len(table)):
+            for col in range(ncols):
+                if table[alpha][col] is None:
+                    return alpha, col
+        return None
+
+    def search(table):
+        if not propagate(table):
+            return
+        hole = first_hole(table)
+        if hole is None:
+            rows = standardize_rows([list(r) for r in table])
+            if rows not in complete:
+                complete[rows] = CosetTable(
+                    generators=pres.generators, rows=rows, subgroup_words=())
+            return
+        alpha, col = hole
+        candidates = [b for b in range(len(table)) if table[b][inv_col(col)] is None]
+        if len(table) < max_index:
+            candidates.append(len(table))
+        for beta in candidates:
+            branch = [row[:] for row in table]
+            if beta == len(table):
+                branch.append([None] * ncols)
+            branch[alpha][col] = beta
+            branch[beta][inv_col(col)] = alpha
+            search(branch)
+
+    search([[None] * ncols])
+
+    out = []
+    for rows, table in complete.items():
+        if _is_regular(table):
+            table.validate(pres)
+            out.append(table)
+    out.sort(key=lambda t: (t.index, t.rows))
+    return out
+
+
+def _scan(table, alpha: int, cols) -> str:
+    """Scan one relator at one coset on a partial table.
+
+    Returns "dead" on contradiction, "deduced" when a single gap was
+    filled, "ok" otherwise (complete or still open).
+    """
+    f, i = alpha, 0
+    b, j = alpha, len(cols) - 1
+    while i <= j and table[f][cols[i]] is not None:
+        f = table[f][cols[i]]
+        i += 1
+    if i > j:
+        return "ok" if f == b else "dead"
+    while j >= i and table[b][inv_col(cols[j])] is not None:
+        b = table[b][inv_col(cols[j])]
+        j -= 1
+    if j < i:
+        return "dead"
+    if j == i:
+        existing = table[f][cols[i]]
+        if existing is not None:
+            return "ok" if existing == b else "dead"
+        back = table[b][inv_col(cols[i])]
+        if back is not None:
+            return "ok" if back == f else "dead"
+        table[f][cols[i]] = b
+        table[b][inv_col(cols[i])] = f
+        return "deduced"
+    return "ok"
+
+
+def _is_regular(table: CosetTable) -> bool:
+    """True when the permutation group generated by the generator columns
+    has order exactly the index (closure capped just above it)."""
+    k = table.index
+    gens = [table.perm(g + 1) for g in range(len(table.generators))]
+    identity = tuple(range(k))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for q in frontier:
+            for p in gens:
+                prod = tuple(p[x] for x in q)
+                if prod not in seen:
+                    if len(seen) >= k:
+                        return False
+                    seen.add(prod)
+                    nxt.append(prod)
+        frontier = nxt
+    return len(seen) == k

@@ -210,6 +210,15 @@ class TestVerifyCommand:
         assert code == 5
         assert f"congruence level {level} exceeds the coset limit {order - 1}" in out
 
+    def test_low_index_search_limit_exits_5(self, capsys):
+        start = time.perf_counter()
+        code, out = run_cli(
+            ["verify", "braid5", "--low-index", "8", "--coset-limit", "100"], capsys)
+        assert time.perf_counter() - start < 2.0
+        assert code == 5
+        assert ("inconclusive: coset limit exceeded: 101 cosets opened by the "
+                "low-index search (limit 100)") in out
+
     def test_presentation_file_target(self, tmp_path, capsys):
         path = tmp_path / "b3.pres"
         path.write_text("gens: x y\nrel: x y x Y X Y\n")
@@ -288,6 +297,29 @@ index,d_lower,d_upper,r_lower,r_upper
 9,3,3,2/9,2/9
 10,2,3,1/10,1/5
 trend: r_upper not monotone; final interval [1/10, 1/5] at index 10
+symbolic target 0
+"""),
+    ("verify braid3 --low-index 14",
+     """\
+index,d_lower,d_upper,r_lower,r_upper
+1,1,2,0,1
+2,2,2,1/2,1/2
+3,3,3,2/3,2/3
+4,2,2,1/4,1/4
+5,1,3,0,2/5
+6,3,3,1/3,1/3
+6,3,3,1/3,1/3
+7,1,3,0,2/7
+8,2,3,1/8,1/4
+9,3,3,2/9,2/9
+10,2,3,1/10,1/5
+11,1,3,0,2/11
+12,3,3,1/6,1/6
+12,4,4,1/4,1/4
+12,3,3,1/6,1/6
+13,1,3,0,2/13
+14,2,3,1/14,1/7
+trend: r_upper not monotone; final interval [1/14, 1/7] at index 14
 symbolic target 0
 """),
 ]

@@ -1,12 +1,18 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import reference_low_index_normal
 from rgcost.fpgroup import (
+    EnumerationLimit,
+    Presentation,
     builtin_presentation,
     cayley_table,
     low_index_normal,
     mod_cycle_images,
     parse_presentation,
 )
+from rgcost.fpgroup.coset import standardize_rows
 
 
 class TestLowIndexNormal:
@@ -59,3 +65,62 @@ class TestLowIndexNormal:
         a = low_index_normal(f2, 3)
         b = low_index_normal(f2, 3)
         assert [t.rows for t in a] == [t.rows for t in b]
+
+
+def _check_tables(pres, tables):
+    """Each table is standardized and valid, and no two are equal."""
+    for t in tables:
+        assert t.rows == standardize_rows(t.rows)
+        t.validate(pres)
+    assert len({t.rows for t in tables}) == len(tables)
+
+
+class TestMatchesReference:
+    # The reference enumerates every subgroup and filters afterwards; it
+    # takes about 1 s at braid5 N = 5 and 15 s at N = 6, which bounds the
+    # sizes compared here.
+    @pytest.mark.parametrize("target,max_index", [
+        ("SL2Z", 12), ("PSL2Z", 12), ("braid3", 12), ("braid4", 6), ("braid5", 5),
+    ])
+    def test_builtin(self, target, max_index):
+        pres, _ = builtin_presentation(target)
+        out = low_index_normal(pres, max_index)
+        assert [t.rows for t in out] == [t.rows for t in reference_low_index_normal(
+            pres, max_index)]
+        _check_tables(pres, out)
+        # a smaller bound returns the prefix of the same list
+        for n in range(1, max_index):
+            assert [t.rows for t in low_index_normal(pres, n)] == [
+                t.rows for t in out if t.index <= n]
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.lists(st.integers(1, 2).flatmap(lambda g: st.sampled_from((g, -g))),
+                             min_size=1, max_size=6), min_size=1, max_size=3),
+           st.integers(1, 5))
+    def test_random_two_generator(self, relators, max_index):
+        pres = Presentation(("x", "y"), relators)
+        out = low_index_normal(pres, max_index)
+        assert [t.rows for t in out] == [t.rows for t in reference_low_index_normal(
+            pres, max_index)]
+        _check_tables(pres, out)
+
+
+class TestSearchBudget:
+    def test_limit_raises_with_count(self):
+        b5, _ = builtin_presentation("braid5")
+        with pytest.raises(EnumerationLimit) as exc:
+            low_index_normal(b5, 8, limit=100)
+        assert (exc.value.live, exc.value.limit) == (101, 100)
+        assert "low-index search" in str(exc.value)
+
+    def test_limit_counts_the_first_coset(self):
+        # coset 0 counts, so a limit of 1 allows index 1 and nothing more
+        f2 = parse_presentation("gens: x y\n")
+        assert len(low_index_normal(f2, 1, limit=1)) == 1
+        with pytest.raises(EnumerationLimit):
+            low_index_normal(f2, 2, limit=1)
+
+    def test_default_limit_has_headroom(self):
+        # braid5 at N = 8 opens fewer than a tenth of the default 100000
+        b5, _ = builtin_presentation("braid5")
+        assert len(low_index_normal(b5, 8, limit=10_000)) == 21
