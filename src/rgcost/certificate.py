@@ -1,32 +1,30 @@
 """Decomposition certificates: builder, independent checker, JSON format.
 
 A certificate is a tree of priced claims.  Interior nodes split a group as
-an amalgam over a small subgroup or generate it by two overlapping
-subgroups; leaves are finite groups, infinite amenable groups, two-vertex
-Artin groups with infinite centre, or cited facts from the literature.
-The checker recomputes every claimed cost from the children and never
-trusts the stored values; cited-fact leaves are the only assumptions and
-are counted and reported separately.
+an amalgam of several factors over one small subgroup, or generate it by a
+sequence of subgroups each of which meets the group generated by the
+earlier ones in an infinite subgroup; leaves are finite groups, infinite
+amenable groups, two-vertex Artin groups with infinite centre, or cited
+facts from the literature.  The checker recomputes every claimed cost from
+the children and never trusts the stored values; cited-fact leaves are the
+only assumptions and are counted and reported separately.
+
+A certificate for an Artin group carries its defining graph.  Only the
+leaves name vertices; the checker derives every interior node's vertex set
+from its leaves and checks each step against the graph, so a claimed cost
+is accepted only if the graph justifies it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 
 from .groupexpr import PriceResult
-from .lgraph import GraphError, LabelledGraph, components, cut_vertices
+from .lgraph import GraphError, LabelledGraph
 
-FORMAT = "rgcost-certificate/1"
-
-RULE_FINITE = "finite-group-price"
-RULE_AMENABLE = "amenable-price"
-RULE_CENTER = "infinite-centre-price"
-RULE_AMALGAM = "amalgam-price"
-RULE_GENERATION = "generation-price"
-RULE_NORMAL = "normal-subgroup-vanishing"
-RULE_CITED = "cited-fact"
+FORMAT = "rgcost-certificate/2"
 
 NORMAL_HYPOTHESES = (
     "vanishing-gradient-normal-subgroup",
@@ -64,21 +62,18 @@ def edge_center_word(label: int) -> int:
 class AmalgamDescriptor:
     """The subgroup an amalgam node splits over.
 
-    kind "vertex": the infinite cyclic subgroup on one graph vertex.
-    kind "finite": declared finite subgroup of the given order.
+    kind "finite": declared finite subgroup of the given order; order 1 is
+    the trivial group, so the amalgam is a free product.
     kind "amenable": declared infinite amenable subgroup.
     """
 
     kind: str
-    vertex: str | None = None
     order: int | None = None
     name: str = ""
 
     def __post_init__(self):
-        if self.kind not in ("vertex", "finite", "amenable"):
+        if self.kind not in ("finite", "amenable"):
             raise ValueError(f"unknown amalgam descriptor kind {self.kind!r}")
-        if self.kind == "vertex" and not self.vertex:
-            raise ValueError("vertex descriptor needs a vertex name")
         if self.kind == "finite" and (self.order is None or self.order < 1):
             raise ValueError("finite descriptor needs an order >= 1")
 
@@ -92,16 +87,17 @@ class AmalgamDescriptor:
 class FiniteLeaf:
     order: int
     cost: Fraction
-    rule: str = RULE_FINITE
 
 
 @dataclass(frozen=True)
 class AmenableLeaf:
+    """Infinite amenable group; `vertex` names the graph vertex when the
+    group is an infinite cyclic vertex subgroup of an Artin group."""
+
     name: str
     reason: str
     cost: Fraction
-    vertices: tuple[str, ...] | None = None
-    rule: str = RULE_AMENABLE
+    vertex: str | None = None
 
 
 @dataclass(frozen=True)
@@ -114,32 +110,29 @@ class InfiniteCenterLeaf:
     exponent: int
     cost: Fraction
     note: str = CENTER_NOTE
-    rule: str = RULE_CENTER
-
-    @property
-    def vertices(self):
-        return self.endpoints
 
 
 @dataclass(frozen=True)
 class AmalgamNode:
-    left: object
-    right: object
+    """Amalgam of all children over one common subgroup: cost is the sum of
+    the children's costs minus (k - 1) times the subgroup's price."""
+
+    children: tuple
     amalgam: AmalgamDescriptor
     cost: Fraction
-    vertices: tuple[str, ...] | None = None
-    rule: str = RULE_AMALGAM
 
 
 @dataclass(frozen=True)
 class GenerationNode:
-    left: object
-    right: object
-    witness: str
+    """Group generated by the children, each of cost 1, where child j >= 1
+    meets the group generated by children 0..j-1 in an infinite subgroup
+    named by witnesses[j - 1] (in an Artin group, the vertex subgroup of
+    witness_vertices[j - 1])."""
+
+    children: tuple
+    witnesses: tuple[str, ...]
     cost: Fraction
-    witness_vertex: str | None = None
-    vertices: tuple[str, ...] | None = None
-    rule: str = RULE_GENERATION
+    witness_vertices: tuple[str, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -149,7 +142,6 @@ class NormalSubgroupNode:
     hypothesis: str
     reason: str
     cost: Fraction
-    rule: str = RULE_NORMAL
 
 
 @dataclass(frozen=True)
@@ -160,7 +152,19 @@ class CitedFactLeaf:
     statement: str
     citation: str
     cost: Fraction
-    rule: str = RULE_CITED
+
+
+# JSON "kind" tag of each node class.
+KINDS = {
+    "finite": FiniteLeaf,
+    "amenable": AmenableLeaf,
+    "infinite-centre": InfiniteCenterLeaf,
+    "amalgam": AmalgamNode,
+    "generation": GenerationNode,
+    "normal-subgroup": NormalSubgroupNode,
+    "cited-fact": CitedFactLeaf,
+}
+_KIND_OF = {cls: kind for kind, cls in KINDS.items()}
 
 
 @dataclass(frozen=True)
@@ -182,97 +186,98 @@ class CheckReport:
         return not self.violations
 
 
+def _post_order(root) -> list[tuple[object, list[int]]]:
+    """Every node occurrence under `root`, children before parents and the
+    root last, each with the positions of its children in that list."""
+    out: list[tuple[object, list[int]]] = []
+    done: list[int] = []  # positions of finished nodes whose parent is open
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        kids = getattr(node, "children", ())
+        if not expanded:
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(kids))
+            continue
+        cut = len(done) - len(kids)
+        refs = done[cut:]
+        del done[cut:]
+        done.append(len(out))
+        out.append((node, refs))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Building certificates for Artin graphs
 
 
-def decompose_artin(g: LabelledGraph, vertices=None):
-    """Certificate for the Artin group of a connected vertex set.
+def _component_nodes(g: LabelledGraph) -> list:
+    """One certificate node per connected component, in order of each
+    component's smallest vertex index, from one breadth-first pass.
 
-    Recursion: a single vertex is an infinite cyclic (amenable) leaf; a
-    single edge is an infinite-centre leaf; with a cut vertex v the group
-    splits as an amalgam over the vertex subgroup at v (components folded
-    left-associatively); otherwise the smallest vertex v with its smallest
-    neighbour w spans an edge subgroup that together with the rest of the
-    graph generates everything, intersecting it in the vertex subgroup at w.
-    Every node claims cost 1.
+    An isolated vertex is an infinite cyclic leaf and a single edge its
+    infinite-centre leaf.  A larger component is generated by the edge
+    leaves of its breadth-first spanning tree (grown from its smallest
+    vertex, neighbours in index order): each tree edge meets the earlier
+    ones in the vertex subgroup of its tree parent.
     """
-    if vertices is None:
-        vertices = g.vertices
-    w = tuple(sorted(vertices, key=g.vertex_index))
-    sub = g.induced(w)
-    if len(components(sub)) != 1:
-        raise GraphError("decompose_artin requires a connected vertex set")
+    one = Fraction(1)
+    seen: set[str] = set()
+    parts = []
+    for root in g.vertices:
+        if root in seen:
+            continue
+        seen.add(root)
+        leaves, parents = [], []
+        queue = [root]
+        for parent in queue:  # the queue grows while it is read
+            for child in g.neighbors(parent):
+                if child in seen:
+                    continue
+                seen.add(child)
+                queue.append(child)
+                label = g.label(parent, child)
+                leaves.append(InfiniteCenterLeaf(
+                    endpoints=(parent, child), label=label,
+                    exponent=edge_center_word(label), cost=one))
+                parents.append(parent)
+        if not leaves:
+            parts.append(AmenableLeaf(name=f"<{root}>", reason="infinite cyclic vertex subgroup",
+                                      cost=one, vertex=root))
+        elif len(leaves) == 1:
+            parts.append(leaves[0])
+        else:
+            shared = tuple(parents[1:])
+            parts.append(GenerationNode(
+                children=tuple(leaves),
+                witnesses=tuple(f"vertex subgroup <{v}>, infinite cyclic" for v in shared),
+                cost=one,
+                witness_vertices=shared,
+            ))
+    return parts
 
-    if len(w) == 1:
-        return AmenableLeaf(
-            name=f"<{w[0]}>",
-            reason="infinite cyclic vertex subgroup",
-            cost=Fraction(1),
-            vertices=w,
-        )
-    if len(w) == 2:
-        label = sub.label(w[0], w[1])
-        return InfiniteCenterLeaf(
-            endpoints=(w[0], w[1]),
-            label=label,
-            exponent=edge_center_word(label),
-            cost=Fraction(1),
-        )
 
-    cuts = cut_vertices(sub)
-    if cuts:
-        v = min(cuts, key=g.vertex_index)
-        rest = [x for x in w if x != v]
-        parts = components(sub.induced(rest))
-        children = [decompose_artin(g, part + (v,)) for part in parts]
-        node = children[0]
-        for child in children[1:]:
-            merged = tuple(sorted(set(node.vertices) | set(child.vertices), key=g.vertex_index))
-            node = AmalgamNode(
-                left=node,
-                right=child,
-                amalgam=AmalgamDescriptor(kind="vertex", vertex=v, name=f"<{v}>"),
-                cost=Fraction(1),
-                vertices=merged,
-            )
-        return node
-
-    v = w[0]
-    nb = min(sub.neighbors(v), key=g.vertex_index)
-    left = decompose_artin(g, (v, nb))
-    right = decompose_artin(g, tuple(x for x in w if x != v))
-    return GenerationNode(
-        left=left,
-        right=right,
-        witness=f"vertex subgroup <{nb}>, infinite cyclic",
-        witness_vertex=nb,
-        cost=Fraction(1),
-        vertices=w,
-    )
+def decompose_artin(g: LabelledGraph):
+    """Certificate root for the Artin group of a connected graph: cost 1,
+    by the spanning-tree generation sequence of `_component_nodes`."""
+    parts = _component_nodes(g)
+    if len(parts) != 1:
+        raise GraphError("decompose_artin requires a connected graph")
+    return parts[0]
 
 
 def rg_artin(g: LabelledGraph) -> tuple[PriceResult, Certificate]:
     """Price of the Artin group of a labelled graph with b components:
     cost b, rank gradient and betti1 both b - 1, plus a checkable
-    certificate (per-component decompositions joined by free products)."""
-    blocks = components(g)
-    b = len(blocks)
-    roots = [decompose_artin(g, block) for block in blocks]
-    node = roots[0]
-    total = Fraction(1)
-    for child in roots[1:]:
-        total = total + 1  # free product: cost adds (trivial amalgam has price 0)
-        merged = tuple(sorted(set(node.vertices) | set(child.vertices), key=g.vertex_index))
-        node = AmalgamNode(
-            left=node,
-            right=child,
-            amalgam=AmalgamDescriptor(kind="finite", order=1, name="trivial"),
-            cost=total,
-            vertices=merged,
-        )
+    certificate (per-component generation sequences joined by one free
+    product, whose cost is the sum of the factors' costs)."""
+    parts = _component_nodes(g)
+    b = len(parts)
+    root = parts[0] if b == 1 else AmalgamNode(
+        children=tuple(parts), amalgam=AmalgamDescriptor(kind="finite", order=1, name="trivial"),
+        cost=Fraction(b))
     cert = Certificate(
-        root=node,
+        root=root,
         target=f"Artin group on {g.num_vertices} vertices ({b} component(s))",
         graph=g,
         caveat=ARTIN_CAVEAT,
@@ -297,9 +302,14 @@ def rg_artin(g: LabelledGraph) -> tuple[PriceResult, Certificate]:
 def check_certificate(cert, graph: LabelledGraph | None = None) -> CheckReport:
     """Validate a certificate without re-deriving any group theory.
 
-    Recomputes every claimed cost from the children, checks witness
-    bookkeeping against the ambient graph where vertex sets are present,
-    and lists cited facts as assumptions.
+    One pass over the nodes in post-order recomputes every claimed cost
+    from the children and lists cited facts as assumptions.  With an
+    ambient graph it also derives each node's vertex set from its leaves
+    and requires the node to be a step of the Artin induction: a vertex or
+    edge leaf of the graph, a free product of vertex-disjoint factors with
+    no graph edge between them, or a generation sequence of cost-1 factors
+    each containing its witness vertex together with the earlier factors;
+    the root's set must be all of the graph's vertices.
     """
     if isinstance(cert, Certificate):
         root = cert.root
@@ -307,132 +317,163 @@ def check_certificate(cert, graph: LabelledGraph | None = None) -> CheckReport:
     else:
         root = cert
     report = CheckReport(violations=[], assumptions=[])
-    _check_node(root, graph, report, path="root")
+    order = _post_order(root)
+    costs: list[Fraction] = []
+    sets: list[set | None] = []
+    for i, (node, refs) in enumerate(order):
+        where = f"node {i} [{type(node).__name__}]"
+        costs.append(_check_cost(node, [costs[r] for r in refs], report, where))
+        if graph is not None:
+            sets.append(_derive_vertices(node, [sets[r] for r in refs], graph,
+                                         report.violations, where))
+    if graph is not None and sets[-1] is not None and sets[-1] != set(graph.vertices):
+        report.violations.append(
+            f"node {len(order) - 1} (root): vertex set is not the graph's vertex set")
     return report
 
 
-def _label(path, node):
-    return f"{path}[{type(node).__name__}]"
-
-
-def _check_node(node, graph, report: CheckReport, path: str) -> Fraction:
-    where = _label(path, node)
+def _check_cost(node, kids: list[Fraction], report: CheckReport, where: str) -> Fraction:
+    """The node's cost recomputed from its children's; arithmetic and
+    witness-text violations go to the report."""
+    bad = report.violations
 
     if isinstance(node, FiniteLeaf):
+        if not isinstance(node.order, int) or node.order < 1:
+            bad.append(f"{where}: order {node.order} < 1")
+            return Fraction(0)
         expected = 1 - Fraction(1, node.order)
-        if node.order < 1:
-            report.violations.append(f"{where}: order {node.order} < 1")
         if node.cost != expected:
-            report.violations.append(f"{where}: claimed cost {node.cost} != {expected}")
+            bad.append(f"{where}: claimed cost {node.cost} != {expected}")
         return expected
 
     if isinstance(node, AmenableLeaf):
         if node.cost != 1:
-            report.violations.append(f"{where}: amenable leaf must claim cost 1")
-        _check_vertices(node, graph, report, where)
+            bad.append(f"{where}: amenable leaf must claim cost 1")
         return Fraction(1)
 
     if isinstance(node, InfiniteCenterLeaf):
         if node.cost != 1:
-            report.violations.append(f"{where}: infinite-centre leaf must claim cost 1")
-        if node.exponent != edge_center_word(node.label):
-            report.violations.append(
+            bad.append(f"{where}: infinite-centre leaf must claim cost 1")
+        if not isinstance(node.label, int) or node.label < 2:
+            bad.append(f"{where}: label {node.label!r} is not an integer >= 2")
+        elif node.exponent != edge_center_word(node.label):
+            bad.append(
                 f"{where}: centre witness exponent {node.exponent} != "
                 f"{edge_center_word(node.label)} for label {node.label}"
             )
-        if graph is not None:
-            u, v = node.endpoints
-            if not (graph.has_vertex(u) and graph.has_vertex(v) and graph.has_edge(u, v)):
-                report.violations.append(f"{where}: edge {u!r} {v!r} not in ambient graph")
-            elif graph.label(u, v) != node.label:
-                report.violations.append(
-                    f"{where}: label {node.label} != ambient label {graph.label(u, v)}"
-                )
         return Fraction(1)
 
     if isinstance(node, AmalgamNode):
-        lc = _check_node(node.left, graph, report, path + ".left")
-        rc = _check_node(node.right, graph, report, path + ".right")
-        expected = lc + rc - node.amalgam.price()
+        if len(kids) < 2:
+            bad.append(f"{where}: an amalgam needs at least two factors")
+        price = node.amalgam.price()
+        expected = sum(kids, Fraction(0)) - (len(kids) - 1) * price
         if node.cost != expected:
-            report.violations.append(
-                f"{where}: claimed cost {node.cost} != {lc} + {rc} - {node.amalgam.price()}"
+            bad.append(
+                f"{where}: claimed cost {node.cost} != {' + '.join(map(str, kids))} "
+                f"- {len(kids) - 1} * {price}"
             )
-        if node.amalgam.kind == "vertex":
-            _check_vertex_split(node, graph, report, where)
         return expected
 
     if isinstance(node, GenerationNode):
-        lc = _check_node(node.left, graph, report, path + ".left")
-        rc = _check_node(node.right, graph, report, path + ".right")
-        if lc != 1:
-            report.violations.append(f"{where}: left factor cost {lc} != 1")
-        if rc != 1:
-            report.violations.append(f"{where}: right factor cost {rc} != 1")
+        if len(kids) < 2:
+            bad.append(f"{where}: a generation sequence needs at least two factors")
+        for j, c in enumerate(kids):
+            if c != 1:
+                bad.append(f"{where}: factor {j} cost {c} != 1")
         if node.cost != 1:
-            report.violations.append(f"{where}: claimed cost {node.cost} != 1")
-        if not node.witness.strip():
-            report.violations.append(f"{where}: empty intersection witness")
-        wa = getattr(node.left, "vertices", None)
-        wb = getattr(node.right, "vertices", None)
-        if node.vertices is not None and wa is not None and wb is not None:
-            if set(wa) | set(wb) != set(node.vertices):
-                report.violations.append(
-                    f"{where}: factor vertex sets do not cover the node's vertex set"
-                )
-            if not set(wa) & set(wb):
-                report.violations.append(f"{where}: empty intersection")
-            if node.witness_vertex is not None and node.witness_vertex not in set(wa) & set(wb):
-                report.violations.append(
-                    f"{where}: witness vertex {node.witness_vertex!r} not in both factors"
-                )
+            bad.append(f"{where}: claimed cost {node.cost} != 1")
+        if len(node.witnesses) != len(kids) - 1:
+            bad.append(f"{where}: {len(node.witnesses)} intersection witnesses for "
+                       f"{len(kids)} factors")
+        if not all(str(w).strip() for w in node.witnesses):
+            bad.append(f"{where}: empty intersection witness")
         return Fraction(1)
 
     if isinstance(node, NormalSubgroupNode):
         if node.hypothesis not in NORMAL_HYPOTHESES:
-            report.violations.append(
-                f"{where}: unknown hypothesis tag {node.hypothesis!r}"
-            )
+            bad.append(f"{where}: unknown hypothesis tag {node.hypothesis!r}")
         if node.cost != 1:
-            report.violations.append(f"{where}: claimed cost {node.cost} != 1")
+            bad.append(f"{where}: claimed cost {node.cost} != 1")
         if not node.subgroup.strip() or not node.reason.strip():
-            report.violations.append(f"{where}: missing subgroup descriptor or reason")
+            bad.append(f"{where}: missing subgroup descriptor or reason")
         return Fraction(1)
 
     if isinstance(node, CitedFactLeaf):
         report.assumptions.append(f"{node.statement} [{node.citation}]")
         return node.cost
 
-    report.violations.append(f"{where}: unknown node kind")
+    bad.append(f"{where}: unknown node kind")
     return Fraction(0)
 
 
-def _check_vertices(node, graph, report, where):
-    if graph is None or node.vertices is None:
-        return
-    for v in node.vertices:
-        if not graph.has_vertex(v):
-            report.violations.append(f"{where}: vertex {v!r} not in ambient graph")
+def _derive_vertices(node, kids: list, graph: LabelledGraph, bad: list[str],
+                     where: str) -> set | None:
+    """The vertex set of the node's Artin subgroup, merged from the
+    children's sets (smaller into larger, so the children's sets are
+    consumed), or None when it cannot be derived; a node that is not a
+    step of the Artin induction on `graph` is a violation."""
+    if isinstance(node, AmenableLeaf):
+        if node.vertex is None or not graph.has_vertex(node.vertex):
+            bad.append(f"{where}: vertex {node.vertex!r} is not a graph vertex")
+            return None
+        return {node.vertex}
 
+    if isinstance(node, InfiniteCenterLeaf):
+        ends = tuple(node.endpoints)
+        if len(ends) != 2 or not all(graph.has_vertex(v) for v in ends) \
+                or not graph.has_edge(*ends):
+            bad.append(f"{where}: {ends!r} is not an edge of the graph")
+            return None
+        if graph.label(*ends) != node.label:
+            bad.append(f"{where}: label {node.label} != graph label {graph.label(*ends)}")
+        return set(ends)
 
-def _check_vertex_split(node: AmalgamNode, graph, report, where):
-    wa = getattr(node.left, "vertices", None)
-    wb = getattr(node.right, "vertices", None)
-    if node.vertices is None or wa is None or wb is None:
-        return
-    if set(wa) | set(wb) != set(node.vertices):
-        report.violations.append(
-            f"{where}: factor vertex sets do not cover the node's vertex set"
-        )
-    v = node.amalgam.vertex
-    if v not in set(wa) or v not in set(wb):
-        report.violations.append(
-            f"{where}: amalgam vertex {v!r} not shared by both factors"
-        )
+    if isinstance(node, AmalgamNode):
+        if node.amalgam.price():  # only the trivial subgroup has price 0
+            bad.append(f"{where}: an Artin certificate amalgamates only over the "
+                       f"trivial group, not {node.amalgam.name or node.amalgam.kind!r}")
+        if not kids or any(s is None for s in kids):
+            return None
+        merged = max(kids, key=len)
+        others = [s for s in kids if s is not merged]
+        size = len(merged) + sum(map(len, others))
+        for s in others:
+            merged |= s
+        if size != len(merged):
+            bad.append(f"{where}: free-product factors share vertices")
+        # an edge between two factors has an end outside the largest one
+        joined = next(((v, w) for s in others for v in s for w in graph.neighbors(v)
+                       if w in merged and w not in s), None)
+        if joined is not None:
+            bad.append(f"{where}: graph edge {joined[0]!r} {joined[1]!r} "
+                       f"joins two free-product factors")
+        return merged
 
+    if isinstance(node, GenerationNode):
+        shared = node.witness_vertices
+        if shared is None or len(shared) != len(kids) - 1:
+            bad.append(f"{where}: needs one witness vertex for each factor after the first")
+            return None
+        if not kids or any(s is None for s in kids):
+            return None
+        union = kids[0]
+        for j in range(1, len(kids)):
+            s, w = kids[j], shared[j - 1]
+            if w not in s or w not in union:
+                if s.isdisjoint(union):
+                    bad.append(f"{where}: factor {j} has an empty intersection with "
+                               f"the earlier factors")
+                else:
+                    bad.append(f"{where}: witness vertex {w!r} is not in both factor {j} "
+                               f"and the earlier factors")
+            if len(s) > len(union):
+                union, s = s, union
+            union |= s
+        return union
 
-def count_assumptions(cert) -> int:
-    return len(check_certificate(cert).assumptions)
+    bad.append(f"{where}: not a step of an Artin certificate on the given graph")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +519,8 @@ def _reject_param(name, param):
 def _sl2z_certificate() -> Certificate:
     cost = (1 - Fraction(1, 6)) + (1 - Fraction(1, 4)) - (1 - Fraction(1, 2))
     root = AmalgamNode(
-        left=FiniteLeaf(order=6, cost=1 - Fraction(1, 6)),
-        right=FiniteLeaf(order=4, cost=1 - Fraction(1, 4)),
+        children=(FiniteLeaf(order=6, cost=1 - Fraction(1, 6)),
+                  FiniteLeaf(order=4, cost=1 - Fraction(1, 4))),
         amalgam=AmalgamDescriptor(kind="finite", order=2, name="common central subgroup of order 2"),
         cost=cost,
     )
@@ -524,23 +565,23 @@ def _mcg_certificate(genus: int) -> Certificate:
             cost=Fraction(1),
         )
 
-    node = leaf(*pairs[0])
+    witnesses = []
     used = set(pairs[0])
     for x, y in pairs[1:]:
         shared = x if x in used else (y if y in used else None)
         assert shared is not None, "twist pairs must chain"
-        node = GenerationNode(
-            left=node,
-            right=leaf(x, y),
-            witness=(
-                f"the twist {shared} lies in both factors and has infinite order "
-                f"(braid-group generator)"
-            ),
-            cost=Fraction(1),
+        witnesses.append(
+            f"the twist {shared} lies in both factors and has infinite order "
+            f"(braid-group generator)"
         )
         used.update((x, y))
+    root = GenerationNode(
+        children=tuple(leaf(x, y) for x, y in pairs),
+        witnesses=tuple(witnesses),
+        cost=Fraction(1),
+    )
     return Certificate(
-        root=node,
+        root=root,
         target=(
             f"mapping class group of the closed genus-{genus} surface, generated "
             f"by the twist sequence {', '.join(seq)}"
@@ -564,11 +605,10 @@ def _bn_mod_center_certificate(n: int) -> Certificate:
         )
 
     root = GenerationNode(
-        left=image_leaf(1, n - 2),
-        right=image_leaf(2, n - 1),
-        witness=(
+        children=(image_leaf(1, n - 2), image_leaf(2, n - 1)),
+        witnesses=(
             "the image of sigma_2 lies in both factors and has infinite order "
-            "(no power of sigma_2 is central)"
+            "(no power of sigma_2 is central)",
         ),
         cost=Fraction(1),
     )
@@ -582,25 +622,27 @@ def _bn_mod_center_certificate(n: int) -> Certificate:
 def _autfn_certificate(n: int) -> Certificate:
     if n == 2:
         root = GenerationNode(
-            left=CitedFactLeaf(
-                statement=(
-                    "the braid group on 4 strands modulo its centre embeds in Aut(F_2) "
-                    "as a subgroup of index two and has fixed price 1 "
-                    "(see the BnModCenter(4) certificate)"
+            children=(
+                CitedFactLeaf(
+                    statement=(
+                        "the braid group on 4 strands modulo its centre embeds in Aut(F_2) "
+                        "as a subgroup of index two and has fixed price 1 "
+                        "(see the BnModCenter(4) certificate)"
+                    ),
+                    citation="DF",
+                    cost=Fraction(1),
                 ),
-                citation="DF",
-                cost=Fraction(1),
-            ),
-            right=AmenableLeaf(
-                name="<t>",
-                reason=(
-                    "infinite cyclic: t is any infinite-order automorphism outside the "
-                    "index-two subgroup (preimage of an infinite-order determinant -1 "
-                    "matrix in GL(2,Z))"
+                AmenableLeaf(
+                    name="<t>",
+                    reason=(
+                        "infinite cyclic: t is any infinite-order automorphism outside the "
+                        "index-two subgroup (preimage of an infinite-order determinant -1 "
+                        "matrix in GL(2,Z))"
+                    ),
+                    cost=Fraction(1),
                 ),
-                cost=Fraction(1),
             ),
-            witness="t^2 lies in both factors and has infinite order (index two)",
+            witnesses=("t^2 lies in both factors and has infinite order (index two)",),
             cost=Fraction(1),
         )
         return Certificate(
@@ -619,7 +661,7 @@ def _autfn_certificate(n: int) -> Certificate:
             cost=Fraction(1),
         )
 
-    node: object = CitedFactLeaf(
+    braid_leaf = CitedFactLeaf(
         statement=(
             f"the automorphisms f_1,...,f_{n - 1} with f_i: x_i -> x_i x_(i+1) x_i^-1, "
             f"x_(i+1) -> x_i generate a copy of the braid group on {n} strands inside "
@@ -628,15 +670,14 @@ def _autfn_certificate(n: int) -> Certificate:
         citation="classical",
         cost=Fraction(1),
     )
-    for i in range(1, n):
-        node = GenerationNode(
-            left=node,
-            right=copy_leaf(i),
-            witness=f"f_{i} lies in both factors and has infinite order",
-            cost=Fraction(1),
-        )
+    root = GenerationNode(
+        children=(braid_leaf,) + tuple(copy_leaf(i) for i in range(1, n)),
+        witnesses=tuple(f"f_{i} lies in both factors and has infinite order"
+                        for i in range(1, n)),
+        cost=Fraction(1),
+    )
     return Certificate(
-        root=node,
+        root=root,
         target=f"Aut(F_{n}) generated by the rank-two copies A_1,...,A_{n - 1} of Aut(F_2)",
         citations=("classical",),
     )
@@ -672,16 +713,12 @@ def _outfn_certificate(n: int) -> Certificate:
             citation="DF",
             cost=Fraction(1),
         )
-        inner = GenerationNode(
-            left=x_leaf,
-            right=z_leaf,
-            witness="the class of alpha lies in both factors and has infinite order",
-            cost=Fraction(1),
-        )
         root = GenerationNode(
-            left=inner,
-            right=y_leaf,
-            witness="the class of gamma o beta lies in both factors and has infinite order",
+            children=(x_leaf, z_leaf, y_leaf),
+            witnesses=(
+                "the class of alpha lies in both factors and has infinite order",
+                "the class of gamma o beta lies in both factors and has infinite order",
+            ),
             cost=Fraction(1),
         )
         return Certificate(
@@ -701,11 +738,10 @@ def _outfn_certificate(n: int) -> Certificate:
         )
 
     root = GenerationNode(
-        left=aut_leaf("x_1"),
-        right=aut_leaf(f"x_{n}"),
-        witness=(
+        children=(aut_leaf("x_1"), aut_leaf(f"x_{n}")),
+        witnesses=(
             "a common copy of Aut(F_2) acting on <x_2,x_3> and fixing the remaining "
-            "generators lies in both factors and is infinite"
+            "generators lies in both factors and is infinite",
         ),
         cost=Fraction(1),
     )
@@ -718,124 +754,101 @@ def _outfn_certificate(n: int) -> Certificate:
 
 # ---------------------------------------------------------------------------
 # JSON serialization
+#
+# The nodes are listed flat in post-order: children before their parent,
+# the root last, each child named by its position in the list.  Fields are
+# written in declaration order, and a field equal to its default is left
+# out.  Nothing nests by depth, so the text is O(nodes) and json's C
+# encoder (used only without indent) writes it.
 
 
-def _frac_to_str(q: Fraction) -> str:
-    return str(q)
+def _encode(obj, refs: list[int] | None = None) -> dict:
+    d = {} if refs is None else {"kind": _KIND_OF[type(obj)]}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.default is not MISSING and value == f.default:
+            continue
+        if f.name == "children":
+            value = refs
+        elif isinstance(value, Fraction):
+            value = str(value)
+        elif isinstance(value, AmalgamDescriptor):
+            value = _encode(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        d[f.name] = value
+    return d
 
 
-def _frac_from_str(s: str) -> Fraction:
-    return Fraction(s)
-
-
-def node_to_dict(node) -> dict:
-    if isinstance(node, FiniteLeaf):
-        return {"kind": "finite", "rule": node.rule, "cost": _frac_to_str(node.cost),
-                "order": node.order}
-    if isinstance(node, AmenableLeaf):
-        d = {"kind": "amenable", "rule": node.rule, "cost": _frac_to_str(node.cost),
-             "name": node.name, "reason": node.reason}
-        if node.vertices is not None:
-            d["vertices"] = list(node.vertices)
-        return d
-    if isinstance(node, InfiniteCenterLeaf):
-        return {"kind": "infinite-centre", "rule": node.rule, "cost": _frac_to_str(node.cost),
-                "endpoints": list(node.endpoints), "label": node.label,
-                "exponent": node.exponent, "note": node.note}
-    if isinstance(node, AmalgamNode):
-        d = {"kind": "amalgam", "rule": node.rule, "cost": _frac_to_str(node.cost),
-             "amalgam": {"kind": node.amalgam.kind, "vertex": node.amalgam.vertex,
-                         "order": node.amalgam.order, "name": node.amalgam.name},
-             "children": [node_to_dict(node.left), node_to_dict(node.right)]}
-        if node.vertices is not None:
-            d["vertices"] = list(node.vertices)
-        return d
-    if isinstance(node, GenerationNode):
-        d = {"kind": "generation", "rule": node.rule, "cost": _frac_to_str(node.cost),
-             "witness": node.witness,
-             "children": [node_to_dict(node.left), node_to_dict(node.right)]}
-        if node.witness_vertex is not None:
-            d["witness_vertex"] = node.witness_vertex
-        if node.vertices is not None:
-            d["vertices"] = list(node.vertices)
-        return d
-    if isinstance(node, NormalSubgroupNode):
-        return {"kind": "normal-subgroup", "rule": node.rule, "cost": _frac_to_str(node.cost),
-                "ambient": node.ambient, "subgroup": node.subgroup,
-                "hypothesis": node.hypothesis, "reason": node.reason}
-    if isinstance(node, CitedFactLeaf):
-        return {"kind": "cited-fact", "rule": node.rule, "cost": _frac_to_str(node.cost),
-                "statement": node.statement, "citation": node.citation}
-    raise TypeError(f"unknown node {type(node).__name__}")
-
-
-def node_from_dict(d: dict):
-    kind = d.get("kind")
-    cost = _frac_from_str(d["cost"])
-    if kind == "finite":
-        return FiniteLeaf(order=d["order"], cost=cost)
-    if kind == "amenable":
-        vs = d.get("vertices")
-        return AmenableLeaf(name=d["name"], reason=d["reason"], cost=cost,
-                            vertices=tuple(vs) if vs is not None else None)
-    if kind == "infinite-centre":
-        return InfiniteCenterLeaf(
-            endpoints=tuple(d["endpoints"]), label=d["label"],
-            exponent=d["exponent"], cost=cost, note=d.get("note", CENTER_NOTE))
-    if kind == "amalgam":
-        a = d["amalgam"]
-        vs = d.get("vertices")
-        left, right = (node_from_dict(c) for c in d["children"])
-        return AmalgamNode(
-            left=left, right=right,
-            amalgam=AmalgamDescriptor(kind=a["kind"], vertex=a.get("vertex"),
-                                      order=a.get("order"), name=a.get("name", "")),
-            cost=cost, vertices=tuple(vs) if vs is not None else None)
-    if kind == "generation":
-        vs = d.get("vertices")
-        left, right = (node_from_dict(c) for c in d["children"])
-        return GenerationNode(
-            left=left, right=right, witness=d["witness"], cost=cost,
-            witness_vertex=d.get("witness_vertex"),
-            vertices=tuple(vs) if vs is not None else None)
-    if kind == "normal-subgroup":
-        return NormalSubgroupNode(
-            ambient=d["ambient"], subgroup=d["subgroup"],
-            hypothesis=d["hypothesis"], reason=d["reason"], cost=cost)
-    if kind == "cited-fact":
-        return CitedFactLeaf(statement=d["statement"], citation=d["citation"], cost=cost)
-    raise ValueError(f"unknown certificate node kind {kind!r}")
-
-
-def graph_to_dict(g: LabelledGraph) -> dict:
-    return {"vertices": list(g.vertices),
-            "edges": [[u, v, lab] for u, v, lab in g.edges()]}
-
-
-def graph_from_dict(d: dict) -> LabelledGraph:
-    return LabelledGraph(d["vertices"], [tuple(e) for e in d["edges"]])
+def _decode(cls, d: dict, children: tuple = ()):
+    """A `cls` built from its JSON fields, with its children resolved.
+    Field types are strings here (postponed annotations)."""
+    kwargs = {}
+    for f in fields(cls):
+        if f.name not in d:
+            continue
+        value = d[f.name]
+        if f.name == "children":
+            value = children
+        elif f.type == "Fraction":
+            value = Fraction(value)
+        elif f.type == "AmalgamDescriptor":
+            value = _decode(AmalgamDescriptor, value)
+        elif isinstance(value, list):
+            value = tuple(value)
+        kwargs[f.name] = value
+    return cls(**kwargs)
 
 
 def certificate_to_json(cert: Certificate) -> str:
+    g = cert.graph
     doc = {
         "format": FORMAT,
         "target": cert.target,
-        "claimed_cost": _frac_to_str(cert.root.cost),
+        "claimed_cost": str(cert.root.cost),
         "citations": list(cert.citations),
         "caveat": cert.caveat,
-        "graph": graph_to_dict(cert.graph) if cert.graph is not None else None,
-        "root": node_to_dict(cert.root),
+        "graph": None if g is None else {"vertices": list(g.vertices),
+                                         "edges": [list(e) for e in g.edges()]},
+        "nodes": [_encode(node, refs) for node, refs in _post_order(cert.root)],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc) + "\n"
 
 
 def certificate_from_json(text: str) -> Certificate:
     doc = json.loads(text)
-    if doc.get("format") != FORMAT:
-        raise ValueError(f"unsupported certificate format {doc.get('format')!r}")
-    graph = graph_from_dict(doc["graph"]) if doc.get("graph") else None
+    fmt = doc.get("format") if isinstance(doc, dict) else None
+    if fmt == "rgcost-certificate/1":
+        raise ValueError(
+            "certificate format 'rgcost-certificate/1' is no longer read; re-run "
+            f"`rgcost certify` (or `rgcost artin --certify`) to write {FORMAT}"
+        )
+    if fmt != FORMAT:
+        raise ValueError(f"unsupported certificate format {fmt!r}")
+    entries = doc.get("nodes")
+    if not isinstance(entries, list) or not entries:
+        raise ValueError("certificate has no nodes")
+    nodes: list = []
+    taken: set[int] = set()  # every node but the root is exactly one node's child
+    for d in entries:
+        kind = d.get("kind") if isinstance(d, dict) else None
+        if not isinstance(kind, str) or kind not in KINDS:
+            raise ValueError(f"unknown certificate node kind {kind!r}")
+        try:
+            refs = d.get("children", ())
+            for c in refs:
+                if not isinstance(c, int) or not 0 <= c < len(nodes) or c in taken:
+                    raise ValueError(f"child {c!r} is not an unclaimed earlier node")
+                taken.add(c)
+            nodes.append(_decode(KINDS[kind], d, tuple(nodes[c] for c in refs)))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"certificate node {len(nodes)} ({kind}): {exc}") from None
+    if len(taken) != len(nodes) - 1:
+        raise ValueError("certificate nodes are not one tree in post-order")
+    gd = doc.get("graph")
+    graph = LabelledGraph(gd["vertices"], [tuple(e) for e in gd["edges"]]) if gd else None
     return Certificate(
-        root=node_from_dict(doc["root"]),
+        root=nodes[-1],
         target=doc.get("target", ""),
         graph=graph,
         caveat=doc.get("caveat"),

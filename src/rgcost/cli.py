@@ -23,6 +23,7 @@ from .fpgroup import (
     EnumerationLimit,
     NotHomomorphism,
     PresentationError,
+    braid_graph,
     builtin_presentation,
     cayley_table,
     kernel_chain_cayley,
@@ -202,13 +203,7 @@ def _symbolic_expr(name: str):
     if name == "dihedral-inf":
         return ge.AmalgamFinite(ge.Cyclic(2), ge.Cyclic(2), 1)
     if name.startswith("braid"):
-        from .fpgroup.builtins import braid_presentation  # noqa: F401  (name check)
-        from .lgraph import LabelledGraph
-
-        n = int(name[len("braid"):])
-        vertices = [f"s{i}" for i in range(1, n)]
-        edges = [(vertices[i], vertices[i + 1], 3) for i in range(len(vertices) - 1)]
-        return ge.ArtinGraph(LabelledGraph(vertices, edges))
+        return ge.ArtinGraph(braid_graph(int(name[len("braid"):])))
     return None
 
 

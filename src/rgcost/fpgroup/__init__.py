@@ -34,7 +34,7 @@ from .chains import (
     sl2z_images,
     trend_summary,
 )
-from .builtins import BUILTIN_NAMES, braid_presentation, builtin_presentation
+from .builtins import BUILTIN_NAMES, braid_graph, braid_presentation, builtin_presentation
 
 __all__ = [
     "AbelianInvariants",
@@ -48,6 +48,7 @@ __all__ = [
     "SNFResult",
     "abelian_invariants",
     "artin_presentation",
+    "braid_graph",
     "braid_presentation",
     "builtin_presentation",
     "cayley_table",

@@ -43,19 +43,25 @@ BUILTIN_NAMES = ("SL2Z", "PSL2Z", "dihedral-inf", "braidN (N >= 2, e.g. braid3)"
 _BRAID_RE = re.compile(r"^braid([0-9]+)$")
 
 
-def braid_presentation(n: int) -> Presentation:
-    """The Artin group of a path of n-1 vertices with all edges labelled 3.
+def braid_graph(n: int) -> LabelledGraph:
+    """The path s1 - s2 - ... - s(n-1) with all edges labelled 3.
 
-    For n <= 3 this is the braid group on n strands.  For n >= 4 it is
-    not: an absent edge means no relation here, so the far-commutation
-    relations s_i s_j = s_j s_i (|i - j| >= 2) are missing.  For example,
-    the index-2 kernel of braid5 has H1 = Z + (Z/3)^3.
+    Its Artin group is the braid group on n strands for n <= 3.  For
+    n >= 4 it is not: an absent edge means no relation here, so the
+    far-commutation relations s_i s_j = s_j s_i (|i - j| >= 2) are
+    missing.  For example, the index-2 kernel of braid5 has
+    H1 = Z + (Z/3)^3.
     """
     if n < 2:
         raise ValueError("braid groups need at least 2 strands")
     vertices = [f"s{i}" for i in range(1, n)]
     edges = [(vertices[i], vertices[i + 1], 3) for i in range(len(vertices) - 1)]
-    return artin_presentation(LabelledGraph(vertices, edges))
+    return LabelledGraph(vertices, edges)
+
+
+def braid_presentation(n: int) -> Presentation:
+    """The Artin group of `braid_graph(n)`."""
+    return artin_presentation(braid_graph(n))
 
 
 def builtin_presentation(name: str) -> tuple[Presentation, str]:

@@ -1,10 +1,13 @@
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_connected_graph
+from conftest import cycle_graph, path_graph, random_connected_graph
 from rgcost.certificate import (
     AmalgamDescriptor,
     AmalgamNode,
@@ -25,7 +28,7 @@ from rgcost.certificate import (
     rg_artin,
 )
 from rgcost.groupexpr import ArtinGraph, evaluate
-from rgcost.lgraph import GraphError, components, parse_graph
+from rgcost.lgraph import GraphError, LabelledGraph, components, parse_graph
 
 
 class TestEdgeCenterWord:
@@ -52,13 +55,13 @@ class TestDecompose:
         assert node.exponent == 5
         assert node.cost == 1
 
-    def test_path_splits_at_cut_vertex(self):
+    def test_path_is_generation_over_shared_vertex(self):
         g = parse_graph("vertex a\nvertex b\nvertex c\nedge a b 3\nedge b c 3\n")
         node = decompose_artin(g)
-        assert isinstance(node, AmalgamNode)
-        assert node.amalgam.kind == "vertex" and node.amalgam.vertex == "b"
-        assert isinstance(node.left, InfiniteCenterLeaf)
-        assert isinstance(node.right, InfiniteCenterLeaf)
+        assert isinstance(node, GenerationNode)
+        assert all(isinstance(c, InfiniteCenterLeaf) for c in node.children)
+        assert [c.endpoints for c in node.children] == [("a", "b"), ("b", "c")]
+        assert node.witness_vertices == ("b",)
         assert node.cost == 1
 
     def test_cycle_uses_generation(self):
@@ -67,9 +70,9 @@ class TestDecompose:
         )
         node = decompose_artin(g)
         assert isinstance(node, GenerationNode)
-        assert node.witness_vertex == "b"  # smallest-index neighbour of a
-        assert set(node.left.vertices) == {"a", "b"}
-        assert set(node.right.vertices) == {"b", "c"}
+        # breadth-first tree from a, neighbours in index order: ab, then ac
+        assert [c.endpoints for c in node.children] == [("a", "b"), ("a", "c")]
+        assert node.witness_vertices == ("a",)
 
     def test_rejects_disconnected(self):
         g = parse_graph("vertex a\nvertex b\n")
@@ -99,22 +102,19 @@ class TestDecompose:
             assert certificate_to_json(cert1) == certificate_to_json(cert2)
 
     def test_generation_vertex_bookkeeping(self):
+        # the children are the edges of a spanning tree, each meeting the
+        # earlier ones in exactly its witness vertex
         rng = random.Random(59)
-
-        def walk(node):
-            if isinstance(node, GenerationNode):
-                wa, wb = set(node.left.vertices), set(node.right.vertices)
-                assert wa | wb == set(node.vertices)
-                assert len(wa & wb) == 1
-                walk(node.left)
-                walk(node.right)
-            elif isinstance(node, AmalgamNode):
-                walk(node.left)
-                walk(node.right)
-
         for _ in range(40):
             g = random_connected_graph(rng, n_min=3, n_max=10)
-            walk(decompose_artin(g))
+            node = decompose_artin(g)
+            assert isinstance(node, GenerationNode)
+            assert len(node.children) == g.num_vertices - 1
+            union = set(node.children[0].endpoints)
+            for leaf, w in zip(node.children[1:], node.witness_vertices):
+                assert set(leaf.endpoints) & union == {w}
+                union |= set(leaf.endpoints)
+            assert union == set(g.vertices)
 
 
 class TestRgArtin:
@@ -160,17 +160,18 @@ class TestChecker:
         assert any("claimed cost" in v for v in report.violations)
 
     def test_disjoint_generation_children(self):
-        left = InfiniteCenterLeaf(endpoints=("a", "b"), label=2, exponent=1, cost=Fraction(1))
-        right = InfiniteCenterLeaf(endpoints=("c", "d"), label=2, exponent=1, cost=Fraction(1))
-        node = GenerationNode(left=left, right=right, witness="none",
-                              cost=Fraction(1), vertices=("a", "b", "c", "d"))
-        report = check_certificate(node)
+        g = parse_graph("vertex a\nvertex b\nvertex c\nvertex d\nedge a b 2\nedge c d 2\n")
+        first = InfiniteCenterLeaf(endpoints=("a", "b"), label=2, exponent=1, cost=Fraction(1))
+        second = InfiniteCenterLeaf(endpoints=("c", "d"), label=2, exponent=1, cost=Fraction(1))
+        node = GenerationNode(children=(first, second), witnesses=("none",),
+                              cost=Fraction(1), witness_vertices=("b",))
+        report = check_certificate(node, g)
         assert any("empty intersection" in v for v in report.violations)
 
     def test_amalgam_arithmetic_with_order_two_subgroup(self):
         node = AmalgamNode(
-            left=AmenableLeaf(name="A", reason="declared", cost=Fraction(1)),
-            right=AmenableLeaf(name="B", reason="declared", cost=Fraction(1)),
+            children=(AmenableLeaf(name="A", reason="declared", cost=Fraction(1)),
+                      AmenableLeaf(name="B", reason="declared", cost=Fraction(1))),
             amalgam=AmalgamDescriptor(kind="finite", order=2, name="C"),
             cost=Fraction(3, 2),
         )
@@ -185,6 +186,13 @@ class TestChecker:
         assert check_certificate(FiniteLeaf(order=6, cost=Fraction(5, 6))).valid
         assert not check_certificate(FiniteLeaf(order=6, cost=Fraction(1, 2))).valid
 
+    @pytest.mark.parametrize("leaf", [
+        FiniteLeaf(order=0, cost=Fraction(0)),
+        InfiniteCenterLeaf(endpoints=("a", "b"), label=1, exponent=1, cost=Fraction(1)),
+    ], ids=["order-0", "label-1"])
+    def test_degenerate_leaf_is_violation_not_crash(self, leaf):
+        assert not check_certificate(leaf).valid
+
     def test_normal_subgroup_node(self):
         ok = NormalSubgroupNode(
             ambient="G", subgroup="C", hypothesis="infinite-centre",
@@ -197,8 +205,8 @@ class TestChecker:
         # consistent-looking parent over a tampered child must be caught
         g = parse_graph("vertex a\nvertex b\nvertex c\nedge a b 3\nedge b c 3\n")
         node = decompose_artin(g)
-        bad_child = replace(node.left, cost=Fraction(2))
-        bad = replace(node, left=bad_child, cost=Fraction(2))  # 2 + 1 - 1 = 2: "consistent"
+        bad_child = replace(node.children[0], cost=Fraction(2))
+        bad = replace(node, children=(bad_child,) + node.children[1:], cost=Fraction(2))
         report = check_certificate(bad, g)
         assert not report.valid
 
@@ -284,6 +292,30 @@ class TestJson:
             assert r1.valid == r2.valid
             assert r1.assumptions == r2.assumptions
 
+    def test_rejects_format_1(self):
+        old = ('{"format": "rgcost-certificate/1", "target": "", "claimed_cost": "1", '
+               '"citations": [], "caveat": null, "graph": null, '
+               '"root": {"kind": "amenable", "cost": "1", "name": "Z", "reason": "r"}}')
+        with pytest.raises(ValueError, match=r"rgcost-certificate/1.*re-run `rgcost certify`"):
+            certificate_from_json(old)
+
+    @pytest.mark.parametrize("nodes", [
+        [{"kind": "amenable", "name": "<a>", "reason": "r", "cost": "1", "vertex": "a"},
+         {"kind": "amalgam", "children": [0, 0], "cost": "2",
+          "amalgam": {"kind": "finite", "order": 1}}],
+        [{"kind": "amenable", "name": "<a>", "reason": "r", "cost": "1", "vertex": "a"},
+         {"kind": "amenable", "name": "<b>", "reason": "r", "cost": "1", "vertex": "b"}],
+        [{"kind": "amalgam", "children": [1], "cost": "1",
+          "amalgam": {"kind": "finite", "order": 1}},
+         {"kind": "amenable", "name": "<a>", "reason": "r", "cost": "1", "vertex": "a"}],
+        [{"kind": "amenable", "name": "<a>", "reason": "r"}],
+    ], ids=["shared-child", "two-roots", "forward-reference", "missing-cost"])
+    def test_rejects_nodes_that_are_not_one_post_order_tree(self, nodes):
+        doc = {"format": "rgcost-certificate/2", "target": "", "claimed_cost": "1",
+               "citations": [], "caveat": None, "graph": None, "nodes": nodes}
+        with pytest.raises(ValueError):
+            certificate_from_json(json.dumps(doc))
+
     def test_external_cost_strings_are_fractions(self):
         cert = builtin_certificate("SL2Z")
         assert '"claimed_cost": "13/12"' in certificate_to_json(cert)
@@ -293,8 +325,232 @@ class TestJson:
             certificate_from_json('{"format": "other", "root": {}}')
 
     def test_rejects_unknown_node_kind(self):
-        bad = ('{"format": "rgcost-certificate/1", "target": "", "claimed_cost": "1", '
+        bad = ('{"format": "rgcost-certificate/2", "target": "", "claimed_cost": "1", '
                '"citations": [], "caveat": null, "graph": null, '
-               '"root": {"kind": "mystery", "cost": "1"}}')
-        with pytest.raises(ValueError):
+               '"nodes": [{"kind": "mystery", "cost": "1"}]}')
+        with pytest.raises(ValueError, match="mystery"):
             certificate_from_json(bad)
+
+
+TRIANGLE = "vertex a\nvertex b\nvertex c\nedge a b 3\nedge b c 3\nedge a c 3\n"
+
+
+def edge_leaf(u, v, label):
+    return InfiniteCenterLeaf(endpoints=(u, v), label=label,
+                              exponent=edge_center_word(label), cost=Fraction(1))
+
+
+class TestSoundness:
+    """Forged certificates whose arithmetic is consistent but whose claim
+    the graph does not justify."""
+
+    def test_edge_leaf_root_of_two_component_graph(self):
+        # cost 1 claimed for A(a-b) * Z, whose cost is 2
+        g = parse_graph("vertex a\nvertex b\nvertex c\nedge a b 3\n")
+        forged = Certificate(root=edge_leaf("a", "b", 3), target="forged", graph=g)
+        report = check_certificate(forged)
+        assert not report.valid
+        assert any("root" in v for v in report.violations)
+
+    def test_free_product_of_b3_edge_with_itself(self):
+        # cost 2 claimed for B3, whose cost is 1
+        g = parse_graph("vertex a\nvertex b\nedge a b 3\n")
+        leaf = edge_leaf("a", "b", 3)
+        forged = AmalgamNode(children=(leaf, leaf), cost=Fraction(2),
+                             amalgam=AmalgamDescriptor(kind="finite", order=1, name="trivial"))
+        report = check_certificate(forged, g)
+        assert any("share vertices" in v for v in report.violations)
+
+    def test_vertex_amalgam_in_triangle(self):
+        # {a,c} and {b,c} over <c>: c does not separate a from b
+        with pytest.raises(ValueError, match="unknown amalgam descriptor kind"):
+            AmalgamDescriptor(kind="vertex", name="<c>")
+        doc = {"format": "rgcost-certificate/2", "target": "forged", "claimed_cost": "1",
+               "citations": [], "caveat": None,
+               "graph": {"vertices": ["a", "b", "c"],
+                         "edges": [["a", "b", 3], ["a", "c", 3], ["b", "c", 3]]},
+               "nodes": [
+                   {"kind": "infinite-centre", "endpoints": ["a", "c"], "label": 3,
+                    "exponent": 3, "cost": "1"},
+                   {"kind": "infinite-centre", "endpoints": ["b", "c"], "label": 3,
+                    "exponent": 3, "cost": "1"},
+                   {"kind": "amalgam", "children": [0, 1], "cost": "1",
+                    "amalgam": {"kind": "vertex", "name": "<c>"}}]}
+        with pytest.raises(ValueError, match="unknown amalgam descriptor kind"):
+            certificate_from_json(json.dumps(doc))
+        # the same split stated over the amenable subgroup <c> is arithmetic-
+        # ally consistent (1 + 1 - 1) but is no step of the Artin induction
+        forged = AmalgamNode(children=(edge_leaf("a", "c", 3), edge_leaf("b", "c", 3)),
+                             amalgam=AmalgamDescriptor(kind="amenable", name="<c>"),
+                             cost=Fraction(1))
+        report = check_certificate(forged, parse_graph(TRIANGLE))
+        assert any("trivial group" in v for v in report.violations)
+
+    def test_free_product_factors_joined_by_an_edge(self):
+        g = parse_graph("vertex a\nvertex b\nvertex c\nedge a b 3\nedge b c 4\n")
+        forged = AmalgamNode(children=(edge_leaf("a", "b", 3), AmenableLeaf(
+            name="<c>", reason="r", cost=Fraction(1), vertex="c")),
+            amalgam=AmalgamDescriptor(kind="finite", order=1), cost=Fraction(2))
+        report = check_certificate(forged, g)
+        assert any("joins two free-product factors" in v for v in report.violations)
+
+    @pytest.mark.parametrize("leaf", [
+        FiniteLeaf(order=2, cost=Fraction(1, 2)),
+        CitedFactLeaf(statement="s", citation="c", cost=Fraction(1)),
+        NormalSubgroupNode(ambient="G", subgroup="C", hypothesis="infinite-centre",
+                           reason="r", cost=Fraction(1)),
+        AmenableLeaf(name="Z", reason="r", cost=Fraction(1)),
+    ], ids=["finite", "cited", "normal", "amenable-without-vertex"])
+    def test_nodes_outside_the_artin_induction(self, leaf):
+        # a free-product factor with no vertices would leave the root's set intact
+        g = parse_graph("vertex a\nvertex b\nedge a b 3\n")
+        root = AmalgamNode(children=(edge_leaf("a", "b", 3), leaf), cost=1 + leaf.cost,
+                           amalgam=AmalgamDescriptor(kind="finite", order=1))
+        report = check_certificate(root, g)
+        assert [v for v in report.violations if v.startswith("node 1 ")], report.violations
+
+    def test_generation_factor_must_cost_one(self):
+        # <a> * <c> costs 2, so the generated group need not cost 1
+        g = parse_graph("vertex a\nvertex b\nvertex c\nedge a b 3\n")
+        free = AmalgamNode(
+            children=(AmenableLeaf(name="<a>", reason="r", cost=Fraction(1), vertex="a"),
+                      AmenableLeaf(name="<c>", reason="r", cost=Fraction(1), vertex="c")),
+            amalgam=AmalgamDescriptor(kind="finite", order=1), cost=Fraction(2))
+        root = GenerationNode(children=(free, edge_leaf("a", "b", 3)), witnesses=("<a>",),
+                              cost=Fraction(1), witness_vertices=("a",))
+        report = check_certificate(root, g)
+        assert any("factor 0 cost 2 != 1" in v for v in report.violations)
+
+    @pytest.mark.parametrize("root", [
+        AmalgamNode(children=(), amalgam=AmalgamDescriptor(kind="finite", order=1),
+                    cost=Fraction(0)),
+        GenerationNode(children=(), witnesses=(), cost=Fraction(1), witness_vertices=()),
+    ], ids=["empty-free-product", "empty-generation"])
+    def test_node_without_factors(self, root):
+        g = parse_graph("vertex a\n")
+        report = check_certificate(root, g)
+        assert any("at least two factors" in v for v in report.violations)
+
+
+@st.composite
+def labelled_graphs(draw):
+    n = draw(st.integers(1, 9))
+    vs = [f"v{i}" for i in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=14)) if pairs else []
+    return LabelledGraph(vs, [(vs[i], vs[j], draw(st.integers(2, 7))) for i, j in chosen])
+
+
+def _positions(node, path=()):
+    yield path, node
+    for j, child in enumerate(getattr(node, "children", ())):
+        yield from _positions(child, path + (j,))
+
+
+def _replace_at(node, path, new):
+    if not path:
+        return new
+    kids = list(node.children)
+    kids[path[0]] = _replace_at(kids[path[0]], path[1:], new)
+    return replace(node, children=tuple(kids))
+
+
+def _mutations(root, g, data):
+    """(name, mutated root) for each mutation kind that applies."""
+    spots = list(_positions(root))
+    interior = [(p, n) for p, n in spots if getattr(n, "children", ())]
+    leaves = [(p, n) for p, n in spots if isinstance(n, InfiniteCenterLeaf)]
+    gens = [(p, n) for p, n in interior if isinstance(n, GenerationNode)]
+    out = []
+    if interior:
+        path, node = data.draw(st.sampled_from(interior))
+        j = data.draw(st.integers(0, len(node.children) - 1))
+        kids = node.children[:j] + node.children[j + 1:]
+        if isinstance(node, GenerationNode):
+            k = max(j - 1, 0)
+            dropped = replace(node, children=kids,
+                              witnesses=node.witnesses[:k] + node.witnesses[k + 1:],
+                              witness_vertices=node.witness_vertices[:k]
+                              + node.witness_vertices[k + 1:])
+        else:
+            dropped = replace(node, children=kids, cost=node.cost - 1)
+        out.append(("drop child", _replace_at(root, path, dropped)))
+        dup = node.children[:j + 1] + node.children[j:]
+        out.append(("duplicate child", _replace_at(root, path, replace(node, children=dup))))
+        if isinstance(node, AmalgamNode):
+            out.append(("duplicate factor", _replace_at(
+                root, path, replace(node, children=dup, cost=node.cost + 1))))
+    if leaves:
+        path, leaf = data.draw(st.sampled_from(leaves))
+        non_edges = [(u, w) for u in g.vertices for w in g.vertices
+                     if u != w and not g.has_edge(u, w)]
+        if non_edges:
+            ends = data.draw(st.sampled_from(non_edges))
+            out.append(("move edge", _replace_at(root, path, replace(leaf, endpoints=ends))))
+        label = data.draw(st.integers(2, 7).filter(lambda x: x != leaf.label))
+        out.append(("change label", _replace_at(root, path, replace(
+            leaf, label=label, exponent=edge_center_word(label)))))
+        out.append(("change exponent", _replace_at(
+            root, path, replace(leaf, exponent=leaf.exponent + 1))))
+    if gens:
+        path, node = data.draw(st.sampled_from(gens))
+        j = data.draw(st.integers(1, len(node.children) - 1))
+        earlier = {v for c in node.children[:j] for v in c.endpoints}
+        w = data.draw(st.sampled_from(sorted(set(g.vertices) - earlier)))
+        shared = list(node.witness_vertices)
+        shared[j - 1] = w
+        out.append(("move witness", _replace_at(
+            root, path, replace(node, witness_vertices=tuple(shared)))))
+    path, node = data.draw(st.sampled_from(spots))
+    delta = data.draw(st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2)]))
+    out.append(("change cost", _replace_at(root, path, replace(node, cost=node.cost + delta))))
+    return out
+
+
+class TestMutations:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(labelled_graphs(), st.data())
+    def test_builder_valid_and_every_mutation_rejected(self, g, data):
+        price, cert = rg_artin(g)
+        report = check_certificate(cert)
+        assert report.valid, report.violations
+        assert price.cost == cert.root.cost == len(components(g))
+        text = certificate_to_json(cert)
+        assert certificate_to_json(certificate_from_json(text)) == text
+
+        for name, root in _mutations(cert.root, g, data):
+            forged = replace(cert, root=root)
+            assert not check_certificate(forged).valid, name
+            assert not check_certificate(certificate_from_json(
+                certificate_to_json(forged))).valid, name
+
+
+def _json_depth(value) -> int:
+    depth, stack = 0, [(value, 1)]
+    while stack:
+        v, d = stack.pop()
+        depth = max(depth, d)
+        children = v.values() if isinstance(v, dict) else v if isinstance(v, list) else ()
+        stack.extend((c, d + 1) for c in children)
+    return depth
+
+
+class TestLargeInputs:
+    @pytest.mark.parametrize("g", [path_graph([3] * 799), path_graph([2, 5, 4] * 666 + [3]),
+                                   cycle_graph([4, 3] * 200)],
+                             ids=["path-800", "path-2000", "cycle-400"])
+    def test_build_check_and_size(self, g):
+        price, cert = rg_artin(g)
+        assert price.cost == 1
+        report = check_certificate(cert)
+        assert report.valid, report.violations[:3]
+        text = certificate_to_json(cert)
+        assert len(text) < 300 * (g.num_vertices + g.num_edges)
+        assert check_certificate(certificate_from_json(text)).valid
+
+    def test_nesting_depth_does_not_grow(self):
+        def depth(n):
+            _, cert = rg_artin(path_graph([3] * (n - 1)))
+            return _json_depth(json.loads(certificate_to_json(cert)))
+
+        assert depth(5) == depth(2000)

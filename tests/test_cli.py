@@ -337,6 +337,94 @@ class TestGoldenVerify:
         assert rows == expected
 
 
+# Graph inputs of the golden certificate rows.
+G12_GRAPH = "".join(f"vertex {v}\n" for v in "abcdefghijkl") + "".join(
+    f"edge {e}\n" for e in ("a b 3", "b c 4", "c d 2", "d a 5", "c e 3", "e f 6", "f g 2",
+                            "g e 3", "g h 7", "h i 3", "i j 2", "j k 4", "k l 3", "l i 5",
+                            "b h 2"))
+THREE_COMPONENT_GRAPH = "".join(f"vertex {v}\n" for v in "abcdef") + (
+    "edge a b 3\nedge b c 4\nedge a c 2\nedge d e 5\n")
+
+# Pinned `certify` and `artin --certify` output after the command echo,
+# captured before certificates were written in the flat post-order format;
+# only the certificate files may change with that format.
+GOLDEN_CERTIFY = [
+    ("certify SL2Z",
+     """\
+certificate: SL2Z.cert.json
+valid=true assumptions=0 cost=13/12
+"""),
+    ("certify MCG 3",
+     """\
+certificate: MCG3.cert.json
+valid=true assumptions=7 cost=1
+  assumes: the Dehn twists m1 and a1 are defined along simple closed non-separating curves with intersection number one, so <m1,a1> is a copy of the braid group on three strands; a connected one-edge Artin group has fixed price 1 [BH]
+  assumes: the Dehn twists a1 and c1 are defined along simple closed non-separating curves with intersection number one, so <a1,c1> is a copy of the braid group on three strands; a connected one-edge Artin group has fixed price 1 [BH]
+  assumes: the Dehn twists c1 and a2 are defined along simple closed non-separating curves with intersection number one, so <c1,a2> is a copy of the braid group on three strands; a connected one-edge Artin group has fixed price 1 [BH]
+  assumes: the Dehn twists a2 and m2 are defined along simple closed non-separating curves with intersection number one, so <a2,m2> is a copy of the braid group on three strands; a connected one-edge Artin group has fixed price 1 [BH]
+  assumes: the Dehn twists a2 and c2 are defined along simple closed non-separating curves with intersection number one, so <a2,c2> is a copy of the braid group on three strands; a connected one-edge Artin group has fixed price 1 [BH]
+  assumes: the Dehn twists c2 and a3 are defined along simple closed non-separating curves with intersection number one, so <c2,a3> is a copy of the braid group on three strands; a connected one-edge Artin group has fixed price 1 [BH]
+  assumes: the Dehn twists a3 and m3 are defined along simple closed non-separating curves with intersection number one, so <a3,m3> is a copy of the braid group on three strands; a connected one-edge Artin group has fixed price 1 [BH]
+"""),
+    ("certify AutFn 4",
+     """\
+certificate: AutFn4.cert.json
+valid=true assumptions=4 cost=1
+  assumes: the automorphisms f_1,...,f_3 with f_i: x_i -> x_i x_(i+1) x_i^-1, x_(i+1) -> x_i generate a copy of the braid group on 4 strands inside Aut(F_4); a connected-path Artin group has fixed price 1 [classical]
+  assumes: A_1, the copy of Aut(F_2) acting on <x_1,x_2> and fixing the other free generators, has fixed price 1 (AutFn(2) certificate) [DF]
+  assumes: A_2, the copy of Aut(F_2) acting on <x_2,x_3> and fixing the other free generators, has fixed price 1 (AutFn(2) certificate) [DF]
+  assumes: A_3, the copy of Aut(F_2) acting on <x_3,x_4> and fixing the other free generators, has fixed price 1 (AutFn(2) certificate) [DF]
+"""),
+    ("certify OutFn 3",
+     """\
+certificate: OutFn3.cert.json
+valid=true assumptions=3 cost=1
+  assumes: Xbar, the image in Out(F_3) of the copy X of Aut(F_2) acting on <x_1,x_2> and fixing x_3, is isomorphic to Aut(F_2) and has fixed price 1 [DF]
+  assumes: Zbar, the image of the copy Z of Aut(F_2) acting on <x_1,x_2> and fixing x_1x_3, is isomorphic to Aut(F_2) and has fixed price 1; the intersection Xbar n Zbar >= <alphabar> is infinite, where alpha: x_1 -> x_1, x_2 -> x_1x_2, x_3 -> x_3 [DF]
+  assumes: Ybar, the image of the copy Y of Aut(F_2) acting on <x_2,x_3> and fixing x_1, is isomorphic to Aut(F_2) and has fixed price 1; <Xbar,Zbar> n Ybar contains the class of gamma o beta (fixing x_1 and x_2, sending x_3 to x_2^-1 x_3), of infinite order [DF]
+"""),
+    ("certify BnModCenter 5",
+     """\
+certificate: BnModCenter5.cert.json
+valid=true assumptions=2 cost=1
+  assumes: the parabolic subgroup <sigma_1,...,sigma_3> of the braid group on 5 strands is a copy of the braid group on 4 strands meeting the centre trivially (Garside-element description of the centre), so its image modulo the centre is again that braid group; a connected-path Artin group has fixed price 1 [Garside]
+  assumes: the parabolic subgroup <sigma_2,...,sigma_4> of the braid group on 5 strands is a copy of the braid group on 4 strands meeting the centre trivially (Garside-element description of the centre), so its image modulo the centre is again that braid group; a connected-path Artin group has fixed price 1 [Garside]
+"""),
+    ("certify g12.graph",
+     """\
+# input g12.graph sha256=1eb1c5446ad992ce4f16b2525a6cdcc3cb0bf10931746c75aa7a69efd2720b2e
+certificate: g12.graph.cert.json
+valid=true assumptions=0 cost=1
+"""),
+    ("artin three.graph --certify three.cert.json",
+     """\
+# input three.graph sha256=9b805a62b7e862fe25585b481f28c7bbb8dfeb2f1b6124e026bea065b92d91ff
+components=3 cost=3 rg=2 betti1=2
+certificate: three.cert.json (assumptions=0, valid)
+"""),
+]
+
+
+class TestGoldenCertify:
+    @pytest.mark.parametrize("command,expected", GOLDEN_CERTIFY,
+                             ids=[c for c, _ in GOLDEN_CERTIFY])
+    def test_output_unchanged(self, command, expected, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "g12.graph").write_text(G12_GRAPH)
+        (tmp_path / "three.graph").write_text(THREE_COMPONENT_GRAPH)
+        code, out = run_cli(command.split(), capsys)
+        assert code == 0
+        assert out == f"# rgcost --no-timestamp {command}\n{expected}"
+
+    def test_certify_800_vertex_path(self, tmp_path, capsys):
+        path = tmp_path / "path800.graph"
+        path.write_text("".join(f"vertex v{i}\n" for i in range(800))
+                        + "".join(f"edge v{i} v{i + 1} {2 + i % 6}\n" for i in range(799)))
+        code, out = run_cli(["certify", str(path)], capsys)
+        assert code == 0
+        assert "valid=true assumptions=0 cost=1" in out.split("\n")
+
+
 class TestDeterminism:
     def test_byte_identical_across_processes(self, tmp_path):
         path = tmp_path / "b4.graph"
