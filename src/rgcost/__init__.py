@@ -22,11 +22,7 @@ from .groupexpr import (
     Surface,
     TrivialGroup,
     Unknown,
-    eval_betti1,
-    eval_cost,
-    eval_rg,
     evaluate,
-    generation_upper_bound,
     is_known,
     recip_order,
 )
@@ -34,9 +30,7 @@ from .lgraph import (
     GraphError,
     LabelledGraph,
     ReductionOrder,
-    check_reduction_order,
     components,
-    cut_vertices,
     girth,
     is_planar,
     parse_graph,
@@ -64,14 +58,8 @@ __all__ = [
     "Surface",
     "TrivialGroup",
     "Unknown",
-    "check_reduction_order",
     "components",
-    "cut_vertices",
-    "eval_betti1",
-    "eval_cost",
-    "eval_rg",
     "evaluate",
-    "generation_upper_bound",
     "girth",
     "is_known",
     "is_planar",

@@ -13,7 +13,6 @@ import argparse
 import hashlib
 import sys
 from datetime import datetime, timezone
-from fractions import Fraction
 
 from . import certificate as cert_mod
 from . import coxeter as cox_mod
@@ -25,7 +24,6 @@ from .fpgroup import (
     PresentationError,
     braid_graph,
     builtin_presentation,
-    cayley_table,
     kernel_chain_cayley,
     low_index_normal,
     mod_cycle_images,
@@ -37,7 +35,7 @@ from .fpgroup import (
     sl2z_images,
     trend_summary,
 )
-from .lgraph import GraphError, components, girth, is_planar, parse_graph
+from .lgraph import GraphError, girth, is_planar, parse_graph
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -89,9 +87,9 @@ def cmd_artin(args, report: Report) -> int:
         report.add(f"error: {exc}")
         return EXIT_PARSE
     price, certificate = cert_mod.rg_artin(g)
-    b = len(components(g))
     report.add(
-        f"components={b} cost={price.cost} rg={price.rank_gradient} betti1={price.betti1}"
+        f"components={price.cost} cost={price.cost} rg={price.rank_gradient} "
+        f"betti1={price.betti1}"
     )
     if args.certify:
         text = cert_mod.certificate_to_json(certificate)
@@ -166,10 +164,10 @@ def cmd_certify(args, report: Report) -> int:
         except GraphError as exc:
             report.add(f"error: {exc}")
             return EXIT_PARSE
-        if len(components(g)) != 1:
+        price, certificate = cert_mod.rg_artin(g)
+        if price.cost != 1:
             report.add("error: use the artin command for multi-component graphs")
             return EXIT_PARSE
-        price, certificate = cert_mod.rg_artin(g)
         out_path = args.out or (name + ".cert.json")
 
     text = cert_mod.certificate_to_json(certificate)
@@ -243,7 +241,7 @@ def cmd_verify(args, report: Report) -> int:
                 report.add("error: --mod congruence chains exist only for SL2Z and PSL2Z")
                 return EXIT_PARSE
             levels = _parse_int_list(args.mod)
-            # The image builders enumerate all n^4 matrices, so bound each
+            # The image builders list the whole quotient, so bound each
             # quotient's order before building any.  The order is above
             # n^3/4 (prod_p (1 - 1/p^2) > 6/pi^2, halved for PSL), so a
             # large level is rejected without factoring n.
@@ -261,6 +259,7 @@ def cmd_verify(args, report: Report) -> int:
             tables = kernel_chain_cayley(pres, images, limit=args.coset_limit)
         else:
             tables = low_index_normal(pres, args.low_index, limit=args.coset_limit)
+        samples = rg_sequence(pres, tables)
     except NotHomomorphism as exc:
         report.add(f"error: {exc}")
         return EXIT_PARSE
@@ -271,7 +270,6 @@ def cmd_verify(args, report: Report) -> int:
         report.add(f"error: {exc}")
         return EXIT_PARSE
 
-    samples = rg_sequence(pres, tables)
     csv_text = samples_to_csv(samples)
     for line in csv_text.rstrip("\n").split("\n"):
         report.add(line)

@@ -1,10 +1,10 @@
 """Kernel coset tables from finite quotients, and gradient sampling.
 
-Given permutation images of the generators, the kernel of the induced
-homomorphism has coset table equal to the right-multiplication (Cayley)
-action of the image group on itself.  Sampling a chain of such kernels
-through Reidemeister-Schreier and the generator bounds yields the
-(d-1)/index data that approaches the rank gradient.
+Given the regular action of a finite quotient as permutation images of the
+generators, the kernel of the induced homomorphism has coset table equal
+to the Schreier graph of point 0 under that action.  Sampling a chain of
+such kernels through Reidemeister-Schreier and the generator bounds yields
+the (d-1)/index data that approaches the rank gradient.
 """
 
 from __future__ import annotations
@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coset import CosetTable, standardize_rows
+from .coset import CosetTable, EnumerationLimit, standardize_rows
+from .lowindex import _has_translations
 from .presentation import Presentation
 from .rewrite import d_bounds, reidemeister_schreier
 
@@ -73,11 +74,15 @@ def _check_perm(p, degree) -> Perm:
 def cayley_table(pres: Presentation, images: dict[str, Perm],
                  limit: int | None = None) -> CosetTable:
     """Coset table of the kernel of the map sending generators to the given
-    permutations: the right-multiplication action on the image group.
+    permutations.
 
-    Checks first that every relator maps to the identity permutation.
-    With a limit, closure enumeration past that many image elements raises
-    EnumerationLimit (inconclusive) instead of growing without bound.
+    The images must be the regular action of the quotient on itself, as
+    every image builder below gives.  The kernel's table is then the
+    Schreier graph of point 0: row a holds a.p and a.p^-1 for each
+    generator image p.  Checks first that every relator maps to the
+    identity permutation (NotHomomorphism otherwise); an action that is not
+    transitive, or transitive but not regular, raises ValueError.  With a
+    limit, a degree past it raises EnumerationLimit (inconclusive).
     """
     if set(images) != set(pres.generators):
         raise ValueError("images must cover exactly the presentation's generators")
@@ -95,32 +100,17 @@ def cayley_table(pres: Presentation, images: dict[str, Perm],
         if img != identity:
             raise NotHomomorphism(pres.word_to_text(rel))
 
-    elements: list[Perm] = [identity]
-    index_of: dict[Perm, int] = {identity: 0}
-    rows: list[list[int]] = []
-    i = 0
-    while i < len(elements):
-        q = elements[i]
-        row = []
-        for g in range(len(gen_perms)):
-            for p in (gen_perms[g], inv_perms[g]):
-                target = _compose(q, p)
-                if target not in index_of:
-                    if limit is not None and len(elements) >= limit:
-                        from .coset import EnumerationLimit
-
-                        raise EnumerationLimit(len(elements), limit)
-                    index_of[target] = len(elements)
-                    elements.append(target)
-                row.append(index_of[target])
-        rows.append(row)
-        i += 1
-
-    table = CosetTable(
-        generators=pres.generators,
-        rows=standardize_rows(rows),
-        subgroup_words=(),
-    )
+    if limit is not None and degree > limit:
+        raise EnumerationLimit(limit, limit)
+    cols = [q for p, p_inv in zip(gen_perms, inv_perms) for q in (p, p_inv)]
+    rows = standardize_rows([[q[a] for q in cols] for a in range(degree)])
+    # A translation of a complete transitive table commutes with the action,
+    # so the points reached by one are closed under every column once the
+    # neighbours of 0 are: testing those proves the action regular.
+    if not _has_translations(rows, set(rows[0]) - {0}):
+        raise ValueError("images do not give a regular action, so the point-0 "
+                         "table is not the kernel's")
+    table = CosetTable(generators=pres.generators, rows=rows, subgroup_words=())
     table.validate(pres)
     return table
 
@@ -191,18 +181,6 @@ def sl2_order(n: int, projective: bool = False) -> int:
     return order // 2 if projective and n > 2 else order
 
 
-def _sl2_elements(n: int) -> list[tuple[int, int, int, int]]:
-    """All of SL(2, Z/n) as tuples (a, b, c, d), lexicographically sorted."""
-    out = []
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    if (a * d - b * c) % n == 1 % n:
-                        out.append((a, b, c, d))
-    return out
-
-
 def _mat_mul(x, y, n: int):
     a, b, c, d = x
     e, f, g, h = y
@@ -216,54 +194,41 @@ _SL2_A = (0, -1, 1, 0)
 _SL2_B = (0, -1, 1, 1)
 
 
-def _right_mult_perm(elements, index_of, m, n: int) -> Perm:
-    return tuple(index_of[_mat_mul(e, m, n)] for e in elements)
+def _sl2_images(n: int, projective: bool) -> dict[str, Perm]:
+    """Right multiplication by a and b on SL(2, Z/n), or on PSL(2, Z/n)
+    when projective, with the elements listed breadth-first from the
+    identity.  a and b generate the quotient because SL(2, Z) maps onto
+    SL(2, Z/n).  In PSL each class {m, -m} is named by its smaller matrix."""
+    if n < 2:
+        raise ValueError("modulus must be >= 2")
+
+    def name(m):
+        return min(m, tuple((-x) % n for x in m)) if projective else m
+
+    gens = [tuple(x % n for x in m) for m in (_SL2_A, _SL2_B)]
+    elements = [name((1, 0, 0, 1))]
+    index_of = {elements[0]: 0}
+    perms: tuple[list[int], list[int]] = ([], [])
+    for e in elements:
+        for g, perm in zip(gens, perms):
+            m = name(_mat_mul(e, g, n))
+            if m not in index_of:
+                index_of[m] = len(elements)
+                elements.append(m)
+            perm.append(index_of[m])
+    return {"a": tuple(perms[0]), "b": tuple(perms[1])}
 
 
 def sl2z_images(n: int) -> dict[str, Perm]:
     """Right-multiplication permutations of SL(2, Z/n) for the generators
     a, b of the shipped SL2Z presentation (the mod-n congruence kernel)."""
-    if n < 2:
-        raise ValueError("modulus must be >= 2")
-    elements = _sl2_elements(n)
-    index_of = {e: i for i, e in enumerate(elements)}
-    a = tuple(x % n for x in _SL2_A)
-    b = tuple(x % n for x in _SL2_B)
-    return {
-        "a": _right_mult_perm(elements, index_of, a, n),
-        "b": _right_mult_perm(elements, index_of, b, n),
-    }
-
-
-def _psl2_elements(n: int):
-    """PSL(2, Z/n): classes {m, -m}, represented by the lexicographically
-    smaller matrix of each pair, sorted."""
-    reps = set()
-    for m in _sl2_elements(n):
-        neg = tuple((-x) % n for x in m)
-        reps.add(min(m, neg))
-    return sorted(reps)
+    return _sl2_images(n, projective=False)
 
 
 def psl2z_images(n: int) -> dict[str, Perm]:
     """Right-multiplication permutations of PSL(2, Z/n) for the generators
     a, b of the shipped PSL2Z presentation."""
-    if n < 2:
-        raise ValueError("modulus must be >= 2")
-    elements = _psl2_elements(n)
-    index_of = {e: i for i, e in enumerate(elements)}
-
-    def mult(e, m):
-        prod = _mat_mul(e, m, n)
-        neg = tuple((-x) % n for x in prod)
-        return min(prod, neg)
-
-    a = tuple(x % n for x in _SL2_A)
-    b = tuple(x % n for x in _SL2_B)
-    return {
-        "a": tuple(index_of[mult(e, a)] for e in elements),
-        "b": tuple(index_of[mult(e, b)] for e in elements),
-    }
+    return _sl2_images(n, projective=True)
 
 
 def mod_cycle_images(pres: Presentation, k: int) -> dict[str, Perm]:

@@ -50,7 +50,8 @@ def low_index_normal(pres: Presentation, max_index: int,
     stack = [[[None] * ncols]]
     while stack:
         table = stack.pop()
-        if not _propagate(table, relator_cols) or not _has_translations(table):
+        if (not _propagate(table, relator_cols)
+                or not _has_translations(table, range(1, len(table)))):
             continue
         hole = _first_hole(table)
         if hole is None:
@@ -130,12 +131,13 @@ def _scan(table, alpha: int, cols, inv_cols) -> str:
     return "ok"
 
 
-def _has_translations(table) -> bool:
-    """True when, for every coset a, the map 0 -> a extends along the edges
-    defined at both ends (x.c and phi(x).c) to a consistent, injective
-    partial map.  A partial table failing this has no regular completion."""
+def _has_translations(table, targets) -> bool:
+    """True when, for every coset a in targets, the map 0 -> a extends along
+    the edges defined at both ends (x.c and phi(x).c) to a consistent,
+    injective partial map.  With every coset as a target, a partial table
+    failing this has no regular completion."""
     n = len(table)
-    for a in range(1, n):
+    for a in targets:
         phi = [None] * n
         used = [False] * n
         phi[0] = a

@@ -329,28 +329,6 @@ def evaluate(e: GroupExpr) -> PriceResult:
     )
 
 
-def eval_cost(e: GroupExpr) -> PriceResult:
-    return evaluate(e)
-
-
-def eval_rg(e: GroupExpr) -> PriceResult:
-    return evaluate(e)
-
-
-def eval_betti1(e: GroupExpr) -> PriceResult:
-    return evaluate(e)
-
-
-def generation_upper_bound(a: PriceResult, b: PriceResult):
-    """Sum of two known rank gradients: an upper bound for the gradient of
-    a group generated by the two subgroups (infinite intersection)."""
-    if not is_known(a.rank_gradient):
-        return a.rank_gradient
-    if not is_known(b.rank_gradient):
-        return b.rank_gradient
-    return a.rank_gradient + b.rank_gradient
-
-
 def _eval(e: GroupExpr, trace: list[str]) -> tuple[Fraction | Unknown, Fraction | Unknown]:
     """Recursive evaluation returning (cost, betti1)."""
     d = e.describe()

@@ -214,50 +214,6 @@ def components(g: LabelledGraph) -> tuple[tuple[str, ...], ...]:
     return tuple(blocks)
 
 
-def cut_vertices(g: LabelledGraph) -> frozenset[str]:
-    """Articulation points of a connected graph (DFS lowpoint method)."""
-    if len(components(g)) != 1:
-        raise GraphError("cut_vertices requires a connected graph")
-    n = g.num_vertices
-    disc = [-1] * n
-    low = [0] * n
-    cut: set[int] = set()
-    counter = 0
-
-    # Iterative DFS; each stack frame is (vertex, parent, neighbor iterator).
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        root_children = 0
-        stack = [(root, -1, iter(g._adj[root]))]
-        disc[root] = low[root] = counter
-        counter += 1
-        while stack:
-            v, parent, it = stack[-1]
-            advanced = False
-            for w in it:
-                if disc[w] == -1:
-                    disc[w] = low[w] = counter
-                    counter += 1
-                    if v == root:
-                        root_children += 1
-                    stack.append((w, v, iter(g._adj[w])))
-                    advanced = True
-                    break
-                elif w != parent:
-                    low[v] = min(low[v], disc[w])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    pv = stack[-1][0]
-                    low[pv] = min(low[pv], low[v])
-                    if pv != root and low[v] >= disc[pv]:
-                        cut.add(pv)
-        if root_children >= 2:
-            cut.add(root)
-    return frozenset(g.vertices[i] for i in cut)
-
-
 def girth(g: LabelledGraph):
     """Length of a shortest cycle, or math.inf for forests.
 
@@ -327,15 +283,3 @@ def reduction_order(g: LabelledGraph):
                 deg[j] -= 1
     return ReductionOrder(tuple(order))
 
-
-def check_reduction_order(g: LabelledGraph, ro: ReductionOrder) -> bool:
-    """Replay an elimination order and confirm the degree <= 2 condition."""
-    if sorted(ro.order) != sorted(g.vertices):
-        return False
-    remaining = set(g.vertices)
-    for v in ro.order:
-        d = sum(1 for w in g.neighbors(v) if w in remaining)
-        if d > 2:
-            return False
-        remaining.discard(v)
-    return True

@@ -8,7 +8,14 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-from rgcost.fpgroup.coset import CosetTable, inv_col, standardize_rows, word_to_cols
+from rgcost.fpgroup.chains import NotHomomorphism
+from rgcost.fpgroup.coset import (
+    CosetTable,
+    EnumerationLimit,
+    inv_col,
+    standardize_rows,
+    word_to_cols,
+)
 from rgcost.fpgroup.presentation import (
     Presentation,
     Word,
@@ -16,7 +23,7 @@ from rgcost.fpgroup.presentation import (
     free_reduce,
     invert_word,
 )
-from rgcost.lgraph import LabelledGraph, components
+from rgcost.lgraph import LabelledGraph
 
 
 # ---------------------------------------------------------------------------
@@ -96,19 +103,6 @@ def hex_chain(h, rng=None, label_range=(2, 6)) -> LabelledGraph:
 
 # ---------------------------------------------------------------------------
 # brute-force graph oracles
-
-
-def brute_cut_vertices(g: LabelledGraph) -> set[str]:
-    """Oracle: delete each vertex and recount components."""
-    base = len(components(g))
-    out = set()
-    for v in g.vertices:
-        if g.num_vertices == 1:
-            break
-        rest = [w for w in g.vertices if w != v]
-        if len(components(g.induced(rest))) > base:
-            out.add(v)
-    return out
 
 
 def brute_girth(g: LabelledGraph):
@@ -463,3 +457,84 @@ def _is_regular(table: CosetTable) -> bool:
                     nxt.append(prod)
         frontier = nxt
     return len(seen) == k
+
+
+# ---------------------------------------------------------------------------
+# reference kernel tables: closure of the image group under right
+# multiplication by the generator images, O(|G|^2) but valid for any
+# permutation images.  The library builds the point-0 Schreier graph of a
+# regular action instead, and must give exactly these tables.
+
+Perm = tuple[int, ...]
+
+
+def _compose(p: Perm, q: Perm) -> Perm:
+    """Right-to-left: apply p first, then q."""
+    return tuple(q[x] for x in p)
+
+
+def _invert(p: Perm) -> Perm:
+    out = [0] * len(p)
+    for i, x in enumerate(p):
+        out[x] = i
+    return tuple(out)
+
+
+def _check_perm(p, degree) -> Perm:
+    p = tuple(p)
+    if sorted(p) != list(range(degree)):
+        raise ValueError(f"not a permutation of degree {degree}: {p!r}")
+    return p
+
+
+def reference_cayley_table(pres: Presentation, images: dict[str, Perm],
+                           limit: int | None = None) -> CosetTable:
+    """Coset table of the kernel of the map sending generators to the given
+    permutations: the right-multiplication action on the image group.
+
+    Checks first that every relator maps to the identity permutation.
+    With a limit, closure enumeration past that many image elements raises
+    EnumerationLimit (inconclusive) instead of growing without bound.
+    """
+    if set(images) != set(pres.generators):
+        raise ValueError("images must cover exactly the presentation's generators")
+    if not pres.generators:
+        return CosetTable(generators=(), rows=((),), subgroup_words=())
+    degree = len(next(iter(images.values())))
+    gen_perms = [_check_perm(images[name], degree) for name in pres.generators]
+    identity = tuple(range(degree))
+    inv_perms = [_invert(p) for p in gen_perms]
+
+    for rel in pres.relators:
+        img = identity
+        for x in rel:
+            img = _compose(img, gen_perms[x - 1] if x > 0 else inv_perms[-x - 1])
+        if img != identity:
+            raise NotHomomorphism(pres.word_to_text(rel))
+
+    elements: list[Perm] = [identity]
+    index_of: dict[Perm, int] = {identity: 0}
+    rows: list[list[int]] = []
+    i = 0
+    while i < len(elements):
+        q = elements[i]
+        row = []
+        for g in range(len(gen_perms)):
+            for p in (gen_perms[g], inv_perms[g]):
+                target = _compose(q, p)
+                if target not in index_of:
+                    if limit is not None and len(elements) >= limit:
+                        raise EnumerationLimit(len(elements), limit)
+                    index_of[target] = len(elements)
+                    elements.append(target)
+                row.append(index_of[target])
+        rows.append(row)
+        i += 1
+
+    table = CosetTable(
+        generators=pres.generators,
+        rows=standardize_rows(rows),
+        subgroup_words=(),
+    )
+    table.validate(pres)
+    return table

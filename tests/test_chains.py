@@ -2,14 +2,18 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import brute_sl2_order
+from conftest import brute_sl2_order, reference_cayley_table
 from rgcost.fpgroup import (
     NotHomomorphism,
+    Presentation,
     RGSample,
     builtin_presentation,
     cayley_table,
     kernel_chain_cayley,
+    low_index_normal,
     mod_cycle_images,
     parse_presentation,
     psl2z_images,
@@ -21,6 +25,7 @@ from rgcost.fpgroup import (
 )
 from rgcost.fpgroup.chains import make_sample
 from rgcost.fpgroup.coset import EnumerationLimit
+from rgcost.fpgroup.lowindex import _has_translations
 
 
 class TestImageBuilders:
@@ -97,6 +102,148 @@ class TestCayleyTable:
         cycle = tuple((i + 1) % 50 for i in range(50))
         with pytest.raises(EnumerationLimit):
             cayley_table(f1, {"a": cycle}, limit=10)
+
+    def test_limit_text_matches_the_closure_stop(self):
+        f1 = parse_presentation("gens: a\n")
+        cycle = tuple((i + 1) % 50 for i in range(50))
+        for table_of in (cayley_table, reference_cayley_table):
+            with pytest.raises(EnumerationLimit) as exc:
+                table_of(f1, {"a": cycle}, limit=49)
+            assert str(exc.value) == "coset limit exceeded: 49 live cosets (limit 49)"
+        assert cayley_table(f1, {"a": cycle}, limit=50).index == 50
+
+
+def permutation_lists(max_degree):
+    """One to three permutations of a common degree <= max_degree."""
+    return st.integers(1, max_degree).flatmap(
+        lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+
+
+def _inverse(p):
+    out = [0] * len(p)
+    for i, x in enumerate(p):
+        out[x] = i
+    return out
+
+
+def _regular_images(perms):
+    """The group the permutations generate, listed by closure under right
+    multiplication, and each permutation's right-multiplication action on
+    that list: the regular representation."""
+    identity = tuple(range(len(perms[0])))
+    elements, index_of = [identity], {identity: 0}
+    for q in elements:
+        for p in perms:
+            r = tuple(p[x] for x in q)
+            if r not in index_of:
+                index_of[r] = len(elements)
+                elements.append(r)
+    return [tuple(index_of[tuple(p[x] for x in q)] for q in elements) for p in perms]
+
+
+def _orbit_table(perms):
+    """Complete table of the action on the orbit of 0, numbered
+    breadth-first; columns alternate each permutation and its inverse."""
+    cols = [q for p in perms for q in (p, _inverse(p))]
+    orbit, index_of = [0], {0: 0}
+    for a in orbit:
+        for q in cols:
+            if q[a] not in index_of:
+                index_of[q[a]] = len(orbit)
+                orbit.append(q[a])
+    return [[index_of[q[a]] for q in cols] for a in orbit]
+
+
+def _order(p):
+    k, q = 1, list(p)
+    while q != sorted(q):
+        q = [p[x] for x in q]
+        k += 1
+    return k
+
+
+def _power_presentation(perms):
+    """Generators a, b, c with the relator x^k for each image's order k,
+    so the images always define a homomorphism."""
+    names = "abc"[:len(perms)]
+    return Presentation(names, [(i + 1,) * _order(p) for i, p in enumerate(perms)])
+
+
+class TestAgainstReference:
+    """The point-0 Schreier graph must reproduce the closure tables."""
+
+    @pytest.mark.parametrize("n", range(2, 12))
+    def test_sl2z(self, n):
+        pres, _ = builtin_presentation("SL2Z")
+        images = sl2z_images(n)
+        assert cayley_table(pres, images).rows == reference_cayley_table(pres, images).rows
+
+    @pytest.mark.parametrize("n", range(2, 14))
+    def test_psl2z(self, n):
+        pres, _ = builtin_presentation("PSL2Z")
+        images = psl2z_images(n)
+        assert cayley_table(pres, images).rows == reference_cayley_table(pres, images).rows
+
+    @pytest.mark.parametrize("name", ["braid3", "braid5"])
+    def test_mod_cycles(self, name):
+        pres, _ = builtin_presentation(name)
+        for k in range(1, 65):
+            images = mod_cycle_images(pres, k)
+            assert (cayley_table(pres, images).rows
+                    == reference_cayley_table(pres, images).rows), k
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(permutation_lists(6))
+    def test_random_permutations(self, perms):
+        pres = _power_presentation(perms)
+        reference = reference_cayley_table(pres, dict(zip(pres.generators, perms)))
+        regular = dict(zip(pres.generators, _regular_images(perms)))
+        assert cayley_table(pres, regular).rows == reference.rows
+        # the original action is regular exactly when it is transitive and
+        # the group it generates has as many elements as points
+        images = dict(zip(pres.generators, perms))
+        if len(_orbit_table(perms)) < len(perms[0]):
+            with pytest.raises(ValueError, match="not transitive"):
+                cayley_table(pres, images)
+        elif reference.index > len(perms[0]):
+            with pytest.raises(ValueError, match="not give a regular action"):
+                cayley_table(pres, images)
+        else:
+            assert cayley_table(pres, images).rows == reference.rows
+
+    def test_natural_s3_action_is_not_regular(self):
+        s3 = parse_presentation("gens: x y\nrel: x x\nrel: y y y\nrel: x y x y\n")
+        with pytest.raises(ValueError, match="not give a regular action"):
+            cayley_table(s3, {"x": (1, 0, 2), "y": (1, 2, 0)})
+        assert reference_cayley_table(s3, {"x": (1, 0, 2), "y": (1, 2, 0)}).index == 6
+
+
+class TestNeighbourTranslations:
+    """On complete transitive tables, translations at the neighbours of 0
+    exist exactly when translations at every point do."""
+
+    @staticmethod
+    def _agree(table):
+        everywhere = _has_translations(table, range(1, len(table)))
+        assert _has_translations(table, set(table[0]) - {0}) == everywhere
+        return everywhere
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(permutation_lists(7))
+    def test_random_tables(self, perms):
+        table = _orbit_table(perms)
+        on_orbit = [tuple(row[2 * i] for row in table) for i in range(len(perms))]
+        group = _regular_images(on_orbit)
+        assert self._agree(table) == (len(group[0]) == len(table))
+        if len(group[0]) <= 120:
+            assert self._agree(_orbit_table(group))
+
+    @pytest.mark.parametrize("name,max_index", [
+        ("braid3", 14), ("braid4", 6), ("SL2Z", 12), ("PSL2Z", 12), ("dihedral-inf", 12)])
+    def test_low_index_tables(self, name, max_index):
+        pres, _ = builtin_presentation(name)
+        for table in low_index_normal(pres, max_index):
+            assert self._agree(table.rows)
 
 
 class TestRgSequence:

@@ -180,6 +180,16 @@ class TestVerifyCommand:
         code, out = run_cli(["verify", "SL2Z", "--mod", "3", "--low-index", "2"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("args", [["SL2Z", "--mod", "5,3"],
+                                      ["braid3", "--abelian-kill", "3,2"]])
+    def test_decreasing_chain_exits_2(self, args):
+        proc = subprocess.run(
+            [sys.executable, "-m", "rgcost.cli", "--no-timestamp", "verify", *args],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "error: chain tables must have non-decreasing indices" in proc.stdout.split("\n")
+        assert "Traceback" not in proc.stderr
+
     def test_mod_rejected_for_other_targets(self, capsys):
         code, out = run_cli(["verify", "braid3", "--mod", "3"], capsys)
         assert code == 2
@@ -322,6 +332,45 @@ index,d_lower,d_upper,r_lower,r_upper
 trend: r_upper not monotone; final interval [1/14, 1/7] at index 14
 symbolic target 0
 """),
+    ("verify SL2Z --mod 3,4,5,6,7,8,9,10,12,11,14,13,15,16",
+     """\
+index,d_lower,d_upper,r_lower,r_upper
+24,3,3,1/12,1/12
+48,5,5,1/12,1/12
+120,11,11,1/12,1/12
+144,13,13,1/12,1/12
+336,29,29,1/12,1/12
+384,33,33,1/12,1/12
+648,55,55,1/12,1/12
+720,61,61,1/12,1/12
+1152,97,97,1/12,1/12
+1320,111,111,1/12,1/12
+2016,169,169,1/12,1/12
+2184,183,183,1/12,1/12
+2880,241,241,1/12,1/12
+3072,257,257,1/12,1/12
+trend: r_upper non-increasing; final interval [1/12, 1/12] at index 3072
+matches symbolic 1/12
+"""),
+    ("verify PSL2Z --mod 3,4,5,6,7,8,9,10,12,11,14,13,16",
+     """\
+index,d_lower,d_upper,r_lower,r_upper
+12,3,3,1/6,1/6
+24,5,5,1/6,1/6
+60,11,11,1/6,1/6
+72,13,13,1/6,1/6
+168,29,29,1/6,1/6
+192,33,33,1/6,1/6
+324,55,55,1/6,1/6
+360,61,61,1/6,1/6
+576,97,97,1/6,1/6
+660,111,111,1/6,1/6
+1008,169,169,1/6,1/6
+1092,183,183,1/6,1/6
+1536,257,257,1/6,1/6
+trend: r_upper non-increasing; final interval [1/6, 1/6] at index 1536
+matches symbolic 1/6
+"""),
 ]
 
 
@@ -335,6 +384,13 @@ class TestGoldenVerify:
         assert echo == "# rgcost --no-timestamp " + command
         assert digest.startswith("# input builtin:")
         assert rows == expected
+
+    def test_limit_text_unchanged(self, capsys):
+        command = "verify braid3 --abelian-kill 3,200 --coset-limit 100"
+        code, out = run_cli(command.split(), capsys)
+        assert code == 5
+        assert out.split("\n", 2)[2] == (
+            "inconclusive: coset limit exceeded: 100 live cosets (limit 100)\n")
 
 
 # Graph inputs of the golden certificate rows.

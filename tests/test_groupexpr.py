@@ -22,10 +22,6 @@ from rgcost.groupexpr import (
     TrivialGroup,
     Unknown,
     evaluate,
-    eval_betti1,
-    eval_cost,
-    eval_rg,
-    generation_upper_bound,
     infer_order,
     is_known,
     recip_order,
@@ -168,17 +164,6 @@ class TestGeneration:
         r = evaluate(e)
         assert any("both contain the same copy of Z" in line for line in r.rule_trace)
 
-    def test_upper_bound_helper(self):
-        a = evaluate(Cyclic(2))
-        b = evaluate(Cyclic(3))
-        assert generation_upper_bound(a, b) == Fraction(-1, 2) + Fraction(-1, 3)
-        u = evaluate(Generation(Free(2), Free(3), "declared"))
-        assert isinstance(generation_upper_bound(u, a), Unknown)
-
-    def test_sandwich_examples(self):
-        zero = evaluate(ArtinGraph(parse_graph("vertex a\nvertex b\nedge a b 3\n")))
-        assert generation_upper_bound(zero, zero) == 0
-
 
 def random_expr(rng, depth=0):
     roll = rng.random()
@@ -253,9 +238,10 @@ class TestOrderInference:
 class TestWrappers:
     def test_wrappers_agree(self):
         e = AmalgamFinite(Cyclic(6), Cyclic(4), 2)
-        assert eval_cost(e).cost == Fraction(13, 12)
-        assert eval_rg(e).rank_gradient == Fraction(1, 12)
-        assert eval_betti1(e).betti1 == Fraction(1, 12)
+        r = evaluate(e)
+        assert r.cost == Fraction(13, 12)
+        assert r.rank_gradient == Fraction(1, 12)
+        assert r.betti1 == Fraction(1, 12)
 
     def test_rank_gradient_lowest_terms(self):
         rng = random.Random(43)

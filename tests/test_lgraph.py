@@ -4,7 +4,6 @@ import random
 import pytest
 
 from conftest import (
-    brute_cut_vertices,
     brute_girth,
     brute_planar,
     complete_graph,
@@ -15,13 +14,12 @@ from conftest import (
     random_graph,
     random_tree,
 )
+from rgcost.coxeter import build_trace
 from rgcost.lgraph import (
     GraphError,
     LabelledGraph,
     ReductionOrder,
-    check_reduction_order,
     components,
-    cut_vertices,
     girth,
     is_planar,
     parse_graph,
@@ -94,38 +92,6 @@ class TestComponents:
             assert firsts == sorted(firsts)
 
 
-class TestCutVertices:
-    def test_path_middle(self):
-        assert cut_vertices(path_graph([2, 2])) == {"v1"}
-
-    def test_triangle_none(self):
-        assert cut_vertices(cycle_graph([2, 2, 2])) == set()
-
-    def test_two_triangles_sharing_vertex(self):
-        # brute-force oracle on this shape gives exactly the shared vertex
-        g = LabelledGraph(
-            ["x", "a", "b", "c", "d"],
-            [("x", "a", 2), ("x", "b", 2), ("a", "b", 2),
-             ("x", "c", 3), ("x", "d", 3), ("c", "d", 3)],
-        )
-        assert brute_cut_vertices(g) == {"x"}
-        assert cut_vertices(g) == {"x"}
-
-    def test_rejects_disconnected(self):
-        with pytest.raises(GraphError):
-            cut_vertices(parse_graph("vertex a\nvertex b\n"))
-
-    def test_agrees_with_bruteforce(self):
-        rng = random.Random(11)
-        done = 0
-        while done < 120:
-            g = random_graph(rng, n_min=2, n_max=8)
-            if len(components(g)) != 1:
-                continue
-            assert cut_vertices(g) == brute_cut_vertices(g), g.edges()
-            done += 1
-
-
 class TestGirth:
     def test_hexagon(self):
         assert girth(cycle_graph([2] * 6)) == 6
@@ -183,12 +149,12 @@ class TestReductionOrder:
             g = random_tree(rng, n_max=10)
             ro = reduction_order(g)
             assert isinstance(ro, ReductionOrder)
-            assert check_reduction_order(g, ro)
+            build_trace(g, ro)
 
     def test_hexagon_succeeds(self):
         ro = reduction_order(cycle_graph([2] * 6))
         assert isinstance(ro, ReductionOrder)
-        assert check_reduction_order(cycle_graph([2] * 6), ro)
+        build_trace(cycle_graph([2] * 6), ro)
 
     def test_k4_failure_witness_is_k4(self):
         g = complete_graph(4)
@@ -210,11 +176,12 @@ class TestReductionOrder:
             assert girth(g) >= 6 and is_planar(g)
             ro = reduction_order(g)
             assert isinstance(ro, ReductionOrder)
-            assert check_reduction_order(g, ro)
+            build_trace(g, ro)
 
     def test_replay_rejects_bad_order(self):
         g = complete_graph(4)
-        assert not check_reduction_order(g, ReductionOrder(tuple(g.vertices)))
+        with pytest.raises(GraphError):
+            build_trace(g, ReductionOrder(tuple(g.vertices)))
 
 
 class TestInducedImmutability:
