@@ -780,6 +780,35 @@ def _encode(obj, refs: list[int] | None = None) -> dict:
     return d
 
 
+def _strings(value) -> bool:
+    return isinstance(value, (list, tuple)) and all(isinstance(x, str) for x in value)
+
+
+def _optional(check):
+    return lambda value: value is None or check(value)
+
+
+# Type check of a decoded JSON value by its field's annotation text (each
+# also as "... | None"); fractions, children and descriptors are checked
+# as they are built.
+_CHECKS = {
+    "str": lambda value: isinstance(value, str),
+    "int": lambda value: type(value) is int,
+    "tuple[str, ...]": _strings,
+    "tuple[str, str]": lambda value: _strings(value) and len(value) == 2,
+}
+_CHECKS.update({f"{a} | None": _optional(c) for a, c in list(_CHECKS.items())})
+
+
+def _graph_shaped(gd) -> bool:
+    if not isinstance(gd, dict) or not _strings(gd.get("vertices")):
+        return False
+    edges = gd.get("edges")
+    return isinstance(edges, list) and all(
+        isinstance(e, list) and len(e) == 3 and _strings(e[:2]) and type(e[2]) is int
+        for e in edges)
+
+
 def _decode(cls, d: dict, children: tuple = ()):
     """A `cls` built from its JSON fields, with its children resolved.
     Field types are strings here (postponed annotations)."""
@@ -796,6 +825,9 @@ def _decode(cls, d: dict, children: tuple = ()):
             value = _decode(AmalgamDescriptor, value)
         elif isinstance(value, list):
             value = tuple(value)
+        check = _CHECKS.get(f.type)
+        if check is not None and not check(value):
+            raise ValueError(f"field {f.name!r} is {value!r}, not {f.type}")
         kwargs[f.name] = value
     return cls(**kwargs)
 
@@ -846,7 +878,12 @@ def certificate_from_json(text: str) -> Certificate:
     if len(taken) != len(nodes) - 1:
         raise ValueError("certificate nodes are not one tree in post-order")
     gd = doc.get("graph")
-    graph = LabelledGraph(gd["vertices"], [tuple(e) for e in gd["edges"]]) if gd else None
+    graph = None
+    if gd is not None:
+        if not _graph_shaped(gd):
+            raise ValueError("certificate graph must be "
+                             "{vertices: [str], edges: [[str, str, int]]}")
+        graph = LabelledGraph(gd["vertices"], [tuple(e) for e in gd["edges"]])
     return Certificate(
         root=nodes[-1],
         target=doc.get("target", ""),

@@ -2,9 +2,10 @@
 
 All reports are plain text on stdout; structured artifacts (certificates,
 traces, CSV) are written only through explicit output flags.  Exit codes:
-0 success, 2 input/parse error, 3 hypothesis failure, 4 certificate
-checker violation, 5 enumeration limit exceeded.  With --no-timestamp the
-output is byte-identical across runs for identical inputs.
+0 success, 2 input/parse error, 3 hypothesis failure or a `verify` row
+below the symbolic value, 4 certificate checker violation, 5 enumeration
+limit exceeded.  With --no-timestamp the output is byte-identical across
+runs for identical inputs.
 """
 
 from __future__ import annotations
@@ -281,6 +282,13 @@ def cmd_verify(args, report: Report) -> int:
 
     if symbolic_expr is not None:
         sym = ge.evaluate(symbolic_expr).rank_gradient
+        # Gaboriau's index formula: d(H) - 1 >= [G:H](cost - 1), so every
+        # row's r_upper bounds the rank gradient from above.
+        below = next((s for s in samples if s.r_upper < sym), None)
+        if below is not None:
+            report.add(f"error: row at index {below.index} has r_upper {below.r_upper} "
+                       f"below the symbolic rank gradient {sym}")
+            return EXIT_HYPOTHESIS
         if samples and all(s.r_lower == s.r_upper == sym for s in samples):
             report.add(f"matches symbolic {sym}")
         else:

@@ -87,12 +87,17 @@ def coxeter_order(g: LabelledGraph) -> ge.GroupOrder:
     """
     if girth(g) == 3:
         raise GraphError("coxeter_order does not support graphs with triangles")
+    n = _finite_order(g)
+    return ge.INFINITE if n is None else ge.GroupOrder(n)
+
+
+def _finite_order(g: LabelledGraph) -> int | None:
+    """The order of a triangle-free graph's Coxeter group when it is finite."""
     if g.num_vertices == 1:
-        return ge.GroupOrder(2)
+        return 2
     if g.num_vertices == 2 and g.num_edges == 1:
-        u, v, lab = g.edges()[0]
-        return ge.GroupOrder(2 * lab)
-    return ge.INFINITE
+        return 2 * g.edges()[0][2]
+    return None
 
 
 def closed_form(g: LabelledGraph) -> Fraction:
@@ -167,10 +172,12 @@ def rg_coxeter_planar(g: LabelledGraph) -> tuple[ge.PriceResult, CoxeterTrace]:
         raise RuntimeError(
             f"internal error: trace total {trace.total()} != closed form {value}"
         )
+    # The closed form is betti1 - 1/|W|; a finite W (one vertex, or one
+    # edge) has betti1 0 and rank gradient -1/|W|.
     price = ge.PriceResult(
         cost=value + 1,
         rank_gradient=value,
-        betti1=value,
+        betti1=value if _finite_order(g) is None else Fraction(0),
         fixed_price=True,
         rule_trace=[
             f"coxeter-planar-girth6 closed form: |V|/2 - 1 - sum 1/(2l) = {value}",

@@ -97,13 +97,24 @@ def _edge_id(table: CosetTable, coset: int, col: int) -> tuple[int, int]:
     return (table.rows[coset][col], inv_col(col))
 
 
+def _root_length(word: Word) -> int:
+    """Length of the primitive root w of a nonempty word w^j."""
+    n = len(word)
+    return next(p for p in range(1, n + 1) if n % p == 0 and word[p:] == word[:n - p])
+
+
 def reidemeister_schreier(pres: Presentation, table: CosetTable,
                           policy: str = "forward") -> Presentation:
     """Presentation of the subgroup a complete coset table describes.
 
     Generators: one per non-tree edge of the coset graph, named s1, s2,...
-    in (coset, generator) order.  Relators: every relator of the ambient
-    presentation rewritten from every coset, freely reduced, nonempty.
+    in (coset, generator) order.  Relators: each relator of the ambient
+    presentation rewritten from each coset, freely reduced, nonempty, in
+    (coset, relator) order.  A proper power r = w^j (w its primitive root)
+    is rewritten only from the smallest coset of each orbit under w: its
+    rewrite from c.w is a rotation of its rewrite from c, a conjugate that
+    Tietze simplification would drop as a later duplicate, so the subgroup
+    and the simplified presentation are unchanged.
     """
     tree = _spanning_tree(table, policy)
     gen_index: dict[tuple[int, int], int] = {}
@@ -124,12 +135,28 @@ def reidemeister_schreier(pres: Presentation, table: CosetTable,
             coset = table.rows[coset][col]
         return free_reduce(out)
 
+    # firsts[k][c]: coset c is the smallest of its orbit under the root of
+    # relator k (every coset, for a relator that is not a proper power)
+    firsts = []
+    for rel in pres.relators:
+        root = rel[:_root_length(rel)]
+        first = [True] * table.index
+        if len(root) < len(rel):
+            for c in range(table.index):
+                if first[c]:
+                    d = table.trace(c, root)
+                    while d != c:
+                        first[d] = False
+                        d = table.trace(d, root)
+        firsts.append(first)
+
     relators = []
     for coset in range(table.index):
-        for rel in pres.relators:
-            w = rewrite(coset, rel)
-            if w:
-                relators.append(w)
+        for rel, first in zip(pres.relators, firsts):
+            if first[coset]:
+                w = rewrite(coset, rel)
+                if w:
+                    relators.append(w)
     names = tuple(f"s{i}" for i in range(1, len(gen_index) + 1))
     return Presentation(names, relators)
 
@@ -160,6 +187,12 @@ def _rotation_key(word: Word) -> Word:
     return min(_least_rotation(word), _least_rotation(invert_word(word)))
 
 
+def _bucket(word: Word) -> tuple[int, int]:
+    """Invariant of a cyclic word under rotation and inversion: equal
+    rotation keys imply equal buckets."""
+    return len(word), sum(map(abs, word))
+
+
 def tietze_simplify(pres: Presentation) -> Presentation:
     """Iteratively eliminate generators occurring exactly once in a relator.
 
@@ -171,37 +204,53 @@ def tietze_simplify(pres: Presentation) -> Presentation:
     The pass is incremental (after Havas, Kenne, Richardson and Robertson,
     "A Tietze transformation program", 1984): a generator -> relator
     occurrence index limits substitution to the relators that contain the
-    eliminated generator, each relator's canonical key is computed once per
-    change, and eligible relators wait in a heap keyed (length, position)
-    whose stale entries are skipped when popped.  Generators keep their
-    input numbers until one monotone renumbering at the end, so every
-    choice is the one a whole-list pass would make.
+    eliminated generator, and eligible relators wait in a heap keyed
+    (length, position) whose stale entries are skipped when popped.  Live
+    relators sit in buckets keyed (length, sum of |letters|), which rotation
+    and inversion preserve; a relator's canonical key is computed only when
+    its bucket collides with another live relator's, and is kept until the
+    relator changes.  Generators keep their input numbers until one
+    monotone renumbering at the end, so every choice is the one a
+    whole-list pass would make.
     """
     n = len(pres.relators)
     words: list[Word | None] = [None] * n  # by list position; None once dropped
-    keys: list[Word | None] = [None] * n
+    keys: list[Word | None] = [None] * n  # rotation keys, computed on first need
     once = [0] * n  # smallest generator occurring once in the relator, 0 if none
-    key_pos: dict[Word, int] = {}
+    buckets: dict[tuple[int, int], list[int]] = {}  # live positions by _bucket
     occ: dict[int, set[int]] = {g: set() for g in range(1, pres.num_generators + 1)}
     heap: list[tuple[int, int]] = []
 
+    def key_of(pos: int) -> Word:
+        if keys[pos] is None:
+            keys[pos] = _rotation_key(words[pos])
+        return keys[pos]
+
     def drop(pos: int) -> None:
-        for g in set(map(abs, words[pos])):
+        word = words[pos]
+        for g in set(map(abs, word)):
             occ[g].discard(pos)
-        del key_pos[keys[pos]]
+        b = _bucket(word)
+        buckets[b].remove(pos)
+        if not buckets[b]:
+            del buckets[b]
         words[pos] = keys[pos] = None
 
     def place(pos: int, word: Word) -> None:
         if not word:
             return
-        key = _rotation_key(word)
-        other = key_pos.get(key)
-        if other is not None:
-            if other < pos:
-                return
-            drop(other)
-        key_pos[key] = pos
-        words[pos], keys[pos] = word, key
+        b = _bucket(word)
+        if b in buckets:
+            # live relators are pairwise distinct, so at most one matches
+            key = _rotation_key(word)
+            other = next((o for o in buckets[b] if key_of(o) == key), None)
+            if other is not None:
+                if other < pos:
+                    return
+                drop(other)
+            keys[pos] = key
+        buckets.setdefault(b, []).append(pos)
+        words[pos] = word
         counts = Counter(map(abs, word))
         for g in counts:
             occ[g].add(pos)
@@ -230,22 +279,35 @@ def tietze_simplify(pres: Presentation) -> Presentation:
         inverse = invert_word(replacement)
         drop(pos)
         # drop every relator the substitution rewrites before placing any,
-        # so none of them collides with another's outdated key
+        # so none of them collides with another's outdated word
         touched = sorted(occ[gen])
         old = [words[t] for t in touched]
         for t in touched:
             drop(t)
         del occ[gen]
+        neg = -gen
         for t, word in zip(touched, old):
-            out: list[int] = []
+            # free reduction in the same pass: the word and both images
+            # are reduced, so an image cancels only from its start; the
+            # sentinel 0 at out[0] never cancels
+            out = [0]
             for x in word:
-                if x == gen:
-                    out.extend(replacement)
-                elif x == -gen:
-                    out.extend(inverse)
+                if x == gen or x == neg:
+                    image = replacement if x == gen else inverse
+                    k = 0
+                    while k < len(image) and out[-1] == -image[k]:
+                        out.pop()
+                        k += 1
+                    out.extend(image[k:])
+                elif out[-1] == -x:
+                    out.pop()
                 else:
                     out.append(x)
-            place(t, cyclic_reduce(out))
+            i, j = 1, len(out) - 1
+            while i < j and out[i] == -out[j]:
+                i += 1
+                j -= 1
+            place(t, tuple(out[i:j + 1]))
 
     survivors = sorted(occ)
     number = {g: k for k, g in enumerate(survivors, start=1)}

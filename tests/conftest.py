@@ -13,6 +13,7 @@ from rgcost.fpgroup.coset import (
     CosetTable,
     EnumerationLimit,
     inv_col,
+    letter_to_col,
     standardize_rows,
     word_to_cols,
 )
@@ -23,6 +24,7 @@ from rgcost.fpgroup.presentation import (
     free_reduce,
     invert_word,
 )
+from rgcost.fpgroup.rewrite import _edge_id, _spanning_tree
 from rgcost.lgraph import LabelledGraph
 
 
@@ -244,6 +246,50 @@ def brute_sl2_order(n: int) -> int:
                     if (a * d - b * c) % n == 1 % n:
                         count += 1
     return count
+
+
+# ---------------------------------------------------------------------------
+# reference Reidemeister-Schreier
+
+
+# The original rewrite: every relator from every coset, proper powers
+# included.  The library drops the rewrites of a proper power that are
+# rotations of an earlier one; Tietze must not see the difference.
+def reference_reidemeister_schreier(pres: Presentation, table: CosetTable,
+                                    policy: str = "forward") -> Presentation:
+    """Presentation of the subgroup a complete coset table describes.
+
+    Generators: one per non-tree edge of the coset graph, named s1, s2,...
+    in (coset, generator) order.  Relators: every relator of the ambient
+    presentation rewritten from every coset, freely reduced, nonempty.
+    """
+    tree = _spanning_tree(table, policy)
+    gen_index: dict[tuple[int, int], int] = {}
+    for coset in range(table.index):
+        for g in range(len(table.generators)):
+            eid = (coset, 2 * g)
+            if eid not in tree:
+                gen_index[eid] = len(gen_index) + 1
+
+    def rewrite(start: int, word) -> Word:
+        out = []
+        coset = start
+        for x in word:
+            col = letter_to_col(x)
+            eid = _edge_id(table, coset, col)
+            if eid not in tree:
+                out.append(gen_index[eid] if col % 2 == 0 else -gen_index[eid])
+            coset = table.rows[coset][col]
+        return free_reduce(out)
+
+    relators = []
+    for coset in range(table.index):
+        for rel in pres.relators:
+            w = rewrite(coset, rel)
+            if w:
+                relators.append(w)
+    names = tuple(f"s{i}" for i in range(1, len(gen_index) + 1))
+    return Presentation(names, relators)
 
 
 # ---------------------------------------------------------------------------

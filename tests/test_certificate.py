@@ -324,6 +324,42 @@ class TestJson:
         with pytest.raises(ValueError):
             certificate_from_json('{"format": "other", "root": {}}')
 
+    # one isolated vertex (amenable leaf with a vertex) beside the path
+    # a-b-c (generation over edge leaves with endpoints and a witness vertex)
+    TYPED = "vertex a\nvertex b\nvertex c\nvertex d\nedge a b 3\nedge b c 3\n"
+
+    def _mutated(self, kind, field, value):
+        doc = json.loads(certificate_to_json(rg_artin(parse_graph(self.TYPED))[1]))
+        at = next(i for i, d in enumerate(doc["nodes"]) if d["kind"] == kind)
+        doc["nodes"][at][field] = value
+        return json.dumps(doc), at
+
+    @pytest.mark.parametrize("kind,field,value", [
+        ("infinite-centre", "endpoints", [["a"], "b"]),
+        ("infinite-centre", "endpoints", ["a"]),
+        ("amenable", "vertex", 4),
+        ("generation", "witness_vertices", [["b"]]),
+        ("generation", "witnesses", [7]),
+    ], ids=["endpoints-list", "endpoints-one", "vertex", "witness-vertices", "witnesses"])
+    def test_rejects_non_string_vertex_names(self, kind, field, value):
+        text, at = self._mutated(kind, field, value)
+        with pytest.raises(ValueError, match=rf"certificate node {at} \({kind}\): field '{field}'"):
+            certificate_from_json(text)
+
+    @pytest.mark.parametrize("graph", [
+        ["a", "b"],
+        {"vertices": [["a"], "b", "c", "d"], "edges": []},
+        {"vertices": ["a", "b", "c", "d"], "edges": [["a", ["b"], 3]]},
+        {"vertices": ["a", "b", "c", "d"], "edges": [["a", "b", "3"]]},
+        {"vertices": ["a", "b", "c", "d"], "edges": [["a", "b"]]},
+        {"vertices": ["a", "b", "c", "d"]},
+    ], ids=["not-a-dict", "vertex", "endpoint", "label", "short-edge", "no-edges"])
+    def test_rejects_malformed_graph(self, graph):
+        doc = json.loads(certificate_to_json(rg_artin(parse_graph(self.TYPED))[1]))
+        doc["graph"] = graph
+        with pytest.raises(ValueError, match="certificate graph must be"):
+            certificate_from_json(json.dumps(doc))
+
     def test_rejects_unknown_node_kind(self):
         bad = ('{"format": "rgcost-certificate/2", "target": "", "claimed_cost": "1", '
                '"citations": [], "caveat": null, "graph": null, '

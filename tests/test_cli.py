@@ -158,6 +158,25 @@ class TestVerifyCommand:
         assert "120,11,11,1/12,1/12" in out
         assert "matches symbolic 1/12" in out
 
+    def test_row_below_symbolic_value_exits_3(self, capsys, monkeypatch):
+        # d(H) - 1 >= [G:H](cost - 1), so a forged d_upper of 4 at index 48
+        # (r_upper 1/16 < 1/12) refutes the engine or the symbolic value
+        import rgcost.cli as cli_mod
+        from rgcost.fpgroup.chains import make_sample
+
+        real = cli_mod.rg_sequence
+
+        def forged(pres, tables):
+            rows = real(pres, tables)
+            return rows[:-1] + [make_sample(rows[-1].index, 4, 4)]
+
+        monkeypatch.setattr(cli_mod, "rg_sequence", forged)
+        code, out = run_cli(["verify", "SL2Z", "--mod", "3,4"], capsys)
+        assert code == 3
+        assert ("error: row at index 48 has r_upper 1/16 below the symbolic "
+                "rank gradient 1/12") in out
+        assert "matches symbolic" not in out
+
     def test_braid3_abelian_kill(self, capsys):
         code, out = run_cli(["verify", "braid3", "--abelian-kill", "2,6,24"], capsys)
         assert code == 0

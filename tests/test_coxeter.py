@@ -118,6 +118,23 @@ class TestClosedFormAndTrace:
         assert price.rank_gradient == (1 - Fraction(1, 2 * m)) - 1
         assert trace.total() == price.rank_gradient
 
+    def test_finite_groups_have_betti1_zero(self):
+        # one vertex (order 2) and one edge labelled 3 (order 6): the
+        # closed form is betti1 - 1/|W| and betti1 of a finite group is 0
+        for g, order in ((parse_graph("vertex a\n"), 2), (path_graph([3]), 6)):
+            price, _ = rg_coxeter_planar(g)
+            assert price.cost == 1 - Fraction(1, order)
+            assert price.rank_gradient == -Fraction(1, order)
+            assert price.betti1 == 0
+
+    def test_finite_leaf_in_amalgam(self):
+        # D6 *_{Z/2} Z/4: 5/6 + 3/4 - 1/2 = 13/12, and the amalgam formula
+        # gives betti1 0 + 0 + 1/2 - 1/6 - 1/4 = 1/12
+        r = evaluate(AmalgamFinite(CoxeterGraph(path_graph([3])), Cyclic(4), 2))
+        assert r.cost == Fraction(13, 12)
+        assert r.rank_gradient == Fraction(1, 12)
+        assert r.betti1 == Fraction(1, 12)
+
     def test_path_two_edges(self):
         for p, q in [(2, 2), (3, 5), (6, 2)]:
             g = path_graph([p, q])

@@ -1,10 +1,15 @@
+import functools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import _rotation_key, reference_tietze_simplify
+from conftest import (
+    _rotation_key,
+    reference_reidemeister_schreier,
+    reference_tietze_simplify,
+)
 from rgcost.fpgroup import (
     CosetTable,
     Presentation,
@@ -20,6 +25,7 @@ from rgcost.fpgroup import (
     tietze_simplify,
     todd_coxeter,
 )
+from rgcost.fpgroup.presentation import cyclic_reduce, free_reduce, invert_word
 from rgcost.fpgroup.rewrite import _rotation_key as library_rotation_key
 
 
@@ -264,6 +270,153 @@ class TestTietzeMatchesReference:
     def test_rotation_key_is_least_rotation(self, letters):
         word = tuple(letters)
         assert library_rotation_key(word) == _rotation_key(word)
+
+
+# ---------------------------------------------------------------------------
+# Proper-power relators: one rewrite per coset orbit of the root
+
+
+# Finite groups on 1-3 generators whose defining relators include proper
+# powers; random extra relators w^(k.|w|) hold in the group, so coset
+# enumeration over any subgroup finishes.
+FINITE_GROUPS = [
+    (1, [(1,) * 6]),
+    (1, [(1,) * 12]),
+    (2, [(1, 1), (2, 2), (1, 2) * 3]),  # S3
+    (2, [(1,) * 4, (1, 1, -2, -2), (-2, 1, 2, 1)]),  # quaternion
+    (2, [(1,) * 4, (2,) * 6, (1, 1, -2, -2, -2), (1, 2) * 3]),  # SL(2,3)
+    (3, [(1, 1), (2, 2), (3, 3), (1, 2) * 3, (2, 3) * 3, (1, 3) * 2]),  # S4
+    (3, [(1, 1), (2, 2), (3, 3), (1, 2) * 2, (2, 3) * 2, (1, 3) * 2]),  # (Z/2)^3
+]
+
+
+@functools.cache
+def _regular_table(source: int) -> CosetTable:
+    ngens, rels = FINITE_GROUPS[source]
+    return todd_coxeter(Presentation([f"g{i}" for i in range(ngens)], rels), coset_limit=100)
+
+
+def _element_order(source: int, word) -> int:
+    """Order in the finite group of the word, read off its regular table."""
+    table = _regular_table(source)
+    k, coset = 1, table.trace(0, word)
+    while coset:
+        k, coset = k + 1, table.trace(coset, word)
+    return k
+
+
+def _root(word) -> tuple:
+    """Primitive root, by brute force: the shortest prefix that repeats
+    into the word."""
+    n = len(word)
+    for p in range(1, n + 1):
+        if n % p == 0 and tuple(word[:p]) * (n // p) == tuple(word):
+            return tuple(word[:p])
+
+
+@st.composite
+def power_relator_subgroups(draw):
+    """(P, T): a presentation of a finite group carrying extra proper powers
+    of 1-3-letter words and products of two powers, and the coset table of a
+    random subgroup."""
+    source = draw(st.integers(0, len(FINITE_GROUPS) - 1))
+    ngens, rels = FINITE_GROUPS[source]
+    extra = []
+    for _ in range(draw(st.integers(1, 3))):
+        w = cyclic_reduce(draw(st.lists(_letters(ngens), min_size=1, max_size=3)))
+        if w:
+            j = _element_order(source, w) * draw(st.integers(1, 2))
+            extra.append(w * max(j, 2))
+    if draw(st.booleans()):
+        u, v = (free_reduce(draw(st.lists(_letters(ngens), min_size=1, max_size=2)))
+                for _ in range(2))
+        extra.append(u * _element_order(source, u) + v * _element_order(source, v))
+    relators = draw(st.permutations(rels + extra))
+    pres = Presentation([f"g{i}" for i in range(ngens)], relators)
+    words = draw(st.lists(st.lists(_letters(ngens), min_size=1, max_size=4), max_size=2))
+    return pres, todd_coxeter(pres, subgroup=words, coset_limit=100)
+
+
+def _rotations(word) -> set:
+    w = cyclic_reduce(word)
+    return {w[k:] + w[:k] for k in range(len(w))}
+
+
+class TestPowerRelatorOrbits:
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(power_relator_subgroups())
+    def test_one_rewrite_per_orbit(self, case):
+        pres, table = case
+        assert any(len(_root(r)) < len(r) for r in pres.relators)
+
+        def first(c, rel):
+            # c is the smallest coset of its orbit under the root
+            root = _root(rel)
+            d = table.trace(c, root)
+            while d != c:
+                if d < c:
+                    return False
+                d = table.trace(d, root)
+            return True
+
+        pairs = [(c, r) for c in range(table.index) for r in pres.relators]
+        for policy in ("forward", "reverse"):
+            sub = reidemeister_schreier(pres, table, policy)
+            ref = reference_reidemeister_schreier(pres, table, policy)
+            assert sub.generators == ref.generators
+            # a reduced relator never rewrites to the empty word, so the
+            # reference holds exactly one rewrite per (coset, relator)
+            assert len(ref.relators) == len(pairs)
+            expected = [w for (c, r), w in zip(pairs, ref.relators) if first(c, r)]
+            assert list(sub.relators) == expected
+            rest = iter(ref.relators)  # a subsequence of the reference
+            assert all(any(w == r for r in rest) for w in sub.relators)
+            kept = set(sub.relators)
+            rotations = set().union(*(_rotations(w) for w in kept))
+            for w in ref.relators:
+                if w not in kept:
+                    assert cyclic_reduce(w) in rotations
+            out = tietze_simplify(sub)
+            want = reference_tietze_simplify(ref)
+            assert (out.generators, out.relators) == (want.generators, want.relators)
+
+
+@st.composite
+def presentations_with_planted_copies(draw):
+    """Random relators, then later copies of earlier ones (rotated,
+    inverted or both) and distinct words in the same (length, sum |x|)
+    bucket: the same letters in another order, or with signs flipped."""
+    ngens = draw(st.integers(1, 4))
+    relators = draw(st.lists(st.lists(_letters(ngens), min_size=1, max_size=7),
+                             min_size=1, max_size=6))
+    for _ in range(draw(st.integers(1, 6))):
+        w = list(cyclic_reduce(draw(st.sampled_from(relators))) or (1,))
+        k = draw(st.integers(0, len(w) - 1))
+        kind = draw(st.sampled_from(("rotate", "invert", "both", "shuffle", "flip")))
+        if kind in ("rotate", "both"):
+            w = w[k:] + w[:k]
+        if kind in ("invert", "both"):
+            w = list(invert_word(w))
+        if kind == "shuffle":
+            w = draw(st.permutations(w))
+        if kind == "flip":
+            w[k] = -w[k]
+        relators.insert(draw(st.integers(0, len(relators))), w)
+    return Presentation([f"g{i}" for i in range(ngens)], relators)
+
+
+class TestTietzeBuckets:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(presentations_with_planted_copies())
+    def test_planted_copies_and_bucket_twins(self, pres):
+        out, ref = tietze_simplify(pres), reference_tietze_simplify(pres)
+        assert (out.generators, out.relators) == (ref.generators, ref.relators)
+
+    def test_bucket_twins_are_kept(self):
+        # x x Y Y and x Y x Y share length and letter sum but are not
+        # rotations or inverses of each other; y y X X inverts the first
+        p = parse_presentation("gens: x y\nrel: x x Y Y\nrel: x Y x Y\nrel: y y X X\n")
+        assert tietze_simplify(p).relators == ((1, 1, -2, -2), (1, -2, 1, -2))
 
 
 class TestSimplifiedAbelianization:
