@@ -2,10 +2,11 @@
 
 All reports are plain text on stdout; structured artifacts (certificates,
 traces, CSV) are written only through explicit output flags.  Exit codes:
-0 success, 2 input/parse error, 3 hypothesis failure or a `verify` row
-below the symbolic value, 4 certificate checker violation, 5 enumeration
-limit exceeded.  With --no-timestamp the output is byte-identical across
-runs for identical inputs.
+0 success, 2 input/parse error, 3 hypothesis failure, a `verify` row
+below the symbolic value, or an `expr` node whose values break
+betti1 - beta0 <= rank gradient, 4 certificate checker violation, 5
+enumeration limit exceeded.  With --no-timestamp the output is
+byte-identical across runs for identical inputs.
 """
 
 from __future__ import annotations
@@ -136,7 +137,11 @@ def cmd_expr(args, report: Report) -> int:
     except (OSError, ExprParseError, GraphError, ValueError) as exc:
         report.add(f"error: {exc}")
         return EXIT_PARSE
-    price = ge.evaluate(expr)
+    try:
+        price = ge.evaluate(expr)
+    except ge.InvariantError as exc:
+        report.add(f"error: {exc}")
+        return EXIT_HYPOTHESIS
     report.add(
         f"cost={price.cost} rg={price.rank_gradient} "
         f"betti1={price.betti1} fixed_price={str(price.fixed_price).lower()}"

@@ -304,8 +304,8 @@ def _class_c_validate(e: ge.GroupExpr, trace: list[str]) -> str | None:
         return (_class_c_validate(e.left, trace)
                 or _class_c_validate(e.right, trace))
     if isinstance(e, ge.AmalgamAmenable):
-        witness = ge._betti_zero_witness(e.amalgam)
-        if witness is None:
+        if not (isinstance(e.amalgam, ge.AMENABLE_LEAF_KINDS)
+                or ge.evaluate(e.amalgam).betti1 == 0):
             return f"amalgam subgroup {e.amalgam.describe()} carries no betti1 = 0 witness"
         if not e.amalgam_order.is_finite:
             trace.append(

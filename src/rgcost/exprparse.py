@@ -92,6 +92,24 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+# The argument slots of each construction: "expr", "string", "order",
+# "graph" (a graph file path), or an int, for an integer at least that.
+_FORMS = {
+    "trivial": ((), ge.TrivialGroup),
+    "z": ((), ge.IntegersZ),
+    "cyclic": ((2,), ge.Cyclic),
+    "free": ((1,), ge.Free),
+    "free-abelian": ((1,), ge.FreeAbelian),
+    "surface": ((2,), ge.Surface),
+    "amenable": (("string", "order"), ge.Amenable),
+    "artin": (("graph",), ge.ArtinGraph),
+    "coxeter": (("graph",), ge.CoxeterGraph),
+    "amalgam-finite": (("expr", "expr", 1), ge.AmalgamFinite),
+    "amalgam-amenable": (("expr",) * 3 + ("order",) * 3, ge.AmalgamAmenable),
+    "generation": (("expr", "expr", "string"), ge.Generation),
+}
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token], base_dir: str):
         self.tokens = tokens
@@ -112,15 +130,37 @@ class _Parser:
         return tok
 
     def parse(self) -> ge.GroupExpr:
-        expr = self._expr()
+        """Parse one expression with an explicit stack of open forms, each
+        [head token, slots, arguments so far], so any depth parses."""
+        open_forms: list[list] = []
+        while True:
+            value = self._start()
+            if isinstance(value, _Token):
+                open_forms.append([value, _FORMS[value.text][0], []])
+                value = None
+            # Fill the innermost form's slots up to its next "expr" slot,
+            # closing every form that completes on the way.
+            while open_forms:
+                head, slots, args = open_forms[-1]
+                if value is not None:
+                    args.append(value)
+                value = self._fill(head, slots, args)
+                if value is None:
+                    break
+                self._next(")")
+                open_forms.pop()
+            if not open_forms:
+                break
         trailing = self._peek()
         if trailing is not None:
             raise ExprParseError(
                 f"trailing input {trailing.text!r}", trailing.line, trailing.col
             )
-        return expr
+        return value
 
-    def _expr(self) -> ge.GroupExpr:
+    def _start(self) -> ge.GroupExpr | _Token:
+        """Read a bare atom and return its group, or read "(" and a known
+        head and return the head token."""
         tok = self._next()
         if tok.kind == "atom":
             if tok.text == "z":
@@ -131,59 +171,43 @@ class _Parser:
         if tok.kind != "(":
             raise ExprParseError(f"expected expression, got {tok.text!r}", tok.line, tok.col)
         head = self._next("atom")
-        try:
-            expr = self._form(head)
-        except ValueError as exc:
-            if isinstance(exc, ExprParseError):
-                raise
-            raise ExprParseError(str(exc), head.line, head.col) from None
-        self._next(")")
-        return expr
+        if head.text not in _FORMS:
+            raise ExprParseError(f"unknown construction {head.text!r}", head.line, head.col)
+        return head
 
-    def _form(self, head: _Token) -> ge.GroupExpr:
-        name = head.text
-        if name == "trivial":
-            return ge.TrivialGroup()
-        if name == "z":
-            return ge.IntegersZ()
-        if name == "cyclic":
-            return ge.Cyclic(self._int(minimum=2))
-        if name == "free":
-            return ge.Free(self._int(minimum=1))
-        if name == "free-abelian":
-            return ge.FreeAbelian(self._int(minimum=1))
-        if name == "surface":
-            return ge.Surface(self._int(minimum=2))
-        if name == "amenable":
-            tag = self._next("string").text
-            return ge.Amenable(tag, self._order())
-        if name in ("artin", "coxeter"):
+    def _fill(self, head: _Token, slots: tuple, args: list) -> ge.GroupExpr | None:
+        """Read the form's slots up to the next "expr" one (None), or to
+        the end, where it builds the group.  A ValueError from a graph
+        file or a constructor is reported at the head."""
+        try:
+            while len(args) < len(slots):
+                slot = slots[len(args)]
+                if slot == "expr":
+                    return None
+                args.append(self._slot(slot))
+            return _FORMS[head.text][1](*args)
+        except ExprParseError:
+            raise
+        except ValueError as exc:
+            raise ExprParseError(str(exc), head.line, head.col) from None
+
+    def _slot(self, slot):
+        if slot == "string":
+            return self._next("string").text
+        if slot == "order":
+            return self._order()
+        if slot == "graph":
             path_tok = self._next("string")
             path = os.path.join(self.base_dir, path_tok.text)
             try:
                 with open(path, encoding="utf-8") as fh:
-                    graph = parse_graph(fh.read())
+                    return parse_graph(fh.read())
             except OSError as exc:
                 raise ExprParseError(
                     f"cannot read graph file {path_tok.text!r}: {exc}",
                     path_tok.line, path_tok.col,
                 ) from None
-            return ge.ArtinGraph(graph) if name == "artin" else ge.CoxeterGraph(graph)
-        if name == "amalgam-finite":
-            left = self._expr()
-            right = self._expr()
-            return ge.AmalgamFinite(left, right, self._int(minimum=1))
-        if name == "amalgam-amenable":
-            left = self._expr()
-            right = self._expr()
-            sub = self._expr()
-            return ge.AmalgamAmenable(left, right, sub, self._order(), self._order(), self._order())
-        if name == "generation":
-            left = self._expr()
-            right = self._expr()
-            justification = self._next("string").text
-            return ge.Generation(left, right, justification)
-        raise ExprParseError(f"unknown construction {name!r}", head.line, head.col)
+        return self._int(minimum=slot)
 
     def _int(self, minimum: int) -> int:
         tok = self._next("atom")

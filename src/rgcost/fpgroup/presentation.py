@@ -45,10 +45,11 @@ def invert_word(word) -> Word:
 
 
 def cyclic_reduce(word) -> Word:
-    w = list(free_reduce(word))
-    while len(w) >= 2 and w[0] == -w[-1]:
-        w = w[1:-1]
-    return tuple(w)
+    w = free_reduce(word)
+    n, k = len(w), 0
+    while n - 2 * k >= 2 and w[k] == -w[n - 1 - k]:
+        k += 1
+    return w[k:n - k]
 
 
 class Presentation:

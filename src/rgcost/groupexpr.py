@@ -62,10 +62,34 @@ def is_known(x) -> bool:
 
 
 class GroupExpr:
-    """Base class for expression nodes."""
+    """Base class for expression nodes.
+
+    A leaf overrides `describe`.  A composite node names its child fields
+    in `steps` and returns its printed form from `form`: text pieces with
+    the child nodes in place, in `steps` order.
+    """
+
+    steps: tuple[str, ...] = ()
+
+    def form(self) -> list:
+        raise NotImplementedError
 
     def describe(self) -> str:
-        raise NotImplementedError
+        """The node in expression syntax, graph leaves by their sizes.
+
+        Printed from an explicit stack, so a tree of any depth prints.
+        """
+        out: list[str] = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+            elif item.steps:
+                stack.extend(reversed(item.form()))
+            else:
+                out.append(item.describe())
+        return "".join(out)
 
 
 @dataclass(frozen=True)
@@ -167,12 +191,14 @@ class AmalgamFinite(GroupExpr):
     right: GroupExpr
     amalgam_order: int
 
+    steps = ("left", "right")
+
     def __post_init__(self):
         if self.amalgam_order < 1:
             raise ValueError("amalgam order must be >= 1")
 
-    def describe(self):
-        return f"(amalgam-finite {self.left.describe()} {self.right.describe()} {self.amalgam_order})"
+    def form(self):
+        return ["(amalgam-finite ", self.left, " ", self.right, f" {self.amalgam_order})"]
 
 
 @dataclass(frozen=True)
@@ -190,11 +216,11 @@ class AmalgamAmenable(GroupExpr):
     right_order: GroupOrder
     amalgam_order: GroupOrder
 
-    def describe(self):
-        return (
-            f"(amalgam-amenable {self.left.describe()} {self.right.describe()} "
-            f"{self.amalgam.describe()} {self.left_order} {self.right_order} {self.amalgam_order})"
-        )
+    steps = ("left", "right", "amalgam")
+
+    def form(self):
+        return ["(amalgam-amenable ", self.left, " ", self.right, " ", self.amalgam,
+                f" {self.left_order} {self.right_order} {self.amalgam_order})"]
 
 
 @dataclass(frozen=True)
@@ -209,12 +235,14 @@ class Generation(GroupExpr):
     right: GroupExpr
     justification: str
 
+    steps = ("left", "right")
+
     def __post_init__(self):
         if not self.justification.strip():
             raise ValueError("generation node requires an infinite-intersection justification")
 
-    def describe(self):
-        return f'(generation {self.left.describe()} {self.right.describe()} "{self.justification}")'
+    def form(self):
+        return ["(generation ", self.left, " ", self.right, f' "{self.justification}")']
 
 
 @dataclass
@@ -250,19 +278,43 @@ class PriceResult:
 AMENABLE_LEAF_KINDS = (TrivialGroup, Cyclic, IntegersZ, FreeAbelian, Amenable)
 
 
+class InvariantError(ValueError):
+    """A node's values break betti1 - beta0 <= rank gradient; the declared
+    orders of some amalgam contradict its factors."""
+
+
 def infer_order(e: GroupExpr) -> GroupOrder | None:
     """Best-effort group order of an expression; None when undetermined.
 
     Amalgams and generations are treated as infinite: an amalgam is proper
     unless the declared subgroup order reaches a factor's order (flagged as
     degenerate and left undetermined), and a generation node contains its
-    infinite intersection.
+    infinite intersection.  Only amalgams over a finite subgroup read
+    their factors' orders; they are walked on an explicit stack.
     """
+    orders: list[GroupOrder | None] = []
+    stack = [(e, False)]
+    while stack:
+        node, ready = stack.pop()
+        if not isinstance(node, AmalgamFinite):
+            orders.append(_order(node))
+        elif ready:
+            right = orders.pop()
+            orders.append(_order(node, orders.pop(), right))
+        else:
+            stack += [(node, True), (node.right, False), (node.left, False)]
+    return orders[0]
+
+
+def _order(e: GroupExpr, left: GroupOrder | None = None,
+           right: GroupOrder | None = None) -> GroupOrder | None:
+    """Order of one node; `left` and `right` are its factors' orders,
+    read only by an amalgam over a finite subgroup."""
     if isinstance(e, TrivialGroup):
         return GroupOrder(1)
     if isinstance(e, Cyclic):
         return GroupOrder(e.n)
-    if isinstance(e, (IntegersZ, Free, FreeAbelian, Surface, ArtinGraph)):
+    if isinstance(e, (IntegersZ, Free, FreeAbelian, Surface, ArtinGraph, Generation)):
         return INFINITE
     if isinstance(e, Amenable):
         return e.order
@@ -274,17 +326,12 @@ def infer_order(e: GroupExpr) -> GroupOrder | None:
         except GraphError:
             return None
     if isinstance(e, AmalgamFinite):
-        lo, ro = infer_order(e.left), infer_order(e.right)
-        if _degenerate_amalgam(lo, ro, GroupOrder(e.amalgam_order)):
-            return None
-        return INFINITE
-    if isinstance(e, AmalgamAmenable):
-        if _degenerate_amalgam(e.left_order, e.right_order, e.amalgam_order):
-            return None
-        return INFINITE
-    if isinstance(e, Generation):
-        return INFINITE
-    return None
+        left_order, right_order, sub_order = left, right, GroupOrder(e.amalgam_order)
+    elif isinstance(e, AmalgamAmenable):
+        left_order, right_order, sub_order = e.left_order, e.right_order, e.amalgam_order
+    else:
+        return None
+    return None if _degenerate_amalgam(left_order, right_order, sub_order) else INFINITE
 
 
 def _degenerate_amalgam(left: GroupOrder | None, right: GroupOrder | None,
@@ -306,15 +353,91 @@ def _unknown_from(*values, fallback: str) -> Unknown:
     return Unknown(fallback)
 
 
+# A path is (prefix, last step, run length): the root is ("root", None, 0),
+# and a run of k equal steps prints as ".left*k".
+_ROOT = ("root", None, 0)
+
+
+def _path_name(path) -> str:
+    prefix, step, run = path
+    if run == 0:
+        return prefix
+    return f"{prefix}.{step}" if run == 1 else f"{prefix}.{step}*{run}"
+
+
+def _child_path(path, step: str):
+    prefix, last, run = path
+    if step == last:
+        return prefix, step, run + 1
+    return _path_name(path), step, 1
+
+
+def _ref(child: GroupExpr, path, step: str) -> str:
+    """How a trace entry names a child: a leaf by its description, a
+    composite node by its path."""
+    return _path_name(_child_path(path, step)) if child.steps else child.describe()
+
+
+def _head(e: GroupExpr, path) -> str:
+    if not e.steps:
+        return e.describe()
+    steps = iter(e.steps)
+    return "".join(p if isinstance(p, str) else _ref(p, path, next(steps)) for p in e.form())
+
+
+def _evaluated_steps(e: GroupExpr) -> tuple[str, ...]:
+    """Children the evaluator visits: all of them, except an amenable-kind
+    amalgam subgroup, which needs no evaluation to witness betti1 = 0."""
+    if isinstance(e, AmalgamAmenable) and isinstance(e.amalgam, AMENABLE_LEAF_KINDS):
+        return ("left", "right")
+    return e.steps
+
+
 def evaluate(e: GroupExpr) -> PriceResult:
     """Evaluate cost, rank gradient and betti1 for an expression.
 
-    Each applied rule appends a trace entry naming the rule and subterm.
+    One post-order pass on an explicit stack visits every node once (left
+    subtree, right subtree, amalgam subgroup, then the node) and prices it
+    from its children's stored (cost, betti1, order), so the work is
+    linear in the tree and no depth overflows the interpreter's stack.
+    An amalgam subgroup is priced into a discarded trace, only to find its
+    betti1 = 0 witness.
+
+    Each applied rule appends an entry `<rule> <path> <head>: <text>`.  The
+    path names the node from `root` by the steps `.left`, `.right` and
+    `.amalgam`, a run of k >= 2 equal steps written `.left*k`; the head is
+    the node's own form with composite children written as their paths.
     fixed_price is True exactly when a cost rule fired; every rule of the
     calculus yields fixed price.
+
+    Every visited node must satisfy betti1 - beta0 <= rank gradient, with
+    beta0 = 1/|G| for a finite inferred order and 0 otherwise (the rank
+    gradient is cost - 1 by construction).  A node that breaks it raises
+    InvariantError naming its path.
     """
     trace: list[str] = []
-    cost, betti = _eval(e, trace)
+    values: list[tuple] = []  # (cost, betti1, order) of finished nodes
+    stack = [(e, _ROOT, trace, False)]
+    while stack:
+        node, path, out, expanded = stack.pop()
+        steps = _evaluated_steps(node)
+        if steps and not expanded:
+            stack.append((node, path, out, True))
+            for step in reversed(steps):
+                stack.append((getattr(node, step), _child_path(path, step),
+                              [] if step == "amalgam" else out, False))
+            continue
+        kids = values[len(values) - len(steps):]
+        del values[len(values) - len(steps):]
+        cost, betti, entries = _price(node, kids, path)
+        name = _path_name(path)
+        if entries:
+            head = _head(node, path)
+            out.extend(f"{rule} {name} {head}: {text}" for rule, text in entries)
+        order = _order(node, *(kid[2] for kid in kids[:2]))
+        _check_node(name, cost, betti, order)
+        values.append((cost, betti, order))
+    cost, betti, _ = values[0]
     rg: Fraction | Unknown
     if is_known(cost):
         rg = cost - 1
@@ -329,168 +452,132 @@ def evaluate(e: GroupExpr) -> PriceResult:
     )
 
 
-def _eval(e: GroupExpr, trace: list[str]) -> tuple[Fraction | Unknown, Fraction | Unknown]:
-    """Recursive evaluation returning (cost, betti1)."""
-    d = e.describe()
+def _check_node(name: str, cost, betti, order: GroupOrder | None) -> None:
+    if not (is_known(cost) and is_known(betti)):
+        return
+    rg = cost - 1
+    beta0 = recip_order(order) if order is not None else 0
+    if betti - beta0 > rg:
+        raise InvariantError(
+            f"inconsistent values at {name}: betti1 {betti} - beta0 {beta0} "
+            f"exceeds rank gradient {rg}"
+        )
 
+
+def _price(e: GroupExpr, kids: list[tuple], path):
+    """(cost, betti1, [(rule, text)]) of one node, from its evaluated
+    children's (cost, betti1, order) in `kids`."""
     if isinstance(e, TrivialGroup):
-        trace.append(f"finite-price {d}: cost 0, betti1 0")
-        return Fraction(0), Fraction(0)
+        return Fraction(0), Fraction(0), [("finite-price", "cost 0, betti1 0")]
 
     if isinstance(e, Cyclic):
         c = 1 - Fraction(1, e.n)
-        trace.append(f"finite-price {d}: cost 1 - 1/{e.n} = {c}, betti1 0")
-        return c, Fraction(0)
+        return c, Fraction(0), [("finite-price", f"cost 1 - 1/{e.n} = {c}, betti1 0")]
 
     if isinstance(e, Amenable):
         if e.order.is_finite:
             c = 1 - Fraction(1, e.order.value)
-            trace.append(f"finite-price {d}: cost {c}, betti1 0")
-            return c, Fraction(0)
-        trace.append(f"amenable-price {d}: cost 1, betti1 0")
-        return Fraction(1), Fraction(0)
+            return c, Fraction(0), [("finite-price", f"cost {c}, betti1 0")]
+        return Fraction(1), Fraction(0), [("amenable-price", "cost 1, betti1 0")]
 
     if isinstance(e, (IntegersZ, FreeAbelian)):
-        trace.append(f"amenable-price {d}: cost 1, betti1 0")
-        return Fraction(1), Fraction(0)
+        return Fraction(1), Fraction(0), [("amenable-price", "cost 1, betti1 0")]
 
     if isinstance(e, Free):
         c = Fraction(e.rank)
-        trace.append(f"free-price {d}: cost {c}, betti1 {c - 1}")
-        return c, c - 1
+        return c, c - 1, [("free-price", f"cost {c}, betti1 {c - 1}")]
 
     if isinstance(e, Surface):
         c = Fraction(2 * e.genus - 1)
-        trace.append(f"surface-price {d}: cost {c}, betti1 {c - 1}")
-        return c, c - 1
+        return c, c - 1, [("surface-price", f"cost {c}, betti1 {c - 1}")]
 
     if isinstance(e, ArtinGraph):
         b = len(components(e.graph))
-        trace.append(
-            f"artin-components-price {d}: {b} component(s), cost {b}, betti1 {b - 1}"
-        )
-        return Fraction(b), Fraction(b - 1)
+        return Fraction(b), Fraction(b - 1), [
+            ("artin-components-price", f"{b} component(s), cost {b}, betti1 {b - 1}")]
 
     if isinstance(e, CoxeterGraph):
-        return _eval_coxeter_leaf(e, trace)
+        from .coxeter import HypothesisError, rg_coxeter_planar
+
+        try:
+            price, _ = rg_coxeter_planar(e.graph)
+        except HypothesisError as exc:
+            reason = f"coxeter graph outside supported class: {exc}"
+            return Unknown(reason), Unknown(reason), [("rule-not-applicable", reason)]
+        return price.cost, price.betti1, [
+            ("coxeter-planar-girth6", f"cost {price.cost}, betti1 {price.betti1}")]
+
+    entries: list[tuple[str, str]] = []
+    (lc, lb, lo), (rc, rb, ro) = kids[:2]
 
     if isinstance(e, AmalgamFinite):
-        lc, lb = _eval(e.left, trace)
-        rc, rb = _eval(e.right, trace)
         m = e.amalgam_order
         c_sub = 1 - Fraction(1, m)
         if is_known(lc) and is_known(rc):
             cost = lc + rc - c_sub
-            rg_direct = (lc - 1) + (rc - 1) + Fraction(1, m)
+            lg, rg = lc - 1, rc - 1
+            rg_direct = lg + rg + Fraction(1, m)
             assert rg_direct == cost - 1, "amalgam gradient routes disagree"
-            trace.append(
-                f"amalgam-price {d}: cost {lc} + {rc} - {c_sub} = {cost}; "
-                f"gradient sum route {lc - 1} + {rc - 1} + 1/{m} = {rg_direct} agrees"
-            )
+            entries.append(("amalgam-price",
+                            f"cost {lc} + {rc} - {c_sub} = {cost}; "
+                            f"gradient sum route {lg} + {rg} + 1/{m} = {rg_direct} agrees"))
         else:
             cost = _unknown_from(lc, rc, fallback="factor cost unknown")
-        betti = _amalgam_betti(
-            e, lb, rb, infer_order(e.left), infer_order(e.right),
-            GroupOrder(m), Fraction(0), trace,
-        )
-        return cost, betti
+        betti = _amalgam_betti(lb, rb, lo, ro, GroupOrder(m), entries)
+        return cost, betti, entries
 
     if isinstance(e, AmalgamAmenable):
-        lc, lb = _eval(e.left, trace)
-        rc, rb = _eval(e.right, trace)
-        sub_betti = _betti_zero_witness(e.amalgam)
-        if sub_betti is None:
-            reason = f"amalgam subgroup {e.amalgam.describe()} carries no betti1 = 0 witness"
-            trace.append(f"rule-not-applicable {d}: {reason}")
-            return Unknown(reason), Unknown(reason)
+        sub_betti = kids[2][1] if len(kids) == 3 else Fraction(0)
+        if not (is_known(sub_betti) and sub_betti == 0):
+            reason = "amalgam subgroup {} carries no betti1 = 0 witness"
+            unknown = Unknown(reason.format(e.amalgam.describe()))
+            return unknown, unknown, [
+                ("rule-not-applicable", reason.format(_ref(e.amalgam, path, "amalgam")))]
         c_sub = 1 - recip_order(e.amalgam_order)
         if is_known(lc) and is_known(rc):
             cost = lc + rc - c_sub
-            trace.append(
-                f"amalgam-price {d}: cost {lc} + {rc} - {c_sub} = {cost} "
-                f"(declared orders {e.left_order}, {e.right_order}, {e.amalgam_order})"
-            )
+            entries.append(("amalgam-price",
+                            f"cost {lc} + {rc} - {c_sub} = {cost} "
+                            f"(declared orders {e.left_order}, {e.right_order}, {e.amalgam_order})"))
         else:
             cost = _unknown_from(lc, rc, fallback="factor cost unknown")
-        betti = _amalgam_betti(
-            e, lb, rb, e.left_order, e.right_order, e.amalgam_order, sub_betti, trace,
-        )
-        return cost, betti
+        betti = _amalgam_betti(lb, rb, e.left_order, e.right_order, e.amalgam_order, entries)
+        return cost, betti, entries
 
     if isinstance(e, Generation):
-        lc, lb = _eval(e.left, trace)
-        rc, rb = _eval(e.right, trace)
         if is_known(lc) and is_known(rc) and lc == 1 and rc == 1:
-            trace.append(
-                f"generation-price {d}: both factors have price 1; "
-                f"intersection justification: {e.justification}"
-            )
             # Gradient sandwich: the sum bound gives rg <= 0 while
             # betti1 >= 0 bounds it below, so rg = betti1 = 0.
-            trace.append(
-                f"generation-sandwich {d}: gradient upper bound 0 meets betti1 lower bound 0"
-            )
-            return Fraction(1), Fraction(0)
+            return Fraction(1), Fraction(0), [
+                ("generation-price", "both factors have price 1; "
+                                     f"intersection justification: {e.justification}"),
+                ("generation-sandwich", "gradient upper bound 0 meets betti1 lower bound 0")]
         if is_known(lc) and is_known(rc):
             reason = f"generation rule needs both factors of price 1 (got {lc} and {rc})"
         else:
             reason = _unknown_from(lc, rc, fallback="factor cost unknown").reason
-        trace.append(f"rule-not-applicable {d}: {reason}")
-        return Unknown(reason), Unknown(reason)
+        return Unknown(reason), Unknown(reason), [("rule-not-applicable", reason)]
 
     raise TypeError(f"unsupported expression node {type(e).__name__}")
 
 
-def _eval_coxeter_leaf(e: CoxeterGraph, trace: list[str]):
-    from .coxeter import HypothesisError, rg_coxeter_planar
-
-    try:
-        price, _ = rg_coxeter_planar(e.graph)
-    except HypothesisError as exc:
-        reason = f"coxeter graph outside supported class: {exc}"
-        trace.append(f"rule-not-applicable {e.describe()}: {reason}")
-        return Unknown(reason), Unknown(reason)
-    trace.append(
-        f"coxeter-planar-girth6 {e.describe()}: cost {price.cost}, betti1 {price.betti1}"
-    )
-    return price.cost, price.betti1
-
-
-def _betti_zero_witness(sub: GroupExpr) -> Fraction | None:
-    """Betti1 of an amalgamated subgroup when it demonstrably vanishes.
-
-    Accepts amenable-kind leaves, finite leaves, or any subexpression whose
-    evaluated betti1 is exactly 0.  Returns None when no witness exists.
-    """
-    if isinstance(sub, AMENABLE_LEAF_KINDS):
-        return Fraction(0)
-    side_trace: list[str] = []
-    _, b = _eval(sub, side_trace)
-    if is_known(b) and b == 0:
-        return Fraction(0)
-    return None
-
-
-def _amalgam_betti(e, lb, rb, left_order, right_order, amalgam_order, sub_betti, trace):
+def _amalgam_betti(lb, rb, left_order, right_order, amalgam_order, entries):
     """First L2-Betti number of an amalgam over a betti1 = 0 subgroup:
     betti1(left) - 1/|left| + betti1(right) - 1/|right| + 1/|subgroup|."""
-    d = e.describe()
     if _degenerate_amalgam(left_order, right_order, amalgam_order):
         reason = (
             "degenerate amalgam: declared subgroup order reaches a factor order, "
             "so the splitting formula does not apply"
         )
-        trace.append(f"rule-not-applicable {d}: {reason}")
+        entries.append(("rule-not-applicable", reason))
         return Unknown(reason)
     if not (is_known(lb) and is_known(rb)):
         return _unknown_from(lb, rb, fallback="factor betti1 unknown")
     if left_order is None or right_order is None:
         reason = "factor order undetermined"
-        trace.append(f"rule-not-applicable {d}: {reason}")
+        entries.append(("rule-not-applicable", reason))
         return Unknown(reason)
-    value = lb - recip_order(left_order) + rb - recip_order(right_order) + recip_order(amalgam_order)
-    trace.append(
-        f"amalgam-betti {d}: {lb} - {recip_order(left_order)} + {rb} - "
-        f"{recip_order(right_order)} + {recip_order(amalgam_order)} = {value}"
-    )
+    rl, rr, ra = recip_order(left_order), recip_order(right_order), recip_order(amalgam_order)
+    value = lb - rl + rb - rr + ra
+    entries.append(("amalgam-betti", f"{lb} - {rl} + {rb} - {rr} + {ra} = {value}"))
     return value

@@ -25,7 +25,7 @@ class GraphError(ValueError):
 
 
 def _valid_name(name: str) -> bool:
-    return bool(name) and all(c in NAME_CHARS for c in name)
+    return isinstance(name, str) and bool(name) and all(c in NAME_CHARS for c in name)
 
 
 class LabelledGraph:
@@ -47,10 +47,9 @@ class LabelledGraph:
             index[v] = len(index)
         labels: dict[tuple[int, int], int] = {}
         for u, v, lab in edges:
-            if u not in index:
-                raise GraphError(f"undeclared endpoint {u!r}")
-            if v not in index:
-                raise GraphError(f"undeclared endpoint {v!r}")
+            for end in (u, v):
+                if not isinstance(end, str) or end not in index:
+                    raise GraphError(f"undeclared endpoint {end!r}")
             if u == v:
                 raise GraphError(f"self-loop at {u!r}")
             if not isinstance(lab, int) or lab < 2:

@@ -6,8 +6,12 @@ Kuratowski subdivision search, k x k minor gcds)."""
 from __future__ import annotations
 
 import math
+import os
+from fractions import Fraction
 from itertools import combinations
 
+from rgcost import groupexpr as ge
+from rgcost.exprparse import ExprParseError, _Token, _tokenize
 from rgcost.fpgroup.chains import NotHomomorphism
 from rgcost.fpgroup.coset import (
     CosetTable,
@@ -25,7 +29,29 @@ from rgcost.fpgroup.presentation import (
     invert_word,
 )
 from rgcost.fpgroup.rewrite import _edge_id, _spanning_tree
-from rgcost.lgraph import LabelledGraph
+from rgcost.groupexpr import (
+    AMENABLE_LEAF_KINDS,
+    INFINITE,
+    AmalgamAmenable,
+    AmalgamFinite,
+    Amenable,
+    ArtinGraph,
+    CoxeterGraph,
+    Cyclic,
+    Free,
+    FreeAbelian,
+    Generation,
+    GroupExpr,
+    GroupOrder,
+    IntegersZ,
+    PriceResult,
+    Surface,
+    TrivialGroup,
+    Unknown,
+    is_known,
+    recip_order,
+)
+from rgcost.lgraph import GraphError, LabelledGraph, components, parse_graph
 
 
 # ---------------------------------------------------------------------------
@@ -584,3 +610,381 @@ def reference_cayley_table(pres: Presentation, images: dict[str, Perm],
     )
     table.validate(pres)
     return table
+
+
+# ---------------------------------------------------------------------------
+# the recursive expression evaluator and parser, kept verbatim (renamed) as
+# oracles for the iterative ones: they re-walk subtrees and re-print whole
+# subexpressions, so they are quadratic, and they recurse once or twice per
+# level, so keep their inputs shallow
+
+
+def reference_infer_order(e: GroupExpr) -> GroupOrder | None:
+    """Best-effort group order of an expression; None when undetermined.
+
+    Amalgams and generations are treated as infinite: an amalgam is proper
+    unless the declared subgroup order reaches a factor's order (flagged as
+    degenerate and left undetermined), and a generation node contains its
+    infinite intersection.
+    """
+    if isinstance(e, TrivialGroup):
+        return GroupOrder(1)
+    if isinstance(e, Cyclic):
+        return GroupOrder(e.n)
+    if isinstance(e, (IntegersZ, Free, FreeAbelian, Surface, ArtinGraph)):
+        return INFINITE
+    if isinstance(e, Amenable):
+        return e.order
+    if isinstance(e, CoxeterGraph):
+        from rgcost.coxeter import coxeter_order
+
+        try:
+            return coxeter_order(e.graph)
+        except GraphError:
+            return None
+    if isinstance(e, AmalgamFinite):
+        lo, ro = reference_infer_order(e.left), reference_infer_order(e.right)
+        if _reference_degenerate_amalgam(lo, ro, GroupOrder(e.amalgam_order)):
+            return None
+        return INFINITE
+    if isinstance(e, AmalgamAmenable):
+        if _reference_degenerate_amalgam(e.left_order, e.right_order, e.amalgam_order):
+            return None
+        return INFINITE
+    if isinstance(e, Generation):
+        return INFINITE
+    return None
+
+
+def _reference_degenerate_amalgam(left: GroupOrder | None, right: GroupOrder | None,
+                                  amalgam: GroupOrder) -> bool:
+    """True when the declared subgroup order reaches a factor's order, so
+    the amalgam does not properly split and the amalgam formulas may fail."""
+    if not amalgam.is_finite:
+        return False
+    for side in (left, right):
+        if side is not None and side.is_finite and amalgam.value >= side.value:
+            return True
+    return False
+
+
+def _reference_unknown_from(*values, fallback: str) -> Unknown:
+    for v in values:
+        if isinstance(v, Unknown):
+            return v
+    return Unknown(fallback)
+
+
+def reference_evaluate(e: GroupExpr) -> PriceResult:
+    """Evaluate cost, rank gradient and betti1 for an expression.
+
+    Each applied rule appends a trace entry naming the rule and subterm.
+    fixed_price is True exactly when a cost rule fired; every rule of the
+    calculus yields fixed price.
+    """
+    trace: list[str] = []
+    cost, betti = _reference_eval(e, trace)
+    rg: Fraction | Unknown
+    if is_known(cost):
+        rg = cost - 1
+    else:
+        rg = Unknown(cost.reason)
+    return PriceResult(
+        cost=cost,
+        rank_gradient=rg,
+        betti1=betti,
+        fixed_price=is_known(cost),
+        rule_trace=trace,
+    )
+
+
+def _reference_eval(e: GroupExpr, trace: list[str]) -> tuple[Fraction | Unknown, Fraction | Unknown]:
+    """Recursive evaluation returning (cost, betti1)."""
+    d = e.describe()
+
+    if isinstance(e, TrivialGroup):
+        trace.append(f"finite-price {d}: cost 0, betti1 0")
+        return Fraction(0), Fraction(0)
+
+    if isinstance(e, Cyclic):
+        c = 1 - Fraction(1, e.n)
+        trace.append(f"finite-price {d}: cost 1 - 1/{e.n} = {c}, betti1 0")
+        return c, Fraction(0)
+
+    if isinstance(e, Amenable):
+        if e.order.is_finite:
+            c = 1 - Fraction(1, e.order.value)
+            trace.append(f"finite-price {d}: cost {c}, betti1 0")
+            return c, Fraction(0)
+        trace.append(f"amenable-price {d}: cost 1, betti1 0")
+        return Fraction(1), Fraction(0)
+
+    if isinstance(e, (IntegersZ, FreeAbelian)):
+        trace.append(f"amenable-price {d}: cost 1, betti1 0")
+        return Fraction(1), Fraction(0)
+
+    if isinstance(e, Free):
+        c = Fraction(e.rank)
+        trace.append(f"free-price {d}: cost {c}, betti1 {c - 1}")
+        return c, c - 1
+
+    if isinstance(e, Surface):
+        c = Fraction(2 * e.genus - 1)
+        trace.append(f"surface-price {d}: cost {c}, betti1 {c - 1}")
+        return c, c - 1
+
+    if isinstance(e, ArtinGraph):
+        b = len(components(e.graph))
+        trace.append(
+            f"artin-components-price {d}: {b} component(s), cost {b}, betti1 {b - 1}"
+        )
+        return Fraction(b), Fraction(b - 1)
+
+    if isinstance(e, CoxeterGraph):
+        return _reference_eval_coxeter_leaf(e, trace)
+
+    if isinstance(e, AmalgamFinite):
+        lc, lb = _reference_eval(e.left, trace)
+        rc, rb = _reference_eval(e.right, trace)
+        m = e.amalgam_order
+        c_sub = 1 - Fraction(1, m)
+        if is_known(lc) and is_known(rc):
+            cost = lc + rc - c_sub
+            rg_direct = (lc - 1) + (rc - 1) + Fraction(1, m)
+            assert rg_direct == cost - 1, "amalgam gradient routes disagree"
+            trace.append(
+                f"amalgam-price {d}: cost {lc} + {rc} - {c_sub} = {cost}; "
+                f"gradient sum route {lc - 1} + {rc - 1} + 1/{m} = {rg_direct} agrees"
+            )
+        else:
+            cost = _reference_unknown_from(lc, rc, fallback="factor cost unknown")
+        betti = _reference_amalgam_betti(
+            e, lb, rb, reference_infer_order(e.left), reference_infer_order(e.right),
+            GroupOrder(m), Fraction(0), trace,
+        )
+        return cost, betti
+
+    if isinstance(e, AmalgamAmenable):
+        lc, lb = _reference_eval(e.left, trace)
+        rc, rb = _reference_eval(e.right, trace)
+        sub_betti = _reference_betti_zero_witness(e.amalgam)
+        if sub_betti is None:
+            reason = f"amalgam subgroup {e.amalgam.describe()} carries no betti1 = 0 witness"
+            trace.append(f"rule-not-applicable {d}: {reason}")
+            return Unknown(reason), Unknown(reason)
+        c_sub = 1 - recip_order(e.amalgam_order)
+        if is_known(lc) and is_known(rc):
+            cost = lc + rc - c_sub
+            trace.append(
+                f"amalgam-price {d}: cost {lc} + {rc} - {c_sub} = {cost} "
+                f"(declared orders {e.left_order}, {e.right_order}, {e.amalgam_order})"
+            )
+        else:
+            cost = _reference_unknown_from(lc, rc, fallback="factor cost unknown")
+        betti = _reference_amalgam_betti(
+            e, lb, rb, e.left_order, e.right_order, e.amalgam_order, sub_betti, trace,
+        )
+        return cost, betti
+
+    if isinstance(e, Generation):
+        lc, lb = _reference_eval(e.left, trace)
+        rc, rb = _reference_eval(e.right, trace)
+        if is_known(lc) and is_known(rc) and lc == 1 and rc == 1:
+            trace.append(
+                f"generation-price {d}: both factors have price 1; "
+                f"intersection justification: {e.justification}"
+            )
+            # Gradient sandwich: the sum bound gives rg <= 0 while
+            # betti1 >= 0 bounds it below, so rg = betti1 = 0.
+            trace.append(
+                f"generation-sandwich {d}: gradient upper bound 0 meets betti1 lower bound 0"
+            )
+            return Fraction(1), Fraction(0)
+        if is_known(lc) and is_known(rc):
+            reason = f"generation rule needs both factors of price 1 (got {lc} and {rc})"
+        else:
+            reason = _reference_unknown_from(lc, rc, fallback="factor cost unknown").reason
+        trace.append(f"rule-not-applicable {d}: {reason}")
+        return Unknown(reason), Unknown(reason)
+
+    raise TypeError(f"unsupported expression node {type(e).__name__}")
+
+
+def _reference_eval_coxeter_leaf(e: CoxeterGraph, trace: list[str]):
+    from rgcost.coxeter import HypothesisError, rg_coxeter_planar
+
+    try:
+        price, _ = rg_coxeter_planar(e.graph)
+    except HypothesisError as exc:
+        reason = f"coxeter graph outside supported class: {exc}"
+        trace.append(f"rule-not-applicable {e.describe()}: {reason}")
+        return Unknown(reason), Unknown(reason)
+    trace.append(
+        f"coxeter-planar-girth6 {e.describe()}: cost {price.cost}, betti1 {price.betti1}"
+    )
+    return price.cost, price.betti1
+
+
+def _reference_betti_zero_witness(sub: GroupExpr) -> Fraction | None:
+    """Betti1 of an amalgamated subgroup when it demonstrably vanishes.
+
+    Accepts amenable-kind leaves, finite leaves, or any subexpression whose
+    evaluated betti1 is exactly 0.  Returns None when no witness exists.
+    """
+    if isinstance(sub, AMENABLE_LEAF_KINDS):
+        return Fraction(0)
+    side_trace: list[str] = []
+    _, b = _reference_eval(sub, side_trace)
+    if is_known(b) and b == 0:
+        return Fraction(0)
+    return None
+
+
+def _reference_amalgam_betti(e, lb, rb, left_order, right_order, amalgam_order, sub_betti, trace):
+    """First L2-Betti number of an amalgam over a betti1 = 0 subgroup:
+    betti1(left) - 1/|left| + betti1(right) - 1/|right| + 1/|subgroup|."""
+    d = e.describe()
+    if _reference_degenerate_amalgam(left_order, right_order, amalgam_order):
+        reason = (
+            "degenerate amalgam: declared subgroup order reaches a factor order, "
+            "so the splitting formula does not apply"
+        )
+        trace.append(f"rule-not-applicable {d}: {reason}")
+        return Unknown(reason)
+    if not (is_known(lb) and is_known(rb)):
+        return _reference_unknown_from(lb, rb, fallback="factor betti1 unknown")
+    if left_order is None or right_order is None:
+        reason = "factor order undetermined"
+        trace.append(f"rule-not-applicable {d}: {reason}")
+        return Unknown(reason)
+    value = lb - recip_order(left_order) + rb - recip_order(right_order) + recip_order(amalgam_order)
+    trace.append(
+        f"amalgam-betti {d}: {lb} - {recip_order(left_order)} + {rb} - "
+        f"{recip_order(right_order)} + {recip_order(amalgam_order)} = {value}"
+    )
+    return value
+
+
+class _ReferenceParser:
+    def __init__(self, tokens: list[_Token], base_dir: str):
+        self.tokens = tokens
+        self.pos = 0
+        self.base_dir = base_dir
+
+    def _peek(self) -> _Token | None:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def _next(self, expect: str | None = None) -> _Token:
+        tok = self._peek()
+        if tok is None:
+            last = self.tokens[-1] if self.tokens else _Token("atom", "", 1, 1)
+            raise ExprParseError("unexpected end of input", last.line, last.col)
+        if expect is not None and tok.kind != expect:
+            raise ExprParseError(f"expected {expect}, got {tok.text!r}", tok.line, tok.col)
+        self.pos += 1
+        return tok
+
+    def parse(self) -> ge.GroupExpr:
+        expr = self._expr()
+        trailing = self._peek()
+        if trailing is not None:
+            raise ExprParseError(
+                f"trailing input {trailing.text!r}", trailing.line, trailing.col
+            )
+        return expr
+
+    def _expr(self) -> ge.GroupExpr:
+        tok = self._next()
+        if tok.kind == "atom":
+            if tok.text == "z":
+                return ge.IntegersZ()
+            if tok.text == "trivial":
+                return ge.TrivialGroup()
+            raise ExprParseError(f"unknown atom {tok.text!r}", tok.line, tok.col)
+        if tok.kind != "(":
+            raise ExprParseError(f"expected expression, got {tok.text!r}", tok.line, tok.col)
+        head = self._next("atom")
+        try:
+            expr = self._form(head)
+        except ValueError as exc:
+            if isinstance(exc, ExprParseError):
+                raise
+            raise ExprParseError(str(exc), head.line, head.col) from None
+        self._next(")")
+        return expr
+
+    def _form(self, head: _Token) -> ge.GroupExpr:
+        name = head.text
+        if name == "trivial":
+            return ge.TrivialGroup()
+        if name == "z":
+            return ge.IntegersZ()
+        if name == "cyclic":
+            return ge.Cyclic(self._int(minimum=2))
+        if name == "free":
+            return ge.Free(self._int(minimum=1))
+        if name == "free-abelian":
+            return ge.FreeAbelian(self._int(minimum=1))
+        if name == "surface":
+            return ge.Surface(self._int(minimum=2))
+        if name == "amenable":
+            tag = self._next("string").text
+            return ge.Amenable(tag, self._order())
+        if name in ("artin", "coxeter"):
+            path_tok = self._next("string")
+            path = os.path.join(self.base_dir, path_tok.text)
+            try:
+                with open(path, encoding="utf-8") as fh:
+                    graph = parse_graph(fh.read())
+            except OSError as exc:
+                raise ExprParseError(
+                    f"cannot read graph file {path_tok.text!r}: {exc}",
+                    path_tok.line, path_tok.col,
+                ) from None
+            return ge.ArtinGraph(graph) if name == "artin" else ge.CoxeterGraph(graph)
+        if name == "amalgam-finite":
+            left = self._expr()
+            right = self._expr()
+            return ge.AmalgamFinite(left, right, self._int(minimum=1))
+        if name == "amalgam-amenable":
+            left = self._expr()
+            right = self._expr()
+            sub = self._expr()
+            return ge.AmalgamAmenable(left, right, sub, self._order(), self._order(), self._order())
+        if name == "generation":
+            left = self._expr()
+            right = self._expr()
+            justification = self._next("string").text
+            return ge.Generation(left, right, justification)
+        raise ExprParseError(f"unknown construction {name!r}", head.line, head.col)
+
+    def _int(self, minimum: int) -> int:
+        tok = self._next("atom")
+        try:
+            value = int(tok.text)
+        except ValueError:
+            raise ExprParseError(f"expected integer, got {tok.text!r}", tok.line, tok.col) from None
+        if value < minimum:
+            raise ExprParseError(f"integer {value} < {minimum}", tok.line, tok.col)
+        return value
+
+    def _order(self) -> ge.GroupOrder:
+        tok = self._next("atom")
+        if tok.text == "inf":
+            return ge.INFINITE
+        try:
+            value = int(tok.text)
+        except ValueError:
+            raise ExprParseError(
+                f"expected order (integer or inf), got {tok.text!r}", tok.line, tok.col
+            ) from None
+        if value < 1:
+            raise ExprParseError(f"order {value} < 1", tok.line, tok.col)
+        return ge.GroupOrder(value)
+
+
+def reference_parse_expr(text: str, base_dir: str = ".") -> ge.GroupExpr:
+    tokens = _tokenize(text)
+    if not tokens:
+        raise ExprParseError("empty expression", 1, 1)
+    return _ReferenceParser(tokens, base_dir).parse()

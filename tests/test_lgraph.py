@@ -54,6 +54,16 @@ class TestParse:
         assert fragment in str(exc.value)
         assert exc.value.line == line
 
+    def test_non_string_vertex_name(self):
+        with pytest.raises(GraphError, match="invalid vertex name"):
+            LabelledGraph([["a"], "b"], [])
+
+    def test_non_string_endpoint(self):
+        with pytest.raises(GraphError, match="undeclared endpoint"):
+            LabelledGraph(["ab", "b"], [(["ab"], "b", 2)])
+        with pytest.raises(GraphError, match="undeclared endpoint"):
+            LabelledGraph(["ab", "b"], [("b", ("ab",), 2)])
+
     def test_empty_rejected(self):
         with pytest.raises(GraphError):
             parse_graph("# nothing\n")

@@ -1,4 +1,8 @@
+import time
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cycle_graph, path_graph
 from rgcost.fpgroup import (
@@ -25,6 +29,23 @@ class TestWords:
     def test_cyclic_reduce(self):
         assert cyclic_reduce((1, 2, 3, -1)) == (2, 3)
         assert cyclic_reduce((1, -1)) == ()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.sampled_from([1, -1, 2, -2, 3]), max_size=12),
+           st.lists(st.sampled_from([1, -1, 2, -2]), max_size=6))
+    def test_cyclic_reduce_matches_trimming_loop(self, core, conjugator):
+        word = conjugator + core + [-x for x in reversed(conjugator)]
+        # the trimming loop cyclic_reduce replaced, one copy per pair
+        w = list(free_reduce(word))
+        while len(w) >= 2 and w[0] == -w[-1]:
+            w = w[1:-1]
+        assert cyclic_reduce(word) == tuple(w)
+
+    def test_cyclic_reduce_long_conjugate(self):
+        k = 50_000
+        start = time.perf_counter()
+        assert cyclic_reduce([1] * k + [2] + [-1] * k) == (2,)
+        assert time.perf_counter() - start < 0.5
 
 
 class TestPresentation:
