@@ -1,4 +1,4 @@
-"""Coxeter groups of planar girth->=6 graphs and the amalgam class.
+"""Coxeter groups of planar girth->=6 graphs.
 
 For a planar defining graph without cycles shorter than 6 the rank
 gradient and first L2-Betti number of the Coxeter group agree and equal
@@ -229,94 +229,3 @@ def trace_from_json(text: str) -> CoxeterTrace:
     )
     return CoxeterTrace(steps=steps, terminal_correction=Fraction(doc["terminal_correction"]))
 
-
-CLASS_C_LEAVES = (
-    ge.TrivialGroup,
-    ge.Cyclic,
-    ge.IntegersZ,
-    ge.FreeAbelian,
-    ge.Free,
-    ge.Surface,
-    ge.Amenable,
-)
-
-
-def eval_class_C(e: ge.GroupExpr) -> ge.PriceResult:
-    """Evaluate an expression in the amalgamation-closed class.
-
-    The class contains the basic leaves (finite, free abelian, free,
-    surface, declared amenable) together with planar girth->=6 Coxeter
-    graphs, and is closed under amalgamation over subgroups with vanishing
-    betti1.  For these groups the rank gradient equals betti1: over a
-    finite subgroup by the amalgam gradient formula, over an infinite one
-    because the generation upper bound meets the betti1 lower bound.
-    """
-    trace: list[str] = []
-    problem = _class_c_validate(e, trace)
-    if problem is not None:
-        unknown = ge.Unknown(problem)
-        return ge.PriceResult(
-            cost=unknown,
-            rank_gradient=unknown,
-            betti1=unknown,
-            fixed_price=False,
-            rule_trace=trace + [f"rule-not-applicable: {problem}"],
-        )
-    inner = ge.evaluate(e)
-    if not ge.is_known(inner.betti1):
-        return ge.PriceResult(
-            cost=inner.betti1,
-            rank_gradient=inner.betti1,
-            betti1=inner.betti1,
-            fixed_price=False,
-            rule_trace=trace + inner.rule_trace,
-        )
-    value = inner.betti1
-    return ge.PriceResult(
-        cost=value + 1,
-        rank_gradient=value,
-        betti1=value,
-        fixed_price=True,
-        rule_trace=trace + inner.rule_trace + [CHAIN_QUALIFIER],
-    )
-
-
-def _class_c_validate(e: ge.GroupExpr, trace: list[str]) -> str | None:
-    """Check membership in the supported class; returns a reason when the
-    expression falls outside, appending sandwich notes for infinite
-    amalgam subgroups along the way."""
-    if isinstance(e, CLASS_C_LEAVES):
-        return None
-    if isinstance(e, ge.CoxeterGraph):
-        gv = girth(e.graph)
-        planar = is_planar(e.graph)
-        if gv < 6 or not planar:
-            return (
-                f"coxeter leaf outside the planar girth->=6 class "
-                f"({HypothesisError(gv, planar)})"
-            )
-        return None
-    if isinstance(e, ge.AmalgamFinite):
-        trace.append(
-            f"class-amalgam {e.describe()}: finite subgroup of order {e.amalgam_order}; "
-            f"gradient evaluated by the amalgam sum formula"
-        )
-        return (_class_c_validate(e.left, trace)
-                or _class_c_validate(e.right, trace))
-    if isinstance(e, ge.AmalgamAmenable):
-        if not (isinstance(e.amalgam, ge.AMENABLE_LEAF_KINDS)
-                or ge.evaluate(e.amalgam).betti1 == 0):
-            return f"amalgam subgroup {e.amalgam.describe()} carries no betti1 = 0 witness"
-        if not e.amalgam_order.is_finite:
-            trace.append(
-                f"class-amalgam {e.describe()}: infinite subgroup; generation upper "
-                f"bound meets the betti1 lower bound, pinching the gradient"
-            )
-        else:
-            trace.append(
-                f"class-amalgam {e.describe()}: finite subgroup; gradient evaluated "
-                f"by the amalgam sum formula"
-            )
-        return (_class_c_validate(e.left, trace)
-                or _class_c_validate(e.right, trace))
-    return f"leaf {e.describe()} outside the supported class"

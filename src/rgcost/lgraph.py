@@ -8,6 +8,7 @@ are reproducible byte for byte.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -31,7 +32,9 @@ def _valid_name(name: str) -> bool:
 class LabelledGraph:
     """Finite simple graph with ordered vertices and edge labels >= 2.
 
-    Immutable after construction; safe to share between threads.
+    Immutable after construction; safe to share between threads.  Derived
+    invariants (girth, planarity) are memoised on first use; two threads
+    may both compute one, but they store the same value.
     """
 
     def __init__(self, vertices, edges):
@@ -66,6 +69,7 @@ class LabelledGraph:
             adj[i].append(j)
             adj[j].append(i)
         self._adj = {i: tuple(sorted(ns)) for i, ns in adj.items()}
+        self._memo: dict[str, object] = {}
 
     @property
     def vertices(self) -> tuple[str, ...]:
@@ -216,69 +220,114 @@ def components(g: LabelledGraph) -> tuple[tuple[str, ...], ...]:
 def girth(g: LabelledGraph):
     """Length of a shortest cycle, or math.inf for forests.
 
-    For each edge, measures the shortest path between its endpoints in the
-    graph with that edge removed; the minimum over edges, plus one, is the
-    girth.  Exact, and cheap at the graph sizes this package handles.
+    Computed once per graph and memoised on it, so every hypothesis check
+    of one graph shares a single search.
     """
-    best = math.inf
+    memo = g._memo
+    if "girth" not in memo:
+        memo["girth"] = _shortest_cycle(g)
+    return memo["girth"]
+
+
+def _shortest_cycle(g: LabelledGraph):
+    """Shortest cycle by one breadth-first search per root (Itai & Rodeh,
+    SIAM J. Comput. 1978).
+
+    In the BFS from a root, every edge outside the BFS tree closes a walk
+    of length dist[a] + dist[b] + 1 that contains a cycle; a cycle through
+    the root of length L has an edge outside the tree whose walk is no
+    longer than L.  So the least walk bounds the girth from above, and
+    after its search the root can be deleted: the graph's girth is the
+    lesser of that walk and the girth of the rest.  Vertices of degree
+    <= 1 lie on no cycle and are deleted too, as they appear; a forest
+    vanishes without a search and gets math.inf.  Every walk of length 2d
+    is met while depth d - 1 is scanned, so scanning depth d can only find
+    lengths >= 2d + 1, and a root's search stops at the first depth with
+    2d + 1 >= the best length found so far.
+    """
     n = g.num_vertices
-    for (i, j) in g._labels:
-        # BFS from i to j avoiding edge (i, j).
-        dist = {i: 0}
-        queue = [i]
-        while queue:
+    adj = g._adj
+    deg = [len(adj[i]) for i in range(n)]
+    live = [d >= 2 for d in deg]
+
+    def delete(stack):
+        # Propagate the deletion of the vertices on the stack, already
+        # marked dead: each neighbour left with degree <= 1 dies too.
+        while stack:
+            for j in adj[stack.pop()]:
+                if live[j]:
+                    deg[j] -= 1
+                    if deg[j] < 2:
+                        live[j] = False
+                        stack.append(j)
+
+    delete([i for i in range(n) if not live[i]])
+    best = math.inf
+    for root in range(n):
+        if not live[root]:
+            continue
+        dist = {root: 0}
+        parent = {root: -1}
+        frontier = [root]
+        depth = 0
+        while frontier and 2 * depth + 1 < best:
             nxt = []
-            for a in queue:
-                for b in g._adj[a]:
-                    if (min(a, b), max(a, b)) == (i, j):
-                        continue
+            for a in frontier:
+                for b in adj[a]:
                     if b not in dist:
-                        dist[b] = dist[a] + 1
-                        nxt.append(b)
-            queue = nxt
-            if j in dist:
-                break
-        if j in dist:
-            best = min(best, dist[j] + 1)
-            if best == 3:
-                return 3
+                        if live[b]:
+                            dist[b] = depth + 1
+                            parent[b] = a
+                            nxt.append(b)
+                    elif b != parent[a] and depth + dist[b] + 1 < best:
+                        best = depth + dist[b] + 1
+                        if best == 3:
+                            return 3
+            frontier = nxt
+            depth += 1
+        live[root] = False
+        delete([root])
     return best
 
 
 def is_planar(g: LabelledGraph) -> bool:
-    """Planarity via the DFS-based left-right criterion."""
-    import networkx as nx  # deferred: costs every CLI start, needed only here
+    """Planarity via the DFS-based left-right criterion, computed once per
+    graph and memoised on it."""
+    memo = g._memo
+    if "planar" not in memo:
+        import networkx as nx  # deferred: costs every CLI start, needed only here
 
-    G = nx.Graph()
-    G.add_nodes_from(range(g.num_vertices))
-    G.add_edges_from(g._labels.keys())
-    ok, _ = nx.check_planarity(G)
-    return ok
+        G = nx.Graph()
+        G.add_nodes_from(range(g.num_vertices))
+        G.add_edges_from(g._labels.keys())
+        memo["planar"], _ = nx.check_planarity(G)
+    return memo["planar"]
 
 
 def reduction_order(g: LabelledGraph):
     """Greedy 2-degeneracy elimination.
 
     Repeatedly removes the smallest-index vertex of current degree <= 2.
-    Returns a full ReductionOrder on success; on failure returns the
-    induced subgraph in which every vertex has degree >= 3 (the witness).
+    Degrees only fall, so a vertex stays eligible once it is; the eligible
+    vertices sit in a min-heap, each pushed once, and the whole
+    elimination takes O((n + m) log n).  Returns a full ReductionOrder on
+    success; on failure returns the induced subgraph in which every vertex
+    has degree >= 3 (the witness).
     """
     n = g.num_vertices
     alive = [True] * n
     deg = [len(g._adj[i]) for i in range(n)]
+    heap = [i for i in range(n) if deg[i] <= 2]  # ascending, so a heap
     order = []
-    for _ in range(n):
-        pick = -1
-        for i in range(n):
-            if alive[i] and deg[i] <= 2:
-                pick = i
-                break
-        if pick == -1:
-            return g.induced([g.vertices[i] for i in range(n) if alive[i]])
+    while heap:
+        pick = heapq.heappop(heap)
         alive[pick] = False
         order.append(g.vertices[pick])
         for j in g._adj[pick]:
             if alive[j]:
                 deg[j] -= 1
+                if deg[j] == 2:
+                    heapq.heappush(heap, j)
+    if len(order) < n:
+        return g.induced([g.vertices[i] for i in range(n) if alive[i]])
     return ReductionOrder(tuple(order))
-

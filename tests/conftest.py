@@ -11,6 +11,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from rgcost import groupexpr as ge
+from rgcost.coxeter import CHAIN_QUALIFIER, HypothesisError
 from rgcost.exprparse import ExprParseError, _Token, _tokenize
 from rgcost.fpgroup.chains import NotHomomorphism
 from rgcost.fpgroup.coset import (
@@ -51,7 +52,15 @@ from rgcost.groupexpr import (
     is_known,
     recip_order,
 )
-from rgcost.lgraph import GraphError, LabelledGraph, components, parse_graph
+from rgcost.lgraph import (
+    GraphError,
+    LabelledGraph,
+    ReductionOrder,
+    components,
+    girth,
+    is_planar,
+    parse_graph,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +164,28 @@ def brute_girth(g: LabelledGraph):
     for start in range(n):
         extend(start, start, {start}, 0)
     return best
+
+
+def reference_reduction_order(g: LabelledGraph):
+    """Oracle: the greedy 2-degeneracy elimination by a full rescan per
+    step (quadratic): repeatedly remove the smallest-index vertex of
+    current degree <= 2; when none is left, return the induced subgraph of
+    the remaining vertices."""
+    n = g.num_vertices
+    alive = [True] * n
+    deg = [g.degree(v) for v in g.vertices]
+    order = []
+    for _ in range(n):
+        pick = next((i for i in range(n) if alive[i] and deg[i] <= 2), -1)
+        if pick == -1:
+            return g.induced([g.vertices[i] for i in range(n) if alive[i]])
+        alive[pick] = False
+        order.append(g.vertices[pick])
+        for w in g.neighbors(g.vertices[pick]):
+            j = g.vertex_index(w)
+            if alive[j]:
+                deg[j] -= 1
+    return ReductionOrder(tuple(order))
 
 
 def _simple_paths(adj, src, dst, banned, max_len):
@@ -988,3 +1019,101 @@ def reference_parse_expr(text: str, base_dir: str = ".") -> ge.GroupExpr:
     if not tokens:
         raise ExprParseError("empty expression", 1, 1)
     return _ReferenceParser(tokens, base_dir).parse()
+
+
+# ---------------------------------------------------------------------------
+# the evaluator of the amalgamation-closed class, moved out of the library
+# because no command reaches it: it recurses, prints a full describe() at
+# every amalgam and re-checks the Coxeter hypotheses at every leaf
+
+
+CLASS_C_LEAVES = (
+    ge.TrivialGroup,
+    ge.Cyclic,
+    ge.IntegersZ,
+    ge.FreeAbelian,
+    ge.Free,
+    ge.Surface,
+    ge.Amenable,
+)
+
+
+def eval_class_C(e: ge.GroupExpr) -> ge.PriceResult:
+    """Evaluate an expression in the amalgamation-closed class.
+
+    The class contains the basic leaves (finite, free abelian, free,
+    surface, declared amenable) together with planar girth->=6 Coxeter
+    graphs, and is closed under amalgamation over subgroups with vanishing
+    betti1.  For these groups the rank gradient equals betti1: over a
+    finite subgroup by the amalgam gradient formula, over an infinite one
+    because the generation upper bound meets the betti1 lower bound.
+    """
+    trace: list[str] = []
+    problem = _class_c_validate(e, trace)
+    if problem is not None:
+        unknown = ge.Unknown(problem)
+        return ge.PriceResult(
+            cost=unknown,
+            rank_gradient=unknown,
+            betti1=unknown,
+            fixed_price=False,
+            rule_trace=trace + [f"rule-not-applicable: {problem}"],
+        )
+    inner = ge.evaluate(e)
+    if not ge.is_known(inner.betti1):
+        return ge.PriceResult(
+            cost=inner.betti1,
+            rank_gradient=inner.betti1,
+            betti1=inner.betti1,
+            fixed_price=False,
+            rule_trace=trace + inner.rule_trace,
+        )
+    value = inner.betti1
+    return ge.PriceResult(
+        cost=value + 1,
+        rank_gradient=value,
+        betti1=value,
+        fixed_price=True,
+        rule_trace=trace + inner.rule_trace + [CHAIN_QUALIFIER],
+    )
+
+
+def _class_c_validate(e: ge.GroupExpr, trace: list[str]) -> str | None:
+    """Check membership in the supported class; returns a reason when the
+    expression falls outside, appending sandwich notes for infinite
+    amalgam subgroups along the way."""
+    if isinstance(e, CLASS_C_LEAVES):
+        return None
+    if isinstance(e, ge.CoxeterGraph):
+        gv = girth(e.graph)
+        planar = is_planar(e.graph)
+        if gv < 6 or not planar:
+            return (
+                f"coxeter leaf outside the planar girth->=6 class "
+                f"({HypothesisError(gv, planar)})"
+            )
+        return None
+    if isinstance(e, ge.AmalgamFinite):
+        trace.append(
+            f"class-amalgam {e.describe()}: finite subgroup of order {e.amalgam_order}; "
+            f"gradient evaluated by the amalgam sum formula"
+        )
+        return (_class_c_validate(e.left, trace)
+                or _class_c_validate(e.right, trace))
+    if isinstance(e, ge.AmalgamAmenable):
+        if not (isinstance(e.amalgam, ge.AMENABLE_LEAF_KINDS)
+                or ge.evaluate(e.amalgam).betti1 == 0):
+            return f"amalgam subgroup {e.amalgam.describe()} carries no betti1 = 0 witness"
+        if not e.amalgam_order.is_finite:
+            trace.append(
+                f"class-amalgam {e.describe()}: infinite subgroup; generation upper "
+                f"bound meets the betti1 lower bound, pinching the gradient"
+            )
+        else:
+            trace.append(
+                f"class-amalgam {e.describe()}: finite subgroup; gradient evaluated "
+                f"by the amalgam sum formula"
+            )
+        return (_class_c_validate(e.left, trace)
+                or _class_c_validate(e.right, trace))
+    return f"leaf {e.describe()} outside the supported class"

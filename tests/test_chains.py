@@ -169,6 +169,30 @@ def _power_presentation(perms):
     return Presentation(names, [(i + 1,) * _order(p) for i, p in enumerate(perms)])
 
 
+def _product_presentation(perms):
+    """The power relators plus (x y)^k for each pair of images, k the
+    order of their product, so relators mix generators."""
+    pres = _power_presentation(perms)
+    relators = list(pres.relators)
+    for i in range(len(perms)):
+        for j in range(i + 1, len(perms)):
+            product = tuple(perms[j][x] for x in perms[i])
+            relators.append((i + 1, j + 1) * _order(product))
+    return Presentation(pres.generators, relators)
+
+
+class TestValidateOracle:
+    """cayley_table proves its relators on the permutations only; every
+    table it returns must still pass the full coset-by-coset check."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(permutation_lists(6))
+    def test_random_regular_images(self, perms):
+        pres = _product_presentation(perms)
+        table = cayley_table(pres, dict(zip(pres.generators, _regular_images(perms))))
+        table.validate(pres)
+
+
 class TestAgainstReference:
     """The point-0 Schreier graph must reproduce the closure tables."""
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -498,6 +499,136 @@ class TestGoldenCertify:
         code, out = run_cli(["certify", str(path)], capsys)
         assert code == 0
         assert "valid=true assumptions=0 cost=1" in out.split("\n")
+
+
+def hex_grid_text(rows, cols):
+    """Brick-wall drawing of the honeycomb, (rows + 1) x (cols + 1)
+    vertices, labels cycling through 2..6: planar with girth 6."""
+    def name(i, j):
+        return f"v{i}_{j}"
+
+    lines = [f"vertex {name(i, j)}" for i in range(rows + 1) for j in range(cols + 1)]
+    ends = []
+    for i in range(rows + 1):
+        for j in range(cols + 1):
+            if j < cols:
+                ends.append((name(i, j), name(i, j + 1)))
+            if i < rows and (i + j) % 2 == 0:
+                ends.append((name(i, j), name(i + 1, j)))
+    lines += [f"edge {u} {v} {2 + k % 5}" for k, (u, v) in enumerate(ends)]
+    return "\n".join(lines) + "\n"
+
+
+GOLDEN_COXETER_GRAPHS = {
+    "hex.graph": hex_grid_text(6, 9),
+    "tree.graph": "".join(f"vertex t{i}\n" for i in range(7)) + "".join(
+        f"edge t{(i - 1) // 2} t{i} {2 + i % 4}\n" for i in range(1, 7)),
+    "vertex.graph": "vertex a\n",
+    "edge.graph": "vertex a\nvertex b\nedge a b 5\n",
+    "square.graph": ("vertex a\nvertex b\nvertex c\nvertex d\n"
+                     "edge a b 2\nedge b c 3\nedge c d 4\nedge d a 5\n"),
+}
+
+# Pinned `coxeter --trace` stdout and the sha256 of the trace file,
+# captured before girth and planarity were memoised on the graph and the
+# girth search went per root.
+GOLDEN_COXETER = [
+    ("hex", 0, """\
+# input hex.graph sha256=24e62d36886b0ae70c0c96feb9e8eba5264d245f38d4dccfc937a8dae8d2a412
+hypotheses: girth=6 planar=true OK
+rg=2449/120 betti1=2449/120 trace_sum=2449/120 OK
+trace: hex.trace.json (70 steps)
+""", "2008f24dd7c538cd8f303bd79a329ccf76f368019d1ab7c044d5daa02ded99ce"),
+    ("tree", 0, """\
+# input tree.graph sha256=dfb6a953153a67f34d2a3761bd77e6f8ae9c1fc9ba7b80a1290482e50ef815be
+hypotheses: girth=inf planar=true OK
+rg=47/30 betti1=47/30 trace_sum=47/30 OK
+trace: tree.trace.json (7 steps)
+""", "18f4a3f92e37f09d51f3cd7ffdd9d5b285824c346d2c3e153080d2b2b101bfce"),
+    ("vertex", 0, """\
+# input vertex.graph sha256=46583fc97562aa8c34ade5656b42d6aa8aaeb0c5dd49c980c0f57906e2032a21
+hypotheses: girth=inf planar=true OK
+rg=-1/2 betti1=0 trace_sum=-1/2 OK
+trace: vertex.trace.json (1 steps)
+""", "d90915e68d9fb2eccaa0969f9044f41ce823fcbeaeb2bd47a4a462dd7ad201a8"),
+    ("edge", 0, """\
+# input edge.graph sha256=f46520e02dc4a9e0f7d4d75ca42cd5523eb752160ecdd180025d0e1131e46d38
+hypotheses: girth=inf planar=true OK
+rg=-1/10 betti1=0 trace_sum=-1/10 OK
+trace: edge.trace.json (2 steps)
+""", "8e2c5a9a51c8b0bcb68b40414e2a9ab241f9fba92d20dd602f60a47f3b2adb28"),
+    ("square", 3, """\
+# input square.graph sha256=37115cd3303aa8bdaa04c9eb99c08e02dcb12c50c3194499eb6d3edff33e5f7f
+hypothesis failed: girth(4) < 6; nonplanar=false
+""", None),
+]
+
+
+class TestGoldenCoxeter:
+    @pytest.mark.parametrize("name,exit_code,expected,trace_sha256", GOLDEN_COXETER,
+                             ids=[c[0] for c in GOLDEN_COXETER])
+    def test_output_unchanged(self, name, exit_code, expected, trace_sha256,
+                              tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for file_name, text in GOLDEN_COXETER_GRAPHS.items():
+            (tmp_path / file_name).write_text(text)
+        command = f"coxeter {name}.graph --trace {name}.trace.json"
+        code, out = run_cli(command.split(), capsys)
+        assert code == exit_code
+        assert out == f"# rgcost --no-timestamp {command}\n{expected}"
+        trace = tmp_path / f"{name}.trace.json"
+        if trace_sha256 is None:
+            assert not trace.exists()
+        else:
+            assert hashlib.sha256(trace.read_bytes()).hexdigest() == trace_sha256
+
+
+class TestHypothesesOnce:
+    """One command computes girth and planarity once per graph: the
+    hypothesis line, the hypothesis check and the order inference all read
+    the values memoised on the graph."""
+
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        import networkx
+
+        import rgcost.lgraph as lgraph
+
+        calls = {"girth": [], "planar": []}
+        shortest_cycle, check_planarity = lgraph._shortest_cycle, networkx.check_planarity
+
+        def girth_spy(g):
+            calls["girth"].append(id(g))
+            return shortest_cycle(g)
+
+        def planar_spy(G, *args, **kwargs):
+            calls["planar"].append(G.number_of_nodes())
+            return check_planarity(G, *args, **kwargs)
+
+        monkeypatch.setattr(lgraph, "_shortest_cycle", girth_spy)
+        monkeypatch.setattr(networkx, "check_planarity", planar_spy)
+        return calls
+
+    def test_coxeter_command(self, spies, tmp_path, capsys):
+        path = tmp_path / "hex.graph"
+        path.write_text(hex_grid_text(4, 6))
+        code, out = run_cli(["coxeter", str(path), "--trace", str(tmp_path / "t.json")],
+                            capsys)
+        assert code == 0 and "hypotheses: girth=6 planar=true OK" in out
+        assert len(spies["girth"]) == 1
+        assert spies["planar"] == [35]
+
+    def test_expr_with_coxeter_leaves(self, spies, tmp_path, capsys):
+        (tmp_path / "hex.graph").write_text(hex_grid_text(4, 6))
+        (tmp_path / "edge.graph").write_text("vertex a\nvertex b\nedge a b 3\n")
+        expr = tmp_path / "e.expr"
+        expr.write_text('(amalgam-finite (coxeter "edge.graph") '
+                        '(amalgam-finite (coxeter "hex.graph") (cyclic 4) 2) 2)\n')
+        code, out = run_cli(["expr", str(expr)], capsys)
+        assert code == 0 and "coxeter-planar-girth6" in out
+        # two graphs, each searched and tested once
+        assert len(spies["girth"]) == len(set(spies["girth"])) == 2
+        assert sorted(spies["planar"]) == [2, 35]
 
 
 class TestDeterminism:

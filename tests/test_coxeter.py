@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import cycle_graph, hex_chain, path_graph, random_tree
+from conftest import cycle_graph, eval_class_C, hex_chain, path_graph, random_tree
 from rgcost.coxeter import (
     AMALGAM_DINF,
     AMALGAM_ORDER2,
@@ -13,7 +13,6 @@ from rgcost.coxeter import (
     build_trace,
     closed_form,
     coxeter_order,
-    eval_class_C,
     rg_coxeter_planar,
     trace_from_json,
     trace_to_json,

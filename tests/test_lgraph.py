@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     brute_girth,
@@ -13,6 +15,7 @@ from conftest import (
     random_connected_graph,
     random_graph,
     random_tree,
+    reference_reduction_order,
 )
 from rgcost.coxeter import build_trace
 from rgcost.lgraph import (
@@ -127,6 +130,76 @@ class TestGirth:
             assert girth(g) == brute_girth(g), g.edges()
 
 
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def graphs(draw, max_vertices=9):
+    """Any simple graph on up to max_vertices vertices."""
+    n = draw(st.integers(1, max_vertices))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    mask = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    vs = [f"v{i}" for i in range(n)]
+    return LabelledGraph(vs, [(vs[i], vs[j], 2) for (i, j), keep in zip(pairs, mask) if keep])
+
+
+@st.composite
+def forests(draw, max_vertices=30):
+    """Each vertex joins an earlier one or starts a new tree."""
+    n = draw(st.integers(1, max_vertices))
+    vs = [f"v{i}" for i in range(n)]
+    edges = []
+    for i in range(1, n):
+        parent = draw(st.integers(-1, i - 1))
+        if parent >= 0:
+            edges.append((vs[parent], vs[i], 3))
+    return LabelledGraph(vs, edges)
+
+
+@st.composite
+def planted_cycles(draw):
+    """One or two cycles of length 6..12, joined by a path when there are
+    two, with pendant trees hung anywhere, under shuffled vertex indices.
+    Returns the graph and its girth, the shortest planted length."""
+    lengths = draw(st.lists(st.integers(6, 12), min_size=1, max_size=2))
+    edges, n = [], 0
+    for length in lengths:
+        edges += [(n + k, n + (k + 1) % length) for k in range(length)]
+        n += length
+    if len(lengths) == 2:
+        bridge = draw(st.integers(0, 4))
+        ends = [draw(st.integers(0, lengths[0] - 1))] + list(range(n, n + bridge))
+        ends.append(draw(st.integers(lengths[0], n - 1)))
+        edges += list(zip(ends, ends[1:]))
+        n += bridge
+    for _ in range(draw(st.integers(0, 15))):
+        edges.append((draw(st.integers(0, n - 1)), n))
+        n += 1
+    perm = draw(st.permutations(range(n)))
+    vs = [f"v{i}" for i in range(n)]
+    return LabelledGraph(vs, [(vs[perm[a]], vs[perm[b]], 2) for a, b in edges]), min(lengths)
+
+
+class TestGirthProperties:
+    """The per-root truncated search against exhaustive cycle search."""
+
+    @PROPERTY
+    @given(graphs())
+    def test_random_graphs(self, g):
+        assert girth(g) == brute_girth(g)
+
+    @PROPERTY
+    @given(planted_cycles())
+    def test_planted_cycles_with_pendant_trees(self, planted):
+        g, length = planted
+        assert girth(g) == brute_girth(g) == length
+
+    @PROPERTY
+    @given(forests())
+    def test_forests_are_acyclic(self, g):
+        assert girth(g) == math.inf
+
+
 class TestPlanarity:
     def test_k4_planar(self):
         assert is_planar(complete_graph(4)) is True
@@ -192,6 +265,33 @@ class TestReductionOrder:
         g = complete_graph(4)
         with pytest.raises(GraphError):
             build_trace(g, ReductionOrder(tuple(g.vertices)))
+
+
+class TestReductionOrderAgainstReference:
+    """The heap elimination must give the rescanning greedy's order, or
+    the same stuck-subgraph witness."""
+
+    @PROPERTY
+    @given(graphs(max_vertices=12))
+    def test_random_graphs(self, g):
+        got, want = reduction_order(g), reference_reduction_order(g)
+        assert type(got) is type(want)
+        if isinstance(want, ReductionOrder):
+            assert got.order == want.order
+        else:
+            assert (got.vertices, got.edges()) == (want.vertices, want.edges())
+
+    @PROPERTY
+    @given(planted_cycles())
+    def test_planted_cycles(self, planted):
+        g, _ = planted
+        assert reduction_order(g) == reference_reduction_order(g)
+
+    def test_hex_grids(self):
+        rng = random.Random(29)
+        for h in (1, 4, 9):
+            g = hex_chain(h, rng)
+            assert reduction_order(g) == reference_reduction_order(g)
 
 
 class TestInducedImmutability:
