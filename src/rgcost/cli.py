@@ -2,10 +2,10 @@
 
 All reports are plain text on stdout; structured artifacts (certificates,
 traces, CSV) are written only through explicit output flags.  Exit codes:
-0 success, 2 input/parse error, 3 hypothesis failure, a `verify` row
-below the symbolic value, or an `expr` node whose values break
-betti1 - beta0 <= rank gradient, 4 certificate checker violation, 5
-enumeration limit exceeded.  With --no-timestamp the output is
+0 success, 2 input/parse error or an output file that cannot be written,
+3 hypothesis failure, a `verify` row below the symbolic value, or an
+`expr` node whose values break betti1 - beta0 <= rank gradient, 4
+certificate checker violation, 5 enumeration limit exceeded.  With --no-timestamp the output is
 byte-identical across runs for identical inputs.
 """
 
@@ -73,10 +73,32 @@ def _read_file(path: str, report: Report) -> str:
     try:
         with open(path, "rb") as fh:
             data = fh.read()
-    except OSError as exc:
+        text = data.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise GraphError(f"cannot read {path}: {exc}") from None
     report.note_input(path, data)
-    return data.decode("utf-8")
+    return text
+
+
+class _WriteError(Exception):
+    """An output file could not be written; main reports it and exits 2."""
+
+
+def _write_file(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _WriteError(f"cannot write {path}: {exc}") from None
+
+
+def _write_certificate(path: str, certificate):
+    """Write the certificate's JSON, then parse that text back and check
+    it: (the parsed certificate, the checker's result)."""
+    text = cert_mod.certificate_to_json(certificate)
+    _write_file(path, text)
+    reread = cert_mod.certificate_from_json(text)
+    return reread, cert_mod.check_certificate(reread)
 
 
 # ---------------------------------------------------------------------------
@@ -94,10 +116,7 @@ def cmd_artin(args, report: Report) -> int:
         f"betti1={price.betti1}"
     )
     if args.certify:
-        text = cert_mod.certificate_to_json(certificate)
-        with open(args.certify, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        check = cert_mod.check_certificate(cert_mod.certificate_from_json(text))
+        _, check = _write_certificate(args.certify, certificate)
         if not check.valid:
             for v in check.violations:
                 report.add(f"violation: {v}")
@@ -122,8 +141,7 @@ def cmd_coxeter(args, report: Report) -> int:
         f"rg={price.rank_gradient} betti1={price.betti1} trace_sum={trace.total()} OK"
     )
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write(cox_mod.trace_to_json(trace))
+        _write_file(args.trace, cox_mod.trace_to_json(trace))
         report.add(f"trace: {args.trace} ({len(trace.steps)} steps)")
     return EXIT_OK
 
@@ -176,11 +194,7 @@ def cmd_certify(args, report: Report) -> int:
             return EXIT_PARSE
         out_path = args.out or (name + ".cert.json")
 
-    text = cert_mod.certificate_to_json(certificate)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    reread = cert_mod.certificate_from_json(text)
-    check = cert_mod.check_certificate(reread)
+    reread, check = _write_certificate(out_path, certificate)
     report.add(f"certificate: {out_path}")
     if not check.valid:
         for v in check.violations:
@@ -236,7 +250,7 @@ def cmd_verify(args, report: Report) -> int:
         return EXIT_OK
 
     chain_flags = [f for f in (args.mod, args.abelian_kill) if f] + (
-        [str(args.low_index)] if args.low_index else [])
+        [args.low_index] if args.low_index is not None else [])
     if len(chain_flags) != 1:
         report.add("error: choose exactly one of --mod, --abelian-kill, --low-index")
         return EXIT_PARSE
@@ -280,8 +294,7 @@ def cmd_verify(args, report: Report) -> int:
     for line in csv_text.rstrip("\n").split("\n"):
         report.add(line)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
+        _write_file(args.csv, csv_text)
         report.add(f"csv: {args.csv}")
     report.add("trend: " + trend_summary(samples))
 
@@ -361,7 +374,11 @@ def main(argv=None) -> int:
         "certify": cmd_certify,
         "verify": cmd_verify,
     }[args.command]
-    code = handler(args, report)
+    try:
+        code = handler(args, report)
+    except _WriteError as exc:
+        report.add(f"error: {exc}")
+        code = EXIT_PARSE
     report.emit()
     return code
 

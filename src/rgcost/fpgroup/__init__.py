@@ -1,17 +1,17 @@
-"""Finitely presented group engine: presentations, coset enumeration,
-subgroup presentations, abelianization and gradient sampling."""
+"""Finitely presented group engine: presentations, coset tables of kernels
+and of low-index normal subgroups, subgroup presentations, abelianization
+and gradient sampling."""
 
 from .presentation import (
     Presentation,
     PresentationError,
     artin_presentation,
-    coxeter_presentation,
     cyclic_reduce,
     free_reduce,
     invert_word,
     parse_presentation,
 )
-from .coset import CosetTable, EnumerationLimit, todd_coxeter
+from .coset import CosetTable, EnumerationLimit
 from .lowindex import low_index_normal
 from .rewrite import (
     AbelianInvariants,
@@ -52,7 +52,6 @@ __all__ = [
     "braid_presentation",
     "builtin_presentation",
     "cayley_table",
-    "coxeter_presentation",
     "cyclic_reduce",
     "d_bounds",
     "free_reduce",
@@ -69,6 +68,5 @@ __all__ = [
     "sl2z_images",
     "smith_normal_form",
     "tietze_simplify",
-    "todd_coxeter",
     "trend_summary",
 ]

@@ -87,7 +87,7 @@ def cayley_table(pres: Presentation, images: dict[str, Perm],
     if set(images) != set(pres.generators):
         raise ValueError("images must cover exactly the presentation's generators")
     if not pres.generators:
-        return CosetTable(generators=(), rows=((),), subgroup_words=())
+        return CosetTable(generators=(), rows=((),))
     degree = len(next(iter(images.values())))
     gen_perms = [_check_perm(images[name], degree) for name in pres.generators]
     identity = tuple(range(degree))
@@ -112,7 +112,7 @@ def cayley_table(pres: Presentation, images: dict[str, Perm],
                          "table is not the kernel's")
     # Relators were proved on the permutations above and inverse columns
     # hold by construction, so CosetTable.validate would only repeat them.
-    return CosetTable(generators=pres.generators, rows=rows, subgroup_words=())
+    return CosetTable(generators=pres.generators, rows=rows)
 
 
 def kernel_chain_cayley(pres: Presentation, image_levels,

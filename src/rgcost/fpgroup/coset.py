@@ -1,23 +1,21 @@
-"""Todd-Coxeter coset enumeration, relator-based (HLT) with lookahead.
+"""Complete coset tables and their canonical form.
 
-The scan/define/coincidence machinery follows the classical description in
-Holt, Eick, O'Brien, "Handbook of Computational Group Theory", ch. 5.
-Enumeration is deterministic: cosets are processed in increasing order,
-relators in declaration order, and the finished table is standardized by
-breadth-first renumbering from the subgroup coset, so equal inputs always
-produce byte-identical tables.
+A table has one row per coset and columns alternating generator /
+inverse; coset 0 is the subgroup itself.  Tables are standardized by
+breadth-first renumbering from coset 0, so equal subgroups always give
+byte-identical tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .presentation import Presentation, Word, free_reduce
+from .presentation import Presentation
 
 
 class EnumerationLimit(RuntimeError):
-    """The live-coset limit was reached; explicitly inconclusive (this is
-    never a proof that the index is infinite)."""
+    """A coset limit was reached; explicitly inconclusive (this is never a
+    proof that the index is infinite)."""
 
     def __init__(self, live: int, limit: int, what: str = "live cosets"):
         super().__init__(f"coset limit exceeded: {live} {what} (limit {limit})")
@@ -44,29 +42,19 @@ class CosetTable:
 
     generators: tuple[str, ...]
     rows: tuple[tuple[int, ...], ...]
-    subgroup_words: tuple[Word, ...] = ()
 
     @property
     def index(self) -> int:
         return len(self.rows)
-
-    def act(self, coset: int, letter: int) -> int:
-        return self.rows[coset][letter_to_col(letter)]
 
     def trace(self, coset: int, word) -> int:
         for x in word:
             coset = self.rows[coset][letter_to_col(x)]
         return coset
 
-    def perm(self, gen: int) -> tuple[int, ...]:
-        """Permutation of cosets induced by the 1-based generator."""
-        col = letter_to_col(gen)
-        return tuple(row[col] for row in self.rows)
-
     def validate(self, pres: Presentation) -> None:
-        """Assert completeness, inverse consistency, transitivity, that all
-        relators trace to the identity everywhere, and that the subgroup
-        words fix the subgroup coset."""
+        """Assert completeness, inverse consistency, transitivity, and that
+        all relators trace to the identity everywhere."""
         n = len(self.rows)
         ncols = 2 * len(self.generators)
         for i, row in enumerate(self.rows):
@@ -94,9 +82,6 @@ class CosetTable:
                     raise ValueError(
                         f"relator {pres.word_to_text(rel)} does not fix coset {a}"
                     )
-        for w in self.subgroup_words:
-            if self.trace(0, w) != 0:
-                raise ValueError("subgroup generator word moves the subgroup coset")
 
 
 def standardize_rows(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
@@ -122,191 +107,3 @@ def standardize_rows(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
         for col in range(ncols):
             out[new_of_old[a]][col] = new_of_old[rows[a][col]]
     return tuple(tuple(r) for r in out)
-
-
-class _LimitHit(Exception):
-    pass
-
-
-class _Enumerator:
-    def __init__(self, pres: Presentation, subgroup_cols, coset_limit: int):
-        self.pres = pres
-        self.ncols = 2 * pres.num_generators
-        self.relator_cols = [word_to_cols(r) for r in pres.relators]
-        self.subgroup_cols = list(subgroup_cols)
-        self.limit = coset_limit
-        self.table: list[list[int | None]] = [[None] * self.ncols]
-        self.p = [0]
-        self.live = 1
-
-    # -- union-find ---------------------------------------------------
-
-    def rep(self, k: int) -> int:
-        l = k
-        p = self.p
-        while p[l] != l:
-            l = p[l]
-        while k != l:
-            p[k], k = l, p[k]
-        return l
-
-    def _merge(self, k: int, l: int, queue: list[int]) -> None:
-        k, l = self.rep(k), self.rep(l)
-        if k != l:
-            mu, nu = min(k, l), max(k, l)
-            self.p[nu] = mu
-            self.live -= 1
-            queue.append(nu)
-
-    def coincidence(self, a: int, b: int) -> None:
-        queue: list[int] = []
-        self._merge(a, b, queue)
-        i = 0
-        while i < len(queue):
-            gamma = queue[i]
-            i += 1
-            for col in range(self.ncols):
-                delta = self.table[gamma][col]
-                if delta is None:
-                    continue
-                self.table[delta][inv_col(col)] = None
-                mu, nu = self.rep(gamma), self.rep(delta)
-                if self.table[mu][col] is not None:
-                    self._merge(nu, self.table[mu][col], queue)
-                elif self.table[nu][inv_col(col)] is not None:
-                    self._merge(mu, self.table[nu][inv_col(col)], queue)
-                else:
-                    self.table[mu][col] = nu
-                    self.table[nu][inv_col(col)] = mu
-
-    # -- definitions and scanning --------------------------------------
-
-    def define(self, alpha: int, col: int) -> None:
-        if self.live >= self.limit:
-            raise _LimitHit
-        beta = len(self.table)
-        self.table.append([None] * self.ncols)
-        self.p.append(beta)
-        self.live += 1
-        self.table[alpha][col] = beta
-        self.table[beta][inv_col(col)] = alpha
-
-    def scan(self, alpha: int, cols, fill: bool) -> None:
-        table = self.table
-        f, i = alpha, 0
-        b, j = alpha, len(cols) - 1
-        while True:
-            while i <= j and table[f][cols[i]] is not None:
-                f = table[f][cols[i]]
-                i += 1
-            if i > j:
-                if f != b:
-                    self.coincidence(f, b)
-                return
-            while j >= i and table[b][inv_col(cols[j])] is not None:
-                b = table[b][inv_col(cols[j])]
-                j -= 1
-            if j < i:
-                self.coincidence(f, b)
-                return
-            if j == i:
-                # deduction closing the gap
-                table[f][cols[i]] = b
-                table[b][inv_col(cols[i])] = f
-                return
-            if not fill:
-                return
-            self.define(f, cols[i])
-
-    def lookahead(self) -> None:
-        for alpha in range(len(self.table)):
-            if self.p[alpha] != alpha:
-                continue
-            for cols in self.relator_cols:
-                if self.p[alpha] != alpha:
-                    break
-                self.scan(alpha, cols, fill=False)
-
-    # -- main loop ------------------------------------------------------
-
-    def run(self) -> list[list[int]]:
-        for cols in self.subgroup_cols:
-            self._guarded(0, cols)
-        alpha = 0
-        while alpha < len(self.table):
-            if self.p[alpha] != alpha:
-                alpha += 1
-                continue
-            try:
-                for cols in self.relator_cols:
-                    if self.p[alpha] != alpha:
-                        break
-                    self.scan(alpha, cols, fill=True)
-                if self.p[alpha] == alpha:
-                    for col in range(self.ncols):
-                        if self.table[alpha][col] is None:
-                            self.define(alpha, col)
-                alpha += 1
-            except _LimitHit:
-                before = self.live
-                self.lookahead()
-                if self.live >= self.limit or self.live >= before:
-                    raise EnumerationLimit(self.live, self.limit) from None
-                # retry the same coset after the lookahead freed space
-        return self._compressed()
-
-    def _guarded(self, alpha: int, cols) -> None:
-        while True:
-            try:
-                self.scan(alpha, cols, fill=True)
-                return
-            except _LimitHit:
-                before = self.live
-                self.lookahead()
-                if self.live >= self.limit or self.live >= before:
-                    raise EnumerationLimit(self.live, self.limit) from None
-
-    def _compressed(self) -> list[list[int]]:
-        live = [k for k in range(len(self.table)) if self.p[k] == k]
-        new_of_old = {old: new for new, old in enumerate(live)}
-        rows = []
-        for old in live:
-            row = []
-            for col in range(self.ncols):
-                entry = self.table[old][col]
-                if entry is None:
-                    raise RuntimeError("internal error: incomplete table after enumeration")
-                row.append(new_of_old[self.rep(entry)])
-            rows.append(row)
-        return rows
-
-
-def todd_coxeter(pres: Presentation, subgroup=(), coset_limit: int = 100_000) -> CosetTable:
-    """Enumerate the cosets of the subgroup generated by the given words.
-
-    Returns the standardized complete table, or raises EnumerationLimit
-    (inconclusive) when more than coset_limit live cosets would be needed.
-    Subgroup generators may be words (tuples of signed indices) or strings
-    in the presentation's token format.
-    """
-    if coset_limit < 1:
-        raise ValueError("coset_limit must be >= 1")
-    words = []
-    for w in subgroup:
-        if isinstance(w, str):
-            w = pres.word_from_text(w)
-        else:
-            w = free_reduce(w)
-        for x in w:
-            if not 1 <= abs(x) <= pres.num_generators:
-                raise ValueError(f"subgroup word letter {x} out of range")
-        words.append(w)
-    enum = _Enumerator(pres, [word_to_cols(w) for w in words], coset_limit)
-    rows = enum.run()
-    table = CosetTable(
-        generators=pres.generators,
-        rows=standardize_rows(rows),
-        subgroup_words=tuple(words),
-    )
-    table.validate(pres)
-    return table

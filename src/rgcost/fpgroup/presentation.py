@@ -158,13 +158,3 @@ def artin_presentation(g: LabelledGraph) -> Presentation:
         a, b = index[u], index[v]
         relators.append(_alternating(a, b, lab) + [-x for x in reversed(_alternating(b, a, lab))])
     return Presentation(g.vertices, relators)
-
-
-def coxeter_presentation(g: LabelledGraph) -> Presentation:
-    """Artin presentation plus squared generators; with the involutions the
-    edge relators take the form (a_u a_v)^label."""
-    index = {v: i + 1 for i, v in enumerate(g.vertices)}
-    relators = [[index[v], index[v]] for v in g.vertices]
-    for u, v, lab in g.edges():
-        relators.append(_alternating(index[u], index[v], 2 * lab))
-    return Presentation(g.vertices, relators)

@@ -13,7 +13,7 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass
 
-from .coset import CosetTable, inv_col, letter_to_col
+from .coset import CosetTable, inv_col, word_to_cols
 from .presentation import Presentation, Word, cyclic_reduce, free_reduce, invert_word
 from .snf import smith_normal_form
 
@@ -61,78 +61,52 @@ def abelian_invariants(pres: Presentation) -> AbelianInvariants:
 # Reidemeister-Schreier
 
 
-def _spanning_tree(table: CosetTable, policy: str) -> set[tuple[int, int]]:
-    """Breadth-first spanning tree of the coset graph, as a set of edge ids.
-
-    An edge id is (coset, generator-column) in the positive direction.  The
-    policy picks the column preference order; any policy yields a Schreier
-    (prefix-closed) transversal because the search stays breadth-first.
-    """
-    ncols = 2 * len(table.generators)
-    if policy == "forward":
-        col_order = list(range(ncols))
-    elif policy == "reverse":
-        col_order = list(range(ncols - 1, -1, -1))
-    else:
-        raise ValueError(f"unknown spanning tree policy {policy!r}")
-    tree: set[tuple[int, int]] = set()
-    seen = {0}
-    queue = [0]
-    while queue:
-        nxt = []
-        for a in queue:
-            for col in col_order:
-                b = table.rows[a][col]
-                if b not in seen:
-                    seen.add(b)
-                    tree.add(_edge_id(table, a, col))
-                    nxt.append(b)
-        queue = nxt
-    return tree
-
-
-def _edge_id(table: CosetTable, coset: int, col: int) -> tuple[int, int]:
-    if col % 2 == 0:
-        return (coset, col)
-    return (table.rows[coset][col], inv_col(col))
-
-
 def _root_length(word: Word) -> int:
     """Length of the primitive root w of a nonempty word w^j."""
     n = len(word)
     return next(p for p in range(1, n + 1) if n % p == 0 and word[p:] == word[:n - p])
 
 
-def reidemeister_schreier(pres: Presentation, table: CosetTable,
-                          policy: str = "forward") -> Presentation:
+def reidemeister_schreier(pres: Presentation, table: CosetTable) -> Presentation:
     """Presentation of the subgroup a complete coset table describes.
 
-    Generators: one per non-tree edge of the coset graph, named s1, s2,...
-    in (coset, generator) order.  Relators: each relator of the ambient
-    presentation rewritten from each coset, freely reduced, nonempty, in
-    (coset, relator) order.  A proper power r = w^j (w its primitive root)
-    is rewritten only from the smallest coset of each orbit under w: its
-    rewrite from c.w is a rotation of its rewrite from c, a conjugate that
-    Tietze simplification would drop as a later duplicate, so the subgroup
-    and the simplified presentation are unchanged.
+    One breadth-first pass from coset 0, columns in order, labels every
+    table entry: 0 on the edges of the spanning tree it grows, +k on the
+    k-th Schreier generator's edge and -k on its inverse entry.  Generators
+    s1, s2,... are numbered in the order the pass meets them, which is
+    (coset, generator) order on a standardized table.  Relators: each
+    relator of the ambient presentation rewritten from each coset, freely
+    reduced, nonempty, in (coset, relator) order.  A proper power r = w^j
+    (w its primitive root) is rewritten only from the smallest coset of
+    each orbit under w: its rewrite from c.w is a rotation of its rewrite
+    from c, a conjugate that Tietze simplification would drop as a later
+    duplicate, so the subgroup and the simplified presentation are
+    unchanged.
     """
-    tree = _spanning_tree(table, policy)
-    gen_index: dict[tuple[int, int], int] = {}
-    for coset in range(table.index):
-        for g in range(len(table.generators)):
-            eid = (coset, 2 * g)
-            if eid not in tree:
-                gen_index[eid] = len(gen_index) + 1
+    rows = table.rows
+    labels = [[None] * len(row) for row in rows]
+    seen = [False] * table.index
+    seen[0] = True
+    order = [0]
+    count = 0
+    for a in order:
+        for col, b in enumerate(rows[a]):
+            if not seen[b]:
+                seen[b] = True
+                order.append(b)
+                labels[a][col] = labels[b][inv_col(col)] = 0
+            elif col % 2 == 0 and labels[a][col] is None:
+                count += 1
+                labels[a][col], labels[b][inv_col(col)] = count, -count
 
-    def rewrite(start: int, word) -> Word:
+    def rewrite(start: int, cols) -> Word:
         out = []
         coset = start
-        for x in word:
-            col = letter_to_col(x)
-            eid = _edge_id(table, coset, col)
-            if eid not in tree:
-                out.append(gen_index[eid] if col % 2 == 0 else -gen_index[eid])
-            coset = table.rows[coset][col]
+        for col in cols:
+            k = labels[coset][col]
+            if k:
+                out.append(k)
+            coset = rows[coset][col]
         return free_reduce(out)
 
     # firsts[k][c]: coset c is the smallest of its orbit under the root of
@@ -150,14 +124,15 @@ def reidemeister_schreier(pres: Presentation, table: CosetTable,
                         d = table.trace(d, root)
         firsts.append(first)
 
+    relator_cols = [word_to_cols(rel) for rel in pres.relators]
     relators = []
     for coset in range(table.index):
-        for rel, first in zip(pres.relators, firsts):
+        for cols, first in zip(relator_cols, firsts):
             if first[coset]:
-                w = rewrite(coset, rel)
+                w = rewrite(coset, cols)
                 if w:
                     relators.append(w)
-    names = tuple(f"s{i}" for i in range(1, len(gen_index) + 1))
+    names = tuple(f"s{i}" for i in range(1, count + 1))
     return Presentation(names, relators)
 
 

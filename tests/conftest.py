@@ -25,11 +25,11 @@ from rgcost.fpgroup.coset import (
 from rgcost.fpgroup.presentation import (
     Presentation,
     Word,
+    _alternating,
     cyclic_reduce,
     free_reduce,
     invert_word,
 )
-from rgcost.fpgroup.rewrite import _edge_id, _spanning_tree
 from rgcost.groupexpr import (
     AMENABLE_LEAF_KINDS,
     INFINITE,
@@ -306,34 +306,281 @@ def brute_sl2_order(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Todd-Coxeter coset enumeration, relator-based (HLT) with lookahead, and
+# Coxeter presentations: no command reaches them, so they live here as
+# oracles that build the subgroup tables the tests need.
+#
+# The scan/define/coincidence machinery follows the classical description
+# in Holt, Eick, O'Brien, "Handbook of Computational Group Theory", ch. 5.
+# Enumeration is deterministic: cosets are processed in increasing order,
+# relators in declaration order, and the finished table is standardized by
+# breadth-first renumbering from the subgroup coset, so equal inputs always
+# produce byte-identical tables.
+
+
+def coxeter_presentation(g: LabelledGraph) -> Presentation:
+    """Artin presentation plus squared generators; with the involutions the
+    edge relators take the form (a_u a_v)^label."""
+    index = {v: i + 1 for i, v in enumerate(g.vertices)}
+    relators = [[index[v], index[v]] for v in g.vertices]
+    for u, v, lab in g.edges():
+        relators.append(_alternating(index[u], index[v], 2 * lab))
+    return Presentation(g.vertices, relators)
+
+
+class _LimitHit(Exception):
+    pass
+
+
+class _Enumerator:
+    def __init__(self, pres: Presentation, subgroup_cols, coset_limit: int):
+        self.pres = pres
+        self.ncols = 2 * pres.num_generators
+        self.relator_cols = [word_to_cols(r) for r in pres.relators]
+        self.subgroup_cols = list(subgroup_cols)
+        self.limit = coset_limit
+        self.table: list[list[int | None]] = [[None] * self.ncols]
+        self.p = [0]
+        self.live = 1
+
+    # -- union-find ---------------------------------------------------
+
+    def rep(self, k: int) -> int:
+        l = k
+        p = self.p
+        while p[l] != l:
+            l = p[l]
+        while k != l:
+            p[k], k = l, p[k]
+        return l
+
+    def _merge(self, k: int, l: int, queue: list[int]) -> None:
+        k, l = self.rep(k), self.rep(l)
+        if k != l:
+            mu, nu = min(k, l), max(k, l)
+            self.p[nu] = mu
+            self.live -= 1
+            queue.append(nu)
+
+    def coincidence(self, a: int, b: int) -> None:
+        queue: list[int] = []
+        self._merge(a, b, queue)
+        i = 0
+        while i < len(queue):
+            gamma = queue[i]
+            i += 1
+            for col in range(self.ncols):
+                delta = self.table[gamma][col]
+                if delta is None:
+                    continue
+                self.table[delta][inv_col(col)] = None
+                mu, nu = self.rep(gamma), self.rep(delta)
+                if self.table[mu][col] is not None:
+                    self._merge(nu, self.table[mu][col], queue)
+                elif self.table[nu][inv_col(col)] is not None:
+                    self._merge(mu, self.table[nu][inv_col(col)], queue)
+                else:
+                    self.table[mu][col] = nu
+                    self.table[nu][inv_col(col)] = mu
+
+    # -- definitions and scanning --------------------------------------
+
+    def define(self, alpha: int, col: int) -> None:
+        if self.live >= self.limit:
+            raise _LimitHit
+        beta = len(self.table)
+        self.table.append([None] * self.ncols)
+        self.p.append(beta)
+        self.live += 1
+        self.table[alpha][col] = beta
+        self.table[beta][inv_col(col)] = alpha
+
+    def scan(self, alpha: int, cols, fill: bool) -> None:
+        table = self.table
+        f, i = alpha, 0
+        b, j = alpha, len(cols) - 1
+        while True:
+            while i <= j and table[f][cols[i]] is not None:
+                f = table[f][cols[i]]
+                i += 1
+            if i > j:
+                if f != b:
+                    self.coincidence(f, b)
+                return
+            while j >= i and table[b][inv_col(cols[j])] is not None:
+                b = table[b][inv_col(cols[j])]
+                j -= 1
+            if j < i:
+                self.coincidence(f, b)
+                return
+            if j == i:
+                # deduction closing the gap
+                table[f][cols[i]] = b
+                table[b][inv_col(cols[i])] = f
+                return
+            if not fill:
+                return
+            self.define(f, cols[i])
+
+    def lookahead(self) -> None:
+        for alpha in range(len(self.table)):
+            if self.p[alpha] != alpha:
+                continue
+            for cols in self.relator_cols:
+                if self.p[alpha] != alpha:
+                    break
+                self.scan(alpha, cols, fill=False)
+
+    # -- main loop ------------------------------------------------------
+
+    def run(self) -> list[list[int]]:
+        for cols in self.subgroup_cols:
+            self._guarded(0, cols)
+        alpha = 0
+        while alpha < len(self.table):
+            if self.p[alpha] != alpha:
+                alpha += 1
+                continue
+            try:
+                for cols in self.relator_cols:
+                    if self.p[alpha] != alpha:
+                        break
+                    self.scan(alpha, cols, fill=True)
+                if self.p[alpha] == alpha:
+                    for col in range(self.ncols):
+                        if self.table[alpha][col] is None:
+                            self.define(alpha, col)
+                alpha += 1
+            except _LimitHit:
+                before = self.live
+                self.lookahead()
+                if self.live >= self.limit or self.live >= before:
+                    raise EnumerationLimit(self.live, self.limit) from None
+                # retry the same coset after the lookahead freed space
+        return self._compressed()
+
+    def _guarded(self, alpha: int, cols) -> None:
+        while True:
+            try:
+                self.scan(alpha, cols, fill=True)
+                return
+            except _LimitHit:
+                before = self.live
+                self.lookahead()
+                if self.live >= self.limit or self.live >= before:
+                    raise EnumerationLimit(self.live, self.limit) from None
+
+    def _compressed(self) -> list[list[int]]:
+        live = [k for k in range(len(self.table)) if self.p[k] == k]
+        new_of_old = {old: new for new, old in enumerate(live)}
+        rows = []
+        for old in live:
+            row = []
+            for col in range(self.ncols):
+                entry = self.table[old][col]
+                if entry is None:
+                    raise RuntimeError("internal error: incomplete table after enumeration")
+                row.append(new_of_old[self.rep(entry)])
+            rows.append(row)
+        return rows
+
+
+def todd_coxeter(pres: Presentation, subgroup=(), coset_limit: int = 100_000) -> CosetTable:
+    """Enumerate the cosets of the subgroup generated by the given words.
+
+    Returns the standardized complete table, or raises EnumerationLimit
+    (inconclusive) when more than coset_limit live cosets would be needed.
+    Subgroup generators may be words (tuples of signed indices) or strings
+    in the presentation's token format.
+    """
+    if coset_limit < 1:
+        raise ValueError("coset_limit must be >= 1")
+    words = []
+    for w in subgroup:
+        if isinstance(w, str):
+            w = pres.word_from_text(w)
+        else:
+            w = free_reduce(w)
+        for x in w:
+            if not 1 <= abs(x) <= pres.num_generators:
+                raise ValueError(f"subgroup word letter {x} out of range")
+        words.append(w)
+    enum = _Enumerator(pres, [word_to_cols(w) for w in words], coset_limit)
+    rows = enum.run()
+    table = CosetTable(generators=pres.generators, rows=standardize_rows(rows))
+    table.validate(pres)
+    for w in words:
+        if table.trace(0, w) != 0:
+            raise ValueError("subgroup generator word moves the subgroup coset")
+    return table
+
+
+# ---------------------------------------------------------------------------
 # reference Reidemeister-Schreier
 
 
-# The original rewrite: every relator from every coset, proper powers
-# included.  The library drops the rewrites of a proper power that are
-# rotations of an earlier one; Tietze must not see the difference.
+def _edge_of(table: CosetTable, coset: int, col: int) -> tuple[int, int]:
+    """An entry's edge, named by its (source coset, generator column)."""
+    if col % 2 == 0:
+        return (coset, col)
+    return (table.rows[coset][col], col - 1)
+
+
+def reference_tree(table: CosetTable, reverse: bool = False):
+    """Breadth-first spanning tree from coset 0, the columns in forward or
+    reverse order: (tree edges, transversal words u_c, non-tree edges in
+    (coset, generator) order)."""
+    ncols = 2 * len(table.generators)
+    col_order = range(ncols - 1, -1, -1) if reverse else range(ncols)
+    tree: set[tuple[int, int]] = set()
+    transversal: dict[int, Word] = {0: ()}
+    level = [0]
+    while level:
+        below = []
+        for a in level:
+            for col in col_order:
+                b = table.rows[a][col]
+                if b not in transversal:
+                    letter = col // 2 + 1 if col % 2 == 0 else -(col // 2 + 1)
+                    transversal[b] = transversal[a] + (letter,)
+                    tree.add(_edge_of(table, a, col))
+                    below.append(b)
+        level = below
+    edges = [(c, col) for c in range(table.index) for col in range(0, ncols, 2)
+             if (c, col) not in tree]
+    return tree, [transversal[c] for c in range(table.index)], edges
+
+
+def schreier_words(table: CosetTable) -> list[Word]:
+    """The word u_a g u_b^-1 in the ambient generators for each non-tree
+    edge a -g-> b of the forward tree, in generator order."""
+    _, transversal, edges = reference_tree(table)
+    return [free_reduce(transversal[c] + (col // 2 + 1,)
+                        + invert_word(transversal[table.rows[c][col]]))
+            for c, col in edges]
+
+
+# Every relator from every coset, proper powers included.  The library
+# drops the rewrites of a proper power that are rotations of an earlier
+# one; Tietze must not see the difference.
 def reference_reidemeister_schreier(pres: Presentation, table: CosetTable,
-                                    policy: str = "forward") -> Presentation:
-    """Presentation of the subgroup a complete coset table describes.
+                                    reverse: bool = False) -> Presentation:
+    """Presentation of the subgroup a complete coset table describes, over
+    reference_tree(table, reverse).
 
     Generators: one per non-tree edge of the coset graph, named s1, s2,...
     in (coset, generator) order.  Relators: every relator of the ambient
     presentation rewritten from every coset, freely reduced, nonempty.
     """
-    tree = _spanning_tree(table, policy)
-    gen_index: dict[tuple[int, int], int] = {}
-    for coset in range(table.index):
-        for g in range(len(table.generators)):
-            eid = (coset, 2 * g)
-            if eid not in tree:
-                gen_index[eid] = len(gen_index) + 1
+    tree, _, edges = reference_tree(table, reverse)
+    gen_index = {edge: k for k, edge in enumerate(edges, start=1)}
 
     def rewrite(start: int, word) -> Word:
         out = []
         coset = start
         for x in word:
             col = letter_to_col(x)
-            eid = _edge_id(table, coset, col)
+            eid = _edge_of(table, coset, col)
             if eid not in tree:
                 out.append(gen_index[eid] if col % 2 == 0 else -gen_index[eid])
             coset = table.rows[coset][col]
@@ -345,7 +592,7 @@ def reference_reidemeister_schreier(pres: Presentation, table: CosetTable,
             w = rewrite(coset, rel)
             if w:
                 relators.append(w)
-    names = tuple(f"s{i}" for i in range(1, len(gen_index) + 1))
+    names = tuple(f"s{i}" for i in range(1, len(edges) + 1))
     return Presentation(names, relators)
 
 
@@ -483,8 +730,7 @@ def reference_low_index_normal(pres: Presentation, max_index: int) -> list[Coset
         if hole is None:
             rows = standardize_rows([list(r) for r in table])
             if rows not in complete:
-                complete[rows] = CosetTable(
-                    generators=pres.generators, rows=rows, subgroup_words=())
+                complete[rows] = CosetTable(generators=pres.generators, rows=rows)
             return
         alpha, col = hole
         candidates = [b for b in range(len(table)) if table[b][inv_col(col)] is None]
@@ -544,7 +790,7 @@ def _is_regular(table: CosetTable) -> bool:
     """True when the permutation group generated by the generator columns
     has order exactly the index (closure capped just above it)."""
     k = table.index
-    gens = [table.perm(g + 1) for g in range(len(table.generators))]
+    gens = [tuple(row[2 * g] for row in table.rows) for g in range(len(table.generators))]
     identity = tuple(range(k))
     seen = {identity}
     frontier = [identity]
@@ -602,7 +848,7 @@ def reference_cayley_table(pres: Presentation, images: dict[str, Perm],
     if set(images) != set(pres.generators):
         raise ValueError("images must cover exactly the presentation's generators")
     if not pres.generators:
-        return CosetTable(generators=(), rows=((),), subgroup_words=())
+        return CosetTable(generators=(), rows=((),))
     degree = len(next(iter(images.values())))
     gen_perms = [_check_perm(images[name], degree) for name in pres.generators]
     identity = tuple(range(degree))
@@ -634,11 +880,7 @@ def reference_cayley_table(pres: Presentation, images: dict[str, Perm],
         rows.append(row)
         i += 1
 
-    table = CosetTable(
-        generators=pres.generators,
-        rows=standardize_rows(rows),
-        subgroup_words=(),
-    )
+    table = CosetTable(generators=pres.generators, rows=standardize_rows(rows))
     table.validate(pres)
     return table
 

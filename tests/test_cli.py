@@ -200,6 +200,11 @@ class TestVerifyCommand:
         code, out = run_cli(["verify", "SL2Z", "--mod", "3", "--low-index", "2"], capsys)
         assert code == 2
 
+    def test_low_index_zero_is_a_given_flag(self, capsys):
+        code, out = run_cli(["verify", "braid3", "--low-index", "0"], capsys)
+        assert code == 2
+        assert "error: max_index must be >= 1" in out.split("\n")
+
     @pytest.mark.parametrize("args", [["SL2Z", "--mod", "5,3"],
                                       ["braid3", "--abelian-kill", "3,2"]])
     def test_decreasing_chain_exits_2(self, args):
@@ -265,6 +270,37 @@ class TestVerifyCommand:
         assert lines[0] == "index,d_lower,d_upper,r_lower,r_upper"
         index, dl, du, rl, ru = lines[1].split(",")
         assert Fraction(rl) == Fraction(1, 12) and Fraction(ru) == Fraction(1, 12)
+
+
+class TestFileErrors:
+    """Unreadable input and unwritable output are input errors (exit 2),
+    never tracebacks."""
+
+    @pytest.mark.parametrize("command", [["artin"], ["coxeter"], ["certify"],
+                                         ["verify", "--low-index", "2"]],
+                             ids=["artin", "coxeter", "certify", "verify"])
+    def test_non_utf8_input_exits_2(self, command, tmp_path, capsys):
+        path = tmp_path / "bad.graph"
+        path.write_bytes(b"vertex a\nvertex \xff\n")
+        code, out = run_cli([command[0], str(path), *command[1:]], capsys)
+        assert code == 2
+        assert f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff" in out
+
+    @pytest.mark.parametrize("command,flag", [
+        (["artin", "GRAPH"], "--certify"),
+        (["coxeter", "GRAPH"], "--trace"),
+        (["certify", "GRAPH"], "--out"),
+        (["verify", "SL2Z", "--mod", "3"], "--csv"),
+    ], ids=["artin", "coxeter", "certify", "verify"])
+    def test_unwritable_output_exits_2(self, command, flag, tmp_path, capsys):
+        graph = tmp_path / "edge.graph"
+        graph.write_text("vertex a\nvertex b\nedge a b 3\n")
+        target = tmp_path / "no-such-dir" / "x"
+        argv = [str(graph) if a == "GRAPH" else a for a in command]
+        code, out = run_cli([*argv, flag, str(target)], capsys)
+        assert code == 2
+        assert out.split("\n")[-2].startswith(f"error: cannot write {target}: ")
+        assert not target.parent.exists()
 
 
 # Pinned `verify` output after the two header lines.  d_upper depends on the

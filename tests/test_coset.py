@@ -2,13 +2,9 @@ import random
 
 import pytest
 
-from rgcost.fpgroup import (
-    EnumerationLimit,
-    coxeter_presentation,
-    parse_presentation,
-    todd_coxeter,
-)
-from rgcost.fpgroup.coset import standardize_rows
+from conftest import coxeter_presentation, todd_coxeter
+from rgcost.fpgroup import EnumerationLimit, parse_presentation
+from rgcost.fpgroup.coset import letter_to_col, standardize_rows
 from rgcost.lgraph import LabelledGraph
 
 
@@ -108,7 +104,7 @@ class TestTableValidity:
         p = parse_presentation("gens: a b\nrel: a a\nrel: b b\nrel: a b a b a b\n")
         t = todd_coxeter(p, coset_limit=100)
         for g in range(1, 3):
-            perm = t.perm(g)
+            perm = tuple(t.rows[c][2 * (g - 1)] for c in range(t.index))
             inv = tuple(t.rows[c][2 * (g - 1) + 1] for c in range(t.index))
             assert [perm[inv[i]] for i in range(t.index)] == list(range(t.index))
 
@@ -127,7 +123,8 @@ class TestTableValidity:
         t = todd_coxeter(p, coset_limit=10)
         assert t.index == 3
         assert t.trace(0, (1, 1, 1)) == 0
-        assert t.act(0, 1) == t.trace(0, (1,))
+        assert t.rows[0][letter_to_col(1)] == t.trace(0, (1,))
+        assert t.rows[0][letter_to_col(-1)] == t.trace(0, (-1,)) == 2
 
     def test_subgroup_words_fix_coset_zero(self):
         p = parse_presentation("gens: a b\nrel: a a\nrel: b b\nrel: a b a b a b\n")

@@ -3,7 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import cycle_graph, eval_class_C, hex_chain, path_graph, random_tree
+from conftest import (
+    coxeter_presentation,
+    cycle_graph,
+    eval_class_C,
+    hex_chain,
+    path_graph,
+    random_tree,
+    todd_coxeter,
+)
 from rgcost.coxeter import (
     AMALGAM_DINF,
     AMALGAM_ORDER2,
@@ -17,7 +25,7 @@ from rgcost.coxeter import (
     trace_from_json,
     trace_to_json,
 )
-from rgcost.fpgroup import EnumerationLimit, coxeter_presentation, todd_coxeter
+from rgcost.fpgroup import EnumerationLimit
 from rgcost.groupexpr import (
     INFINITE,
     AmalgamAmenable,

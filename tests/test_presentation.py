@@ -4,12 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cycle_graph, path_graph
+from conftest import coxeter_presentation, cycle_graph, path_graph
 from rgcost.fpgroup import (
     Presentation,
     PresentationError,
     artin_presentation,
-    coxeter_presentation,
     cyclic_reduce,
     free_reduce,
     invert_word,

@@ -1,7 +1,6 @@
 import functools
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +8,9 @@ from conftest import (
     _rotation_key,
     reference_reidemeister_schreier,
     reference_tietze_simplify,
+    reference_tree,
+    schreier_words,
+    todd_coxeter,
 )
 from rgcost.fpgroup import (
     CosetTable,
@@ -22,8 +24,9 @@ from rgcost.fpgroup import (
     reidemeister_schreier,
     sl2z_images,
     builtin_presentation,
+    low_index_normal,
+    psl2z_images,
     tietze_simplify,
-    todd_coxeter,
 )
 from rgcost.fpgroup.presentation import cyclic_reduce, free_reduce, invert_word
 from rgcost.fpgroup.rewrite import _rotation_key as library_rotation_key
@@ -115,8 +118,8 @@ class TestReidemeisterSchreier:
         assert inv.free_rank == 3 and inv.factors == ()
 
     def test_transversal_policy_independence(self):
-        # abelian invariants of the subgroup cannot depend on the
-        # spanning-tree tie-break
+        # abelian invariants of the subgroup cannot depend on the spanning
+        # tree: the library's against the reference's reverse-column one
         rng = random.Random(97)
         pool = [
             "gens: a b\nrel: a a\nrel: b b\nrel: a b a b a b\n",
@@ -136,16 +139,49 @@ class TestReidemeisterSchreier:
                 t = todd_coxeter(p, subgroup=words, coset_limit=4000)
             except EnumerationLimit:
                 continue
-            a = abelian_invariants(reidemeister_schreier(p, t, policy="forward"))
-            b = abelian_invariants(reidemeister_schreier(p, t, policy="reverse"))
+            a = abelian_invariants(reidemeister_schreier(p, t))
+            b = abelian_invariants(reference_reidemeister_schreier(p, t, reverse=True))
             assert a == b
             done += 1
 
-    def test_rejects_unknown_policy(self):
-        f2 = parse_presentation("gens: x y\n")
-        t = todd_coxeter(f2, subgroup=["x", "y"], coset_limit=10)
-        with pytest.raises(ValueError):
-            reidemeister_schreier(f2, t, policy="sideways")
+
+def _kernel_cases():
+    """(presentation, kernel table) pairs from every table builder verify
+    uses: congruence quotients, exponent kernels and low-index search."""
+    sl2z, _ = builtin_presentation("SL2Z")
+    psl2z, _ = builtin_presentation("PSL2Z")
+    b3, _ = builtin_presentation("braid3")
+    cases = [(sl2z, cayley_table(sl2z, sl2z_images(n))) for n in (2, 3, 4)]
+    cases.append((psl2z, cayley_table(psl2z, psl2z_images(5))))
+    cases += [(b3, cayley_table(b3, mod_cycle_images(b3, k))) for k in (1, 2, 5)]
+    cases += [(b3, t) for t in low_index_normal(b3, 6)]
+    return cases
+
+
+class TestSchreierGenerators:
+    """The library's s_k is the Schreier word u_a g u_b^-1 of the k-th
+    non-tree edge of the reference's forward tree."""
+
+    def test_relators_are_conjugated_relators(self):
+        # substituting the words telescopes the rewrite of r from coset c
+        # to u_c r u_c^-1, freely
+        for pres, table in _kernel_cases():
+            words = schreier_words(table)
+            sub = reidemeister_schreier(pres, table)
+            assert sub.num_generators == len(words)
+            _, transversal, _ = reference_tree(table)
+            conjugates = {free_reduce(u + r + invert_word(u))
+                          for u in transversal for r in pres.relators}
+            for rel in sub.relators:
+                image = free_reduce(x for s in rel
+                                    for x in (words[s - 1] if s > 0
+                                              else invert_word(words[-s - 1])))
+                assert image in conjugates
+
+    def test_enumeration_over_the_words_rebuilds_the_table(self):
+        for pres, table in _kernel_cases():
+            rebuilt = todd_coxeter(pres, subgroup=schreier_words(table), coset_limit=5000)
+            assert rebuilt.rows == table.rows
 
 
 class TestAbelianInvariants:
@@ -360,25 +396,24 @@ class TestPowerRelatorOrbits:
             return True
 
         pairs = [(c, r) for c in range(table.index) for r in pres.relators]
-        for policy in ("forward", "reverse"):
-            sub = reidemeister_schreier(pres, table, policy)
-            ref = reference_reidemeister_schreier(pres, table, policy)
-            assert sub.generators == ref.generators
-            # a reduced relator never rewrites to the empty word, so the
-            # reference holds exactly one rewrite per (coset, relator)
-            assert len(ref.relators) == len(pairs)
-            expected = [w for (c, r), w in zip(pairs, ref.relators) if first(c, r)]
-            assert list(sub.relators) == expected
-            rest = iter(ref.relators)  # a subsequence of the reference
-            assert all(any(w == r for r in rest) for w in sub.relators)
-            kept = set(sub.relators)
-            rotations = set().union(*(_rotations(w) for w in kept))
-            for w in ref.relators:
-                if w not in kept:
-                    assert cyclic_reduce(w) in rotations
-            out = tietze_simplify(sub)
-            want = reference_tietze_simplify(ref)
-            assert (out.generators, out.relators) == (want.generators, want.relators)
+        sub = reidemeister_schreier(pres, table)
+        ref = reference_reidemeister_schreier(pres, table)
+        assert sub.generators == ref.generators
+        # a reduced relator never rewrites to the empty word, so the
+        # reference holds exactly one rewrite per (coset, relator)
+        assert len(ref.relators) == len(pairs)
+        expected = [w for (c, r), w in zip(pairs, ref.relators) if first(c, r)]
+        assert list(sub.relators) == expected
+        rest = iter(ref.relators)  # a subsequence of the reference
+        assert all(any(w == r for r in rest) for w in sub.relators)
+        kept = set(sub.relators)
+        rotations = set().union(*(_rotations(w) for w in kept))
+        for w in ref.relators:
+            if w not in kept:
+                assert cyclic_reduce(w) in rotations
+        out = tietze_simplify(sub)
+        want = reference_tietze_simplify(ref)
+        assert (out.generators, out.relators) == (want.generators, want.relators)
 
 
 @st.composite
