@@ -284,9 +284,7 @@ def rg_artin(g: LabelledGraph) -> tuple[PriceResult, Certificate]:
     )
     price = PriceResult(
         cost=Fraction(b),
-        rank_gradient=Fraction(b - 1),
         betti1=Fraction(b - 1),
-        fixed_price=True,
         rule_trace=[
             f"artin-components-price: {b} component(s), cost {b}",
             "per-component decomposition certificate attached",

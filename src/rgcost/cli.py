@@ -1,12 +1,15 @@
 """Command-line surface: artin, coxeter, expr, certify, verify.
 
 All reports are plain text on stdout; structured artifacts (certificates,
-traces, CSV) are written only through explicit output flags.  Exit codes:
-0 success, 2 input/parse error or an output file that cannot be written,
-3 hypothesis failure, a `verify` row below the symbolic value, or an
-`expr` node whose values break betti1 - beta0 <= rank gradient, 4
-certificate checker violation, 5 enumeration limit exceeded.  With --no-timestamp the output is
-byte-identical across runs for identical inputs.
+traces, CSV) are written only through explicit output flags.  Each command
+raises on failure and `main` maps the exception to an exit code, the same
+way for every command: 0 success; 2 input/parse error, an input file that
+cannot be read, an output file that cannot be written, or a `verify` level
+list with no levels; 3 hypothesis failure, a `verify` row below the
+symbolic value, or an `expr` node whose values break betti1 - beta0 <=
+rank gradient; 4 certificate checker violation; 5 enumeration limit
+exceeded.  With --no-timestamp the output is byte-identical across runs
+for identical inputs.
 """
 
 from __future__ import annotations
@@ -19,13 +22,11 @@ from datetime import datetime, timezone
 from . import certificate as cert_mod
 from . import coxeter as cox_mod
 from . import groupexpr as ge
-from .exprparse import ExprParseError, parse_expr_file
+from .exprparse import parse_expr_file
 from .fpgroup import (
+    TARGET_HINT,
     EnumerationLimit,
-    NotHomomorphism,
-    PresentationError,
-    braid_graph,
-    builtin_presentation,
+    builtin_target,
     kernel_chain_cayley,
     low_index_normal,
     mod_cycle_images,
@@ -37,7 +38,7 @@ from .fpgroup import (
     sl2z_images,
     trend_summary,
 )
-from .lgraph import GraphError, girth, is_planar, parse_graph
+from .lgraph import girth, is_planar, parse_graph
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -46,7 +47,15 @@ EXIT_CHECKER = 4
 EXIT_LIMIT = 5
 
 CERT_BUILTINS = ("SL2Z", "AutF2", "MCG", "AutFn", "OutFn", "BnModCenter")
-VERIFY_BUILTIN_HINT = "SL2Z, PSL2Z, dihedral-inf, braidN"
+
+# What a command raises, as (exception, exit code, line prefix); main
+# reports the first row that matches, so subclasses come before ValueError.
+_ERRORS = (
+    (cox_mod.HypothesisError, EXIT_HYPOTHESIS, "hypothesis failed"),
+    (ge.InvariantError, EXIT_HYPOTHESIS, "error"),
+    (EnumerationLimit, EXIT_LIMIT, "inconclusive"),
+    (ValueError, EXIT_PARSE, "error"),
+)
 
 
 class Report:
@@ -70,18 +79,15 @@ class Report:
 
 
 def _read_file(path: str, report: Report) -> str:
+    """The UTF-8 text of an input file, whose digest goes on the report."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
         text = data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise GraphError(f"cannot read {path}: {exc}") from None
+        raise ValueError(f"cannot read {path}: {exc}") from None
     report.note_input(path, data)
     return text
-
-
-class _WriteError(Exception):
-    """An output file could not be written; main reports it and exits 2."""
 
 
 def _write_file(path: str, text: str) -> None:
@@ -89,7 +95,7 @@ def _write_file(path: str, text: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise _WriteError(f"cannot write {path}: {exc}") from None
+        raise ValueError(f"cannot write {path}: {exc}") from None
 
 
 def _write_certificate(path: str, certificate):
@@ -105,11 +111,7 @@ def _write_certificate(path: str, certificate):
 
 
 def cmd_artin(args, report: Report) -> int:
-    try:
-        g = parse_graph(_read_file(args.graph, report))
-    except GraphError as exc:
-        report.add(f"error: {exc}")
-        return EXIT_PARSE
+    g = parse_graph(_read_file(args.graph, report))
     price, certificate = cert_mod.rg_artin(g)
     report.add(
         f"components={price.cost} cost={price.cost} rg={price.rank_gradient} "
@@ -126,16 +128,8 @@ def cmd_artin(args, report: Report) -> int:
 
 
 def cmd_coxeter(args, report: Report) -> int:
-    try:
-        g = parse_graph(_read_file(args.graph, report))
-    except GraphError as exc:
-        report.add(f"error: {exc}")
-        return EXIT_PARSE
-    try:
-        price, trace = cox_mod.rg_coxeter_planar(g)
-    except cox_mod.HypothesisError as exc:
-        report.add(f"hypothesis failed: {exc}")
-        return EXIT_HYPOTHESIS
+    g = parse_graph(_read_file(args.graph, report))
+    price, trace = cox_mod.rg_coxeter_planar(g)
     report.add(f"hypotheses: girth={girth(g)} planar={str(is_planar(g)).lower()} OK")
     report.add(
         f"rg={price.rank_gradient} betti1={price.betti1} trace_sum={trace.total()} OK"
@@ -147,19 +141,7 @@ def cmd_coxeter(args, report: Report) -> int:
 
 
 def cmd_expr(args, report: Report) -> int:
-    try:
-        with open(args.file, "rb") as fh:
-            data = fh.read()
-        report.note_input(args.file, data)
-        expr = parse_expr_file(args.file)
-    except (OSError, ExprParseError, GraphError, ValueError) as exc:
-        report.add(f"error: {exc}")
-        return EXIT_PARSE
-    try:
-        price = ge.evaluate(expr)
-    except ge.InvariantError as exc:
-        report.add(f"error: {exc}")
-        return EXIT_HYPOTHESIS
+    price = ge.evaluate(parse_expr_file(args.file, _read_file(args.file, report)))
     report.add(
         f"cost={price.cost} rg={price.rank_gradient} "
         f"betti1={price.betti1} fixed_price={str(price.fixed_price).lower()}"
@@ -173,25 +155,14 @@ def cmd_expr(args, report: Report) -> int:
 def cmd_certify(args, report: Report) -> int:
     name = args.target
     if name in CERT_BUILTINS:
-        try:
-            certificate = cert_mod.builtin_certificate(name, args.param)
-        except ValueError as exc:
-            report.add(f"error: {exc}")
-            return EXIT_PARSE
-        out_path = args.out or _default_cert_path(name, args.param)
+        certificate = cert_mod.builtin_certificate(name, args.param)
+        out_path = args.out or f"{name}{'' if args.param is None else args.param}.cert.json"
     else:
         if args.param is not None:
-            report.add("error: graph-file targets take no parameter")
-            return EXIT_PARSE
-        try:
-            g = parse_graph(_read_file(name, report))
-        except GraphError as exc:
-            report.add(f"error: {exc}")
-            return EXIT_PARSE
-        price, certificate = cert_mod.rg_artin(g)
+            raise ValueError("graph-file targets take no parameter")
+        price, certificate = cert_mod.rg_artin(parse_graph(_read_file(name, report)))
         if price.cost != 1:
-            report.add("error: use the artin command for multi-component graphs")
-            return EXIT_PARSE
+            raise ValueError("use the artin command for multi-component graphs")
         out_path = args.out or (name + ".cert.json")
 
     reread, check = _write_certificate(out_path, certificate)
@@ -209,41 +180,29 @@ def cmd_certify(args, report: Report) -> int:
     return EXIT_OK
 
 
-def _default_cert_path(name: str, param) -> str:
-    return f"{name}{param if param is not None else ''}.cert.json"
+def _levels(text: str, flag: str) -> list[int]:
+    levels = [int(part) for part in text.split(",") if part.strip()]
+    if not levels:
+        raise ValueError(f"{flag} lists no levels")
+    return levels
 
 
-def _symbolic_expr(name: str):
-    if name == "SL2Z":
-        return ge.AmalgamFinite(ge.Cyclic(6), ge.Cyclic(4), 2)
-    if name == "PSL2Z":
-        return ge.AmalgamFinite(ge.Cyclic(2), ge.Cyclic(3), 1)
-    if name == "dihedral-inf":
-        return ge.AmalgamFinite(ge.Cyclic(2), ge.Cyclic(2), 1)
-    if name.startswith("braid"):
-        return ge.ArtinGraph(braid_graph(int(name[len("braid"):])))
-    return None
+class _LevelLimit(EnumerationLimit):
+    """A congruence quotient larger than the coset limit, found before
+    any quotient is built."""
 
-
-def _parse_int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+    def __init__(self, level: int, limit: int):
+        RuntimeError.__init__(
+            self, f"congruence level {level} exceeds the coset limit {limit}")
 
 
 def cmd_verify(args, report: Report) -> int:
-    try:
-        pres, text = builtin_presentation(args.target)
-        report.note_input(f"builtin:{args.target}", text.encode("utf-8"))
-        symbolic_expr = _symbolic_expr(args.target)
-    except KeyError:
-        try:
-            pres = parse_presentation(_read_file(args.target, report))
-        except (GraphError, PresentationError) as exc:
-            report.add(f"error: {exc}")
-            return EXIT_PARSE
-        symbolic_expr = None
-    except ValueError as exc:
-        report.add(f"error: {exc}")
-        return EXIT_PARSE
+    target = builtin_target(args.target)
+    if target is None:
+        pres = parse_presentation(_read_file(args.target, report))
+    else:
+        pres = target.presentation
+        report.note_input(f"builtin:{args.target}", target.text.encode("utf-8"))
 
     if args.dump_presentation:
         report.add(pres.to_text().rstrip("\n"))
@@ -252,43 +211,28 @@ def cmd_verify(args, report: Report) -> int:
     chain_flags = [f for f in (args.mod, args.abelian_kill) if f] + (
         [args.low_index] if args.low_index is not None else [])
     if len(chain_flags) != 1:
-        report.add("error: choose exactly one of --mod, --abelian-kill, --low-index")
-        return EXIT_PARSE
+        raise ValueError("choose exactly one of --mod, --abelian-kill, --low-index")
 
-    try:
-        if args.mod:
-            if args.target not in ("SL2Z", "PSL2Z"):
-                report.add("error: --mod congruence chains exist only for SL2Z and PSL2Z")
-                return EXIT_PARSE
-            levels = _parse_int_list(args.mod)
-            # The image builders list the whole quotient, so bound each
-            # quotient's order before building any.  The order is above
-            # n^3/4 (prod_p (1 - 1/p^2) > 6/pi^2, halved for PSL), so a
-            # large level is rejected without factoring n.
-            limit = args.coset_limit
-            for n in levels:
-                if n ** 3 > 4 * limit or sl2_order(n, args.target == "PSL2Z") > limit:
-                    report.add(f"inconclusive: congruence level {n} exceeds the "
-                               f"coset limit {limit}")
-                    return EXIT_LIMIT
-            build = sl2z_images if args.target == "SL2Z" else psl2z_images
-            images = [build(n) for n in levels]
-            tables = kernel_chain_cayley(pres, images, limit=args.coset_limit)
-        elif args.abelian_kill:
-            images = [mod_cycle_images(pres, k) for k in _parse_int_list(args.abelian_kill)]
-            tables = kernel_chain_cayley(pres, images, limit=args.coset_limit)
-        else:
-            tables = low_index_normal(pres, args.low_index, limit=args.coset_limit)
-        samples = rg_sequence(pres, tables)
-    except NotHomomorphism as exc:
-        report.add(f"error: {exc}")
-        return EXIT_PARSE
-    except EnumerationLimit as exc:
-        report.add(f"inconclusive: {exc}")
-        return EXIT_LIMIT
-    except ValueError as exc:
-        report.add(f"error: {exc}")
-        return EXIT_PARSE
+    limit = args.coset_limit
+    if args.mod:
+        if target is None or target.psl is None:
+            raise ValueError("--mod congruence chains exist only for SL2Z and PSL2Z")
+        levels = _levels(args.mod, "--mod")
+        # The image builders list the whole quotient, so bound each
+        # quotient's order before building any.  The order is above
+        # n^3/4 (prod_p (1 - 1/p^2) > 6/pi^2, halved for PSL), so a
+        # large level is rejected without factoring n.
+        for n in levels:
+            if n ** 3 > 4 * limit or sl2_order(n, target.psl) > limit:
+                raise _LevelLimit(n, limit)
+        build = psl2z_images if target.psl else sl2z_images
+        tables = kernel_chain_cayley(pres, [build(n) for n in levels], limit=limit)
+    elif args.abelian_kill:
+        images = [mod_cycle_images(pres, k) for k in _levels(args.abelian_kill, "--abelian-kill")]
+        tables = kernel_chain_cayley(pres, images, limit=limit)
+    else:
+        tables = low_index_normal(pres, args.low_index, limit=limit)
+    samples = rg_sequence(pres, tables)
 
     csv_text = samples_to_csv(samples)
     for line in csv_text.rstrip("\n").split("\n"):
@@ -298,21 +242,20 @@ def cmd_verify(args, report: Report) -> int:
         report.add(f"csv: {args.csv}")
     report.add("trend: " + trend_summary(samples))
 
-    if symbolic_expr is not None:
-        sym = ge.evaluate(symbolic_expr).rank_gradient
-        # Gaboriau's index formula: d(H) - 1 >= [G:H](cost - 1), so every
-        # row's r_upper bounds the rank gradient from above.
-        below = next((s for s in samples if s.r_upper < sym), None)
-        if below is not None:
-            report.add(f"error: row at index {below.index} has r_upper {below.r_upper} "
-                       f"below the symbolic rank gradient {sym}")
-            return EXIT_HYPOTHESIS
-        if samples and all(s.r_lower == s.r_upper == sym for s in samples):
-            report.add(f"matches symbolic {sym}")
-        else:
-            report.add(f"symbolic target {sym}")
-    else:
+    if target is None:
         report.add("symbolic value unknown")
+        return EXIT_OK
+    sym = ge.evaluate(target.expr).rank_gradient
+    # Gaboriau's index formula: d(H) - 1 >= [G:H](cost - 1), so every
+    # row's r_upper bounds the rank gradient from above.
+    below = next((s for s in samples if s.r_upper < sym), None)
+    if below is not None:
+        raise ge.InvariantError(f"row at index {below.index} has r_upper {below.r_upper} "
+                                f"below the symbolic rank gradient {sym}")
+    if samples and all(s.r_lower == s.r_upper == sym for s in samples):
+        report.add(f"matches symbolic {sym}")
+    else:
+        report.add(f"symbolic target {sym}")
     return EXIT_OK
 
 
@@ -347,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="PATH", help="output path for the certificate")
 
     p = sub.add_parser("verify", help="sample (d-1)/index along a chain of kernels")
-    p.add_argument("target", help=f"builtin ({VERIFY_BUILTIN_HINT}) or a presentation file")
+    p.add_argument("target", help=f"builtin ({TARGET_HINT}) or a presentation file")
     p.add_argument("--mod", metavar="LIST", help="congruence levels, e.g. 3,4,5")
     p.add_argument("--abelian-kill", metavar="LIST",
                    help="kill the total exponent mod each k in the list")
@@ -376,9 +319,9 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         code = handler(args, report)
-    except _WriteError as exc:
-        report.add(f"error: {exc}")
-        code = EXIT_PARSE
+    except (ValueError, EnumerationLimit) as exc:
+        code, prefix = next((c, p) for kind, c, p in _ERRORS if isinstance(exc, kind))
+        report.add(f"{prefix}: {exc}")
     report.emit()
     return code
 

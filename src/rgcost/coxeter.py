@@ -176,9 +176,7 @@ def rg_coxeter_planar(g: LabelledGraph) -> tuple[ge.PriceResult, CoxeterTrace]:
     # edge) has betti1 0 and rank gradient -1/|W|.
     price = ge.PriceResult(
         cost=value + 1,
-        rank_gradient=value,
         betti1=value if _finite_order(g) is None else Fraction(0),
-        fixed_price=True,
         rule_trace=[
             f"coxeter-planar-girth6 closed form: |V|/2 - 1 - sum 1/(2l) = {value}",
             f"elimination trace over {len(trace.steps)} steps totals {trace.total()}",
@@ -210,22 +208,3 @@ def trace_to_json(trace: CoxeterTrace) -> str:
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
-
-
-def trace_from_json(text: str) -> CoxeterTrace:
-    doc = json.loads(text)
-    if doc.get("format") != "rgcost-certificate/1" or doc.get("kind") != "coxeter-trace":
-        raise ValueError("not a coxeter trace document")
-    steps = tuple(
-        EliminationStep(
-            vertex=s["vertex"],
-            valence=s["valence"],
-            labels=tuple(s["labels"]),
-            amalgam=s["amalgam"],
-            star=tuple(s["star"]),
-            contribution=Fraction(s["contribution"]),
-        )
-        for s in doc["steps"]
-    )
-    return CoxeterTrace(steps=steps, terminal_correction=Fraction(doc["terminal_correction"]))
-

@@ -241,6 +241,7 @@ def parse_expr(text: str, base_dir: str = ".") -> ge.GroupExpr:
     return _Parser(tokens, base_dir).parse()
 
 
-def parse_expr_file(path: str) -> ge.GroupExpr:
-    with open(path, encoding="utf-8") as fh:
-        return parse_expr(fh.read(), base_dir=os.path.dirname(os.path.abspath(path)))
+def parse_expr_file(path: str, text: str) -> ge.GroupExpr:
+    """Parse `text`, read from the expression file at `path`; the path
+    only resolves the graph files the expression names."""
+    return parse_expr(text, base_dir=os.path.dirname(os.path.abspath(path)))

@@ -34,11 +34,10 @@ from .chains import (
     sl2z_images,
     trend_summary,
 )
-from .builtins import BUILTIN_NAMES, braid_graph, braid_presentation, builtin_presentation
+from .builtins import TARGET_HINT, builtin_target
 
 __all__ = [
     "AbelianInvariants",
-    "BUILTIN_NAMES",
     "CosetTable",
     "EnumerationLimit",
     "NotHomomorphism",
@@ -46,11 +45,10 @@ __all__ = [
     "PresentationError",
     "RGSample",
     "SNFResult",
+    "TARGET_HINT",
     "abelian_invariants",
     "artin_presentation",
-    "braid_graph",
-    "braid_presentation",
-    "builtin_presentation",
+    "builtin_target",
     "cayley_table",
     "cyclic_reduce",
     "d_bounds",

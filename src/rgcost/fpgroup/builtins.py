@@ -1,14 +1,17 @@
-"""Built-in presentations for the verification targets.
+"""Built-in verification targets: one record per target.
 
-Shipped as presentation-file text so the oracle's inputs are inspectable
-and dumpable; `braidN` (N >= 2) is generated from the path defining graph
-with all labels 3.
+The fixed presentations ship as presentation-file text so the oracle's
+inputs are inspectable and dumpable; `braidN` (N >= 2) is generated from
+the path defining graph with all labels 3.  Each record also carries the
+expression whose symbolic value `verify` checks the chain against.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 
+from ..groupexpr import AmalgamFinite, ArtinGraph, Cyclic, GroupExpr
 from ..lgraph import LabelledGraph
 from .presentation import Presentation, artin_presentation, parse_presentation
 
@@ -32,15 +35,32 @@ rel: a a
 rel: b b
 """
 
+# name: (text, expr, psl), as in BuiltinTarget
 _FIXED = {
-    "SL2Z": SL2Z_TEXT,
-    "PSL2Z": PSL2Z_TEXT,
-    "dihedral-inf": DIHEDRAL_INF_TEXT,
+    "SL2Z": (SL2Z_TEXT, AmalgamFinite(Cyclic(6), Cyclic(4), 2), False),
+    "PSL2Z": (PSL2Z_TEXT, AmalgamFinite(Cyclic(2), Cyclic(3), 1), True),
+    "dihedral-inf": (DIHEDRAL_INF_TEXT, AmalgamFinite(Cyclic(2), Cyclic(2), 1), None),
 }
 
-BUILTIN_NAMES = ("SL2Z", "PSL2Z", "dihedral-inf", "braidN (N >= 2, e.g. braid3)")
+TARGET_HINT = ", ".join([*_FIXED, "braidN"])
 
 _BRAID_RE = re.compile(r"^braid([0-9]+)$")
+
+
+@dataclass(frozen=True)
+class BuiltinTarget:
+    """A verify target.
+
+    presentation, text: the group and its presentation-file text.
+    expr:  the expression whose rank gradient the chain is checked against.
+    psl:   for the congruence targets, whether `--mod` acts on PSL(2, Z/n)
+           (True) or SL(2, Z/n) (False); None where `--mod` does not apply.
+    """
+
+    presentation: Presentation
+    text: str
+    expr: GroupExpr
+    psl: bool | None
 
 
 def braid_graph(n: int) -> LabelledGraph:
@@ -59,19 +79,14 @@ def braid_graph(n: int) -> LabelledGraph:
     return LabelledGraph(vertices, edges)
 
 
-def braid_presentation(n: int) -> Presentation:
-    """The Artin group of `braid_graph(n)`."""
-    return artin_presentation(braid_graph(n))
-
-
-def builtin_presentation(name: str) -> tuple[Presentation, str]:
-    """Resolve a built-in target name to (presentation, file text)."""
+def builtin_target(name: str) -> BuiltinTarget | None:
+    """The built-in target called `name`, or None if there is none."""
     if name in _FIXED:
-        text = _FIXED[name]
-        return parse_presentation(text), text
+        text, expr, psl = _FIXED[name]
+        return BuiltinTarget(parse_presentation(text), text, expr, psl)
     m = _BRAID_RE.match(name)
-    if m:
-        n = int(m.group(1))
-        pres = braid_presentation(n)
-        return pres, pres.to_text()
-    raise KeyError(f"unknown builtin presentation {name!r}")
+    if m is None:
+        return None
+    graph = braid_graph(int(m.group(1)))
+    pres = artin_presentation(graph)
+    return BuiltinTarget(pres, pres.to_text(), ArtinGraph(graph), None)

@@ -91,9 +91,6 @@ class Presentation:
                 raise PresentationError(f"unknown generator token {tok!r}", line)
         return free_reduce(letters)
 
-    def word_from_text(self, text: str) -> Word:
-        return self.word_from_tokens(text.split())
-
     def word_to_text(self, word) -> str:
         out = []
         for x in word:

@@ -21,10 +21,6 @@ class SNFResult:
     def rank(self) -> int:
         return len(self.factors)
 
-    @property
-    def zero_diagonal_count(self) -> int:
-        return min(self.nrows, self.ncols) - len(self.factors)
-
 
 def smith_normal_form(matrix) -> SNFResult:
     m = [[int(x) for x in row] for row in matrix]

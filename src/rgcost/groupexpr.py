@@ -247,63 +247,40 @@ class Generation(GroupExpr):
 
 @dataclass
 class PriceResult:
-    """Cost / rank gradient / first L2-Betti value with rule provenance.
+    """Cost / first L2-Betti value with rule provenance.
 
-    Invariants (checked): whenever both are known, rank_gradient equals
-    cost - 1; and for infinite groups rank_gradient >= betti1.  A negative
-    gradient happens exactly for finite groups (-1/|G|), whose betti1 is 0;
-    the betti upper-bound inequality presumes an infinite chain, so it is
-    not enforced there.
+    The rank gradient (cost - 1) and fixed price (a known cost) are derived
+    from the cost.  Invariant (checked): for infinite groups rank_gradient
+    >= betti1.  A negative gradient happens exactly for finite groups
+    (-1/|G|), whose betti1 is 0; the betti upper-bound inequality presumes
+    an infinite chain, so it is not enforced there.
     """
 
     cost: Fraction | Unknown
-    rank_gradient: Fraction | Unknown
     betti1: Fraction | Unknown
-    fixed_price: bool
     rule_trace: list[str] = field(default_factory=list)
 
     def __post_init__(self):
-        if is_known(self.cost) and is_known(self.rank_gradient):
-            if self.rank_gradient != self.cost - 1:
-                raise ValueError(
-                    f"rank gradient {self.rank_gradient} != cost - 1 = {self.cost - 1}"
-                )
-        if is_known(self.rank_gradient) and is_known(self.betti1):
-            if self.rank_gradient >= 0 and self.rank_gradient < self.betti1:
-                raise ValueError(
-                    f"rank gradient {self.rank_gradient} < betti1 {self.betti1}"
-                )
+        rg = self.rank_gradient
+        if is_known(rg) and is_known(self.betti1) and 0 <= rg < self.betti1:
+            raise ValueError(f"rank gradient {rg} < betti1 {self.betti1}")
+
+    @property
+    def rank_gradient(self) -> Fraction | Unknown:
+        return self.cost - 1 if is_known(self.cost) else self.cost
+
+    @property
+    def fixed_price(self) -> bool:
+        return is_known(self.cost)
 
 
 AMENABLE_LEAF_KINDS = (TrivialGroup, Cyclic, IntegersZ, FreeAbelian, Amenable)
 
 
 class InvariantError(ValueError):
-    """A node's values break betti1 - beta0 <= rank gradient; the declared
-    orders of some amalgam contradict its factors."""
-
-
-def infer_order(e: GroupExpr) -> GroupOrder | None:
-    """Best-effort group order of an expression; None when undetermined.
-
-    Amalgams and generations are treated as infinite: an amalgam is proper
-    unless the declared subgroup order reaches a factor's order (flagged as
-    degenerate and left undetermined), and a generation node contains its
-    infinite intersection.  Only amalgams over a finite subgroup read
-    their factors' orders; they are walked on an explicit stack.
-    """
-    orders: list[GroupOrder | None] = []
-    stack = [(e, False)]
-    while stack:
-        node, ready = stack.pop()
-        if not isinstance(node, AmalgamFinite):
-            orders.append(_order(node))
-        elif ready:
-            right = orders.pop()
-            orders.append(_order(node, orders.pop(), right))
-        else:
-            stack += [(node, True), (node.right, False), (node.left, False)]
-    return orders[0]
+    """Computed values break an inequality the theory guarantees: a node's
+    betti1 - beta0 exceeds its rank gradient, or a `verify` row falls
+    below the symbolic rank gradient."""
 
 
 def _order(e: GroupExpr, left: GroupOrder | None = None,
@@ -438,18 +415,7 @@ def evaluate(e: GroupExpr) -> PriceResult:
         _check_node(name, cost, betti, order)
         values.append((cost, betti, order))
     cost, betti, _ = values[0]
-    rg: Fraction | Unknown
-    if is_known(cost):
-        rg = cost - 1
-    else:
-        rg = Unknown(cost.reason)
-    return PriceResult(
-        cost=cost,
-        rank_gradient=rg,
-        betti1=betti,
-        fixed_price=is_known(cost),
-        rule_trace=trace,
-    )
+    return PriceResult(cost=cost, betti1=betti, rule_trace=trace)
 
 
 def _check_node(name: str, cost, betti, order: GroupOrder | None) -> None:

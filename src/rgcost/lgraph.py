@@ -88,9 +88,6 @@ class LabelledGraph:
     def num_edges(self) -> int:
         return len(self._labels)
 
-    def vertex_index(self, v: str) -> int:
-        return self._index[v]
-
     def has_vertex(self, v: str) -> bool:
         return v in self._index
 

@@ -5,13 +5,14 @@ Kuratowski subdivision search, k x k minor gcds)."""
 
 from __future__ import annotations
 
+import json
 import math
 import os
 from fractions import Fraction
 from itertools import combinations
 
 from rgcost import groupexpr as ge
-from rgcost.coxeter import CHAIN_QUALIFIER, HypothesisError
+from rgcost.coxeter import CHAIN_QUALIFIER, CoxeterTrace, EliminationStep, HypothesisError
 from rgcost.exprparse import ExprParseError, _Token, _tokenize
 from rgcost.fpgroup.chains import NotHomomorphism
 from rgcost.fpgroup.coset import (
@@ -146,7 +147,8 @@ def brute_girth(g: LabelledGraph):
     """Oracle: exhaustive simple-cycle search by DFS over index-increasing
     start vertices."""
     n = g.num_vertices
-    adj = {i: [g.vertex_index(w) for w in g.neighbors(g.vertices[i])] for i in range(n)}
+    index = {v: i for i, v in enumerate(g.vertices)}
+    adj = {i: [index[w] for w in g.neighbors(g.vertices[i])] for i in range(n)}
     best = math.inf
 
     def extend(start, current, visited, length):
@@ -172,6 +174,7 @@ def reference_reduction_order(g: LabelledGraph):
     current degree <= 2; when none is left, return the induced subgraph of
     the remaining vertices."""
     n = g.num_vertices
+    index = {v: i for i, v in enumerate(g.vertices)}
     alive = [True] * n
     deg = [g.degree(v) for v in g.vertices]
     order = []
@@ -182,7 +185,7 @@ def reference_reduction_order(g: LabelledGraph):
         alive[pick] = False
         order.append(g.vertices[pick])
         for w in g.neighbors(g.vertices[pick]):
-            j = g.vertex_index(w)
+            j = index[w]
             if alive[j]:
                 deg[j] -= 1
     return ReductionOrder(tuple(order))
@@ -212,7 +215,8 @@ def _simple_paths(adj, src, dst, banned, max_len):
 
 def _has_subdivision(g: LabelledGraph, branch_sets, pattern_edges) -> bool:
     n = g.num_vertices
-    adj = {i: [g.vertex_index(w) for w in g.neighbors(g.vertices[i])] for i in range(n)}
+    index = {v: i for i, v in enumerate(g.vertices)}
+    adj = {i: [index[w] for w in g.neighbors(g.vertices[i])] for i in range(n)}
 
     def assign(edge_idx, used, branch):
         if edge_idx == len(pattern_edges):
@@ -498,7 +502,7 @@ def todd_coxeter(pres: Presentation, subgroup=(), coset_limit: int = 100_000) ->
     words = []
     for w in subgroup:
         if isinstance(w, str):
-            w = pres.word_from_text(w)
+            w = pres.word_from_tokens(w.split())
         else:
             w = free_reduce(w)
         for x in w:
@@ -957,18 +961,7 @@ def reference_evaluate(e: GroupExpr) -> PriceResult:
     """
     trace: list[str] = []
     cost, betti = _reference_eval(e, trace)
-    rg: Fraction | Unknown
-    if is_known(cost):
-        rg = cost - 1
-    else:
-        rg = Unknown(cost.reason)
-    return PriceResult(
-        cost=cost,
-        rank_gradient=rg,
-        betti1=betti,
-        fixed_price=is_known(cost),
-        rule_trace=trace,
-    )
+    return PriceResult(cost=cost, betti1=betti, rule_trace=trace)
 
 
 def _reference_eval(e: GroupExpr, trace: list[str]) -> tuple[Fraction | Unknown, Fraction | Unknown]:
@@ -1296,26 +1289,20 @@ def eval_class_C(e: ge.GroupExpr) -> ge.PriceResult:
         unknown = ge.Unknown(problem)
         return ge.PriceResult(
             cost=unknown,
-            rank_gradient=unknown,
             betti1=unknown,
-            fixed_price=False,
             rule_trace=trace + [f"rule-not-applicable: {problem}"],
         )
     inner = ge.evaluate(e)
     if not ge.is_known(inner.betti1):
         return ge.PriceResult(
             cost=inner.betti1,
-            rank_gradient=inner.betti1,
             betti1=inner.betti1,
-            fixed_price=False,
             rule_trace=trace + inner.rule_trace,
         )
     value = inner.betti1
     return ge.PriceResult(
         cost=value + 1,
-        rank_gradient=value,
         betti1=value,
-        fixed_price=True,
         rule_trace=trace + inner.rule_trace + [CHAIN_QUALIFIER],
     )
 
@@ -1359,3 +1346,43 @@ def _class_c_validate(e: ge.GroupExpr, trace: list[str]) -> str | None:
         return (_class_c_validate(e.left, trace)
                 or _class_c_validate(e.right, trace))
     return f"leaf {e.describe()} outside the supported class"
+
+
+# ---------------------------------------------------------------------------
+# helpers over library internals that only the tests call
+
+
+def infer_order(e: GroupExpr) -> GroupOrder | None:
+    """The order `evaluate` gives an expression: `groupexpr._order` applied
+    in post-order on an explicit stack, where only an amalgam over a
+    finite subgroup reads its factors' orders."""
+    orders: list[GroupOrder | None] = []
+    stack = [(e, False)]
+    while stack:
+        node, ready = stack.pop()
+        if not isinstance(node, AmalgamFinite):
+            orders.append(ge._order(node))
+        elif ready:
+            right = orders.pop()
+            orders.append(ge._order(node, orders.pop(), right))
+        else:
+            stack += [(node, True), (node.right, False), (node.left, False)]
+    return orders[0]
+
+
+def trace_from_json(text: str) -> CoxeterTrace:
+    doc = json.loads(text)
+    if doc.get("format") != "rgcost-certificate/1" or doc.get("kind") != "coxeter-trace":
+        raise ValueError("not a coxeter trace document")
+    steps = tuple(
+        EliminationStep(
+            vertex=s["vertex"],
+            valence=s["valence"],
+            labels=tuple(s["labels"]),
+            amalgam=s["amalgam"],
+            star=tuple(s["star"]),
+            contribution=Fraction(s["contribution"]),
+        )
+        for s in doc["steps"]
+    )
+    return CoxeterTrace(steps=steps, terminal_correction=Fraction(doc["terminal_correction"]))

@@ -34,7 +34,7 @@ from rgcost.coxeter import build_trace, closed_form, coxeter_order, rg_coxeter_p
 from rgcost.fpgroup import (
     EnumerationLimit,
     abelian_invariants,
-    builtin_presentation,
+    builtin_target,
     cayley_table,
     kernel_chain_cayley,
     mod_cycle_images,
@@ -89,7 +89,7 @@ def test_criterion_2_psl2z(capsys):
     symbolic = evaluate(AmalgamFinite(Cyclic(2), Cyclic(3), 1))
     assert symbolic.rank_gradient == Fraction(1, 6)
 
-    pres, _ = builtin_presentation("PSL2Z")
+    pres = builtin_target("PSL2Z").presentation
     tables = kernel_chain_cayley(pres, [psl2z_images(n) for n in (3, 5, 7)])
     assert [t.index for t in tables] == [12, 60, 168]
     samples = rg_sequence(pres, tables)
@@ -182,7 +182,7 @@ def test_criterion_4_coxeter_formula_vs_trace(capsys):
 
 def test_criterion_5_braid3_gradient_target(capsys):
     t0 = time.perf_counter()
-    b3, _ = builtin_presentation("braid3")
+    b3 = builtin_target("braid3").presentation
     levels = [mod_cycle_images(b3, math.factorial(k)) for k in range(1, 5)]
     tables = kernel_chain_cayley(b3, levels)
     assert [t.index for t in tables] == [1, 2, 6, 24]

@@ -10,7 +10,7 @@ from rgcost.fpgroup import (
     NotHomomorphism,
     Presentation,
     RGSample,
-    builtin_presentation,
+    builtin_target,
     cayley_table,
     kernel_chain_cayley,
     low_index_normal,
@@ -53,7 +53,7 @@ class TestImageBuilders:
             sl2_order(1)
 
     def test_mod_cycle(self):
-        b3, _ = builtin_presentation("braid3")
+        b3 = builtin_target("braid3").presentation
         images = mod_cycle_images(b3, 4)
         assert images["s1"] == (1, 2, 3, 0)
         assert set(images) == {"s1", "s2"}
@@ -61,7 +61,7 @@ class TestImageBuilders:
 
 class TestCayleyTable:
     def test_sl2z_mod3_kernel_index(self):
-        sl2z, _ = builtin_presentation("SL2Z")
+        sl2z = builtin_target("SL2Z").presentation
         t = cayley_table(sl2z, sl2z_images(3))
         assert t.index == 24
         t.validate(sl2z)
@@ -69,7 +69,7 @@ class TestCayleyTable:
     def test_homomorphism_check_rejects_perturbed_images(self):
         import random
 
-        sl2z, _ = builtin_presentation("SL2Z")
+        sl2z = builtin_target("SL2Z").presentation
         base = sl2z_images(3)
         rng = random.Random(1001)
         rejected = 0
@@ -198,19 +198,19 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("n", range(2, 12))
     def test_sl2z(self, n):
-        pres, _ = builtin_presentation("SL2Z")
+        pres = builtin_target("SL2Z").presentation
         images = sl2z_images(n)
         assert cayley_table(pres, images).rows == reference_cayley_table(pres, images).rows
 
     @pytest.mark.parametrize("n", range(2, 14))
     def test_psl2z(self, n):
-        pres, _ = builtin_presentation("PSL2Z")
+        pres = builtin_target("PSL2Z").presentation
         images = psl2z_images(n)
         assert cayley_table(pres, images).rows == reference_cayley_table(pres, images).rows
 
     @pytest.mark.parametrize("name", ["braid3", "braid5"])
     def test_mod_cycles(self, name):
-        pres, _ = builtin_presentation(name)
+        pres = builtin_target(name).presentation
         for k in range(1, 65):
             images = mod_cycle_images(pres, k)
             assert (cayley_table(pres, images).rows
@@ -265,14 +265,14 @@ class TestNeighbourTranslations:
     @pytest.mark.parametrize("name,max_index", [
         ("braid3", 14), ("braid4", 6), ("SL2Z", 12), ("PSL2Z", 12), ("dihedral-inf", 12)])
     def test_low_index_tables(self, name, max_index):
-        pres, _ = builtin_presentation(name)
+        pres = builtin_target(name).presentation
         for table in low_index_normal(pres, max_index):
             assert self._agree(table.rows)
 
 
 class TestRgSequence:
     def test_sl2z_congruence_chain(self):
-        sl2z, _ = builtin_presentation("SL2Z")
+        sl2z = builtin_target("SL2Z").presentation
         tables = kernel_chain_cayley(sl2z, [sl2z_images(n) for n in (3, 4, 5)])
         samples = rg_sequence(sl2z, tables)
         assert [(s.index, s.d_lower, s.d_upper) for s in samples] == [
@@ -286,7 +286,7 @@ class TestRgSequence:
         # expression evaluator
         from rgcost.groupexpr import AmalgamFinite, Cyclic, evaluate
 
-        pres, _ = builtin_presentation(name)
+        pres = builtin_target(name).presentation
         sym = evaluate(
             AmalgamFinite(Cyclic(6), Cyclic(4), 2) if name == "SL2Z"
             else AmalgamFinite(Cyclic(2), Cyclic(3), 1)
@@ -298,7 +298,7 @@ class TestRgSequence:
             assert s.d_lower == s.d_upper == expected
 
     def test_indices_must_be_nondecreasing(self):
-        sl2z, _ = builtin_presentation("SL2Z")
+        sl2z = builtin_target("SL2Z").presentation
         tables = kernel_chain_cayley(sl2z, [sl2z_images(n) for n in (4, 3)])
         with pytest.raises(ValueError):
             rg_sequence(sl2z, tables)

@@ -8,9 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from rgcost.cli import main
+from conftest import trace_from_json
 from rgcost.certificate import certificate_from_json, check_certificate
-from rgcost.coxeter import trace_from_json
+from rgcost.cli import main
 
 B4_GRAPH = "vertex a\nvertex b\nvertex c\nedge a b 3\nedge b c 3\n"
 HEX_GRAPH = "".join(f"vertex v{i}\n" for i in range(6)) + "".join(
@@ -116,6 +116,25 @@ class TestExprCommand:
         code, out = run_cli(["expr", str(path)], capsys)
         assert code == 2
 
+    def test_reads_input_once(self, tmp_path, capsys, monkeypatch):
+        # one read gives both the "# input" digest and the parsed text
+        import builtins
+
+        path = tmp_path / "e.expr"
+        path.write_text("(amalgam-finite (cyclic 6) (cyclic 4) 2)\n")
+        opened = []
+        real_open = builtins.open
+
+        def spy(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", spy)
+        code, _ = run_cli(["expr", str(path)], capsys)
+        monkeypatch.undo()
+        assert code == 0
+        assert opened.count(str(path)) == 1
+
 
 class TestCertifyCommand:
     def test_sl2z(self, tmp_path, capsys, monkeypatch):
@@ -205,16 +224,6 @@ class TestVerifyCommand:
         assert code == 2
         assert "error: max_index must be >= 1" in out.split("\n")
 
-    @pytest.mark.parametrize("args", [["SL2Z", "--mod", "5,3"],
-                                      ["braid3", "--abelian-kill", "3,2"]])
-    def test_decreasing_chain_exits_2(self, args):
-        proc = subprocess.run(
-            [sys.executable, "-m", "rgcost.cli", "--no-timestamp", "verify", *args],
-            capture_output=True, text=True)
-        assert proc.returncode == 2
-        assert "error: chain tables must have non-decreasing indices" in proc.stdout.split("\n")
-        assert "Traceback" not in proc.stderr
-
     def test_mod_rejected_for_other_targets(self, capsys):
         code, out = run_cli(["verify", "braid3", "--mod", "3"], capsys)
         assert code == 2
@@ -272,13 +281,47 @@ class TestVerifyCommand:
         assert Fraction(rl) == Fraction(1, 12) and Fraction(ru) == Fraction(1, 12)
 
 
+class TestErrorExits:
+    """main maps what a command raises to an exit code and a line prefix,
+    the same way for every command, and never prints a traceback.  One
+    input per row of main's table; the ValueError row has several."""
+
+    @pytest.mark.parametrize("argv,text,code,line", [
+        (["coxeter", "FILE"], K4_GRAPH, 3, "hypothesis failed: girth(3) < 6; nonplanar=false"),
+        (["expr", "FILE"], "(amalgam-amenable (cyclic 2) (cyclic 2) (trivial) inf inf 1)",
+         3, "error: inconsistent values at root: "),
+        (["verify", "braid3", "--abelian-kill", "30", "--coset-limit", "20"], None,
+         5, "inconclusive: coset limit exceeded: "),
+        (["verify", "SL2Z", "--mod", "5,3"], None,
+         2, "error: chain tables must have non-decreasing indices"),
+        (["verify", "braid3", "--abelian-kill", "3,2"], None,
+         2, "error: chain tables must have non-decreasing indices"),
+        (["verify", "SL2Z", "--mod", ","], None, 2, "error: --mod lists no levels"),
+        (["verify", "braid3", "--abelian-kill", ","], None,
+         2, "error: --abelian-kill lists no levels"),
+        (["expr", "FILE"], None, 2, "error: cannot read "),
+    ], ids=["hypothesis", "invariant", "limit", "decreasing-mod", "decreasing-abelian-kill",
+            "empty-mod", "empty-abelian-kill", "missing-file"])
+    def test_exit_code_and_line(self, argv, text, code, line, tmp_path):
+        path = tmp_path / "input"
+        if text is not None:
+            path.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "rgcost.cli", "--no-timestamp",
+             *(str(path) if a == "FILE" else a for a in argv)],
+            capture_output=True, text=True)
+        assert proc.returncode == code
+        assert proc.stdout.split("\n")[-2].startswith(line)
+        assert "Traceback" not in proc.stderr
+
+
 class TestFileErrors:
     """Unreadable input and unwritable output are input errors (exit 2),
     never tracebacks."""
 
     @pytest.mark.parametrize("command", [["artin"], ["coxeter"], ["certify"],
-                                         ["verify", "--low-index", "2"]],
-                             ids=["artin", "coxeter", "certify", "verify"])
+                                         ["verify", "--low-index", "2"], ["expr"]],
+                             ids=["artin", "coxeter", "certify", "verify", "expr"])
     def test_non_utf8_input_exits_2(self, command, tmp_path, capsys):
         path = tmp_path / "bad.graph"
         path.write_bytes(b"vertex a\nvertex \xff\n")

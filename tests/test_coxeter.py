@@ -11,6 +11,7 @@ from conftest import (
     path_graph,
     random_tree,
     todd_coxeter,
+    trace_from_json,
 )
 from rgcost.coxeter import (
     AMALGAM_DINF,
@@ -22,7 +23,6 @@ from rgcost.coxeter import (
     closed_form,
     coxeter_order,
     rg_coxeter_planar,
-    trace_from_json,
     trace_to_json,
 )
 from rgcost.fpgroup import EnumerationLimit

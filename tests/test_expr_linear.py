@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     _reference_eval,
+    infer_order,
     reference_evaluate,
     reference_infer_order,
     reference_parse_expr,
@@ -39,7 +40,6 @@ from rgcost.groupexpr import (
     Surface,
     TrivialGroup,
     evaluate,
-    infer_order,
     is_known,
     recip_order,
 )

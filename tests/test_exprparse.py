@@ -65,7 +65,7 @@ class TestForms:
         graph.write_text("vertex a\nvertex b\nedge a b 3\n")
         expr_file = tmp_path / "e.expr"
         expr_file.write_text('(artin "g.graph")\n')
-        e = parse_expr_file(str(expr_file))
+        e = parse_expr_file(str(expr_file), expr_file.read_text())
         assert isinstance(e, ArtinGraph)
         assert e.graph.vertices == ("a", "b")
 

@@ -74,7 +74,7 @@ class TestParse:
     def test_declaration_order_fixes_indices(self):
         g = parse_graph("vertex z\nvertex a\nedge z a 5\n")
         assert g.vertices == ("z", "a")
-        assert g.vertex_index("z") == 0
+        assert g.vertices.index("z") == 0
 
 
 class TestComponents:
@@ -101,7 +101,7 @@ class TestComponents:
                         for v in b2:
                             assert not g.has_edge(u, v)
             # ordered by smallest vertex index
-            firsts = [min(g.vertex_index(v) for v in block) for block in blocks]
+            firsts = [min(g.vertices.index(v) for v in block) for block in blocks]
             assert firsts == sorted(firsts)
 
 

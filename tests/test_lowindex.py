@@ -6,7 +6,7 @@ from conftest import reference_low_index_normal
 from rgcost.fpgroup import (
     EnumerationLimit,
     Presentation,
-    builtin_presentation,
+    builtin_target,
     cayley_table,
     low_index_normal,
     mod_cycle_images,
@@ -31,7 +31,7 @@ class TestLowIndexNormal:
     def test_braid3_contains_cyclic_kernels(self):
         # abelianization of the two-generator braid group is Z, so the
         # kernel of the total-exponent map mod k is normal of index k
-        b3, _ = builtin_presentation("braid3")
+        b3 = builtin_target("braid3").presentation
         subs = low_index_normal(b3, 6)
         found = {t.rows for t in subs}
         for k in range(1, 7):
@@ -83,7 +83,7 @@ class TestMatchesReference:
         ("SL2Z", 12), ("PSL2Z", 12), ("braid3", 12), ("braid4", 6), ("braid5", 5),
     ])
     def test_builtin(self, target, max_index):
-        pres, _ = builtin_presentation(target)
+        pres = builtin_target(target).presentation
         out = low_index_normal(pres, max_index)
         assert [t.rows for t in out] == [t.rows for t in reference_low_index_normal(
             pres, max_index)]
@@ -107,7 +107,7 @@ class TestMatchesReference:
 
 class TestSearchBudget:
     def test_limit_raises_with_count(self):
-        b5, _ = builtin_presentation("braid5")
+        b5 = builtin_target("braid5").presentation
         with pytest.raises(EnumerationLimit) as exc:
             low_index_normal(b5, 8, limit=100)
         assert (exc.value.live, exc.value.limit) == (101, 100)
@@ -122,5 +122,5 @@ class TestSearchBudget:
 
     def test_default_limit_has_headroom(self):
         # braid5 at N = 8 opens fewer than a tenth of the default 100000
-        b5, _ = builtin_presentation("braid5")
+        b5 = builtin_target("braid5").presentation
         assert len(low_index_normal(b5, 8, limit=10_000)) == 21

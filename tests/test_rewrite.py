@@ -23,7 +23,7 @@ from rgcost.fpgroup import (
     parse_presentation,
     reidemeister_schreier,
     sl2z_images,
-    builtin_presentation,
+    builtin_target,
     low_index_normal,
     psl2z_images,
     tietze_simplify,
@@ -109,7 +109,7 @@ class TestReidemeisterSchreier:
     def test_congruence_kernel_mod3_abelianization(self):
         # the mod-3 congruence kernel (index 24) is free of rank
         # 1 + 24/12 = 3, so its abelianization is Z^3
-        sl2z, _ = builtin_presentation("SL2Z")
+        sl2z = builtin_target("SL2Z").presentation
         table = cayley_table(sl2z, sl2z_images(3))
         assert table.index == 24
         sub = reidemeister_schreier(sl2z, table)
@@ -148,9 +148,9 @@ class TestReidemeisterSchreier:
 def _kernel_cases():
     """(presentation, kernel table) pairs from every table builder verify
     uses: congruence quotients, exponent kernels and low-index search."""
-    sl2z, _ = builtin_presentation("SL2Z")
-    psl2z, _ = builtin_presentation("PSL2Z")
-    b3, _ = builtin_presentation("braid3")
+    sl2z = builtin_target("SL2Z").presentation
+    psl2z = builtin_target("PSL2Z").presentation
+    b3 = builtin_target("braid3").presentation
     cases = [(sl2z, cayley_table(sl2z, sl2z_images(n))) for n in (2, 3, 4)]
     cases.append((psl2z, cayley_table(psl2z, psl2z_images(5))))
     cases += [(b3, cayley_table(b3, mod_cycle_images(b3, k))) for k in (1, 2, 5)]
@@ -271,16 +271,16 @@ def finite_index_subgroups(draw):
     """Reidemeister-Schreier presentation of a random finite-index subgroup:
     a random subgroup of a finite quotient, or a braid3 exponent kernel."""
     if draw(st.booleans()):
-        b3, _ = builtin_presentation("braid3")
+        b3 = builtin_target("braid3").presentation
         k = draw(st.integers(1, 40))
         return reidemeister_schreier(b3, cayley_table(b3, mod_cycle_images(b3, k)))
     source, extra = draw(st.sampled_from(SUBGROUP_SOURCES))
     if extra is None:
         pres = quotient = parse_presentation(source)
     else:
-        pres, _ = builtin_presentation(source)
+        pres = builtin_target(source).presentation
         quotient = Presentation(pres.generators,
-                                pres.relators + (pres.word_from_text(extra),))
+                                pres.relators + (pres.word_from_tokens(extra.split()),))
     words = draw(st.lists(st.lists(_letters(pres.num_generators), min_size=1, max_size=4),
                           max_size=2))
     table = todd_coxeter(quotient, subgroup=words, coset_limit=5000)
