@@ -29,7 +29,6 @@ from .groupexpr import (
 from .lgraph import (
     GraphError,
     LabelledGraph,
-    ReductionOrder,
     components,
     girth,
     is_planar,
@@ -54,7 +53,6 @@ __all__ = [
     "IntegersZ",
     "LabelledGraph",
     "PriceResult",
-    "ReductionOrder",
     "Surface",
     "TrivialGroup",
     "Unknown",

@@ -1,7 +1,7 @@
 """Decomposition certificates: builder, independent checker, JSON format.
 
 A certificate is a tree of priced claims.  Interior nodes split a group as
-an amalgam of several factors over one small subgroup, or generate it by a
+an amalgam of several factors over one finite subgroup, or generate it by a
 sequence of subgroups each of which meets the group generated by the
 earlier ones in an infinite subgroup; leaves are finite groups, infinite
 amenable groups, two-vertex Artin groups with infinite centre, or cited
@@ -22,15 +22,9 @@ from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 
 from .groupexpr import PriceResult
-from .lgraph import GraphError, LabelledGraph
+from .lgraph import LabelledGraph
 
 FORMAT = "rgcost-certificate/2"
-
-NORMAL_HYPOTHESES = (
-    "vanishing-gradient-normal-subgroup",
-    "infinite-centre",
-    "infinite-amenable-normal-subgroup",
-)
 
 # Why the two-generator centre misses chain intersections: its generator has
 # nonzero total exponent, while the intersection of all finite-index
@@ -60,27 +54,22 @@ def edge_center_word(label: int) -> int:
 
 @dataclass(frozen=True)
 class AmalgamDescriptor:
-    """The subgroup an amalgam node splits over.
-
-    kind "finite": declared finite subgroup of the given order; order 1 is
-    the trivial group, so the amalgam is a free product.
-    kind "amenable": declared infinite amenable subgroup.
-    """
+    """The finite subgroup an amalgam node splits over, of the declared
+    order; order 1 is the trivial group, so the amalgam is a free product.
+    The only kind is "finite"."""
 
     kind: str
     order: int | None = None
     name: str = ""
 
     def __post_init__(self):
-        if self.kind not in ("finite", "amenable"):
+        if self.kind != "finite":
             raise ValueError(f"unknown amalgam descriptor kind {self.kind!r}")
-        if self.kind == "finite" and (self.order is None or self.order < 1):
+        if self.order is None or self.order < 1:
             raise ValueError("finite descriptor needs an order >= 1")
 
     def price(self) -> Fraction:
-        if self.kind == "finite":
-            return 1 - Fraction(1, self.order)
-        return Fraction(1)
+        return 1 - Fraction(1, self.order)
 
 
 @dataclass(frozen=True)
@@ -136,15 +125,6 @@ class GenerationNode:
 
 
 @dataclass(frozen=True)
-class NormalSubgroupNode:
-    ambient: str
-    subgroup: str
-    hypothesis: str
-    reason: str
-    cost: Fraction
-
-
-@dataclass(frozen=True)
 class CitedFactLeaf:
     """Unverifiable assumption with a literature citation tag; the checker
     records it instead of validating it."""
@@ -161,7 +141,6 @@ KINDS = {
     "infinite-centre": InfiniteCenterLeaf,
     "amalgam": AmalgamNode,
     "generation": GenerationNode,
-    "normal-subgroup": NormalSubgroupNode,
     "cited-fact": CitedFactLeaf,
 }
 _KIND_OF = {cls: kind for kind, cls in KINDS.items()}
@@ -255,15 +234,6 @@ def _component_nodes(g: LabelledGraph) -> list:
                 witness_vertices=shared,
             ))
     return parts
-
-
-def decompose_artin(g: LabelledGraph):
-    """Certificate root for the Artin group of a connected graph: cost 1,
-    by the spanning-tree generation sequence of `_component_nodes`."""
-    parts = _component_nodes(g)
-    if len(parts) != 1:
-        raise GraphError("decompose_artin requires a connected graph")
-    return parts[0]
 
 
 def rg_artin(g: LabelledGraph) -> tuple[PriceResult, Certificate]:
@@ -388,15 +358,6 @@ def _check_cost(node, kids: list[Fraction], report: CheckReport, where: str) -> 
             bad.append(f"{where}: empty intersection witness")
         return Fraction(1)
 
-    if isinstance(node, NormalSubgroupNode):
-        if node.hypothesis not in NORMAL_HYPOTHESES:
-            bad.append(f"{where}: unknown hypothesis tag {node.hypothesis!r}")
-        if node.cost != 1:
-            bad.append(f"{where}: claimed cost {node.cost} != 1")
-        if not node.subgroup.strip() or not node.reason.strip():
-            bad.append(f"{where}: missing subgroup descriptor or reason")
-        return Fraction(1)
-
     if isinstance(node, CitedFactLeaf):
         report.assumptions.append(f"{node.statement} [{node.citation}]")
         return node.cost
@@ -476,42 +437,6 @@ def _derive_vertices(node, kids: list, graph: LabelledGraph, bad: list[str],
 
 # ---------------------------------------------------------------------------
 # Built-in certificates for the generation arguments
-
-
-def builtin_certificate(name: str, param: int | None = None) -> Certificate:
-    """Hand-encoded certificates shipped as data.
-
-    Names: SL2Z; MCG(g >= 2); AutFn(n >= 2) (AutF2 = AutFn(2));
-    OutFn(n >= 3); BnModCenter(n >= 4).
-    """
-    if name == "SL2Z":
-        _reject_param(name, param)
-        return _sl2z_certificate()
-    if name == "AutF2":
-        _reject_param(name, param)
-        return _autfn_certificate(2)
-    if name == "MCG":
-        if param is None or param < 2:
-            raise ValueError("MCG requires a genus parameter >= 2")
-        return _mcg_certificate(param)
-    if name == "AutFn":
-        if param is None or param < 2:
-            raise ValueError("AutFn requires a rank parameter >= 2")
-        return _autfn_certificate(param)
-    if name == "OutFn":
-        if param is None or param < 3:
-            raise ValueError("OutFn requires a rank parameter >= 3")
-        return _outfn_certificate(param)
-    if name == "BnModCenter":
-        if param is None or param < 4:
-            raise ValueError("BnModCenter requires a strand parameter >= 4")
-        return _bn_mod_center_certificate(param)
-    raise ValueError(f"unknown builtin certificate {name!r}")
-
-
-def _reject_param(name, param):
-    if param is not None:
-        raise ValueError(f"{name} takes no parameter")
 
 
 def _sl2z_certificate() -> Certificate:
@@ -748,6 +673,33 @@ def _outfn_certificate(n: int) -> Certificate:
         target=f"Out(F_{n}) generated by two copies of Aut(F_{n - 1})",
         citations=("classical",),
     )
+
+
+# Each builtin's builder, the noun of its parameter (None: it takes none)
+# and the least parameter value.
+BUILTINS = {
+    "SL2Z": (_sl2z_certificate, None, None),
+    "AutF2": (lambda: _autfn_certificate(2), None, None),
+    "MCG": (_mcg_certificate, "genus", 2),
+    "AutFn": (_autfn_certificate, "rank", 2),
+    "OutFn": (_outfn_certificate, "rank", 3),
+    "BnModCenter": (_bn_mod_center_certificate, "strand", 4),
+}
+
+
+def builtin_certificate(name: str, param: int | None = None) -> Certificate:
+    """The hand-encoded certificate `name` of `BUILTINS`, built for its
+    parameter."""
+    if name not in BUILTINS:
+        raise ValueError(f"unknown builtin certificate {name!r}")
+    build, noun, least = BUILTINS[name]
+    if noun is None:
+        if param is not None:
+            raise ValueError(f"{name} takes no parameter")
+        return build()
+    if param is None or param < least:
+        raise ValueError(f"{name} requires a {noun} parameter >= {least}")
+    return build(param)
 
 
 # ---------------------------------------------------------------------------

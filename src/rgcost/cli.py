@@ -46,8 +46,6 @@ EXIT_HYPOTHESIS = 3
 EXIT_CHECKER = 4
 EXIT_LIMIT = 5
 
-CERT_BUILTINS = ("SL2Z", "AutF2", "MCG", "AutFn", "OutFn", "BnModCenter")
-
 # What a command raises, as (exception, exit code, line prefix); main
 # reports the first row that matches, so subclasses come before ValueError.
 _ERRORS = (
@@ -154,7 +152,7 @@ def cmd_expr(args, report: Report) -> int:
 
 def cmd_certify(args, report: Report) -> int:
     name = args.target
-    if name in CERT_BUILTINS:
+    if name in cert_mod.BUILTINS:
         certificate = cert_mod.builtin_certificate(name, args.param)
         out_path = args.out or f"{name}{'' if args.param is None else args.param}.cert.json"
     else:
@@ -284,9 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
 
     p = sub.add_parser("certify", help="build and check a certificate")
-    p.add_argument("target", help=f"builtin ({', '.join(CERT_BUILTINS)}) or a graph file")
+    p.add_argument("target", help=f"builtin ({', '.join(cert_mod.BUILTINS)}) or a graph file")
+    takes_param = [name for name, (_, noun, _) in cert_mod.BUILTINS.items() if noun]
     p.add_argument("param", nargs="?", type=int, default=None,
-                   help="parameter for MCG/AutFn/OutFn/BnModCenter")
+                   help=f"parameter for {'/'.join(takes_param)}")
     p.add_argument("--out", metavar="PATH", help="output path for the certificate")
 
     p = sub.add_parser("verify", help="sample (d-1)/index along a chain of kernels")

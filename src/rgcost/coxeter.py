@@ -19,14 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import groupexpr as ge
-from .lgraph import (
-    GraphError,
-    LabelledGraph,
-    ReductionOrder,
-    girth,
-    is_planar,
-    reduction_order,
-)
+from .lgraph import GraphError, LabelledGraph, girth, is_planar, reduction_order
 
 AMALGAM_TRIVIAL = "trivial"
 AMALGAM_ORDER2 = "cyclic-2"
@@ -115,8 +108,6 @@ def build_trace(g: LabelledGraph, order) -> CoxeterTrace:
     over really is infinite dihedral); both are guaranteed when the graph
     has girth >= 6.
     """
-    if isinstance(order, ReductionOrder):
-        order = order.order
     if sorted(order) != sorted(g.vertices):
         raise GraphError("elimination order must be a permutation of the vertices")
     remaining = set(g.vertices)
@@ -159,12 +150,12 @@ def rg_coxeter_planar(g: LabelledGraph) -> tuple[ge.PriceResult, CoxeterTrace]:
     if gv < 6 or not planar:
         raise HypothesisError(gv, planar)
     order = reduction_order(g)
-    if not isinstance(order, ReductionOrder):
+    if len(order) < g.num_vertices:
         # Unreachable under the hypotheses (a planar girth->=6 graph always
-        # has a valence-<=2 vertex); the witness subgraph is reported.
+        # has a valence-<=2 vertex); the stuck set's size is reported.
         raise RuntimeError(
             f"internal error: no elimination order; stuck subgraph on "
-            f"{order.num_vertices} vertices where every vertex has degree >= 3"
+            f"{g.num_vertices - len(order)} vertices where every vertex has degree >= 3"
         )
     trace = build_trace(g, order)
     value = closed_form(g)

@@ -13,8 +13,6 @@ case, since the inverse token of a name is its swapcase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..lgraph import LabelledGraph
 
 Word = tuple[int, ...]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 
 NAME_CHARS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_"
 
@@ -105,19 +104,6 @@ class LabelledGraph:
     def neighbors(self, v: str) -> tuple[str, ...]:
         return tuple(self._vertices[i] for i in self._adj[self._index[v]])
 
-    def degree(self, v: str) -> int:
-        return len(self._adj[self._index[v]])
-
-    def induced(self, keep) -> "LabelledGraph":
-        """Induced subgraph on `keep`, preserving relative vertex order."""
-        keep_set = set(keep)
-        vs = [v for v in self._vertices if v in keep_set]
-        missing = keep_set - set(vs)
-        if missing:
-            raise GraphError(f"unknown vertices {sorted(missing)!r}")
-        es = [(u, v, lab) for u, v, lab in self.edges() if u in keep_set and v in keep_set]
-        return LabelledGraph(vs, es)
-
     def __eq__(self, other):
         if not isinstance(other, LabelledGraph):
             return NotImplemented
@@ -128,14 +114,6 @@ class LabelledGraph:
 
     def __repr__(self):
         return f"LabelledGraph({self.num_vertices} vertices, {self.num_edges} edges)"
-
-
-@dataclass(frozen=True)
-class ReductionOrder:
-    """Vertex elimination order in which every vertex has degree <= 2
-    among itself and all later vertices (a 2-degeneracy witness)."""
-
-    order: tuple[str, ...]
 
 
 def parse_graph(text: str) -> LabelledGraph:
@@ -301,15 +279,17 @@ def is_planar(g: LabelledGraph) -> bool:
     return memo["planar"]
 
 
-def reduction_order(g: LabelledGraph):
-    """Greedy 2-degeneracy elimination.
+def reduction_order(g: LabelledGraph) -> tuple[str, ...]:
+    """Greedy 2-degeneracy elimination: the eliminated vertices in order.
 
-    Repeatedly removes the smallest-index vertex of current degree <= 2.
-    Degrees only fall, so a vertex stays eligible once it is; the eligible
-    vertices sit in a min-heap, each pushed once, and the whole
-    elimination takes O((n + m) log n).  Returns a full ReductionOrder on
-    success; on failure returns the induced subgraph in which every vertex
-    has degree >= 3 (the witness).
+    Repeatedly removes the smallest-index vertex of current degree <= 2,
+    so each vertex has at most two neighbours among the vertices after
+    it.  Degrees only fall, so a vertex stays eligible once it is; the
+    eligible vertices sit in a min-heap, each pushed once, and the whole
+    elimination takes O((n + m) log n).  The tuple lists every vertex
+    exactly when the graph is 2-degenerate; otherwise the vertices it
+    leaves out are the stuck set, whose induced subgraph has every degree
+    >= 3.
     """
     n = g.num_vertices
     alive = [True] * n
@@ -325,6 +305,4 @@ def reduction_order(g: LabelledGraph):
                 deg[j] -= 1
                 if deg[j] == 2:
                     heapq.heappush(heap, j)
-    if len(order) < n:
-        return g.induced([g.vertices[i] for i in range(n) if alive[i]])
-    return ReductionOrder(tuple(order))
+    return tuple(order)

@@ -56,12 +56,30 @@ from rgcost.groupexpr import (
 from rgcost.lgraph import (
     GraphError,
     LabelledGraph,
-    ReductionOrder,
     components,
     girth,
     is_planar,
     parse_graph,
 )
+
+
+# ---------------------------------------------------------------------------
+# graph helpers
+
+
+def degree(g: LabelledGraph, v: str) -> int:
+    return len(g.neighbors(v))
+
+
+def induced(g: LabelledGraph, keep) -> LabelledGraph:
+    """Induced subgraph on `keep`, preserving relative vertex order."""
+    keep_set = set(keep)
+    vs = [v for v in g.vertices if v in keep_set]
+    missing = keep_set - set(vs)
+    if missing:
+        raise GraphError(f"unknown vertices {sorted(missing)!r}")
+    es = [(u, v, lab) for u, v, lab in g.edges() if u in keep_set and v in keep_set]
+    return LabelledGraph(vs, es)
 
 
 # ---------------------------------------------------------------------------
@@ -168,27 +186,27 @@ def brute_girth(g: LabelledGraph):
     return best
 
 
-def reference_reduction_order(g: LabelledGraph):
+def reference_reduction_order(g: LabelledGraph) -> tuple[str, ...]:
     """Oracle: the greedy 2-degeneracy elimination by a full rescan per
     step (quadratic): repeatedly remove the smallest-index vertex of
-    current degree <= 2; when none is left, return the induced subgraph of
-    the remaining vertices."""
+    current degree <= 2; when none is left, return the vertices removed
+    so far."""
     n = g.num_vertices
     index = {v: i for i, v in enumerate(g.vertices)}
     alive = [True] * n
-    deg = [g.degree(v) for v in g.vertices]
+    deg = [degree(g, v) for v in g.vertices]
     order = []
     for _ in range(n):
         pick = next((i for i in range(n) if alive[i] and deg[i] <= 2), -1)
         if pick == -1:
-            return g.induced([g.vertices[i] for i in range(n) if alive[i]])
+            break
         alive[pick] = False
         order.append(g.vertices[pick])
         for w in g.neighbors(g.vertices[pick]):
             j = index[w]
             if alive[j]:
                 deg[j] -= 1
-    return ReductionOrder(tuple(order))
+    return tuple(order)
 
 
 def _simple_paths(adj, src, dst, banned, max_len):

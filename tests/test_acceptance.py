@@ -8,8 +8,6 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from conftest import (
     coxeter_presentation,
     cycle_graph,
@@ -35,13 +33,11 @@ from rgcost.fpgroup import (
     EnumerationLimit,
     abelian_invariants,
     builtin_target,
-    cayley_table,
     kernel_chain_cayley,
     mod_cycle_images,
     parse_presentation,
     reidemeister_schreier,
     rg_sequence,
-    sl2z_images,
     psl2z_images,
     smith_normal_form,
 )

@@ -17,18 +17,16 @@ from rgcost.certificate import (
     FiniteLeaf,
     GenerationNode,
     InfiniteCenterLeaf,
-    NormalSubgroupNode,
     builtin_certificate,
     certificate_from_json,
     certificate_to_json,
     check_certificate,
-    decompose_artin,
     edge_center_word,
     lickorish_sequence,
     rg_artin,
 )
 from rgcost.groupexpr import ArtinGraph, evaluate
-from rgcost.lgraph import GraphError, LabelledGraph, components, parse_graph
+from rgcost.lgraph import LabelledGraph, components, parse_graph
 
 
 class TestEdgeCenterWord:
@@ -44,20 +42,20 @@ class TestEdgeCenterWord:
 class TestDecompose:
     def test_single_vertex(self):
         g = parse_graph("vertex a\n")
-        node = decompose_artin(g)
+        node = rg_artin(g)[1].root
         assert isinstance(node, AmenableLeaf)
         assert node.cost == 1
 
     def test_single_edge(self):
         g = parse_graph("vertex a\nvertex b\nedge a b 5\n")
-        node = decompose_artin(g)
+        node = rg_artin(g)[1].root
         assert isinstance(node, InfiniteCenterLeaf)
         assert node.exponent == 5
         assert node.cost == 1
 
     def test_path_is_generation_over_shared_vertex(self):
         g = parse_graph("vertex a\nvertex b\nvertex c\nedge a b 3\nedge b c 3\n")
-        node = decompose_artin(g)
+        node = rg_artin(g)[1].root
         assert isinstance(node, GenerationNode)
         assert all(isinstance(c, InfiniteCenterLeaf) for c in node.children)
         assert [c.endpoints for c in node.children] == [("a", "b"), ("b", "c")]
@@ -68,16 +66,11 @@ class TestDecompose:
         g = parse_graph(
             "vertex a\nvertex b\nvertex c\nedge a b 2\nedge b c 2\nedge a c 2\n"
         )
-        node = decompose_artin(g)
+        node = rg_artin(g)[1].root
         assert isinstance(node, GenerationNode)
         # breadth-first tree from a, neighbours in index order: ab, then ac
         assert [c.endpoints for c in node.children] == [("a", "b"), ("a", "c")]
         assert node.witness_vertices == ("a",)
-
-    def test_rejects_disconnected(self):
-        g = parse_graph("vertex a\nvertex b\n")
-        with pytest.raises(GraphError):
-            decompose_artin(g)
 
     def test_round_trip_random(self):
         rng = random.Random(47)
@@ -86,7 +79,7 @@ class TestDecompose:
             g = random_connected_graph(rng, n_min=1, n_max=12)
             if len(components(g)) != 1:
                 continue
-            node = decompose_artin(g)
+            node = rg_artin(g)[1].root
             report = check_certificate(node, g)
             assert report.valid, report.violations
             assert not report.assumptions
@@ -97,8 +90,8 @@ class TestDecompose:
         rng = random.Random(53)
         for _ in range(20):
             g = random_connected_graph(rng, n_min=2, n_max=10)
-            cert1 = Certificate(root=decompose_artin(g), target="t", graph=g)
-            cert2 = Certificate(root=decompose_artin(g), target="t", graph=g)
+            cert1 = Certificate(root=rg_artin(g)[1].root, target="t", graph=g)
+            cert2 = Certificate(root=rg_artin(g)[1].root, target="t", graph=g)
             assert certificate_to_json(cert1) == certificate_to_json(cert2)
 
     def test_generation_vertex_bookkeeping(self):
@@ -107,7 +100,7 @@ class TestDecompose:
         rng = random.Random(59)
         for _ in range(40):
             g = random_connected_graph(rng, n_min=3, n_max=10)
-            node = decompose_artin(g)
+            node = rg_artin(g)[1].root
             assert isinstance(node, GenerationNode)
             assert len(node.children) == g.num_vertices - 1
             union = set(node.children[0].endpoints)
@@ -153,7 +146,7 @@ class TestRgArtin:
 class TestChecker:
     def test_tampered_cost_is_violation(self):
         g = parse_graph("vertex a\nvertex b\nvertex c\nedge a b 3\nedge b c 3\n")
-        node = decompose_artin(g)
+        node = rg_artin(g)[1].root
         bad = replace(node, cost=Fraction(2))
         report = check_certificate(bad, g)
         assert not report.valid
@@ -193,18 +186,10 @@ class TestChecker:
     def test_degenerate_leaf_is_violation_not_crash(self, leaf):
         assert not check_certificate(leaf).valid
 
-    def test_normal_subgroup_node(self):
-        ok = NormalSubgroupNode(
-            ambient="G", subgroup="C", hypothesis="infinite-centre",
-            reason="centre contains an infinite-order element", cost=Fraction(1))
-        assert check_certificate(ok).valid
-        bad = replace(ok, hypothesis="because")
-        assert not check_certificate(bad).valid
-
     def test_checker_recomputes_from_children(self):
         # consistent-looking parent over a tampered child must be caught
         g = parse_graph("vertex a\nvertex b\nvertex c\nedge a b 3\nedge b c 3\n")
-        node = decompose_artin(g)
+        node = rg_artin(g)[1].root
         bad_child = replace(node.children[0], cost=Fraction(2))
         bad = replace(node, children=(bad_child,) + node.children[1:], cost=Fraction(2))
         report = check_certificate(bad, g)
@@ -299,21 +284,35 @@ class TestJson:
         with pytest.raises(ValueError, match=r"rgcost-certificate/1.*re-run `rgcost certify`"):
             certificate_from_json(old)
 
-    @pytest.mark.parametrize("nodes", [
-        [{"kind": "amenable", "name": "<a>", "reason": "r", "cost": "1", "vertex": "a"},
-         {"kind": "amalgam", "children": [0, 0], "cost": "2",
-          "amalgam": {"kind": "finite", "order": 1}}],
-        [{"kind": "amenable", "name": "<a>", "reason": "r", "cost": "1", "vertex": "a"},
-         {"kind": "amenable", "name": "<b>", "reason": "r", "cost": "1", "vertex": "b"}],
-        [{"kind": "amalgam", "children": [1], "cost": "1",
-          "amalgam": {"kind": "finite", "order": 1}},
-         {"kind": "amenable", "name": "<a>", "reason": "r", "cost": "1", "vertex": "a"}],
-        [{"kind": "amenable", "name": "<a>", "reason": "r"}],
-    ], ids=["shared-child", "two-roots", "forward-reference", "missing-cost"])
-    def test_rejects_nodes_that_are_not_one_post_order_tree(self, nodes):
+    @pytest.mark.parametrize("nodes,match", [
+        ([{"kind": "amenable", "name": "<a>", "reason": "r", "cost": "1", "vertex": "a"},
+          {"kind": "amalgam", "children": [0, 0], "cost": "2",
+           "amalgam": {"kind": "finite", "order": 1}}], "certificate node 1"),
+        ([{"kind": "amenable", "name": "<a>", "reason": "r", "cost": "1", "vertex": "a"},
+          {"kind": "amenable", "name": "<b>", "reason": "r", "cost": "1", "vertex": "b"}],
+         "not one tree"),
+        ([{"kind": "amalgam", "children": [1], "cost": "1",
+           "amalgam": {"kind": "finite", "order": 1}},
+          {"kind": "amenable", "name": "<a>", "reason": "r", "cost": "1", "vertex": "a"}],
+         "certificate node 0"),
+        ([{"kind": "amenable", "name": "<a>", "reason": "r"}], "certificate node 0"),
+        # a claim of cost 1 on a hypothesis tag alone, for any ambient group
+        ([{"kind": "normal-subgroup", "ambient": "G", "subgroup": "C",
+           "hypothesis": "infinite-centre", "reason": "r", "cost": "1"}],
+         "unknown certificate node kind 'normal-subgroup'"),
+        # two order-2 groups amalgamated at price 1 over a declared amenable
+        # subgroup: cost 0
+        ([{"kind": "finite", "order": 2, "cost": "1/2"},
+          {"kind": "finite", "order": 2, "cost": "1/2"},
+          {"kind": "amalgam", "children": [0, 1], "cost": "0",
+           "amalgam": {"kind": "amenable", "name": "<c>"}}],
+         r"certificate node 2 \(amalgam\): unknown amalgam descriptor kind 'amenable'"),
+    ], ids=["shared-child", "two-roots", "forward-reference", "missing-cost",
+            "normal-subgroup", "amenable-amalgam"])
+    def test_rejects_nodes_that_are_not_one_post_order_tree(self, nodes, match):
         doc = {"format": "rgcost-certificate/2", "target": "", "claimed_cost": "1",
                "citations": [], "caveat": None, "graph": None, "nodes": nodes}
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=match):
             certificate_from_json(json.dumps(doc))
 
     def test_external_cost_strings_are_fractions(self):
@@ -414,11 +413,11 @@ class TestSoundness:
                     "amalgam": {"kind": "vertex", "name": "<c>"}}]}
         with pytest.raises(ValueError, match="unknown amalgam descriptor kind"):
             certificate_from_json(json.dumps(doc))
-        # the same split stated over the amenable subgroup <c> is arithmetic-
-        # ally consistent (1 + 1 - 1) but is no step of the Artin induction
+        # the same split stated over a subgroup of order 2 is arithmetically
+        # consistent (1 + 1 - 1/2) but is no step of the Artin induction
         forged = AmalgamNode(children=(edge_leaf("a", "c", 3), edge_leaf("b", "c", 3)),
-                             amalgam=AmalgamDescriptor(kind="amenable", name="<c>"),
-                             cost=Fraction(1))
+                             amalgam=AmalgamDescriptor(kind="finite", order=2, name="<c^2>"),
+                             cost=Fraction(3, 2))
         report = check_certificate(forged, parse_graph(TRIANGLE))
         assert any("trivial group" in v for v in report.violations)
 
@@ -433,10 +432,8 @@ class TestSoundness:
     @pytest.mark.parametrize("leaf", [
         FiniteLeaf(order=2, cost=Fraction(1, 2)),
         CitedFactLeaf(statement="s", citation="c", cost=Fraction(1)),
-        NormalSubgroupNode(ambient="G", subgroup="C", hypothesis="infinite-centre",
-                           reason="r", cost=Fraction(1)),
         AmenableLeaf(name="Z", reason="r", cost=Fraction(1)),
-    ], ids=["finite", "cited", "normal", "amenable-without-vertex"])
+    ], ids=["finite", "cited", "amenable-without-vertex"])
     def test_nodes_outside_the_artin_induction(self, leaf):
         # a free-product factor with no vertices would leave the root's set intact
         g = parse_graph("vertex a\nvertex b\nedge a b 3\n")

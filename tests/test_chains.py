@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -9,7 +8,6 @@ from conftest import brute_sl2_order, reference_cayley_table
 from rgcost.fpgroup import (
     NotHomomorphism,
     Presentation,
-    RGSample,
     builtin_target,
     cayley_table,
     kernel_chain_cayley,

@@ -1,5 +1,4 @@
 import hashlib
-import json
 import os
 import subprocess
 import sys
@@ -501,14 +500,14 @@ THREE_COMPONENT_GRAPH = "".join(f"vertex {v}\n" for v in "abcdef") + (
     "edge a b 3\nedge b c 4\nedge a c 2\nedge d e 5\n")
 
 # Pinned `certify` and `artin --certify` output after the command echo,
-# captured before certificates were written in the flat post-order format;
-# only the certificate files may change with that format.
+# captured before certificates were written in the flat post-order format,
+# and the sha256 of the certificate file each command writes in that format.
 GOLDEN_CERTIFY = [
     ("certify SL2Z",
      """\
 certificate: SL2Z.cert.json
 valid=true assumptions=0 cost=13/12
-"""),
+""", "0ea93dbc0d56858e215d33171e3d89a686748f9c43bc42ccea2993fd00a091da"),
     ("certify MCG 3",
      """\
 certificate: MCG3.cert.json
@@ -520,7 +519,7 @@ valid=true assumptions=7 cost=1
   assumes: the Dehn twists a2 and c2 are defined along simple closed non-separating curves with intersection number one, so <a2,c2> is a copy of the braid group on three strands; a connected one-edge Artin group has fixed price 1 [BH]
   assumes: the Dehn twists c2 and a3 are defined along simple closed non-separating curves with intersection number one, so <c2,a3> is a copy of the braid group on three strands; a connected one-edge Artin group has fixed price 1 [BH]
   assumes: the Dehn twists a3 and m3 are defined along simple closed non-separating curves with intersection number one, so <a3,m3> is a copy of the braid group on three strands; a connected one-edge Artin group has fixed price 1 [BH]
-"""),
+""", "2a4ff60f8d249328ac1a9336b88ecc8708fd8fb0766688f3604602ba7d7f6f17"),
     ("certify AutFn 4",
      """\
 certificate: AutFn4.cert.json
@@ -529,7 +528,7 @@ valid=true assumptions=4 cost=1
   assumes: A_1, the copy of Aut(F_2) acting on <x_1,x_2> and fixing the other free generators, has fixed price 1 (AutFn(2) certificate) [DF]
   assumes: A_2, the copy of Aut(F_2) acting on <x_2,x_3> and fixing the other free generators, has fixed price 1 (AutFn(2) certificate) [DF]
   assumes: A_3, the copy of Aut(F_2) acting on <x_3,x_4> and fixing the other free generators, has fixed price 1 (AutFn(2) certificate) [DF]
-"""),
+""", "ee3533c41e2a780b34b81427f88b2338f82be40911cba1fec9b29d14c511d1f0"),
     ("certify OutFn 3",
      """\
 certificate: OutFn3.cert.json
@@ -537,39 +536,43 @@ valid=true assumptions=3 cost=1
   assumes: Xbar, the image in Out(F_3) of the copy X of Aut(F_2) acting on <x_1,x_2> and fixing x_3, is isomorphic to Aut(F_2) and has fixed price 1 [DF]
   assumes: Zbar, the image of the copy Z of Aut(F_2) acting on <x_1,x_2> and fixing x_1x_3, is isomorphic to Aut(F_2) and has fixed price 1; the intersection Xbar n Zbar >= <alphabar> is infinite, where alpha: x_1 -> x_1, x_2 -> x_1x_2, x_3 -> x_3 [DF]
   assumes: Ybar, the image of the copy Y of Aut(F_2) acting on <x_2,x_3> and fixing x_1, is isomorphic to Aut(F_2) and has fixed price 1; <Xbar,Zbar> n Ybar contains the class of gamma o beta (fixing x_1 and x_2, sending x_3 to x_2^-1 x_3), of infinite order [DF]
-"""),
+""", "08f6f75d9fc0b404e9ff0564ad023d734eeb72a40110f9a12b39493d37be9c8a"),
     ("certify BnModCenter 5",
      """\
 certificate: BnModCenter5.cert.json
 valid=true assumptions=2 cost=1
   assumes: the parabolic subgroup <sigma_1,...,sigma_3> of the braid group on 5 strands is a copy of the braid group on 4 strands meeting the centre trivially (Garside-element description of the centre), so its image modulo the centre is again that braid group; a connected-path Artin group has fixed price 1 [Garside]
   assumes: the parabolic subgroup <sigma_2,...,sigma_4> of the braid group on 5 strands is a copy of the braid group on 4 strands meeting the centre trivially (Garside-element description of the centre), so its image modulo the centre is again that braid group; a connected-path Artin group has fixed price 1 [Garside]
-"""),
+""", "9a0dda747687820d5336e997c1645af9a5e1c1bb23dffded0591bfc8ba341e76"),
     ("certify g12.graph",
      """\
 # input g12.graph sha256=1eb1c5446ad992ce4f16b2525a6cdcc3cb0bf10931746c75aa7a69efd2720b2e
 certificate: g12.graph.cert.json
 valid=true assumptions=0 cost=1
-"""),
+""", "34b691df64db46b1dd27380045f630a9a538897a47251fa788853f476c3bbb96"),
     ("artin three.graph --certify three.cert.json",
      """\
 # input three.graph sha256=9b805a62b7e862fe25585b481f28c7bbb8dfeb2f1b6124e026bea065b92d91ff
 components=3 cost=3 rg=2 betti1=2
 certificate: three.cert.json (assumptions=0, valid)
-"""),
+""", "cebb9419aec758b928b3311ead3aff6fcf382ac8d151423d1d308e9654e030c2"),
 ]
 
 
 class TestGoldenCertify:
-    @pytest.mark.parametrize("command,expected", GOLDEN_CERTIFY,
-                             ids=[c for c, _ in GOLDEN_CERTIFY])
-    def test_output_unchanged(self, command, expected, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("command,expected,cert_sha256", GOLDEN_CERTIFY,
+                             ids=[c[0] for c in GOLDEN_CERTIFY])
+    def test_output_unchanged(self, command, expected, cert_sha256, tmp_path, capsys,
+                              monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "g12.graph").write_text(G12_GRAPH)
         (tmp_path / "three.graph").write_text(THREE_COMPONENT_GRAPH)
         code, out = run_cli(command.split(), capsys)
         assert code == 0
         assert out == f"# rgcost --no-timestamp {command}\n{expected}"
+        written = next(line.split()[1] for line in expected.splitlines()
+                       if line.startswith("certificate: "))
+        assert hashlib.sha256((tmp_path / written).read_bytes()).hexdigest() == cert_sha256
 
     def test_certify_800_vertex_path(self, tmp_path, capsys):
         path = tmp_path / "path800.graph"

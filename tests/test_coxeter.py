@@ -17,7 +17,6 @@ from rgcost.coxeter import (
     AMALGAM_DINF,
     AMALGAM_ORDER2,
     AMALGAM_TRIVIAL,
-    CoxeterTrace,
     HypothesisError,
     build_trace,
     closed_form,

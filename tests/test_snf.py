@@ -1,4 +1,3 @@
-import math
 import random
 
 from conftest import det_int, minors_gcd
