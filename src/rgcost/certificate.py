@@ -335,6 +335,12 @@ def _check_cost(node, kids: list[Fraction], report: CheckReport, where: str) -> 
         if len(kids) < 2:
             bad.append(f"{where}: an amalgam needs at least two factors")
         price = node.amalgam.price()
+        # the subgroup amalgamated over is a subgroup of every factor
+        for j, child in enumerate(node.children):
+            if isinstance(child, FiniteLeaf) and isinstance(child.order, int) \
+                    and child.order % node.amalgam.order:
+                bad.append(f"{where}: subgroup order {node.amalgam.order} does not divide "
+                           f"factor {j} order {child.order}")
         expected = sum(kids, Fraction(0)) - (len(kids) - 1) * price
         if node.cost != expected:
             bad.append(

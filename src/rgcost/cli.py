@@ -10,34 +10,21 @@ symbolic value, or an `expr` node whose values break betti1 - beta0 <=
 rank gradient; 4 certificate checker violation; 5 enumeration limit
 exceeded.  With --no-timestamp the output is byte-identical across runs
 for identical inputs.
+
+A command loads only the engine it runs: `artin` and `certify` load
+`certificate`, `coxeter` loads `coxeter` and `verify` loads `fpgroup`, so
+a short run does not pay for the others at start-up.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import sys
-from datetime import datetime, timezone
 
-from . import certificate as cert_mod
-from . import coxeter as cox_mod
 from . import groupexpr as ge
 from .exprparse import parse_expr_file
-from .fpgroup import (
-    TARGET_HINT,
-    EnumerationLimit,
-    builtin_target,
-    kernel_chain_cayley,
-    low_index_normal,
-    mod_cycle_images,
-    parse_presentation,
-    psl2z_images,
-    rg_sequence,
-    samples_to_csv,
-    sl2_order,
-    sl2z_images,
-    trend_summary,
-)
 from .lgraph import girth, is_planar, parse_graph
 
 EXIT_OK = 0
@@ -46,14 +33,34 @@ EXIT_HYPOTHESIS = 3
 EXIT_CHECKER = 4
 EXIT_LIMIT = 5
 
-# What a command raises, as (exception, exit code, line prefix); main
-# reports the first row that matches, so subclasses come before ValueError.
+# What a command raises, as (module, exception, exit code, line prefix);
+# main reports the first row that matches, so subclasses come before
+# ValueError, and lets any other exception through.  A class is looked up
+# only in a module already loaded: one never loaded raised nothing.
 _ERRORS = (
-    (cox_mod.HypothesisError, EXIT_HYPOTHESIS, "hypothesis failed"),
-    (ge.InvariantError, EXIT_HYPOTHESIS, "error"),
-    (EnumerationLimit, EXIT_LIMIT, "inconclusive"),
-    (ValueError, EXIT_PARSE, "error"),
+    ("rgcost.coxeter", "HypothesisError", EXIT_HYPOTHESIS, "hypothesis failed"),
+    ("rgcost.groupexpr", "InvariantError", EXIT_HYPOTHESIS, "error"),
+    ("rgcost.fpgroup.coset", "EnumerationLimit", EXIT_LIMIT, "inconclusive"),
+    (__name__, "_LevelLimit", EXIT_LIMIT, "inconclusive"),
+    ("builtins", "ValueError", EXIT_PARSE, "error"),
 )
+
+# The `fpgroup` names `cmd_verify` calls.  The module `__getattr__` binds
+# each on first use, and `cmd_verify` looks them up on this module, so
+# rebinding one here (as a tracer or a test does) changes what it calls.
+_FPGROUP_NAMES = frozenset({
+    "builtin_target", "kernel_chain_cayley", "low_index_normal", "mod_cycle_images",
+    "parse_presentation", "psl2z_images", "rg_sequence", "samples_to_csv", "sl2_order",
+    "sl2z_images", "trend_summary",
+})
+
+
+def __getattr__(name: str):
+    if name not in _FPGROUP_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import fpgroup
+    value = globals()[name] = getattr(fpgroup, name)
+    return value
 
 
 class Report:
@@ -62,6 +69,7 @@ class Report:
     def __init__(self, argv, timestamp: bool):
         self.lines = ["# rgcost " + " ".join(argv)]
         if timestamp:
+            from datetime import datetime, timezone
             self.lines.append("# generated " + datetime.now(timezone.utc).isoformat())
 
     def note_input(self, label: str, data: bytes):
@@ -99,6 +107,7 @@ def _write_file(path: str, text: str) -> None:
 def _write_certificate(path: str, certificate):
     """Write the certificate's JSON, then parse that text back and check
     it: (the parsed certificate, the checker's result)."""
+    from . import certificate as cert_mod
     text = cert_mod.certificate_to_json(certificate)
     _write_file(path, text)
     reread = cert_mod.certificate_from_json(text)
@@ -109,6 +118,7 @@ def _write_certificate(path: str, certificate):
 
 
 def cmd_artin(args, report: Report) -> int:
+    from . import certificate as cert_mod
     g = parse_graph(_read_file(args.graph, report))
     price, certificate = cert_mod.rg_artin(g)
     report.add(
@@ -126,6 +136,7 @@ def cmd_artin(args, report: Report) -> int:
 
 
 def cmd_coxeter(args, report: Report) -> int:
+    from . import coxeter as cox_mod
     g = parse_graph(_read_file(args.graph, report))
     price, trace = cox_mod.rg_coxeter_planar(g)
     report.add(f"hypotheses: girth={girth(g)} planar={str(is_planar(g)).lower()} OK")
@@ -151,6 +162,7 @@ def cmd_expr(args, report: Report) -> int:
 
 
 def cmd_certify(args, report: Report) -> int:
+    from . import certificate as cert_mod
     name = args.target
     if name in cert_mod.BUILTINS:
         certificate = cert_mod.builtin_certificate(name, args.param)
@@ -185,19 +197,19 @@ def _levels(text: str, flag: str) -> list[int]:
     return levels
 
 
-class _LevelLimit(EnumerationLimit):
+class _LevelLimit(RuntimeError):
     """A congruence quotient larger than the coset limit, found before
-    any quotient is built."""
+    any quotient is built; reported like an `EnumerationLimit`."""
 
     def __init__(self, level: int, limit: int):
-        RuntimeError.__init__(
-            self, f"congruence level {level} exceeds the coset limit {limit}")
+        super().__init__(f"congruence level {level} exceeds the coset limit {limit}")
 
 
 def cmd_verify(args, report: Report) -> int:
-    target = builtin_target(args.target)
+    cli = sys.modules[__name__]  # the engine's names, through __getattr__
+    target = cli.builtin_target(args.target)
     if target is None:
-        pres = parse_presentation(_read_file(args.target, report))
+        pres = cli.parse_presentation(_read_file(args.target, report))
     else:
         pres = target.presentation
         report.note_input(f"builtin:{args.target}", target.text.encode("utf-8"))
@@ -221,24 +233,25 @@ def cmd_verify(args, report: Report) -> int:
         # n^3/4 (prod_p (1 - 1/p^2) > 6/pi^2, halved for PSL), so a
         # large level is rejected without factoring n.
         for n in levels:
-            if n ** 3 > 4 * limit or sl2_order(n, target.psl) > limit:
+            if n ** 3 > 4 * limit or cli.sl2_order(n, target.psl) > limit:
                 raise _LevelLimit(n, limit)
-        build = psl2z_images if target.psl else sl2z_images
-        tables = kernel_chain_cayley(pres, [build(n) for n in levels], limit=limit)
+        build = cli.psl2z_images if target.psl else cli.sl2z_images
+        tables = cli.kernel_chain_cayley(pres, [build(n) for n in levels], limit=limit)
     elif args.abelian_kill:
-        images = [mod_cycle_images(pres, k) for k in _levels(args.abelian_kill, "--abelian-kill")]
-        tables = kernel_chain_cayley(pres, images, limit=limit)
+        images = [cli.mod_cycle_images(pres, k)
+                  for k in _levels(args.abelian_kill, "--abelian-kill")]
+        tables = cli.kernel_chain_cayley(pres, images, limit=limit)
     else:
-        tables = low_index_normal(pres, args.low_index, limit=limit)
-    samples = rg_sequence(pres, tables)
+        tables = cli.low_index_normal(pres, args.low_index, limit=limit)
+    samples = cli.rg_sequence(pres, tables)
 
-    csv_text = samples_to_csv(samples)
+    csv_text = cli.samples_to_csv(samples)
     for line in csv_text.rstrip("\n").split("\n"):
         report.add(line)
     if args.csv:
         _write_file(args.csv, csv_text)
         report.add(f"csv: {args.csv}")
-    report.add("trend: " + trend_summary(samples))
+    report.add("trend: " + cli.trend_summary(samples))
 
     if target is None:
         report.add("symbolic value unknown")
@@ -258,6 +271,19 @@ def cmd_verify(args, report: Report) -> int:
 
 
 # ---------------------------------------------------------------------------
+
+
+class _Listing(str):
+    """Help text that lists an engine's builtins.  argparse %-formats a
+    help string only when it prints it, so the engine loads only then."""
+
+    def __new__(cls, module: str, make):
+        self = super().__new__(cls, f"(listed from {module})")
+        self.module, self.make = module, make
+        return self
+
+    def __mod__(self, params):
+        return self.make(importlib.import_module(f".{self.module}", __package__)) % params
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -282,14 +308,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
 
     p = sub.add_parser("certify", help="build and check a certificate")
-    p.add_argument("target", help=f"builtin ({', '.join(cert_mod.BUILTINS)}) or a graph file")
-    takes_param = [name for name, (_, noun, _) in cert_mod.BUILTINS.items() if noun]
-    p.add_argument("param", nargs="?", type=int, default=None,
-                   help=f"parameter for {'/'.join(takes_param)}")
+    p.add_argument("target", help=_Listing(
+        "certificate", lambda m: f"builtin ({', '.join(m.BUILTINS)}) or a graph file"))
+    p.add_argument("param", nargs="?", type=int, default=None, help=_Listing(
+        "certificate", lambda m: "parameter for " + "/".join(
+            name for name, (_, noun, _) in m.BUILTINS.items() if noun)))
     p.add_argument("--out", metavar="PATH", help="output path for the certificate")
 
     p = sub.add_parser("verify", help="sample (d-1)/index along a chain of kernels")
-    p.add_argument("target", help=f"builtin ({TARGET_HINT}) or a presentation file")
+    p.add_argument("target", help=_Listing(
+        "fpgroup", lambda m: f"builtin ({m.TARGET_HINT}) or a presentation file"))
     p.add_argument("--mod", metavar="LIST", help="congruence levels, e.g. 3,4,5")
     p.add_argument("--abelian-kill", metavar="LIST",
                    help="kill the total exponent mod each k in the list")
@@ -318,8 +346,12 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         code = handler(args, report)
-    except (ValueError, EnumerationLimit) as exc:
-        code, prefix = next((c, p) for kind, c, p in _ERRORS if isinstance(exc, kind))
+    except Exception as exc:
+        row = next(((c, p) for module, kind, c, p in _ERRORS
+                    if isinstance(exc, getattr(sys.modules.get(module), kind, ()))), None)
+        if row is None:
+            raise
+        code, prefix = row
         report.add(f"{prefix}: {exc}")
     report.emit()
     return code

@@ -15,6 +15,7 @@ reproduce the closed form exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -66,7 +67,12 @@ class CoxeterTrace:
     terminal_correction: Fraction
 
     def total(self) -> Fraction:
-        return sum((s.contribution for s in self.steps), Fraction(0)) - self.terminal_correction
+        """The contributions' sum minus the terminal correction, summed as
+        integer numerators over the least common denominator."""
+        den = math.lcm(*(s.contribution.denominator for s in self.steps))
+        num = sum(s.contribution.numerator * (den // s.contribution.denominator)
+                  for s in self.steps)
+        return Fraction(num, den) - self.terminal_correction
 
 
 def coxeter_order(g: LabelledGraph) -> ge.GroupOrder:
@@ -93,11 +99,15 @@ def _finite_order(g: LabelledGraph) -> int | None:
     return None
 
 
+def _denominator(g: LabelledGraph) -> int:
+    """A common denominator of 1/2 and every 1/(2*label) term."""
+    return math.lcm(2, *{2 * lab for _, _, lab in g.edges()})
+
+
 def closed_form(g: LabelledGraph) -> Fraction:
-    total = Fraction(g.num_vertices, 2) - 1
-    for _, _, lab in g.edges():
-        total -= Fraction(1, 2 * lab)
-    return total
+    den = _denominator(g)
+    num = (g.num_vertices - 2) * (den // 2) - sum(den // (2 * lab) for _, _, lab in g.edges())
+    return Fraction(num, den)
 
 
 def build_trace(g: LabelledGraph, order) -> CoxeterTrace:
@@ -111,6 +121,7 @@ def build_trace(g: LabelledGraph, order) -> CoxeterTrace:
     if sorted(order) != sorted(g.vertices):
         raise GraphError("elimination order must be a permutation of the vertices")
     remaining = set(g.vertices)
+    den = _denominator(g)
     steps = []
     for v in order:
         nbrs = [w for w in g.neighbors(v) if w in remaining]
@@ -129,7 +140,7 @@ def build_trace(g: LabelledGraph, order) -> CoxeterTrace:
                     f"the elimination split needs an infinite dihedral intersection"
                 )
             amalgam = AMALGAM_DINF
-        contribution = Fraction(1, 2) - sum((Fraction(1, 2 * lab) for lab in labels), Fraction(0))
+        contribution = Fraction(den // 2 - sum(den // (2 * lab) for lab in labels), den)
         steps.append(EliminationStep(
             vertex=v,
             valence=valence,
@@ -159,10 +170,9 @@ def rg_coxeter_planar(g: LabelledGraph) -> tuple[ge.PriceResult, CoxeterTrace]:
         )
     trace = build_trace(g, order)
     value = closed_form(g)
-    if trace.total() != value:
-        raise RuntimeError(
-            f"internal error: trace total {trace.total()} != closed form {value}"
-        )
+    total = trace.total()
+    if total != value:
+        raise RuntimeError(f"internal error: trace total {total} != closed form {value}")
     # The closed form is betti1 - 1/|W|; a finite W (one vertex, or one
     # edge) has betti1 0 and rank gradient -1/|W|.
     price = ge.PriceResult(
@@ -170,7 +180,7 @@ def rg_coxeter_planar(g: LabelledGraph) -> tuple[ge.PriceResult, CoxeterTrace]:
         betti1=value if _finite_order(g) is None else Fraction(0),
         rule_trace=[
             f"coxeter-planar-girth6 closed form: |V|/2 - 1 - sum 1/(2l) = {value}",
-            f"elimination trace over {len(trace.steps)} steps totals {trace.total()}",
+            f"elimination trace over {len(trace.steps)} steps totals {total}",
             CHAIN_QUALIFIER,
         ],
     )

@@ -454,6 +454,19 @@ class TestSoundness:
         report = check_certificate(root, g)
         assert any("factor 0 cost 2 != 1" in v for v in report.violations)
 
+    def test_subgroup_order_must_divide_finite_factors(self):
+        # three Z/2 over a declared subgroup of order 100: 3 * 1/2 - 2 * 99/100
+        forged = AmalgamNode(children=(FiniteLeaf(order=2, cost=Fraction(1, 2)),) * 3,
+                             amalgam=AmalgamDescriptor(kind="finite", order=100),
+                             cost=Fraction(-12, 25))
+        report = check_certificate(forged)
+        assert not report.valid and report.assumptions == []
+        assert report.violations == [
+            f"node 3 [AmalgamNode]: subgroup order 100 does not divide factor {j} order 2"
+            for j in range(3)]
+        # Z/6 *_{Z/2} Z/4 is SL(2, Z)
+        assert check_certificate(builtin_certificate("SL2Z")).valid
+
     @pytest.mark.parametrize("root", [
         AmalgamNode(children=(), amalgam=AmalgamDescriptor(kind="finite", order=1),
                     cost=Fraction(0)),
