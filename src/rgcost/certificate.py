@@ -252,15 +252,7 @@ def rg_artin(g: LabelledGraph) -> tuple[PriceResult, Certificate]:
         graph=g,
         caveat=ARTIN_CAVEAT,
     )
-    price = PriceResult(
-        cost=Fraction(b),
-        betti1=Fraction(b - 1),
-        rule_trace=[
-            f"artin-components-price: {b} component(s), cost {b}",
-            "per-component decomposition certificate attached",
-        ],
-    )
-    return price, cert
+    return PriceResult(cost=Fraction(b), betti1=Fraction(b - 1)), cert
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib
+import os
 import sys
 
 from . import groupexpr as ge
@@ -45,21 +46,24 @@ _ERRORS = (
     ("builtins", "ValueError", EXIT_PARSE, "error"),
 )
 
-# The `fpgroup` names `cmd_verify` calls.  The module `__getattr__` binds
-# each on first use, and `cmd_verify` looks them up on this module, so
-# rebinding one here (as a tracer or a test does) changes what it calls.
-_FPGROUP_NAMES = frozenset({
-    "builtin_target", "kernel_chain_cayley", "low_index_normal", "mod_cycle_images",
-    "parse_presentation", "psl2z_images", "rg_sequence", "samples_to_csv", "sl2_order",
-    "sl2z_images", "trend_summary",
-})
+# The `fpgroup` names `cmd_verify` calls, each with its submodule.  The
+# module `__getattr__` binds each on first use, and `cmd_verify` looks
+# them up on this module, so rebinding one here (as a tracer or a test
+# does) changes what it calls.
+_FPGROUP_NAMES = {
+    "builtin_target": "builtins", "low_index_normal": "lowindex",
+    "parse_presentation": "presentation", "kernel_chain_cayley": "chains",
+    "mod_cycle_images": "chains", "psl2z_images": "chains", "rg_sequence": "chains",
+    "samples_to_csv": "chains", "sl2_order": "chains", "sl2z_images": "chains",
+    "trend_summary": "chains",
+}
 
 
 def __getattr__(name: str):
     if name not in _FPGROUP_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import fpgroup
-    value = globals()[name] = getattr(fpgroup, name)
+    module = importlib.import_module(f".fpgroup.{_FPGROUP_NAMES[name]}", __package__)
+    value = globals()[name] = getattr(module, name)
     return value
 
 
@@ -317,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="sample (d-1)/index along a chain of kernels")
     p.add_argument("target", help=_Listing(
-        "fpgroup", lambda m: f"builtin ({m.TARGET_HINT}) or a presentation file"))
+        "fpgroup.builtins", lambda m: f"builtin ({m.TARGET_HINT}) or a presentation file"))
     p.add_argument("--mod", metavar="LIST", help="congruence levels, e.g. 3,4,5")
     p.add_argument("--abelian-kill", metavar="LIST",
                    help="kill the total exponent mod each k in the list")
@@ -358,7 +362,17 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """The console script: exit with `main`'s code, or with 1 and no
+    traceback when the reader of stdout closes it early."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The interpreter flushes stdout again at exit; point it at the
+        # null device, so that flush cannot fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

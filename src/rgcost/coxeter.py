@@ -26,11 +26,6 @@ AMALGAM_TRIVIAL = "trivial"
 AMALGAM_ORDER2 = "cyclic-2"
 AMALGAM_DINF = "infinite-dihedral"
 
-CHAIN_QUALIFIER = (
-    "value holds for every normal chain of finite-index subgroups with trivial intersection"
-)
-
-
 class HypothesisError(ValueError):
     """A required hypothesis (planarity, girth >= 6) fails.
 
@@ -175,16 +170,8 @@ def rg_coxeter_planar(g: LabelledGraph) -> tuple[ge.PriceResult, CoxeterTrace]:
         raise RuntimeError(f"internal error: trace total {total} != closed form {value}")
     # The closed form is betti1 - 1/|W|; a finite W (one vertex, or one
     # edge) has betti1 0 and rank gradient -1/|W|.
-    price = ge.PriceResult(
-        cost=value + 1,
-        betti1=value if _finite_order(g) is None else Fraction(0),
-        rule_trace=[
-            f"coxeter-planar-girth6 closed form: |V|/2 - 1 - sum 1/(2l) = {value}",
-            f"elimination trace over {len(trace.steps)} steps totals {total}",
-            CHAIN_QUALIFIER,
-        ],
-    )
-    return price, trace
+    betti1 = value if _finite_order(g) is None else Fraction(0)
+    return ge.PriceResult(cost=value + 1, betti1=betti1), trace
 
 
 def trace_to_json(trace: CoxeterTrace) -> str:

@@ -17,12 +17,14 @@ Grammar (";" starts a comment to end of line):
     (amalgam-amenable EXPR EXPR EXPR ORDER ORDER ORDER)
     (generation EXPR EXPR "justification")
 
-Graph file paths are resolved relative to the expression file's directory.
+Each form is declared once, by its node class in `groupexpr`.  Graph file
+paths are resolved relative to the expression file's directory.
 """
 
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 
 from . import groupexpr as ge
@@ -44,70 +46,33 @@ class _Token:
     col: int
 
 
+# One lexeme per match, and every character starts one: a newline, a run
+# of blanks, a comment, a parenthesis, a string (its closing quote
+# missing if the line or the text ends first) or an atom.
+_LEXEME = re.compile(r'\n|[ \t\r]+|;.*|[()]|"[^"\n]*"?|[^ \t\r\n();"]+')
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c in " \t\r":
-            i += 1
-            col += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            tokens.append(_Token(c, c, line, col))
-            i += 1
-            col += 1
-        elif c == '"':
-            start_line, start_col = line, col
-            i += 1
-            col += 1
-            buf = []
-            while i < n and text[i] != '"':
-                if text[i] == "\n":
-                    raise ExprParseError("unterminated string", start_line, start_col)
-                buf.append(text[i])
-                i += 1
-                col += 1
-            if i >= n:
-                raise ExprParseError("unterminated string", start_line, start_col)
-            i += 1
-            col += 1
-            tokens.append(_Token("string", "".join(buf), start_line, start_col))
-        else:
-            start_line, start_col = line, col
-            buf = []
-            while i < n and text[i] not in ' \t\r\n();"':
-                buf.append(text[i])
-                i += 1
-                col += 1
-            tokens.append(_Token("atom", "".join(buf), start_line, start_col))
+    line, line_start = 1, 0
+    for match in _LEXEME.finditer(text):
+        lexeme, col = match.group(), match.start() - line_start + 1
+        first = lexeme[0]
+        if first == "\n":
+            line, line_start = line + 1, match.end()
+        elif first in "()":
+            tokens.append(_Token(first, first, line, col))
+        elif first == '"':
+            if len(lexeme) == 1 or lexeme[-1] != '"':
+                raise ExprParseError("unterminated string", line, col)
+            tokens.append(_Token("string", lexeme[1:-1], line, col))
+        elif first not in " \t\r;":
+            tokens.append(_Token("atom", lexeme, line, col))
     return tokens
 
 
-# The argument slots of each construction: "expr", "string", "order",
-# "graph" (a graph file path), or an int, for an integer at least that.
-_FORMS = {
-    "trivial": ((), ge.TrivialGroup),
-    "z": ((), ge.IntegersZ),
-    "cyclic": ((2,), ge.Cyclic),
-    "free": ((1,), ge.Free),
-    "free-abelian": ((1,), ge.FreeAbelian),
-    "surface": ((2,), ge.Surface),
-    "amenable": (("string", "order"), ge.Amenable),
-    "artin": (("graph",), ge.ArtinGraph),
-    "coxeter": (("graph",), ge.CoxeterGraph),
-    "amalgam-finite": (("expr", "expr", 1), ge.AmalgamFinite),
-    "amalgam-amenable": (("expr",) * 3 + ("order",) * 3, ge.AmalgamAmenable),
-    "generation": (("expr", "expr", "string"), ge.Generation),
-}
+# The constructions by head, each declared once by its node class.
+_HEADS = {cls.head: cls for cls in ge.GroupExpr.__subclasses__()}
 
 
 class _Parser:
@@ -131,20 +96,20 @@ class _Parser:
 
     def parse(self) -> ge.GroupExpr:
         """Parse one expression with an explicit stack of open forms, each
-        [head token, slots, arguments so far], so any depth parses."""
+        [head token, node class, arguments so far], so any depth parses."""
         open_forms: list[list] = []
         while True:
             value = self._start()
             if isinstance(value, _Token):
-                open_forms.append([value, _FORMS[value.text][0], []])
+                open_forms.append([value, _HEADS[value.text], []])
                 value = None
-            # Fill the innermost form's slots up to its next "expr" slot,
+            # Read the innermost form's arguments up to its next subexpression,
             # closing every form that completes on the way.
             while open_forms:
-                head, slots, args = open_forms[-1]
+                head, cls, args = open_forms[-1]
                 if value is not None:
                     args.append(value)
-                value = self._fill(head, slots, args)
+                value = self._fill(head, cls, args)
                 if value is None:
                     break
                 self._next(")")
@@ -159,44 +124,44 @@ class _Parser:
         return value
 
     def _start(self) -> ge.GroupExpr | _Token:
-        """Read a bare atom and return its group, or read "(" and a known
-        head and return the head token."""
+        """Read a bare atom, the head of a form without arguments, and
+        return its group, or read "(" and a known head and return the
+        head token."""
         tok = self._next()
         if tok.kind == "atom":
-            if tok.text == "z":
-                return ge.IntegersZ()
-            if tok.text == "trivial":
-                return ge.TrivialGroup()
+            cls = _HEADS.get(tok.text)
+            if cls is not None and not cls.slots:
+                return cls()
             raise ExprParseError(f"unknown atom {tok.text!r}", tok.line, tok.col)
         if tok.kind != "(":
             raise ExprParseError(f"expected expression, got {tok.text!r}", tok.line, tok.col)
         head = self._next("atom")
-        if head.text not in _FORMS:
+        if head.text not in _HEADS:
             raise ExprParseError(f"unknown construction {head.text!r}", head.line, head.col)
         return head
 
-    def _fill(self, head: _Token, slots: tuple, args: list) -> ge.GroupExpr | None:
-        """Read the form's slots up to the next "expr" one (None), or to
-        the end, where it builds the group.  A ValueError from a graph
-        file or a constructor is reported at the head."""
+    def _fill(self, head: _Token, cls: type, args: list) -> ge.GroupExpr | None:
+        """Read the form's arguments up to its next subexpression (None),
+        or to the end, where it builds the group.  A ValueError from a
+        graph file or a constructor is reported at the head."""
         try:
-            while len(args) < len(slots):
-                slot = slots[len(args)]
-                if slot == "expr":
+            while len(args) < len(cls.slots):
+                kind = cls.slots[len(args)][1]
+                if kind == "GroupExpr":
                     return None
-                args.append(self._slot(slot))
-            return _FORMS[head.text][1](*args)
+                args.append(self._slot(kind, cls.least))
+            return cls(*args)
         except ExprParseError:
             raise
         except ValueError as exc:
             raise ExprParseError(str(exc), head.line, head.col) from None
 
-    def _slot(self, slot):
-        if slot == "string":
+    def _slot(self, kind: str, least: int):
+        if kind == "str":
             return self._next("string").text
-        if slot == "order":
+        if kind == "GroupOrder":
             return self._order()
-        if slot == "graph":
+        if kind == "LabelledGraph":
             path_tok = self._next("string")
             path = os.path.join(self.base_dir, path_tok.text)
             try:
@@ -207,16 +172,16 @@ class _Parser:
                     f"cannot read graph file {path_tok.text!r}: {exc}",
                     path_tok.line, path_tok.col,
                 ) from None
-        return self._int(minimum=slot)
+        return self._int(least)
 
-    def _int(self, minimum: int) -> int:
+    def _int(self, least: int) -> int:
         tok = self._next("atom")
         try:
             value = int(tok.text)
         except ValueError:
             raise ExprParseError(f"expected integer, got {tok.text!r}", tok.line, tok.col) from None
-        if value < minimum:
-            raise ExprParseError(f"integer {value} < {minimum}", tok.line, tok.col)
+        if value < least:
+            raise ExprParseError(f"integer {value} < {least}", tok.line, tok.col)
         return value
 
     def _order(self) -> ge.GroupOrder:

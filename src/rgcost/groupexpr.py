@@ -64,15 +64,53 @@ def is_known(x) -> bool:
 class GroupExpr:
     """Base class for expression nodes.
 
-    A leaf overrides `describe`.  A composite node names its child fields
-    in `steps` and returns its printed form from `form`: text pieces with
-    the child nodes in place, in `steps` order.
+    Each node class is the one declaration of its construction: `head`
+    names it in expression syntax, and its dataclass fields are its
+    arguments in order, each field's annotation giving the argument's
+    kind:
+
+        GroupExpr      a subexpression
+        int            an integer, at least the class's `least`
+        GroupOrder     an order, `inf` or a positive integer
+        str            a quoted string
+        LabelledGraph  a graph file path, printed as the graph's sizes
+
+    The parser reads its forms from these declarations, `form` and
+    `describe` print every node from them, and `__post_init__` enforces
+    `least`.  `slots` (field name, kind) and `steps` (the subexpression
+    fields) are derived once per class.
     """
 
+    head: str
+    least = 1
+    slots: tuple[tuple[str, str], ...] = ()
     steps: tuple[str, ...] = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.slots = tuple(cls.__annotations__.items())
+        cls.steps = tuple(name for name, kind in cls.slots if kind == "GroupExpr")
+
+    def __post_init__(self):
+        for name, kind in self.slots:
+            if kind == "int" and getattr(self, name) < self.least:
+                raise ValueError(f"{self.head} {name} must be >= {self.least}")
+
     def form(self) -> list:
-        raise NotImplementedError
+        """The node's text pieces, each child node in place."""
+        out = ["(" + self.head]
+        for name, kind in self.slots:
+            value = getattr(self, name)
+            if kind == "GroupExpr":
+                out += (" ", value)
+            elif kind == "str":
+                out.append(f' "{value}"')
+            elif kind == "LabelledGraph":
+                out.append(f" {value.num_vertices}v/{value.num_edges}e")
+            else:
+                out.append(f" {value}")
+        out.append(")")
+        return out
 
     def describe(self) -> str:
         """The node in expression syntax, graph leaves by their sizes.
@@ -85,98 +123,66 @@ class GroupExpr:
             item = stack.pop()
             if isinstance(item, str):
                 out.append(item)
-            elif item.steps:
-                stack.extend(reversed(item.form()))
             else:
-                out.append(item.describe())
+                stack.extend(reversed(item.form()))
         return "".join(out)
 
 
 @dataclass(frozen=True)
 class TrivialGroup(GroupExpr):
-    def describe(self):
-        return "(trivial)"
+    head = "trivial"
 
 
 @dataclass(frozen=True)
 class Cyclic(GroupExpr):
+    head = "cyclic"
+    least = 2
     n: int
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("cyclic order must be >= 2")
-
-    def describe(self):
-        return f"(cyclic {self.n})"
 
 
 @dataclass(frozen=True)
 class IntegersZ(GroupExpr):
-    def describe(self):
-        return "(z)"
+    head = "z"
 
 
 @dataclass(frozen=True)
 class Free(GroupExpr):
+    head = "free"
     rank: int
-
-    def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError("free rank must be >= 1")
-
-    def describe(self):
-        return f"(free {self.rank})"
 
 
 @dataclass(frozen=True)
 class Surface(GroupExpr):
+    head = "surface"
+    least = 2
     genus: int
-
-    def __post_init__(self):
-        if self.genus < 2:
-            raise ValueError("surface genus must be >= 2")
-
-    def describe(self):
-        return f"(surface {self.genus})"
 
 
 @dataclass(frozen=True)
 class FreeAbelian(GroupExpr):
+    head = "free-abelian"
     rank: int
-
-    def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError("free-abelian rank must be >= 1")
-
-    def describe(self):
-        return f"(free-abelian {self.rank})"
 
 
 @dataclass(frozen=True)
 class Amenable(GroupExpr):
     """Declared-amenable leaf; the tag and order are trusted inputs."""
 
+    head = "amenable"
     tag: str
     order: GroupOrder
-
-    def describe(self):
-        return f'(amenable "{self.tag}" {self.order})'
 
 
 @dataclass(frozen=True)
 class ArtinGraph(GroupExpr):
+    head = "artin"
     graph: LabelledGraph
-
-    def describe(self):
-        return f"(artin {self.graph.num_vertices}v/{self.graph.num_edges}e)"
 
 
 @dataclass(frozen=True)
 class CoxeterGraph(GroupExpr):
+    head = "coxeter"
     graph: LabelledGraph
-
-    def describe(self):
-        return f"(coxeter {self.graph.num_vertices}v/{self.graph.num_edges}e)"
 
 
 @dataclass(frozen=True)
@@ -187,18 +193,10 @@ class AmalgamFinite(GroupExpr):
     checks are performed.
     """
 
+    head = "amalgam-finite"
     left: GroupExpr
     right: GroupExpr
     amalgam_order: int
-
-    steps = ("left", "right")
-
-    def __post_init__(self):
-        if self.amalgam_order < 1:
-            raise ValueError("amalgam order must be >= 1")
-
-    def form(self):
-        return ["(amalgam-finite ", self.left, " ", self.right, f" {self.amalgam_order})"]
 
 
 @dataclass(frozen=True)
@@ -209,18 +207,13 @@ class AmalgamAmenable(GroupExpr):
     the rule trace of any evaluation that uses them.
     """
 
+    head = "amalgam-amenable"
     left: GroupExpr
     right: GroupExpr
     amalgam: GroupExpr
     left_order: GroupOrder
     right_order: GroupOrder
     amalgam_order: GroupOrder
-
-    steps = ("left", "right", "amalgam")
-
-    def form(self):
-        return ["(amalgam-amenable ", self.left, " ", self.right, " ", self.amalgam,
-                f" {self.left_order} {self.right_order} {self.amalgam_order})"]
 
 
 @dataclass(frozen=True)
@@ -231,18 +224,14 @@ class Generation(GroupExpr):
     justification text is recorded in the provenance trace.
     """
 
+    head = "generation"
     left: GroupExpr
     right: GroupExpr
     justification: str
 
-    steps = ("left", "right")
-
     def __post_init__(self):
         if not self.justification.strip():
             raise ValueError("generation node requires an infinite-intersection justification")
-
-    def form(self):
-        return ["(generation ", self.left, " ", self.right, f' "{self.justification}")']
 
 
 @dataclass
@@ -356,8 +345,6 @@ def _ref(child: GroupExpr, path, step: str) -> str:
 
 
 def _head(e: GroupExpr, path) -> str:
-    if not e.steps:
-        return e.describe()
     steps = iter(e.steps)
     return "".join(p if isinstance(p, str) else _ref(p, path, next(steps)) for p in e.form())
 

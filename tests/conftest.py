@@ -8,12 +8,13 @@ from __future__ import annotations
 import json
 import math
 import os
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 from rgcost import groupexpr as ge
-from rgcost.coxeter import CHAIN_QUALIFIER, CoxeterTrace, EliminationStep, HypothesisError
-from rgcost.exprparse import ExprParseError, _Token, _tokenize
+from rgcost.coxeter import CoxeterTrace, EliminationStep, HypothesisError
+from rgcost.exprparse import ExprParseError
 from rgcost.fpgroup.chains import NotHomomorphism
 from rgcost.fpgroup.coset import (
     CosetTable,
@@ -1149,6 +1150,63 @@ def _reference_amalgam_betti(e, lb, rb, left_order, right_order, amalgam_order, 
     return value
 
 
+@dataclass(frozen=True)
+class _Token:
+    kind: str  # "(", ")", "atom", "string"
+    text: str
+    line: int
+    col: int
+
+
+def _tokenize(text: str) -> list[_Token]:
+    """The reference parser's own tokenizer: one character at a time."""
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            line += 1
+            col = 1
+            i += 1
+        elif c in " \t\r":
+            i += 1
+            col += 1
+        elif c == ";":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif c in "()":
+            tokens.append(_Token(c, c, line, col))
+            i += 1
+            col += 1
+        elif c == '"':
+            start_line, start_col = line, col
+            i += 1
+            col += 1
+            buf = []
+            while i < n and text[i] != '"':
+                if text[i] == "\n":
+                    raise ExprParseError("unterminated string", start_line, start_col)
+                buf.append(text[i])
+                i += 1
+                col += 1
+            if i >= n:
+                raise ExprParseError("unterminated string", start_line, start_col)
+            i += 1
+            col += 1
+            tokens.append(_Token("string", "".join(buf), start_line, start_col))
+        else:
+            start_line, start_col = line, col
+            buf = []
+            while i < n and text[i] not in ' \t\r\n();"':
+                buf.append(text[i])
+                i += 1
+                col += 1
+            tokens.append(_Token("atom", "".join(buf), start_line, start_col))
+    return tokens
+
+
 class _ReferenceParser:
     def __init__(self, tokens: list[_Token], base_dir: str):
         self.tokens = tokens
@@ -1279,6 +1337,10 @@ def reference_parse_expr(text: str, base_dir: str = ".") -> ge.GroupExpr:
 # because no command reaches it: it recurses, prints a full describe() at
 # every amalgam and re-checks the Coxeter hypotheses at every leaf
 
+
+CHAIN_QUALIFIER = (
+    "value holds for every normal chain of finite-index subgroups with trivial intersection"
+)
 
 CLASS_C_LEAVES = (
     ge.TrivialGroup,

@@ -29,18 +29,12 @@ from rgcost.certificate import (
 )
 from rgcost.cli import main
 from rgcost.coxeter import build_trace, closed_form, coxeter_order, rg_coxeter_planar
-from rgcost.fpgroup import (
-    EnumerationLimit,
-    abelian_invariants,
-    builtin_target,
-    kernel_chain_cayley,
-    mod_cycle_images,
-    parse_presentation,
-    reidemeister_schreier,
-    rg_sequence,
-    psl2z_images,
-    smith_normal_form,
-)
+from rgcost.fpgroup.builtins import builtin_target
+from rgcost.fpgroup.chains import kernel_chain_cayley, mod_cycle_images, psl2z_images, rg_sequence
+from rgcost.fpgroup.coset import EnumerationLimit
+from rgcost.fpgroup.presentation import parse_presentation
+from rgcost.fpgroup.rewrite import abelian_invariants, reidemeister_schreier
+from rgcost.fpgroup.snf import smith_normal_form
 from rgcost.groupexpr import (
     AmalgamFinite,
     ArtinGraph,

@@ -5,15 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_sl2_order, reference_cayley_table
-from rgcost.fpgroup import (
+from rgcost.fpgroup.builtins import builtin_target
+from rgcost.fpgroup.chains import (
     NotHomomorphism,
-    Presentation,
-    builtin_target,
     cayley_table,
     kernel_chain_cayley,
-    low_index_normal,
+    make_sample,
     mod_cycle_images,
-    parse_presentation,
     psl2z_images,
     rg_sequence,
     samples_to_csv,
@@ -21,9 +19,9 @@ from rgcost.fpgroup import (
     sl2z_images,
     trend_summary,
 )
-from rgcost.fpgroup.chains import make_sample
 from rgcost.fpgroup.coset import EnumerationLimit
-from rgcost.fpgroup.lowindex import _has_translations
+from rgcost.fpgroup.lowindex import _has_translations, low_index_normal
+from rgcost.fpgroup.presentation import Presentation, parse_presentation
 
 
 class TestImageBuilders:

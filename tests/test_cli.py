@@ -313,6 +313,26 @@ class TestErrorExits:
         assert proc.stdout.split("\n")[-2].startswith(line)
         assert "Traceback" not in proc.stderr
 
+    def test_reader_closes_stdout(self, tmp_path):
+        """`rgcost expr nest.expr | head -n 1`: the report (about 0.7 MB)
+        outgrows the pipe, so writing hits a closed pipe; exit 1, and
+        nothing on stderr."""
+        text = "(cyclic 4)"
+        for _ in range(1999):
+            text = f"(amalgam-finite {text} (cyclic 6) 2)"
+        path = tmp_path / "nest.expr"
+        path.write_text(text + "\n")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "rgcost.cli", "--no-timestamp", "expr", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert first == f"# rgcost --no-timestamp expr {path}\n".encode()
+        assert stderr == b""
+
 
 class TestFileErrors:
     """Unreadable input and unwritable output are input errors (exit 2),

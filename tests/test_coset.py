@@ -3,8 +3,8 @@ import random
 import pytest
 
 from conftest import coxeter_presentation, todd_coxeter
-from rgcost.fpgroup import EnumerationLimit, parse_presentation
-from rgcost.fpgroup.coset import letter_to_col, standardize_rows
+from rgcost.fpgroup.coset import EnumerationLimit, letter_to_col, standardize_rows
+from rgcost.fpgroup.presentation import parse_presentation
 from rgcost.lgraph import LabelledGraph
 
 

@@ -24,7 +24,7 @@ from rgcost.coxeter import (
     rg_coxeter_planar,
     trace_to_json,
 )
-from rgcost.fpgroup import EnumerationLimit
+from rgcost.fpgroup.coset import EnumerationLimit
 from rgcost.groupexpr import (
     INFINITE,
     AmalgamAmenable,

@@ -15,13 +15,14 @@ from hypothesis import strategies as st
 
 from conftest import (
     _reference_eval,
+    _tokenize as reference_tokenize,
     infer_order,
     reference_evaluate,
     reference_infer_order,
     reference_parse_expr,
 )
 from rgcost.cli import main
-from rgcost.exprparse import ExprParseError, parse_expr
+from rgcost.exprparse import ExprParseError, _tokenize, parse_expr
 from rgcost.groupexpr import (
     AMENABLE_LEAF_KINDS,
     INFINITE,
@@ -214,12 +215,10 @@ class TestAgainstReference:
 
 
 def to_text(e) -> str:
+    """The tree in expression syntax, graph leaves by their file names."""
     if isinstance(e, (ArtinGraph, CoxeterGraph)):
-        kind = "artin" if isinstance(e, ArtinGraph) else "coxeter"
-        return f'({kind} "{FILE_OF[e.graph]}")'
-    if e.steps:
-        return "".join(p if isinstance(p, str) else to_text(p) for p in e.form())
-    return e.describe()
+        return f'({e.head} "{FILE_OF[e.graph]}")'
+    return "".join(p if isinstance(p, str) else to_text(p) for p in e.form())
 
 
 TOKEN = re.compile(r'\(|\)|"[^"]*"|[^\s()"]+')
@@ -271,6 +270,23 @@ class TestParserAgainstReference:
     def test_same_tree_or_same_error(self, graph_dir, text):
         assert parse_outcome(parse_expr, text, graph_dir) == parse_outcome(
             reference_parse_expr, text, graph_dir)
+
+    @PROPERTY
+    @given(st.text(alphabet='()";\n\r\t \x0c\xa0az1-', max_size=40))
+    def test_same_tokens(self, text):
+        """The regular-expression tokenizer against the character loop it
+        replaced, on any text: the same tokens, or the same error."""
+        def outcome(tokenize):
+            try:
+                return [(t.kind, t.text, t.line, t.col) for t in tokenize(text)]
+            except ExprParseError as exc:
+                return str(exc)
+        assert outcome(_tokenize) == outcome(reference_tokenize)
+
+    @settings(PROPERTY, max_examples=100)
+    @given(tree=trees(st.sampled_from(list(FILE_OF))))
+    def test_round_trip(self, graph_dir, tree):
+        assert parse_expr(to_text(tree), graph_dir) == tree
 
     @pytest.mark.parametrize("text", [
         "", "(", ")", "z", "(z", "(z))", "(cyclic 3) (cyclic 4)",

@@ -9,6 +9,7 @@ from rgcost.groupexpr import (
     AmalgamFinite,
     Amenable,
     ArtinGraph,
+    CoxeterGraph,
     Cyclic,
     Free,
     FreeAbelian,
@@ -19,6 +20,42 @@ from rgcost.groupexpr import (
     TrivialGroup,
     evaluate,
 )
+from rgcost.lgraph import parse_graph
+
+EDGE = parse_graph("vertex a\nvertex b\nedge a b 3\n")
+HEX = parse_graph("".join(f"vertex v{i}\n" for i in range(6))
+                  + "".join(f"edge v{i} v{(i + 1) % 6} 2\n" for i in range(6)))
+
+# How describe() prints every construction, as fixed texts, so a change
+# to the printer that the node declarations drive shows here.
+DESCRIBED = [
+    (TrivialGroup(), "(trivial)"),
+    (IntegersZ(), "(z)"),
+    (Cyclic(5), "(cyclic 5)"),
+    (Free(2), "(free 2)"),
+    (FreeAbelian(3), "(free-abelian 3)"),
+    (Surface(2), "(surface 2)"),
+    (Amenable("S3", GroupOrder(6)), '(amenable "S3" 6)'),
+    (Amenable("lamplighter", INFINITE), '(amenable "lamplighter" inf)'),
+    (ArtinGraph(EDGE), "(artin 2v/1e)"),
+    (CoxeterGraph(HEX), "(coxeter 6v/6e)"),
+    (AmalgamFinite(Cyclic(6), Cyclic(4), 2), "(amalgam-finite (cyclic 6) (cyclic 4) 2)"),
+    (AmalgamAmenable(Free(2), IntegersZ(), IntegersZ(), INFINITE, INFINITE, INFINITE),
+     "(amalgam-amenable (free 2) (z) (z) inf inf inf)"),
+    (AmalgamAmenable(Cyclic(2), Cyclic(3), TrivialGroup(),
+                     GroupOrder(2), GroupOrder(3), GroupOrder(1)),
+     "(amalgam-amenable (cyclic 2) (cyclic 3) (trivial) 2 3 1)"),
+    (Generation(IntegersZ(), Free(2), "j"), '(generation (z) (free 2) "j")'),
+    (Generation(AmalgamFinite(Surface(3), ArtinGraph(EDGE), 1),
+                Generation(IntegersZ(), IntegersZ(), "shared Z"), "both contain the same copy of Z"),
+     '(generation (amalgam-finite (surface 3) (artin 2v/1e) 1) '
+     '(generation (z) (z) "shared Z") "both contain the same copy of Z")'),
+]
+
+
+@pytest.mark.parametrize("node,text", DESCRIBED, ids=[t for _, t in DESCRIBED])
+def test_describe(node, text):
+    assert node.describe() == text
 
 
 class TestForms:
@@ -87,6 +124,20 @@ class TestErrors:
         with pytest.raises(ExprParseError) as exc:
             parse_expr(text)
         assert fragment in str(exc.value)
+
+    @pytest.mark.parametrize("construction,text", [
+        (Cyclic, "(cyclic 1)"), (Free, "(free 0)"), (FreeAbelian, "(free-abelian 0)"),
+        (Surface, "(surface 1)"), (AmalgamFinite, "(amalgam-finite z z 0)"),
+    ])
+    def test_least(self, construction, text):
+        """The parser and the constructor both reject an integer below the
+        construction's `least`."""
+        least = construction.least
+        with pytest.raises(ExprParseError, match=f"integer {least - 1} < {least}"):
+            parse_expr(text)
+        args = [IntegersZ()] * len(construction.steps) + [least - 1]
+        with pytest.raises(ValueError, match=f"must be >= {least}"):
+            construction(*args)
 
     def test_positions(self):
         with pytest.raises(ExprParseError) as exc:

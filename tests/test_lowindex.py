@@ -3,16 +3,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_low_index_normal
-from rgcost.fpgroup import (
-    EnumerationLimit,
-    Presentation,
-    builtin_target,
-    cayley_table,
-    low_index_normal,
-    mod_cycle_images,
-    parse_presentation,
-)
-from rgcost.fpgroup.coset import standardize_rows
+from rgcost.fpgroup.builtins import builtin_target
+from rgcost.fpgroup.chains import cayley_table, mod_cycle_images
+from rgcost.fpgroup.coset import EnumerationLimit, standardize_rows
+from rgcost.fpgroup.lowindex import low_index_normal
+from rgcost.fpgroup.presentation import Presentation, parse_presentation
 
 
 class TestLowIndexNormal:

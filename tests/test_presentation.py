@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import coxeter_presentation, cycle_graph, path_graph
-from rgcost.fpgroup import (
+from rgcost.fpgroup.presentation import (
     Presentation,
     PresentationError,
     artin_presentation,

@@ -12,24 +12,24 @@ from conftest import (
     schreier_words,
     todd_coxeter,
 )
-from rgcost.fpgroup import (
-    CosetTable,
+from rgcost.fpgroup.builtins import builtin_target
+from rgcost.fpgroup.chains import cayley_table, mod_cycle_images, psl2z_images, sl2z_images
+from rgcost.fpgroup.coset import CosetTable, EnumerationLimit
+from rgcost.fpgroup.lowindex import low_index_normal
+from rgcost.fpgroup.presentation import (
     Presentation,
-    EnumerationLimit,
+    cyclic_reduce,
+    free_reduce,
+    invert_word,
+    parse_presentation,
+)
+from rgcost.fpgroup.rewrite import (
+    _rotation_key as library_rotation_key,
     abelian_invariants,
     d_bounds,
-    mod_cycle_images,
-    cayley_table,
-    parse_presentation,
     reidemeister_schreier,
-    sl2z_images,
-    builtin_target,
-    low_index_normal,
-    psl2z_images,
     tietze_simplify,
 )
-from rgcost.fpgroup.presentation import cyclic_reduce, free_reduce, invert_word
-from rgcost.fpgroup.rewrite import _rotation_key as library_rotation_key
 
 
 def stabilizer_table(gen_perms, generators):

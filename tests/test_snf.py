@@ -1,7 +1,7 @@
 import random
 
 from conftest import det_int, minors_gcd
-from rgcost.fpgroup import smith_normal_form
+from rgcost.fpgroup.snf import smith_normal_form
 
 
 class TestKnownForms:

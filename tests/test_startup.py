@@ -29,6 +29,15 @@ def engines(modules: set[str]) -> set[str]:
     return {e for e in ENGINES for m in modules if m == e or m.startswith(e + ".")}
 
 
+@pytest.mark.parametrize("package", ["rgcost", "rgcost.fpgroup"])
+def test_package_loads_no_submodule(package):
+    """The packages export nothing, so importing one loads none of its
+    modules."""
+    modules = imported("-c", f"import {package}")
+    assert package in modules
+    assert not {m for m in modules if m.startswith(package + ".")}
+
+
 def test_import_loads_no_engine():
     modules = imported("-c", "import rgcost.cli")
     assert engines(modules) == set() and "datetime" not in modules
