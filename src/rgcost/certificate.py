@@ -259,7 +259,7 @@ def rg_artin(g: LabelledGraph) -> tuple[PriceResult, Certificate]:
 # Checking
 
 
-def check_certificate(cert, graph: LabelledGraph | None = None) -> CheckReport:
+def check_certificate(cert: Certificate) -> CheckReport:
     """Validate a certificate without re-deriving any group theory.
 
     One pass over the nodes in post-order recomputes every claimed cost
@@ -271,13 +271,9 @@ def check_certificate(cert, graph: LabelledGraph | None = None) -> CheckReport:
     each containing its witness vertex together with the earlier factors;
     the root's set must be all of the graph's vertices.
     """
-    if isinstance(cert, Certificate):
-        root = cert.root
-        graph = cert.graph if cert.graph is not None else graph
-    else:
-        root = cert
+    graph = cert.graph
     report = CheckReport(violations=[], assumptions=[])
-    order = _post_order(root)
+    order = _post_order(cert.root)
     costs: list[Fraction] = []
     sets: list[set | None] = []
     for i, (node, refs) in enumerate(order):
@@ -821,7 +817,7 @@ def certificate_from_json(text: str) -> Certificate:
                     raise ValueError(f"child {c!r} is not an unclaimed earlier node")
                 taken.add(c)
             nodes.append(_decode(KINDS[kind], d, tuple(nodes[c] for c in refs)))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"certificate node {len(nodes)} ({kind}): {exc}") from None
     if len(taken) != len(nodes) - 1:
         raise ValueError("certificate nodes are not one tree in post-order")
@@ -832,10 +828,13 @@ def certificate_from_json(text: str) -> Certificate:
             raise ValueError("certificate graph must be "
                              "{vertices: [str], edges: [[str, str, int]]}")
         graph = LabelledGraph(gd["vertices"], [tuple(e) for e in gd["edges"]])
-    return Certificate(
-        root=nodes[-1],
-        target=doc.get("target", ""),
-        graph=graph,
-        caveat=doc.get("caveat"),
-        citations=tuple(doc.get("citations", ())),
-    )
+    root = nodes[-1]
+    claimed = doc.get("claimed_cost")
+    try:
+        matches = isinstance(claimed, str) and Fraction(claimed) == root.cost
+    except (ValueError, ZeroDivisionError):
+        matches = False
+    if not matches:
+        raise ValueError(f"field 'claimed_cost' is {claimed!r}, not the root's cost {root.cost}")
+    header = {k: doc[k] for k in ("target", "caveat", "citations") if k in doc}
+    return _decode(Certificate, {"target": "", **header, "root": root, "graph": graph})

@@ -216,7 +216,7 @@ def cmd_verify(args, report: Report) -> int:
         pres = cli.parse_presentation(_read_file(args.target, report))
     else:
         pres = target.presentation
-        report.note_input(f"builtin:{args.target}", target.text.encode("utf-8"))
+        report.note_input(f"builtin:{args.target}", pres.to_text().encode("utf-8"))
 
     if args.dump_presentation:
         report.add(pres.to_text().rstrip("\n"))

@@ -1,9 +1,9 @@
 """Built-in verification targets: one record per target.
 
-The fixed presentations ship as presentation-file text so the oracle's
-inputs are inspectable and dumpable; `braidN` (N >= 2) is generated from
-the path defining graph with all labels 3.  Each record also carries the
-expression whose symbolic value `verify` checks the chain against.
+Each target is declared once, by the expression whose symbolic value
+`verify` checks the chain against; its presentation is derived from that
+expression.  `braidN` (N >= 2) is the Artin group of the path with all
+labels 3.
 """
 
 from __future__ import annotations
@@ -13,33 +13,14 @@ from dataclasses import dataclass
 
 from ..groupexpr import AmalgamFinite, ArtinGraph, Cyclic, GroupExpr
 from ..lgraph import LabelledGraph
-from .presentation import Presentation, artin_presentation, parse_presentation
+from .presentation import Presentation, artin_presentation
 
-# a has order 4, b order 6, and a^2 = b^3 (the shared central involution).
-SL2Z_TEXT = """\
-gens: a b
-rel: a a a a
-rel: b b b b b b
-rel: a a B B B
-"""
-
-PSL2Z_TEXT = """\
-gens: a b
-rel: a a
-rel: b b b
-"""
-
-DIHEDRAL_INF_TEXT = """\
-gens: a b
-rel: a a
-rel: b b
-"""
-
-# name: (text, expr, psl), as in BuiltinTarget
+# name: (expr, psl), as in BuiltinTarget.  In SL2Z, a has order 4, b order
+# 6, and a^2 = b^3 is the shared central involution.
 _FIXED = {
-    "SL2Z": (SL2Z_TEXT, AmalgamFinite(Cyclic(6), Cyclic(4), 2), False),
-    "PSL2Z": (PSL2Z_TEXT, AmalgamFinite(Cyclic(2), Cyclic(3), 1), True),
-    "dihedral-inf": (DIHEDRAL_INF_TEXT, AmalgamFinite(Cyclic(2), Cyclic(2), 1), None),
+    "SL2Z": (AmalgamFinite(Cyclic(4), Cyclic(6), 2), False),
+    "PSL2Z": (AmalgamFinite(Cyclic(2), Cyclic(3), 1), True),
+    "dihedral-inf": (AmalgamFinite(Cyclic(2), Cyclic(2), 1), None),
 }
 
 TARGET_HINT = ", ".join([*_FIXED, "braidN"])
@@ -51,16 +32,31 @@ _BRAID_RE = re.compile(r"^braid([0-9]+)$")
 class BuiltinTarget:
     """A verify target.
 
-    presentation, text: the group and its presentation-file text.
+    presentation: the group, as `presentation_of(expr)`.
     expr:  the expression whose rank gradient the chain is checked against.
     psl:   for the congruence targets, whether `--mod` acts on PSL(2, Z/n)
            (True) or SL(2, Z/n) (False); None where `--mod` does not apply.
     """
 
     presentation: Presentation
-    text: str
     expr: GroupExpr
     psl: bool | None
+
+
+def presentation_of(expr: GroupExpr) -> Presentation:
+    """The presentation of a builtin target's expression.
+
+    An Artin graph gives `artin_presentation`.  An amalgam of cyclic
+    groups of orders n and m over their subgroup of order k gives
+    <a, b | a^n, b^m, a^(n/k) b^(-m/k)>, the last relator only when k > 1.
+    """
+    if isinstance(expr, ArtinGraph):
+        return artin_presentation(expr.graph)
+    n, m, k = expr.left.n, expr.right.n, expr.amalgam_order
+    relators = [[1] * n, [2] * m]
+    if k > 1:
+        relators.append([1] * (n // k) + [-2] * (m // k))
+    return Presentation(("a", "b"), relators)
 
 
 def braid_graph(n: int) -> LabelledGraph:
@@ -82,11 +78,10 @@ def braid_graph(n: int) -> LabelledGraph:
 def builtin_target(name: str) -> BuiltinTarget | None:
     """The built-in target called `name`, or None if there is none."""
     if name in _FIXED:
-        text, expr, psl = _FIXED[name]
-        return BuiltinTarget(parse_presentation(text), text, expr, psl)
-    m = _BRAID_RE.match(name)
-    if m is None:
-        return None
-    graph = braid_graph(int(m.group(1)))
-    pres = artin_presentation(graph)
-    return BuiltinTarget(pres, pres.to_text(), ArtinGraph(graph), None)
+        expr, psl = _FIXED[name]
+    else:
+        m = _BRAID_RE.match(name)
+        if m is None:
+            return None
+        expr, psl = ArtinGraph(braid_graph(int(m.group(1)))), None
+    return BuiltinTarget(presentation_of(expr), expr, psl)

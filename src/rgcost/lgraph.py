@@ -37,33 +37,48 @@ class LabelledGraph:
     """
 
     def __init__(self, vertices, edges):
-        vertices = tuple(vertices)
-        if not vertices:
-            raise GraphError("graph must have at least one vertex")
-        index: dict[str, int] = {}
+        self._open()
         for v in vertices:
-            if not _valid_name(v):
-                raise GraphError(f"invalid vertex name {v!r}")
-            if v in index:
-                raise GraphError(f"duplicate vertex {v!r}")
-            index[v] = len(index)
-        labels: dict[tuple[int, int], int] = {}
+            self._add_vertex(v)
         for u, v, lab in edges:
-            for end in (u, v):
-                if not isinstance(end, str) or end not in index:
-                    raise GraphError(f"undeclared endpoint {end!r}")
-            if u == v:
-                raise GraphError(f"self-loop at {u!r}")
-            if not isinstance(lab, int) or lab < 2:
-                raise GraphError(f"label {lab!r} on edge {u!r} {v!r} must be an integer >= 2")
-            i, j = sorted((index[u], index[v]))
-            if (i, j) in labels:
-                raise GraphError(f"duplicate edge {u!r} {v!r}")
-            labels[(i, j)] = lab
-        self._vertices = vertices
-        self._index = index
-        self._labels = dict(sorted(labels.items()))
-        adj: dict[int, list[int]] = {i: [] for i in range(len(vertices))}
+            self._add_edge(u, v, lab)
+        self._close()
+
+    # The graph rules, each written once; `parse_graph` applies them line
+    # by line between `_open` and `_close`.
+
+    def _open(self) -> None:
+        self._index: dict[str, int] = {}
+        self._labels: dict[tuple[int, int], int] = {}
+
+    def _add_vertex(self, v) -> None:
+        if not _valid_name(v):
+            raise GraphError(f"invalid vertex name {v!r}")
+        if v in self._index:
+            raise GraphError(f"duplicate vertex {v!r}")
+        self._index[v] = len(self._index)
+
+    def _add_edge(self, u, v, lab) -> None:
+        if u == v:
+            raise GraphError(f"self-loop at {u!r}")
+        for end in (u, v):
+            if not isinstance(end, str) or end not in self._index:
+                raise GraphError(f"undeclared endpoint {end!r}")
+        if not isinstance(lab, int):
+            raise GraphError(f"malformed label {lab!r}")
+        if lab < 2:
+            raise GraphError(f"label {lab} < 2")
+        i, j = sorted((self._index[u], self._index[v]))
+        if (i, j) in self._labels:
+            raise GraphError(f"duplicate edge {u!r} {v!r}")
+        self._labels[(i, j)] = lab
+
+    def _close(self) -> None:
+        if not self._index:
+            raise GraphError("graph must declare at least one vertex")
+        self._vertices = tuple(self._index)
+        self._labels = dict(sorted(self._labels.items()))
+        adj: dict[int, list[int]] = {i: [] for i in range(len(self._vertices))}
         for (i, j) in self._labels:
             adj[i].append(j)
             adj[j].append(i)
@@ -121,52 +136,37 @@ def parse_graph(text: str) -> LabelledGraph:
 
     Lines are `vertex <name>` or `edge <name1> <name2> <label>`; `#` starts
     a comment.  Vertex declaration order fixes vertex indices; endpoints
-    must be declared before the edges that use them.
+    must be declared before the edges that use them.  Each line goes
+    through `LabelledGraph`'s rules as it is read, and an error names its
+    line.
     """
-    vertices: list[str] = []
-    declared: set[str] = set()
-    edges: list[tuple[str, str, int]] = []
-    edge_keys: set[frozenset] = set()
+    g = LabelledGraph.__new__(LabelledGraph)
+    g._open()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
-        if parts[0] == "vertex":
-            if len(parts) != 2:
-                raise GraphError("vertex line must be `vertex <name>`", lineno)
-            name = parts[1]
-            if not _valid_name(name):
-                raise GraphError(f"invalid vertex name {name!r}", lineno)
-            if name in declared:
-                raise GraphError(f"duplicate vertex {name!r}", lineno)
-            declared.add(name)
-            vertices.append(name)
-        elif parts[0] == "edge":
-            if len(parts) != 4:
-                raise GraphError("edge line must be `edge <name1> <name2> <label>`", lineno)
-            u, v, lab_text = parts[1], parts[2], parts[3]
-            if u == v:
-                raise GraphError(f"self-loop at {u!r}", lineno)
-            for endpoint in (u, v):
-                if endpoint not in declared:
-                    raise GraphError(f"undeclared endpoint {endpoint!r}", lineno)
-            try:
-                lab = int(lab_text)
-            except ValueError:
-                raise GraphError(f"malformed label {lab_text!r}", lineno) from None
-            if lab < 2:
-                raise GraphError(f"label {lab} < 2", lineno)
-            key = frozenset((u, v))
-            if key in edge_keys:
-                raise GraphError(f"duplicate edge {u!r} {v!r}", lineno)
-            edge_keys.add(key)
-            edges.append((u, v, lab))
-        else:
-            raise GraphError(f"malformed line {line!r}", lineno)
-    if not vertices:
-        raise GraphError("graph must declare at least one vertex")
-    return LabelledGraph(vertices, edges)
+        try:
+            if parts[0] == "vertex":
+                if len(parts) != 2:
+                    raise GraphError("vertex line must be `vertex <name>`")
+                g._add_vertex(parts[1])
+            elif parts[0] == "edge":
+                if len(parts) != 4:
+                    raise GraphError("edge line must be `edge <name1> <name2> <label>`")
+                u, v, lab = parts[1:]
+                try:
+                    lab = int(lab)
+                except ValueError:
+                    pass  # the label rule rejects the text as malformed
+                g._add_edge(u, v, lab)
+            else:
+                raise GraphError(f"malformed line {line!r}")
+        except GraphError as exc:
+            raise GraphError(str(exc), lineno) from None
+    g._close()
+    return g
 
 
 def components(g: LabelledGraph) -> tuple[tuple[str, ...], ...]:

@@ -80,7 +80,7 @@ class TestDecompose:
             if len(components(g)) != 1:
                 continue
             node = rg_artin(g)[1].root
-            report = check_certificate(node, g)
+            report = check_certificate(Certificate(root=node, target="t", graph=g))
             assert report.valid, report.violations
             assert not report.assumptions
             assert node.cost == 1
@@ -148,7 +148,7 @@ class TestChecker:
         g = parse_graph("vertex a\nvertex b\nvertex c\nedge a b 3\nedge b c 3\n")
         node = rg_artin(g)[1].root
         bad = replace(node, cost=Fraction(2))
-        report = check_certificate(bad, g)
+        report = check_certificate(Certificate(root=bad, target="t", graph=g))
         assert not report.valid
         assert any("claimed cost" in v for v in report.violations)
 
@@ -158,7 +158,7 @@ class TestChecker:
         second = InfiniteCenterLeaf(endpoints=("c", "d"), label=2, exponent=1, cost=Fraction(1))
         node = GenerationNode(children=(first, second), witnesses=("none",),
                               cost=Fraction(1), witness_vertices=("b",))
-        report = check_certificate(node, g)
+        report = check_certificate(Certificate(root=node, target="t", graph=g))
         assert any("empty intersection" in v for v in report.violations)
 
     def test_amalgam_arithmetic_with_order_two_subgroup(self):
@@ -168,23 +168,24 @@ class TestChecker:
             amalgam=AmalgamDescriptor(kind="finite", order=2, name="C"),
             cost=Fraction(3, 2),
         )
-        assert check_certificate(node).valid
+        assert check_certificate(Certificate(root=node, target="t")).valid
 
     def test_wrong_center_exponent(self):
         leaf = InfiniteCenterLeaf(endpoints=("a", "b"), label=4, exponent=4, cost=Fraction(1))
-        report = check_certificate(leaf)
+        report = check_certificate(Certificate(root=leaf, target="t"))
         assert any("exponent" in v for v in report.violations)
 
     def test_finite_leaf_cost(self):
-        assert check_certificate(FiniteLeaf(order=6, cost=Fraction(5, 6))).valid
-        assert not check_certificate(FiniteLeaf(order=6, cost=Fraction(1, 2))).valid
+        for cost, valid in [(Fraction(5, 6), True), (Fraction(1, 2), False)]:
+            leaf = FiniteLeaf(order=6, cost=cost)
+            assert check_certificate(Certificate(root=leaf, target="t")).valid == valid
 
     @pytest.mark.parametrize("leaf", [
         FiniteLeaf(order=0, cost=Fraction(0)),
         InfiniteCenterLeaf(endpoints=("a", "b"), label=1, exponent=1, cost=Fraction(1)),
     ], ids=["order-0", "label-1"])
     def test_degenerate_leaf_is_violation_not_crash(self, leaf):
-        assert not check_certificate(leaf).valid
+        assert not check_certificate(Certificate(root=leaf, target="t")).valid
 
     def test_checker_recomputes_from_children(self):
         # consistent-looking parent over a tampered child must be caught
@@ -192,7 +193,7 @@ class TestChecker:
         node = rg_artin(g)[1].root
         bad_child = replace(node.children[0], cost=Fraction(2))
         bad = replace(node, children=(bad_child,) + node.children[1:], cost=Fraction(2))
-        report = check_certificate(bad, g)
+        report = check_certificate(Certificate(root=bad, target="t", graph=g))
         assert not report.valid
 
 
@@ -315,6 +316,29 @@ class TestJson:
         with pytest.raises(ValueError, match=match):
             certificate_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("field,value", [
+        ("target", 5), ("caveat", ["c"]), ("citations", 5), ("citations", "ab"),
+        ("claimed_cost", "zz"), ("claimed_cost", "1"), ("claimed_cost", "1/0"),
+        ("claimed_cost", None),
+    ], ids=["target", "caveat", "citations-int", "citations-str", "cost-text",
+            "cost-other", "cost-zero-denominator", "cost-missing"])
+    def test_rejects_malformed_header(self, field, value):
+        doc = json.loads(certificate_to_json(builtin_certificate("SL2Z")))
+        doc[field] = value
+        with pytest.raises(ValueError, match=f"field '{field}'"):
+            certificate_from_json(json.dumps(doc))
+
+    def test_claimed_cost_is_read_as_a_fraction(self):
+        doc = json.loads(certificate_to_json(builtin_certificate("SL2Z")))
+        doc["claimed_cost"] = "26/24"
+        assert certificate_from_json(json.dumps(doc)).root.cost == Fraction(13, 12)
+
+    def test_rejects_zero_denominator_node_cost(self):
+        doc = json.loads(certificate_to_json(builtin_certificate("SL2Z")))
+        doc["nodes"][0]["cost"] = "1/0"
+        with pytest.raises(ValueError, match=r"certificate node 0 \(finite\)"):
+            certificate_from_json(json.dumps(doc))
+
     def test_external_cost_strings_are_fractions(self):
         cert = builtin_certificate("SL2Z")
         assert '"claimed_cost": "13/12"' in certificate_to_json(cert)
@@ -393,7 +417,7 @@ class TestSoundness:
         leaf = edge_leaf("a", "b", 3)
         forged = AmalgamNode(children=(leaf, leaf), cost=Fraction(2),
                              amalgam=AmalgamDescriptor(kind="finite", order=1, name="trivial"))
-        report = check_certificate(forged, g)
+        report = check_certificate(Certificate(root=forged, target="forged", graph=g))
         assert any("share vertices" in v for v in report.violations)
 
     def test_vertex_amalgam_in_triangle(self):
@@ -418,7 +442,8 @@ class TestSoundness:
         forged = AmalgamNode(children=(edge_leaf("a", "c", 3), edge_leaf("b", "c", 3)),
                              amalgam=AmalgamDescriptor(kind="finite", order=2, name="<c^2>"),
                              cost=Fraction(3, 2))
-        report = check_certificate(forged, parse_graph(TRIANGLE))
+        report = check_certificate(Certificate(root=forged, target="forged",
+                                                graph=parse_graph(TRIANGLE)))
         assert any("trivial group" in v for v in report.violations)
 
     def test_free_product_factors_joined_by_an_edge(self):
@@ -426,7 +451,7 @@ class TestSoundness:
         forged = AmalgamNode(children=(edge_leaf("a", "b", 3), AmenableLeaf(
             name="<c>", reason="r", cost=Fraction(1), vertex="c")),
             amalgam=AmalgamDescriptor(kind="finite", order=1), cost=Fraction(2))
-        report = check_certificate(forged, g)
+        report = check_certificate(Certificate(root=forged, target="forged", graph=g))
         assert any("joins two free-product factors" in v for v in report.violations)
 
     @pytest.mark.parametrize("leaf", [
@@ -439,7 +464,7 @@ class TestSoundness:
         g = parse_graph("vertex a\nvertex b\nedge a b 3\n")
         root = AmalgamNode(children=(edge_leaf("a", "b", 3), leaf), cost=1 + leaf.cost,
                            amalgam=AmalgamDescriptor(kind="finite", order=1))
-        report = check_certificate(root, g)
+        report = check_certificate(Certificate(root=root, target="t", graph=g))
         assert [v for v in report.violations if v.startswith("node 1 ")], report.violations
 
     def test_generation_factor_must_cost_one(self):
@@ -451,7 +476,7 @@ class TestSoundness:
             amalgam=AmalgamDescriptor(kind="finite", order=1), cost=Fraction(2))
         root = GenerationNode(children=(free, edge_leaf("a", "b", 3)), witnesses=("<a>",),
                               cost=Fraction(1), witness_vertices=("a",))
-        report = check_certificate(root, g)
+        report = check_certificate(Certificate(root=root, target="t", graph=g))
         assert any("factor 0 cost 2 != 1" in v for v in report.violations)
 
     def test_subgroup_order_must_divide_finite_factors(self):
@@ -459,7 +484,7 @@ class TestSoundness:
         forged = AmalgamNode(children=(FiniteLeaf(order=2, cost=Fraction(1, 2)),) * 3,
                              amalgam=AmalgamDescriptor(kind="finite", order=100),
                              cost=Fraction(-12, 25))
-        report = check_certificate(forged)
+        report = check_certificate(Certificate(root=forged, target="forged"))
         assert not report.valid and report.assumptions == []
         assert report.violations == [
             f"node 3 [AmalgamNode]: subgroup order 100 does not divide factor {j} order 2"
@@ -474,7 +499,7 @@ class TestSoundness:
     ], ids=["empty-free-product", "empty-generation"])
     def test_node_without_factors(self, root):
         g = parse_graph("vertex a\n")
-        report = check_certificate(root, g)
+        report = check_certificate(Certificate(root=root, target="t", graph=g))
         assert any("at least two factors" in v for v in report.violations)
 
 

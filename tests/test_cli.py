@@ -503,6 +503,22 @@ class TestGoldenVerify:
         assert digest.startswith("# input builtin:")
         assert rows == expected
 
+    # The digest of each builtin's presentation text, derived from its
+    # expression; a changed generator order or relator changes it.
+    @pytest.mark.parametrize("target,digest", [
+        ("SL2Z", "e454d562fc24f21aa8f70c0df4f1417b0cfe35866dc0dcfc1c3e147cd856beac"),
+        ("PSL2Z", "f01366f186ea3d78d18e5b3d836fc794471a0518bcbcbf6c3845002e910bdca6"),
+        ("dihedral-inf", "51cd6c171ab3f512a4dc102e8f37f085f01febd188e175aeafb636cde9670d2e"),
+        ("braid3", "a5b0355bf0481be81892ab8faadab9264a1becc62cb77fcc47a1f2465ae0ea69"),
+        ("braid5", "cd5b1b34fd7105409989df952933715d4162f2d704f261d3f8ce9e7e0e4c4861"),
+    ])
+    def test_builtin_digest_unchanged(self, target, digest, capsys):
+        code, out = run_cli(["verify", target, "--dump-presentation"], capsys)
+        assert code == 0
+        line, text = out.split("\n", 2)[1:]
+        assert line == f"# input builtin:{target} sha256={digest}"
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
     def test_limit_text_unchanged(self, capsys):
         command = "verify braid3 --abelian-kill 3,200 --coset-limit 100"
         code, out = run_cli(command.split(), capsys)

@@ -57,6 +57,28 @@ class TestParse:
         assert fragment in str(exc.value)
         assert exc.value.line == line
 
+    @pytest.mark.parametrize("text,vertices,edges", [
+        ("vertex a-b\n", ["a-b"], []),
+        ("vertex a\nvertex a\n", ["a", "a"], []),
+        ("vertex a\nedge a a 2\n", ["a"], [("a", "a", 2)]),
+        ("vertex a\nedge a b 2\n", ["a"], [("a", "b", 2)]),
+        ("vertex a\nvertex b\nedge a b x\n", ["a", "b"], [("a", "b", "x")]),
+        ("vertex a\nvertex b\nedge a b 1\n", ["a", "b"], [("a", "b", 1)]),
+        ("vertex a\nvertex b\nedge a b 2\nedge b a 3\n", ["a", "b"],
+         [("a", "b", 2), ("b", "a", 3)]),
+        ("# nothing\n", [], []),
+    ], ids=["name", "duplicate-vertex", "self-loop", "undeclared", "malformed-label",
+            "small-label", "duplicate-edge", "empty"])
+    def test_file_and_constructor_share_each_rule(self, text, vertices, edges):
+        with pytest.raises(GraphError) as from_file:
+            parse_graph(text)
+        with pytest.raises(GraphError) as built:
+            LabelledGraph(vertices, edges)
+        assert built.value.line is None
+        line = from_file.value.line
+        prefix = "" if line is None else f"line {line}: "
+        assert str(from_file.value) == prefix + str(built.value)
+
     def test_non_string_vertex_name(self):
         with pytest.raises(GraphError, match="invalid vertex name"):
             LabelledGraph([["a"], "b"], [])

@@ -1,6 +1,8 @@
 import functools
+import math
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -199,6 +201,18 @@ class TestAbelianInvariants:
         p = parse_presentation("gens: a b\nrel: a a\nrel: b b\nrel: a b a b a b\n")
         inv = abelian_invariants(p)
         assert inv.free_rank == 0 and inv.factors == (2,)
+
+
+    # Z/n *_{Z/k} Z/m has H1 of order n*m/k.
+    @pytest.mark.parametrize("name,factors", [
+        ("SL2Z", (12,)), ("PSL2Z", (6,)), ("dihedral-inf", (2, 2)),
+    ])
+    def test_cyclic_amalgam_builtins(self, name, factors):
+        target = builtin_target(name)
+        expr = target.expr
+        inv = abelian_invariants(target.presentation)
+        assert inv.free_rank == 0 and inv.factors == factors
+        assert math.prod(factors) == expr.left.n * expr.right.n // expr.amalgam_order
 
 
 class TestTietzeAndBounds:
