@@ -733,10 +733,11 @@ def _optional(check):
 
 
 # Type check of a decoded JSON value by its field's annotation text (each
-# also as "... | None"); fractions, children and descriptors are checked
-# as they are built.
+# also as "... | None"), before a fraction is read from its text; children
+# and descriptors are checked as they are built.
 _CHECKS = {
     "str": lambda value: isinstance(value, str),
+    "Fraction": lambda value: isinstance(value, str),
     "int": lambda value: type(value) is int,
     "tuple[str, ...]": _strings,
     "tuple[str, str]": lambda value: _strings(value) and len(value) == 2,
@@ -763,15 +764,15 @@ def _decode(cls, d: dict, children: tuple = ()):
         value = d[f.name]
         if f.name == "children":
             value = children
-        elif f.type == "Fraction":
-            value = Fraction(value)
-        elif f.type == "AmalgamDescriptor":
-            value = _decode(AmalgamDescriptor, value)
         elif isinstance(value, list):
             value = tuple(value)
         check = _CHECKS.get(f.type)
         if check is not None and not check(value):
             raise ValueError(f"field {f.name!r} is {value!r}, not {f.type}")
+        if f.type == "Fraction":
+            value = Fraction(value)
+        elif f.type == "AmalgamDescriptor":
+            value = _decode(AmalgamDescriptor, value)
         kwargs[f.name] = value
     return cls(**kwargs)
 

@@ -50,18 +50,25 @@ def cyclic_reduce(word) -> Word:
     return w[k:n - k]
 
 
+def _generator_index(gens) -> dict[str, int]:
+    """Each generator name to its 1-based index; raises PresentationError
+    on an invalid name or one that collides under case swap."""
+    index: dict[str, int] = {}
+    for name in gens:
+        if not name or not name[0].isalpha():
+            raise PresentationError(f"invalid generator name {name!r}")
+        if name in index or name.swapcase() in index:
+            raise PresentationError(f"generator name {name!r} collides under case swap")
+        index[name] = len(index) + 1
+    return index
+
+
 class Presentation:
     """Finitely presented group: ordered generators plus relator words."""
 
     def __init__(self, generators, relators):
         gens = tuple(generators)
-        seen: set[str] = set()
-        for name in gens:
-            if not name or not name[0].isalpha():
-                raise PresentationError(f"invalid generator name {name!r}")
-            if name in seen or name.swapcase() in seen:
-                raise PresentationError(f"generator name {name!r} collides under case swap")
-            seen.add(name)
+        _generator_index(gens)
         rels = []
         for rel in relators:
             word = free_reduce(rel)
@@ -76,18 +83,6 @@ class Presentation:
     @property
     def num_generators(self) -> int:
         return len(self.generators)
-
-    def word_from_tokens(self, tokens, line: int | None = None) -> Word:
-        letters = []
-        index = {name: i + 1 for i, name in enumerate(self.generators)}
-        for tok in tokens:
-            if tok in index:
-                letters.append(index[tok])
-            elif tok.swapcase() in index:
-                letters.append(-index[tok.swapcase()])
-            else:
-                raise PresentationError(f"unknown generator token {tok!r}", line)
-        return free_reduce(letters)
 
     def word_to_text(self, word) -> str:
         out = []
@@ -135,8 +130,18 @@ def parse_presentation(text: str) -> Presentation:
             raise PresentationError(f"malformed line {line!r}", lineno)
     if gens is None:
         raise PresentationError("missing gens: line")
-    pres = Presentation(gens, [])
-    relators = [pres.word_from_tokens(toks, line) for line, toks in relator_tokens]
+    index = _generator_index(gens)
+    relators = []
+    for line, tokens in relator_tokens:
+        letters = []
+        for tok in tokens:
+            if tok in index:
+                letters.append(index[tok])
+            elif tok.swapcase() in index:
+                letters.append(-index[tok.swapcase()])
+            else:
+                raise PresentationError(f"unknown generator token {tok!r}", line)
+        relators.append(letters)
     return Presentation(gens, relators)
 
 

@@ -263,41 +263,10 @@ class PriceResult:
         return is_known(self.cost)
 
 
-AMENABLE_LEAF_KINDS = (TrivialGroup, Cyclic, IntegersZ, FreeAbelian, Amenable)
-
-
 class InvariantError(ValueError):
     """Computed values break an inequality the theory guarantees: a node's
     betti1 - beta0 exceeds its rank gradient, or a `verify` row falls
     below the symbolic rank gradient."""
-
-
-def _order(e: GroupExpr, left: GroupOrder | None = None,
-           right: GroupOrder | None = None) -> GroupOrder | None:
-    """Order of one node; `left` and `right` are its factors' orders,
-    read only by an amalgam over a finite subgroup."""
-    if isinstance(e, TrivialGroup):
-        return GroupOrder(1)
-    if isinstance(e, Cyclic):
-        return GroupOrder(e.n)
-    if isinstance(e, (IntegersZ, Free, FreeAbelian, Surface, ArtinGraph, Generation)):
-        return INFINITE
-    if isinstance(e, Amenable):
-        return e.order
-    if isinstance(e, CoxeterGraph):
-        from .coxeter import coxeter_order
-
-        try:
-            return coxeter_order(e.graph)
-        except GraphError:
-            return None
-    if isinstance(e, AmalgamFinite):
-        left_order, right_order, sub_order = left, right, GroupOrder(e.amalgam_order)
-    elif isinstance(e, AmalgamAmenable):
-        left_order, right_order, sub_order = e.left_order, e.right_order, e.amalgam_order
-    else:
-        return None
-    return None if _degenerate_amalgam(left_order, right_order, sub_order) else INFINITE
 
 
 def _degenerate_amalgam(left: GroupOrder | None, right: GroupOrder | None,
@@ -312,11 +281,9 @@ def _degenerate_amalgam(left: GroupOrder | None, right: GroupOrder | None,
     return False
 
 
-def _unknown_from(*values, fallback: str) -> Unknown:
-    for v in values:
-        if isinstance(v, Unknown):
-            return v
-    return Unknown(fallback)
+def _unknown_from(*values) -> Unknown:
+    """The first Unknown among values that are not all known."""
+    return next(v for v in values if isinstance(v, Unknown))
 
 
 # A path is (prefix, last step, run length): the root is ("root", None, 0),
@@ -349,14 +316,6 @@ def _head(e: GroupExpr, path) -> str:
     return "".join(p if isinstance(p, str) else _ref(p, path, next(steps)) for p in e.form())
 
 
-def _evaluated_steps(e: GroupExpr) -> tuple[str, ...]:
-    """Children the evaluator visits: all of them, except an amenable-kind
-    amalgam subgroup, which needs no evaluation to witness betti1 = 0."""
-    if isinstance(e, AmalgamAmenable) and isinstance(e.amalgam, AMENABLE_LEAF_KINDS):
-        return ("left", "right")
-    return e.steps
-
-
 def evaluate(e: GroupExpr) -> PriceResult:
     """Evaluate cost, rank gradient and betti1 for an expression.
 
@@ -364,8 +323,8 @@ def evaluate(e: GroupExpr) -> PriceResult:
     subtree, right subtree, amalgam subgroup, then the node) and prices it
     from its children's stored (cost, betti1, order), so the work is
     linear in the tree and no depth overflows the interpreter's stack.
-    An amalgam subgroup is priced into a discarded trace, only to find its
-    betti1 = 0 witness.
+    Every subgroup is evaluated like any other node, but into a discarded
+    trace: it is priced only to find its betti1 = 0 witness.
 
     Each applied rule appends an entry `<rule> <path> <head>: <text>`.  The
     path names the node from `root` by the steps `.left`, `.right` and
@@ -384,7 +343,7 @@ def evaluate(e: GroupExpr) -> PriceResult:
     stack = [(e, _ROOT, trace, False)]
     while stack:
         node, path, out, expanded = stack.pop()
-        steps = _evaluated_steps(node)
+        steps = node.steps
         if steps and not expanded:
             stack.append((node, path, out, True))
             for step in reversed(steps):
@@ -393,12 +352,11 @@ def evaluate(e: GroupExpr) -> PriceResult:
             continue
         kids = values[len(values) - len(steps):]
         del values[len(values) - len(steps):]
-        cost, betti, entries = _price(node, kids, path)
+        cost, betti, order, entries = _price(node, kids, path)
         name = _path_name(path)
         if entries:
             head = _head(node, path)
             out.extend(f"{rule} {name} {head}: {text}" for rule, text in entries)
-        order = _order(node, *(kid[2] for kid in kids[:2]))
         _check_node(name, cost, betti, order)
         values.append((cost, betti, order))
     cost, betti, _ = values[0]
@@ -418,119 +376,117 @@ def _check_node(name: str, cost, betti, order: GroupOrder | None) -> None:
 
 
 def _price(e: GroupExpr, kids: list[tuple], path):
-    """(cost, betti1, [(rule, text)]) of one node, from its evaluated
-    children's (cost, betti1, order) in `kids`."""
+    """(cost, betti1, order, [(rule, text)]) of one node, from its
+    evaluated children's (cost, betti1, order) in `kids`.  The order is
+    None when it is undetermined."""
     if isinstance(e, TrivialGroup):
-        return Fraction(0), Fraction(0), [("finite-price", "cost 0, betti1 0")]
+        return Fraction(0), Fraction(0), GroupOrder(1), [("finite-price", "cost 0, betti1 0")]
 
     if isinstance(e, Cyclic):
         c = 1 - Fraction(1, e.n)
-        return c, Fraction(0), [("finite-price", f"cost 1 - 1/{e.n} = {c}, betti1 0")]
+        return c, Fraction(0), GroupOrder(e.n), [
+            ("finite-price", f"cost 1 - 1/{e.n} = {c}, betti1 0")]
 
     if isinstance(e, Amenable):
         if e.order.is_finite:
             c = 1 - Fraction(1, e.order.value)
-            return c, Fraction(0), [("finite-price", f"cost {c}, betti1 0")]
-        return Fraction(1), Fraction(0), [("amenable-price", "cost 1, betti1 0")]
+            return c, Fraction(0), e.order, [("finite-price", f"cost {c}, betti1 0")]
+        return Fraction(1), Fraction(0), e.order, [("amenable-price", "cost 1, betti1 0")]
 
     if isinstance(e, (IntegersZ, FreeAbelian)):
-        return Fraction(1), Fraction(0), [("amenable-price", "cost 1, betti1 0")]
+        return Fraction(1), Fraction(0), INFINITE, [("amenable-price", "cost 1, betti1 0")]
 
     if isinstance(e, Free):
         c = Fraction(e.rank)
-        return c, c - 1, [("free-price", f"cost {c}, betti1 {c - 1}")]
+        return c, c - 1, INFINITE, [("free-price", f"cost {c}, betti1 {c - 1}")]
 
     if isinstance(e, Surface):
         c = Fraction(2 * e.genus - 1)
-        return c, c - 1, [("surface-price", f"cost {c}, betti1 {c - 1}")]
+        return c, c - 1, INFINITE, [("surface-price", f"cost {c}, betti1 {c - 1}")]
 
     if isinstance(e, ArtinGraph):
         b = len(components(e.graph))
-        return Fraction(b), Fraction(b - 1), [
+        return Fraction(b), Fraction(b - 1), INFINITE, [
             ("artin-components-price", f"{b} component(s), cost {b}, betti1 {b - 1}")]
 
     if isinstance(e, CoxeterGraph):
-        from .coxeter import HypothesisError, rg_coxeter_planar
+        from .coxeter import HypothesisError, coxeter_order, rg_coxeter_planar
 
         try:
             price, _ = rg_coxeter_planar(e.graph)
         except HypothesisError as exc:
             reason = f"coxeter graph outside supported class: {exc}"
-            return Unknown(reason), Unknown(reason), [("rule-not-applicable", reason)]
-        return price.cost, price.betti1, [
-            ("coxeter-planar-girth6", f"cost {price.cost}, betti1 {price.betti1}")]
+            cost = betti = Unknown(reason)
+            entries = [("rule-not-applicable", reason)]
+        else:
+            cost, betti = price.cost, price.betti1
+            entries = [("coxeter-planar-girth6", f"cost {cost}, betti1 {betti}")]
+        try:
+            order = coxeter_order(e.graph)
+        except GraphError:
+            order = None
+        return cost, betti, order, entries
 
-    entries: list[tuple[str, str]] = []
     (lc, lb, lo), (rc, rb, ro) = kids[:2]
-
-    if isinstance(e, AmalgamFinite):
-        m = e.amalgam_order
-        c_sub = 1 - Fraction(1, m)
-        if is_known(lc) and is_known(rc):
-            cost = lc + rc - c_sub
-            lg, rg = lc - 1, rc - 1
-            rg_direct = lg + rg + Fraction(1, m)
-            assert rg_direct == cost - 1, "amalgam gradient routes disagree"
-            entries.append(("amalgam-price",
-                            f"cost {lc} + {rc} - {c_sub} = {cost}; "
-                            f"gradient sum route {lg} + {rg} + 1/{m} = {rg_direct} agrees"))
-        else:
-            cost = _unknown_from(lc, rc, fallback="factor cost unknown")
-        betti = _amalgam_betti(lb, rb, lo, ro, GroupOrder(m), entries)
-        return cost, betti, entries
-
-    if isinstance(e, AmalgamAmenable):
-        sub_betti = kids[2][1] if len(kids) == 3 else Fraction(0)
-        if not (is_known(sub_betti) and sub_betti == 0):
-            reason = "amalgam subgroup {} carries no betti1 = 0 witness"
-            unknown = Unknown(reason.format(e.amalgam.describe()))
-            return unknown, unknown, [
-                ("rule-not-applicable", reason.format(_ref(e.amalgam, path, "amalgam")))]
-        c_sub = 1 - recip_order(e.amalgam_order)
-        if is_known(lc) and is_known(rc):
-            cost = lc + rc - c_sub
-            entries.append(("amalgam-price",
-                            f"cost {lc} + {rc} - {c_sub} = {cost} "
-                            f"(declared orders {e.left_order}, {e.right_order}, {e.amalgam_order})"))
-        else:
-            cost = _unknown_from(lc, rc, fallback="factor cost unknown")
-        betti = _amalgam_betti(lb, rb, e.left_order, e.right_order, e.amalgam_order, entries)
-        return cost, betti, entries
+    known = is_known(lc) and is_known(rc)
 
     if isinstance(e, Generation):
-        if is_known(lc) and is_known(rc) and lc == 1 and rc == 1:
+        if known and lc == 1 and rc == 1:
             # Gradient sandwich: the sum bound gives rg <= 0 while
             # betti1 >= 0 bounds it below, so rg = betti1 = 0.
-            return Fraction(1), Fraction(0), [
+            return Fraction(1), Fraction(0), INFINITE, [
                 ("generation-price", "both factors have price 1; "
                                      f"intersection justification: {e.justification}"),
                 ("generation-sandwich", "gradient upper bound 0 meets betti1 lower bound 0")]
-        if is_known(lc) and is_known(rc):
+        if known:
             reason = f"generation rule needs both factors of price 1 (got {lc} and {rc})"
         else:
-            reason = _unknown_from(lc, rc, fallback="factor cost unknown").reason
-        return Unknown(reason), Unknown(reason), [("rule-not-applicable", reason)]
+            reason = _unknown_from(lc, rc).reason
+        return Unknown(reason), Unknown(reason), INFINITE, [("rule-not-applicable", reason)]
 
-    raise TypeError(f"unsupported expression node {type(e).__name__}")
+    # An amalgam: the factors' orders are inferred over a finite subgroup
+    # and declared over an amenable one, whose betti1 = 0 needs a witness.
+    if isinstance(e, AmalgamFinite):
+        m = e.amalgam_order
+        sub, witnessed = GroupOrder(m), True
+        if known:
+            lg, rg = lc - 1, rc - 1
+            note = f"; gradient sum route {lg} + {rg} + 1/{m} = {lg + rg + Fraction(1, m)} agrees"
+    elif isinstance(e, AmalgamAmenable):
+        lo, ro, sub = e.left_order, e.right_order, e.amalgam_order
+        witnessed = is_known(kids[2][1]) and kids[2][1] == 0
+        note = f" (declared orders {lo}, {ro}, {sub})"
+    else:
+        raise TypeError(f"unsupported expression node {type(e).__name__}")
+    order = None if _degenerate_amalgam(lo, ro, sub) else INFINITE
+    if not witnessed:
+        reason = "amalgam subgroup {} carries no betti1 = 0 witness"
+        unknown = Unknown(reason.format(e.amalgam.describe()))
+        return unknown, unknown, order, [
+            ("rule-not-applicable", reason.format(_ref(e.amalgam, path, "amalgam")))]
 
-
-def _amalgam_betti(lb, rb, left_order, right_order, amalgam_order, entries):
-    """First L2-Betti number of an amalgam over a betti1 = 0 subgroup:
-    betti1(left) - 1/|left| + betti1(right) - 1/|right| + 1/|subgroup|."""
-    if _degenerate_amalgam(left_order, right_order, amalgam_order):
-        reason = (
-            "degenerate amalgam: declared subgroup order reaches a factor order, "
-            "so the splitting formula does not apply"
-        )
+    entries: list[tuple[str, str]] = []
+    c_sub = 1 - recip_order(sub)
+    if known:
+        cost = lc + rc - c_sub
+        entries.append(("amalgam-price", f"cost {lc} + {rc} - {c_sub} = {cost}{note}"))
+    else:
+        cost = _unknown_from(lc, rc)
+    # Over a betti1 = 0 subgroup:
+    # betti1 = betti1(left) - 1/|left| + betti1(right) - 1/|right| + 1/|subgroup|.
+    if order is None:
+        reason = ("degenerate amalgam: declared subgroup order reaches a factor order, "
+                  "so the splitting formula does not apply")
         entries.append(("rule-not-applicable", reason))
-        return Unknown(reason)
-    if not (is_known(lb) and is_known(rb)):
-        return _unknown_from(lb, rb, fallback="factor betti1 unknown")
-    if left_order is None or right_order is None:
+        betti = Unknown(reason)
+    elif not (is_known(lb) and is_known(rb)):
+        betti = _unknown_from(lb, rb)
+    elif lo is None or ro is None:
         reason = "factor order undetermined"
         entries.append(("rule-not-applicable", reason))
-        return Unknown(reason)
-    rl, rr, ra = recip_order(left_order), recip_order(right_order), recip_order(amalgam_order)
-    value = lb - rl + rb - rr + ra
-    entries.append(("amalgam-betti", f"{lb} - {rl} + {rb} - {rr} + {ra} = {value}"))
-    return value
+        betti = Unknown(reason)
+    else:
+        rl, rr, ra = recip_order(lo), recip_order(ro), recip_order(sub)
+        betti = lb - rl + rb - rr + ra
+        entries.append(("amalgam-betti", f"{lb} - {rl} + {rb} - {rr} + {ra} = {betti}"))
+    return cost, betti, order, entries

@@ -31,9 +31,9 @@ from rgcost.fpgroup.presentation import (
     cyclic_reduce,
     free_reduce,
     invert_word,
+    parse_presentation,
 )
 from rgcost.groupexpr import (
-    AMENABLE_LEAF_KINDS,
     INFINITE,
     AmalgamAmenable,
     AmalgamFinite,
@@ -521,7 +521,7 @@ def todd_coxeter(pres: Presentation, subgroup=(), coset_limit: int = 100_000) ->
     words = []
     for w in subgroup:
         if isinstance(w, str):
-            w = pres.word_from_tokens(w.split())
+            w = word_from_tokens(pres, w.split())
         else:
             w = free_reduce(w)
         for x in w:
@@ -913,6 +913,11 @@ def reference_cayley_table(pres: Presentation, images: dict[str, Perm],
 # oracles for the iterative ones: they re-walk subtrees and re-print whole
 # subexpressions, so they are quadratic, and they recurse once or twice per
 # level, so keep their inputs shallow
+
+
+# Subgroup leaves the reference evaluator takes as betti1 = 0 witnesses
+# without evaluating them.
+AMENABLE_LEAF_KINDS = (TrivialGroup, Cyclic, IntegersZ, FreeAbelian, Amenable)
 
 
 def reference_infer_order(e: GroupExpr) -> GroupOrder | None:
@@ -1410,7 +1415,7 @@ def _class_c_validate(e: ge.GroupExpr, trace: list[str]) -> str | None:
         return (_class_c_validate(e.left, trace)
                 or _class_c_validate(e.right, trace))
     if isinstance(e, ge.AmalgamAmenable):
-        if not (isinstance(e.amalgam, ge.AMENABLE_LEAF_KINDS)
+        if not (isinstance(e.amalgam, AMENABLE_LEAF_KINDS)
                 or ge.evaluate(e.amalgam).betti1 == 0):
             return f"amalgam subgroup {e.amalgam.describe()} carries no betti1 = 0 witness"
         if not e.amalgam_order.is_finite:
@@ -1433,21 +1438,29 @@ def _class_c_validate(e: ge.GroupExpr, trace: list[str]) -> str | None:
 
 
 def infer_order(e: GroupExpr) -> GroupOrder | None:
-    """The order `evaluate` gives an expression: `groupexpr._order` applied
-    in post-order on an explicit stack, where only an amalgam over a
-    finite subgroup reads its factors' orders."""
-    orders: list[GroupOrder | None] = []
+    """The order `evaluate` gives an expression: `groupexpr._price` applied
+    in post-order on an explicit stack, each node from its children's
+    (cost, betti1, order)."""
+    values: list[tuple] = []
     stack = [(e, False)]
     while stack:
         node, ready = stack.pop()
-        if not isinstance(node, AmalgamFinite):
-            orders.append(ge._order(node))
-        elif ready:
-            right = orders.pop()
-            orders.append(ge._order(node, orders.pop(), right))
-        else:
-            stack += [(node, True), (node.right, False), (node.left, False)]
-    return orders[0]
+        if node.steps and not ready:
+            stack.append((node, True))
+            stack += [(getattr(node, step), False) for step in reversed(node.steps)]
+            continue
+        kids = values[len(values) - len(node.steps):]
+        del values[len(values) - len(node.steps):]
+        values.append(ge._price(node, kids, ge._ROOT)[:3])
+    return values[0][2]
+
+
+def word_from_tokens(pres: Presentation, tokens) -> Word:
+    """The freely reduced word of generator tokens, an inverse written as
+    the swapcase of its generator's name, read as a presentation file's
+    relator."""
+    text = f"gens: {' '.join(pres.generators)}\nrel: {' '.join(tokens)}\n"
+    return next(iter(parse_presentation(text).relators), ())
 
 
 def trace_from_json(text: str) -> CoxeterTrace:

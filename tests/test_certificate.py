@@ -339,6 +339,16 @@ class TestJson:
         with pytest.raises(ValueError, match=r"certificate node 0 \(finite\)"):
             certificate_from_json(json.dumps(doc))
 
+    # a cost read from a float would be the float's binary value, and a
+    # boolean would read as 0 or 1
+    @pytest.mark.parametrize("value", [0.8333333333333334, True, 1, None],
+                             ids=["float", "bool", "int", "null"])
+    def test_rejects_non_string_node_cost(self, value):
+        doc = json.loads(certificate_to_json(builtin_certificate("SL2Z")))
+        doc["nodes"][0]["cost"] = value
+        with pytest.raises(ValueError, match=r"certificate node 0 \(finite\): field 'cost'"):
+            certificate_from_json(json.dumps(doc))
+
     def test_external_cost_strings_are_fractions(self):
         cert = builtin_certificate("SL2Z")
         assert '"claimed_cost": "13/12"' in certificate_to_json(cert)

@@ -24,7 +24,6 @@ from conftest import (
 from rgcost.cli import main
 from rgcost.exprparse import ExprParseError, _tokenize, parse_expr
 from rgcost.groupexpr import (
-    AMENABLE_LEAF_KINDS,
     INFINITE,
     AmalgamAmenable,
     AmalgamFinite,
@@ -140,11 +139,8 @@ def node_at(tree, name: str):
 
 def evaluated_nodes(tree, steps=()):
     """(steps, node) in the evaluator's post-order: left, right, the
-    amalgam subgroup unless it is an amenable-kind leaf, then the node."""
-    kids = list(tree.steps)
-    if isinstance(tree, AmalgamAmenable) and isinstance(tree.amalgam, AMENABLE_LEAF_KINDS):
-        kids.remove("amalgam")
-    for step in kids:
+    amalgam subgroup, then the node."""
+    for step in tree.steps:
         yield from evaluated_nodes(getattr(tree, step), steps + (step,))
     yield steps, tree
 

@@ -82,6 +82,17 @@ class TestPresentation:
         with pytest.raises(PresentationError):
             parse_presentation(text)
 
+    def test_unknown_token_names_its_line(self):
+        with pytest.raises(PresentationError, match=r"^line 4: unknown generator token 'c'$") as exc:
+            parse_presentation("gens: a b\nrel: a b\n\nrel: a c B\n")
+        assert exc.value.line == 4
+
+    def test_bad_generator_name_before_bad_token(self):
+        with pytest.raises(PresentationError, match="^invalid generator name '1x'$"):
+            parse_presentation("gens: a 1x\nrel: a q\n")
+        with pytest.raises(PresentationError, match="^generator name 'A' collides"):
+            parse_presentation("gens: a A\nrel: q\n")
+
 
 class TestArtinPresentation:
     def test_label_2_commutator(self):

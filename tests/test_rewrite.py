@@ -13,6 +13,7 @@ from conftest import (
     reference_tree,
     schreier_words,
     todd_coxeter,
+    word_from_tokens,
 )
 from rgcost.fpgroup.builtins import builtin_target
 from rgcost.fpgroup.chains import cayley_table, mod_cycle_images, psl2z_images, sl2z_images
@@ -294,7 +295,7 @@ def finite_index_subgroups(draw):
     else:
         pres = builtin_target(source).presentation
         quotient = Presentation(pres.generators,
-                                pres.relators + (pres.word_from_tokens(extra.split()),))
+                                pres.relators + (word_from_tokens(pres, extra.split()),))
     words = draw(st.lists(st.lists(_letters(pres.num_generators), min_size=1, max_size=4),
                           max_size=2))
     table = todd_coxeter(quotient, subgroup=words, coset_limit=5000)
