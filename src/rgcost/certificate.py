@@ -26,16 +26,6 @@ from .lgraph import LabelledGraph
 
 FORMAT = "rgcost-certificate/2"
 
-# Why the two-generator centre misses chain intersections: its generator has
-# nonzero total exponent, while the intersection of all finite-index
-# subgroups lies in the kernel of every map to Z/k, hence in the kernel of
-# the exponent-sum map to Z.
-CENTER_NOTE = (
-    "centre generator has nonzero image under the exponent-sum map to Z; "
-    "the intersection of all finite-index subgroups lies in ker(group -> Z -> Z/k) "
-    "for every k, so it meets this centre trivially"
-)
-
 ARTIN_CAVEAT = (
     "values refer to normal chains of finite-index subgroups whose intersection "
     "equals the intersection of all finite-index subgroups; whether that "
@@ -52,20 +42,21 @@ def edge_center_word(label: int) -> int:
     return label // 2 if label % 2 == 0 else label
 
 
+# Each class below names its JSON "kind" tag in a class attribute, which is
+# not a dataclass field.
+
+
 @dataclass(frozen=True)
 class AmalgamDescriptor:
     """The finite subgroup an amalgam node splits over, of the declared
-    order; order 1 is the trivial group, so the amalgam is a free product.
-    The only kind is "finite"."""
+    order; order 1 is the trivial group, so the amalgam is a free product."""
 
-    kind: str
-    order: int | None = None
+    kind = "finite"
+    order: int
     name: str = ""
 
     def __post_init__(self):
-        if self.kind != "finite":
-            raise ValueError(f"unknown amalgam descriptor kind {self.kind!r}")
-        if self.order is None or self.order < 1:
+        if self.order < 1:
             raise ValueError("finite descriptor needs an order >= 1")
 
     def price(self) -> Fraction:
@@ -74,6 +65,7 @@ class AmalgamDescriptor:
 
 @dataclass(frozen=True)
 class FiniteLeaf:
+    kind = "finite"
     order: int
     cost: Fraction
 
@@ -83,6 +75,7 @@ class AmenableLeaf:
     """Infinite amenable group; `vertex` names the graph vertex when the
     group is an infinite cyclic vertex subgroup of an Artin group."""
 
+    kind = "amenable"
     name: str
     reason: str
     cost: Fraction
@@ -92,13 +85,16 @@ class AmenableLeaf:
 @dataclass(frozen=True)
 class InfiniteCenterLeaf:
     """Two-vertex Artin subgroup; its centre is generated by the witness
-    word (a_v a_w)^exponent."""
+    word (a_v a_w)^exponent.  The centre misses the intersection of a
+    chain: its generator has nonzero image under the exponent-sum map to Z,
+    while the intersection of all finite-index subgroups lies in the kernel
+    of every map to Z/k, hence in the kernel of that map."""
 
+    kind = "infinite-centre"
     endpoints: tuple[str, str]
     label: int
     exponent: int
     cost: Fraction
-    note: str = CENTER_NOTE
 
 
 @dataclass(frozen=True)
@@ -106,6 +102,7 @@ class AmalgamNode:
     """Amalgam of all children over one common subgroup: cost is the sum of
     the children's costs minus (k - 1) times the subgroup's price."""
 
+    kind = "amalgam"
     children: tuple
     amalgam: AmalgamDescriptor
     cost: Fraction
@@ -118,6 +115,7 @@ class GenerationNode:
     named by witnesses[j - 1] (in an Artin group, the vertex subgroup of
     witness_vertices[j - 1])."""
 
+    kind = "generation"
     children: tuple
     witnesses: tuple[str, ...]
     cost: Fraction
@@ -129,21 +127,14 @@ class CitedFactLeaf:
     """Unverifiable assumption with a literature citation tag; the checker
     records it instead of validating it."""
 
+    kind = "cited-fact"
     statement: str
     citation: str
     cost: Fraction
 
 
-# JSON "kind" tag of each node class.
-KINDS = {
-    "finite": FiniteLeaf,
-    "amenable": AmenableLeaf,
-    "infinite-centre": InfiniteCenterLeaf,
-    "amalgam": AmalgamNode,
-    "generation": GenerationNode,
-    "cited-fact": CitedFactLeaf,
-}
-_KIND_OF = {cls: kind for kind, cls in KINDS.items()}
+KINDS = {cls.kind: cls for cls in (FiniteLeaf, AmenableLeaf, InfiniteCenterLeaf,
+                                   AmalgamNode, GenerationNode, CitedFactLeaf)}
 
 
 @dataclass(frozen=True)
@@ -244,7 +235,7 @@ def rg_artin(g: LabelledGraph) -> tuple[PriceResult, Certificate]:
     parts = _component_nodes(g)
     b = len(parts)
     root = parts[0] if b == 1 else AmalgamNode(
-        children=tuple(parts), amalgam=AmalgamDescriptor(kind="finite", order=1, name="trivial"),
+        children=tuple(parts), amalgam=AmalgamDescriptor(order=1, name="trivial"),
         cost=Fraction(b))
     cert = Certificate(
         root=root,
@@ -438,7 +429,7 @@ def _sl2z_certificate() -> Certificate:
     root = AmalgamNode(
         children=(FiniteLeaf(order=6, cost=1 - Fraction(1, 6)),
                   FiniteLeaf(order=4, cost=1 - Fraction(1, 4))),
-        amalgam=AmalgamDescriptor(kind="finite", order=2, name="common central subgroup of order 2"),
+        amalgam=AmalgamDescriptor(order=2, name="common central subgroup of order 2"),
         cost=cost,
     )
     return Certificate(
@@ -446,6 +437,19 @@ def _sl2z_certificate() -> Certificate:
         target="SL(2,Z) as the amalgam of cyclic groups of orders 6 and 4 over a common order-2 subgroup",
         citations=("classical",),
     )
+
+
+def _fact(statement: str, citation: str) -> CitedFactLeaf:
+    """A cited fact of cost 1."""
+    return CitedFactLeaf(statement=statement, citation=citation, cost=Fraction(1))
+
+
+def _generated(target: str, citation: str, children, witnesses) -> Certificate:
+    """The certificate of a group of cost 1 generated by `children`, each
+    meeting the earlier ones in the infinite subgroup of its witness."""
+    root = GenerationNode(children=tuple(children), witnesses=tuple(witnesses),
+                          cost=Fraction(1))
+    return Certificate(root=root, target=target, citations=(citation,))
 
 
 def lickorish_sequence(genus: int) -> tuple[str, ...]:
@@ -470,18 +474,6 @@ def _mcg_certificate(genus: int) -> Certificate:
         seen.add(key)
         pairs.append((x, y))
 
-    def leaf(x, y):
-        return CitedFactLeaf(
-            statement=(
-                f"the Dehn twists {x} and {y} are defined along simple closed "
-                f"non-separating curves with intersection number one, so <{x},{y}> "
-                f"is a copy of the braid group on three strands; a connected "
-                f"one-edge Artin group has fixed price 1"
-            ),
-            citation="BH",
-            cost=Fraction(1),
-        )
-
     witnesses = []
     used = set(pairs[0])
     for x, y in pairs[1:]:
@@ -492,180 +484,103 @@ def _mcg_certificate(genus: int) -> Certificate:
             f"(braid-group generator)"
         )
         used.update((x, y))
-    root = GenerationNode(
-        children=tuple(leaf(x, y) for x, y in pairs),
-        witnesses=tuple(witnesses),
-        cost=Fraction(1),
-    )
-    return Certificate(
-        root=root,
-        target=(
-            f"mapping class group of the closed genus-{genus} surface, generated "
-            f"by the twist sequence {', '.join(seq)}"
-        ),
-        citations=("Lic",),
+    return _generated(
+        f"mapping class group of the closed genus-{genus} surface, generated "
+        f"by the twist sequence {', '.join(seq)}",
+        "Lic",
+        [_fact(f"the Dehn twists {x} and {y} are defined along simple closed "
+               f"non-separating curves with intersection number one, so <{x},{y}> "
+               f"is a copy of the braid group on three strands; a connected "
+               f"one-edge Artin group has fixed price 1", "BH")
+         for x, y in pairs],
+        witnesses,
     )
 
 
 def _bn_mod_center_certificate(n: int) -> Certificate:
     def image_leaf(lo, hi):
-        return CitedFactLeaf(
-            statement=(
-                f"the parabolic subgroup <sigma_{lo},...,sigma_{hi}> of the braid group "
-                f"on {n} strands is a copy of the braid group on {n - 1} strands meeting "
-                f"the centre trivially (Garside-element description of the centre), so its "
-                f"image modulo the centre is again that braid group; a connected-path "
-                f"Artin group has fixed price 1"
-            ),
-            citation="Garside",
-            cost=Fraction(1),
+        return _fact(
+            f"the parabolic subgroup <sigma_{lo},...,sigma_{hi}> of the braid group "
+            f"on {n} strands is a copy of the braid group on {n - 1} strands meeting "
+            f"the centre trivially (Garside-element description of the centre), so its "
+            f"image modulo the centre is again that braid group; a connected-path "
+            f"Artin group has fixed price 1",
+            "Garside",
         )
 
-    root = GenerationNode(
-        children=(image_leaf(1, n - 2), image_leaf(2, n - 1)),
-        witnesses=(
-            "the image of sigma_2 lies in both factors and has infinite order "
-            "(no power of sigma_2 is central)",
-        ),
-        cost=Fraction(1),
-    )
-    return Certificate(
-        root=root,
-        target=f"braid group on {n} strands modulo its centre",
-        citations=("Grossman",),
+    return _generated(
+        f"braid group on {n} strands modulo its centre",
+        "Grossman",
+        [image_leaf(1, n - 2), image_leaf(2, n - 1)],
+        ["the image of sigma_2 lies in both factors and has infinite order "
+         "(no power of sigma_2 is central)"],
     )
 
 
 def _autfn_certificate(n: int) -> Certificate:
     if n == 2:
-        root = GenerationNode(
-            children=(
-                CitedFactLeaf(
-                    statement=(
-                        "the braid group on 4 strands modulo its centre embeds in Aut(F_2) "
-                        "as a subgroup of index two and has fixed price 1 "
-                        "(see the BnModCenter(4) certificate)"
-                    ),
-                    citation="DF",
-                    cost=Fraction(1),
-                ),
-                AmenableLeaf(
-                    name="<t>",
-                    reason=(
-                        "infinite cyclic: t is any infinite-order automorphism outside the "
-                        "index-two subgroup (preimage of an infinite-order determinant -1 "
-                        "matrix in GL(2,Z))"
-                    ),
-                    cost=Fraction(1),
-                ),
-            ),
-            witnesses=("t^2 lies in both factors and has infinite order (index two)",),
-            cost=Fraction(1),
-        )
-        return Certificate(
-            root=root,
-            target="Aut(F_2) generated by its index-two braid-quotient subgroup and an outside infinite-order element",
-            citations=("DF",),
+        return _generated(
+            "Aut(F_2) generated by its index-two braid-quotient subgroup and an outside infinite-order element",
+            "DF",
+            [_fact("the braid group on 4 strands modulo its centre embeds in Aut(F_2) "
+                   "as a subgroup of index two and has fixed price 1 "
+                   "(see the BnModCenter(4) certificate)", "DF"),
+             AmenableLeaf(
+                 name="<t>",
+                 reason=(
+                     "infinite cyclic: t is any infinite-order automorphism outside the "
+                     "index-two subgroup (preimage of an infinite-order determinant -1 "
+                     "matrix in GL(2,Z))"
+                 ),
+                 cost=Fraction(1),
+             )],
+            ["t^2 lies in both factors and has infinite order (index two)"],
         )
 
-    def copy_leaf(i):
-        return CitedFactLeaf(
-            statement=(
-                f"A_{i}, the copy of Aut(F_2) acting on <x_{i},x_{i + 1}> and fixing the "
-                f"other free generators, has fixed price 1 (AutFn(2) certificate)"
-            ),
-            citation="DF",
-            cost=Fraction(1),
-        )
-
-    braid_leaf = CitedFactLeaf(
-        statement=(
-            f"the automorphisms f_1,...,f_{n - 1} with f_i: x_i -> x_i x_(i+1) x_i^-1, "
-            f"x_(i+1) -> x_i generate a copy of the braid group on {n} strands inside "
-            f"Aut(F_{n}); a connected-path Artin group has fixed price 1"
-        ),
-        citation="classical",
-        cost=Fraction(1),
+    braid_leaf = _fact(
+        f"the automorphisms f_1,...,f_{n - 1} with f_i: x_i -> x_i x_(i+1) x_i^-1, "
+        f"x_(i+1) -> x_i generate a copy of the braid group on {n} strands inside "
+        f"Aut(F_{n}); a connected-path Artin group has fixed price 1",
+        "classical",
     )
-    root = GenerationNode(
-        children=(braid_leaf,) + tuple(copy_leaf(i) for i in range(1, n)),
-        witnesses=tuple(f"f_{i} lies in both factors and has infinite order"
-                        for i in range(1, n)),
-        cost=Fraction(1),
-    )
-    return Certificate(
-        root=root,
-        target=f"Aut(F_{n}) generated by the rank-two copies A_1,...,A_{n - 1} of Aut(F_2)",
-        citations=("classical",),
+    return _generated(
+        f"Aut(F_{n}) generated by the rank-two copies A_1,...,A_{n - 1} of Aut(F_2)",
+        "classical",
+        [braid_leaf] + [_fact(f"A_{i}, the copy of Aut(F_2) acting on <x_{i},x_{i + 1}> and "
+                              f"fixing the other free generators, has fixed price 1 "
+                              f"(AutFn(2) certificate)", "DF") for i in range(1, n)],
+        [f"f_{i} lies in both factors and has infinite order" for i in range(1, n)],
     )
 
 
 def _outfn_certificate(n: int) -> Certificate:
     if n == 3:
-        x_leaf = CitedFactLeaf(
-            statement=(
-                "Xbar, the image in Out(F_3) of the copy X of Aut(F_2) acting on "
-                "<x_1,x_2> and fixing x_3, is isomorphic to Aut(F_2) and has fixed price 1"
-            ),
-            citation="DF",
-            cost=Fraction(1),
-        )
-        z_leaf = CitedFactLeaf(
-            statement=(
-                "Zbar, the image of the copy Z of Aut(F_2) acting on <x_1,x_2> and fixing "
-                "x_1x_3, is isomorphic to Aut(F_2) and has fixed price 1; the intersection "
-                "Xbar n Zbar >= <alphabar> is infinite, where alpha: x_1 -> x_1, "
-                "x_2 -> x_1x_2, x_3 -> x_3"
-            ),
-            citation="DF",
-            cost=Fraction(1),
-        )
-        y_leaf = CitedFactLeaf(
-            statement=(
-                "Ybar, the image of the copy Y of Aut(F_2) acting on <x_2,x_3> and fixing "
-                "x_1, is isomorphic to Aut(F_2) and has fixed price 1; <Xbar,Zbar> n Ybar "
-                "contains the class of gamma o beta (fixing x_1 and x_2, sending x_3 to "
-                "x_2^-1 x_3), of infinite order"
-            ),
-            citation="DF",
-            cost=Fraction(1),
-        )
-        root = GenerationNode(
-            children=(x_leaf, z_leaf, y_leaf),
-            witnesses=(
-                "the class of alpha lies in both factors and has infinite order",
-                "the class of gamma o beta lies in both factors and has infinite order",
-            ),
-            cost=Fraction(1),
-        )
-        return Certificate(
-            root=root,
-            target="Out(F_3) generated by Xbar and Ybar",
-            citations=("classical",),
+        return _generated(
+            "Out(F_3) generated by Xbar and Ybar",
+            "classical",
+            [_fact("Xbar, the image in Out(F_3) of the copy X of Aut(F_2) acting on "
+                   "<x_1,x_2> and fixing x_3, is isomorphic to Aut(F_2) and has fixed price 1",
+                   "DF"),
+             _fact("Zbar, the image of the copy Z of Aut(F_2) acting on <x_1,x_2> and fixing "
+                   "x_1x_3, is isomorphic to Aut(F_2) and has fixed price 1; the intersection "
+                   "Xbar n Zbar >= <alphabar> is infinite, where alpha: x_1 -> x_1, "
+                   "x_2 -> x_1x_2, x_3 -> x_3", "DF"),
+             _fact("Ybar, the image of the copy Y of Aut(F_2) acting on <x_2,x_3> and fixing "
+                   "x_1, is isomorphic to Aut(F_2) and has fixed price 1; <Xbar,Zbar> n Ybar "
+                   "contains the class of gamma o beta (fixing x_1 and x_2, sending x_3 to "
+                   "x_2^-1 x_3), of infinite order", "DF")],
+            ["the class of alpha lies in both factors and has infinite order",
+             "the class of gamma o beta lies in both factors and has infinite order"],
         )
 
-    def aut_leaf(fixed):
-        return CitedFactLeaf(
-            statement=(
-                f"the copy of Aut(F_{n - 1}) in Out(F_{n}) fixing {fixed} has fixed "
-                f"price 1 (AutFn({n - 1}) certificate)"
-            ),
-            citation="classical",
-            cost=Fraction(1),
-        )
-
-    root = GenerationNode(
-        children=(aut_leaf("x_1"), aut_leaf(f"x_{n}")),
-        witnesses=(
-            "a common copy of Aut(F_2) acting on <x_2,x_3> and fixing the remaining "
-            "generators lies in both factors and is infinite",
-        ),
-        cost=Fraction(1),
-    )
-    return Certificate(
-        root=root,
-        target=f"Out(F_{n}) generated by two copies of Aut(F_{n - 1})",
-        citations=("classical",),
+    return _generated(
+        f"Out(F_{n}) generated by two copies of Aut(F_{n - 1})",
+        "classical",
+        [_fact(f"the copy of Aut(F_{n - 1}) in Out(F_{n}) fixing {fixed} has fixed "
+               f"price 1 (AutFn({n - 1}) certificate)", "classical")
+         for fixed in ("x_1", f"x_{n}")],
+        ["a common copy of Aut(F_2) acting on <x_2,x_3> and fixing the remaining "
+         "generators lies in both factors and is infinite"],
     )
 
 
@@ -700,14 +615,15 @@ def builtin_certificate(name: str, param: int | None = None) -> Certificate:
 # JSON serialization
 #
 # The nodes are listed flat in post-order: children before their parent,
-# the root last, each child named by its position in the list.  Fields are
-# written in declaration order, and a field equal to its default is left
-# out.  Nothing nests by depth, so the text is O(nodes) and json's C
+# the root last, each child named by its position in the list.  A node or
+# descriptor writes its kind tag first, then its fields in declaration
+# order, leaving out a field equal to its default; the reader rejects any
+# other key.  Nothing nests by depth, so the text is O(nodes) and json's C
 # encoder (used only without indent) writes it.
 
 
 def _encode(obj, refs: list[int] | None = None) -> dict:
-    d = {} if refs is None else {"kind": _KIND_OF[type(obj)]}
+    d = {"kind": obj.kind}
     for f in fields(obj):
         value = getattr(obj, f.name)
         if f.default is not MISSING and value == f.default:
@@ -772,8 +688,14 @@ def _decode(cls, d: dict, children: tuple = ()):
         if f.type == "Fraction":
             value = Fraction(value)
         elif f.type == "AmalgamDescriptor":
+            kind = value.get("kind") if isinstance(value, dict) else None
+            if kind != AmalgamDescriptor.kind:
+                raise ValueError(f"unknown amalgam descriptor kind {kind!r}")
             value = _decode(AmalgamDescriptor, value)
         kwargs[f.name] = value
+    if len(kwargs) + ("kind" in d) < len(d):
+        extra = next(key for key in d if key != "kind" and key not in kwargs)
+        raise ValueError(f"field {extra!r} is not declared by {cls.__name__}")
     return cls(**kwargs)
 
 

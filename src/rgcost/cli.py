@@ -46,7 +46,7 @@ _ERRORS = (
     ("builtins", "ValueError", EXIT_PARSE, "error"),
 )
 
-# The `fpgroup` names `cmd_verify` calls, each with its submodule.  The
+# The `fpgroup` names `cmd_verify` uses, each with its submodule.  The
 # module `__getattr__` binds each on first use, and `cmd_verify` looks
 # them up on this module, so rebinding one here (as a tracer or a test
 # does) changes what it calls.
@@ -55,7 +55,7 @@ _FPGROUP_NAMES = {
     "parse_presentation": "presentation", "kernel_chain_cayley": "chains",
     "mod_cycle_images": "chains", "psl2z_images": "chains", "rg_sequence": "chains",
     "samples_to_csv": "chains", "sl2_order": "chains", "sl2z_images": "chains",
-    "trend_summary": "chains",
+    "trend_summary": "chains", "EnumerationLimit": "coset",
 }
 
 
@@ -242,8 +242,12 @@ def cmd_verify(args, report: Report) -> int:
         build = cli.psl2z_images if target.psl else cli.sl2z_images
         tables = cli.kernel_chain_cayley(pres, [build(n) for n in levels], limit=limit)
     elif args.abelian_kill:
-        images = [cli.mod_cycle_images(pres, k)
-                  for k in _levels(args.abelian_kill, "--abelian-kill")]
+        levels = _levels(args.abelian_kill, "--abelian-kill")
+        # The level-k images have degree k, so bound every level before
+        # building any image.
+        if max(levels) > limit:
+            raise cli.EnumerationLimit(limit, limit)
+        images = [cli.mod_cycle_images(pres, k) for k in levels]
         tables = cli.kernel_chain_cayley(pres, images, limit=limit)
     else:
         tables = cli.low_index_normal(pres, args.low_index, limit=limit)

@@ -82,13 +82,16 @@ def cayley_table(pres: Presentation, images: dict[str, Perm],
     generator image p.  Checks first that every relator maps to the
     identity permutation (NotHomomorphism otherwise); an action that is not
     transitive, or transitive but not regular, raises ValueError.  With a
-    limit, a degree past it raises EnumerationLimit (inconclusive).
+    limit, a degree past it raises EnumerationLimit (inconclusive) before
+    any image is checked.
     """
     if set(images) != set(pres.generators):
         raise ValueError("images must cover exactly the presentation's generators")
     if not pres.generators:
         return CosetTable(generators=(), rows=((),))
     degree = len(next(iter(images.values())))
+    if limit is not None and degree > limit:
+        raise EnumerationLimit(limit, limit)
     gen_perms = [_check_perm(images[name], degree) for name in pres.generators]
     identity = tuple(range(degree))
     inv_perms = [_invert(p) for p in gen_perms]
@@ -100,8 +103,6 @@ def cayley_table(pres: Presentation, images: dict[str, Perm],
         if img != identity:
             raise NotHomomorphism(pres.word_to_text(rel))
 
-    if limit is not None and degree > limit:
-        raise EnumerationLimit(limit, limit)
     cols = [q for p, p_inv in zip(gen_perms, inv_perms) for q in (p, p_inv)]
     rows = standardize_rows([[q[a] for q in cols] for a in range(degree)])
     # A translation of a complete transitive table commutes with the action,

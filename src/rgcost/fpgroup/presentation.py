@@ -100,14 +100,6 @@ class Presentation:
     def __repr__(self):
         return f"Presentation({len(self.generators)} generators, {len(self.relators)} relators)"
 
-    def __eq__(self, other):
-        if not isinstance(other, Presentation):
-            return NotImplemented
-        return self.generators == other.generators and self.relators == other.relators
-
-    def __hash__(self):
-        return hash((self.generators, self.relators))
-
 
 def parse_presentation(text: str) -> Presentation:
     gens: list[str] | None = None

@@ -26,11 +26,6 @@ class AbelianInvariants:
     free_rank: int
     factors: tuple[int, ...]
 
-    def __post_init__(self):
-        for a, b in zip(self.factors, self.factors[1:]):
-            if b % a:
-                raise ValueError("invariant factors must form a divisibility chain")
-
     @property
     def min_generators(self) -> int:
         return self.free_rank + len(self.factors)

@@ -460,10 +460,9 @@ def _price(e: GroupExpr, kids: list[tuple], path):
         raise TypeError(f"unsupported expression node {type(e).__name__}")
     order = None if _degenerate_amalgam(lo, ro, sub) else INFINITE
     if not witnessed:
-        reason = "amalgam subgroup {} carries no betti1 = 0 witness"
-        unknown = Unknown(reason.format(e.amalgam.describe()))
-        return unknown, unknown, order, [
-            ("rule-not-applicable", reason.format(_ref(e.amalgam, path, "amalgam")))]
+        reason = (f"amalgam subgroup {_ref(e.amalgam, path, 'amalgam')} "
+                  "carries no betti1 = 0 witness")
+        return Unknown(reason), Unknown(reason), order, [("rule-not-applicable", reason)]
 
     entries: list[tuple[str, str]] = []
     c_sub = 1 - recip_order(sub)
@@ -481,10 +480,6 @@ def _price(e: GroupExpr, kids: list[tuple], path):
         betti = Unknown(reason)
     elif not (is_known(lb) and is_known(rb)):
         betti = _unknown_from(lb, rb)
-    elif lo is None or ro is None:
-        reason = "factor order undetermined"
-        entries.append(("rule-not-applicable", reason))
-        betti = Unknown(reason)
     else:
         rl, rr, ra = recip_order(lo), recip_order(ro), recip_order(sub)
         betti = lb - rl + rb - rr + ra

@@ -165,7 +165,7 @@ class TestChecker:
         node = AmalgamNode(
             children=(AmenableLeaf(name="A", reason="declared", cost=Fraction(1)),
                       AmenableLeaf(name="B", reason="declared", cost=Fraction(1))),
-            amalgam=AmalgamDescriptor(kind="finite", order=2, name="C"),
+            amalgam=AmalgamDescriptor(order=2, name="C"),
             cost=Fraction(3, 2),
         )
         assert check_certificate(Certificate(root=node, target="t")).valid
@@ -186,6 +186,13 @@ class TestChecker:
     ], ids=["order-0", "label-1"])
     def test_degenerate_leaf_is_violation_not_crash(self, leaf):
         assert not check_certificate(Certificate(root=leaf, target="t")).valid
+
+    def test_blank_generation_witness(self):
+        node = GenerationNode(children=(AmenableLeaf(name="A", reason="r", cost=Fraction(1)),
+                                        AmenableLeaf(name="B", reason="r", cost=Fraction(1))),
+                              witnesses=(" \t",), cost=Fraction(1))
+        report = check_certificate(Certificate(root=node, target="t"))
+        assert report.violations == ["node 2 [GenerationNode]: empty intersection witness"]
 
     def test_checker_recomputes_from_children(self):
         # consistent-looking parent over a tampered child must be caught
@@ -251,7 +258,7 @@ class TestBuiltins:
 
     @pytest.mark.parametrize("name,param", [
         ("MCG", 1), ("AutFn", 1), ("OutFn", 2), ("BnModCenter", 3), ("nope", None),
-        ("MCG", None),
+        ("MCG", None), ("SL2Z", 3),
     ])
     def test_out_of_range(self, name, param):
         with pytest.raises(ValueError):
@@ -308,8 +315,19 @@ class TestJson:
           {"kind": "amalgam", "children": [0, 1], "cost": "0",
            "amalgam": {"kind": "amenable", "name": "<c>"}}],
          r"certificate node 2 \(amalgam\): unknown amalgam descriptor kind 'amenable'"),
+        ([{"kind": "finite", "order": 2, "cost": "1/2"},
+          {"kind": "finite", "order": 2, "cost": "1/2"},
+          {"kind": "amalgam", "children": [0, 1], "cost": "1/2",
+           "amalgam": {"kind": "finite", "order": 2, "vertex": "a"}}],
+         r"certificate node 2 \(amalgam\): field 'vertex' is not declared by AmalgamDescriptor"),
+        ([], "certificate has no nodes"),
+        # a leaf that claims a child would drop it, and its assumption, unseen
+        ([{"kind": "cited-fact", "statement": "s", "citation": "c", "cost": "5"},
+          {"kind": "amenable", "name": "Z", "reason": "r", "cost": "1", "children": [0]}],
+         r"certificate node 1 \(amenable\): field 'children' is not declared by AmenableLeaf"),
     ], ids=["shared-child", "two-roots", "forward-reference", "missing-cost",
-            "normal-subgroup", "amenable-amalgam"])
+            "normal-subgroup", "amenable-amalgam", "descriptor-undeclared-key", "no-nodes",
+            "leaf-with-children"])
     def test_rejects_nodes_that_are_not_one_post_order_tree(self, nodes, match):
         doc = {"format": "rgcost-certificate/2", "target": "", "claimed_cost": "1",
                "citations": [], "caveat": None, "graph": None, "nodes": nodes}
@@ -373,7 +391,11 @@ class TestJson:
         ("amenable", "vertex", 4),
         ("generation", "witness_vertices", [["b"]]),
         ("generation", "witnesses", [7]),
-    ], ids=["endpoints-list", "endpoints-one", "vertex", "witness-vertices", "witnesses"])
+        # the reader keeps only declared fields, so an extra key is no note
+        ("infinite-centre", "note", "anything"),
+        ("infinite-centre", "bogus", 1),
+    ], ids=["endpoints-list", "endpoints-one", "vertex", "witness-vertices", "witnesses",
+            "undeclared-note", "undeclared-key"])
     def test_rejects_non_string_vertex_names(self, kind, field, value):
         text, at = self._mutated(kind, field, value)
         with pytest.raises(ValueError, match=rf"certificate node {at} \({kind}\): field '{field}'"):
@@ -426,14 +448,12 @@ class TestSoundness:
         g = parse_graph("vertex a\nvertex b\nedge a b 3\n")
         leaf = edge_leaf("a", "b", 3)
         forged = AmalgamNode(children=(leaf, leaf), cost=Fraction(2),
-                             amalgam=AmalgamDescriptor(kind="finite", order=1, name="trivial"))
+                             amalgam=AmalgamDescriptor(order=1, name="trivial"))
         report = check_certificate(Certificate(root=forged, target="forged", graph=g))
         assert any("share vertices" in v for v in report.violations)
 
     def test_vertex_amalgam_in_triangle(self):
         # {a,c} and {b,c} over <c>: c does not separate a from b
-        with pytest.raises(ValueError, match="unknown amalgam descriptor kind"):
-            AmalgamDescriptor(kind="vertex", name="<c>")
         doc = {"format": "rgcost-certificate/2", "target": "forged", "claimed_cost": "1",
                "citations": [], "caveat": None,
                "graph": {"vertices": ["a", "b", "c"],
@@ -450,7 +470,7 @@ class TestSoundness:
         # the same split stated over a subgroup of order 2 is arithmetically
         # consistent (1 + 1 - 1/2) but is no step of the Artin induction
         forged = AmalgamNode(children=(edge_leaf("a", "c", 3), edge_leaf("b", "c", 3)),
-                             amalgam=AmalgamDescriptor(kind="finite", order=2, name="<c^2>"),
+                             amalgam=AmalgamDescriptor(order=2, name="<c^2>"),
                              cost=Fraction(3, 2))
         report = check_certificate(Certificate(root=forged, target="forged",
                                                 graph=parse_graph(TRIANGLE)))
@@ -460,7 +480,7 @@ class TestSoundness:
         g = parse_graph("vertex a\nvertex b\nvertex c\nedge a b 3\nedge b c 4\n")
         forged = AmalgamNode(children=(edge_leaf("a", "b", 3), AmenableLeaf(
             name="<c>", reason="r", cost=Fraction(1), vertex="c")),
-            amalgam=AmalgamDescriptor(kind="finite", order=1), cost=Fraction(2))
+            amalgam=AmalgamDescriptor(order=1), cost=Fraction(2))
         report = check_certificate(Certificate(root=forged, target="forged", graph=g))
         assert any("joins two free-product factors" in v for v in report.violations)
 
@@ -473,7 +493,7 @@ class TestSoundness:
         # a free-product factor with no vertices would leave the root's set intact
         g = parse_graph("vertex a\nvertex b\nedge a b 3\n")
         root = AmalgamNode(children=(edge_leaf("a", "b", 3), leaf), cost=1 + leaf.cost,
-                           amalgam=AmalgamDescriptor(kind="finite", order=1))
+                           amalgam=AmalgamDescriptor(order=1))
         report = check_certificate(Certificate(root=root, target="t", graph=g))
         assert [v for v in report.violations if v.startswith("node 1 ")], report.violations
 
@@ -483,7 +503,7 @@ class TestSoundness:
         free = AmalgamNode(
             children=(AmenableLeaf(name="<a>", reason="r", cost=Fraction(1), vertex="a"),
                       AmenableLeaf(name="<c>", reason="r", cost=Fraction(1), vertex="c")),
-            amalgam=AmalgamDescriptor(kind="finite", order=1), cost=Fraction(2))
+            amalgam=AmalgamDescriptor(order=1), cost=Fraction(2))
         root = GenerationNode(children=(free, edge_leaf("a", "b", 3)), witnesses=("<a>",),
                               cost=Fraction(1), witness_vertices=("a",))
         report = check_certificate(Certificate(root=root, target="t", graph=g))
@@ -492,7 +512,7 @@ class TestSoundness:
     def test_subgroup_order_must_divide_finite_factors(self):
         # three Z/2 over a declared subgroup of order 100: 3 * 1/2 - 2 * 99/100
         forged = AmalgamNode(children=(FiniteLeaf(order=2, cost=Fraction(1, 2)),) * 3,
-                             amalgam=AmalgamDescriptor(kind="finite", order=100),
+                             amalgam=AmalgamDescriptor(order=100),
                              cost=Fraction(-12, 25))
         report = check_certificate(Certificate(root=forged, target="forged"))
         assert not report.valid and report.assumptions == []
@@ -503,7 +523,7 @@ class TestSoundness:
         assert check_certificate(builtin_certificate("SL2Z")).valid
 
     @pytest.mark.parametrize("root", [
-        AmalgamNode(children=(), amalgam=AmalgamDescriptor(kind="finite", order=1),
+        AmalgamNode(children=(), amalgam=AmalgamDescriptor(order=1),
                     cost=Fraction(0)),
         GenerationNode(children=(), witnesses=(), cost=Fraction(1), witness_vertices=()),
     ], ids=["empty-free-product", "empty-generation"])

@@ -47,6 +47,10 @@ class TestImageBuilders:
     def test_order_rejects_small_modulus(self):
         with pytest.raises(ValueError):
             sl2_order(1)
+        with pytest.raises(ValueError, match="modulus must be >= 2"):
+            sl2z_images(1)
+        with pytest.raises(ValueError, match="modulus must be >= 1"):
+            mod_cycle_images(builtin_target("braid3").presentation, 0)
 
     def test_mod_cycle(self):
         b3 = builtin_target("braid3").presentation
@@ -88,6 +92,9 @@ class TestCayleyTable:
         with pytest.raises(ValueError):
             cayley_table(f1, {"a": (0, 0)})
 
+    def test_no_generators(self):
+        assert cayley_table(Presentation([], []), {}).index == 1
+
     def test_rejects_wrong_generator_set(self):
         f1 = parse_presentation("gens: a\n")
         with pytest.raises(ValueError):
@@ -107,6 +114,11 @@ class TestCayleyTable:
                 table_of(f1, {"a": cycle}, limit=49)
             assert str(exc.value) == "coset limit exceeded: 49 live cosets (limit 49)"
         assert cayley_table(f1, {"a": cycle}, limit=50).index == 50
+
+    def test_limit_comes_before_the_image_checks(self):
+        f1 = parse_presentation("gens: a\n")
+        with pytest.raises(EnumerationLimit):
+            cayley_table(f1, {"a": (0, 0, 0)}, limit=2)
 
 
 def permutation_lists(max_degree):
@@ -311,6 +323,7 @@ class TestRgSequence:
         assert "non-increasing" in trend_summary([samples[0], samples[1]])
         up = [make_sample(1, 1, 1), make_sample(2, 2, 9)]
         assert "not monotone" in trend_summary(up)
+        assert trend_summary([]) == "no samples"
 
 
 class TestCsv:

@@ -243,6 +243,19 @@ class TestVerifyCommand:
         assert code == 5
         assert "inconclusive: congruence level 400 exceeds the coset limit 1000" in out
 
+    def test_abelian_kill_past_the_limit_builds_no_image(self, capsys, monkeypatch):
+        # a level-k image has degree k, so level 200 is refused before the
+        # image of level 3 is built
+        import rgcost.cli as cli_mod
+
+        calls = []
+        monkeypatch.setattr(cli_mod, "mod_cycle_images", lambda *args: calls.append(args))
+        code, out = run_cli(
+            ["verify", "braid3", "--abelian-kill", "3,200", "--coset-limit", "100"], capsys)
+        assert code == 5 and calls == []
+        assert out.split("\n")[-2] == (
+            "inconclusive: coset limit exceeded: 100 live cosets (limit 100)")
+
     @pytest.mark.parametrize("target,level,order", [("SL2Z", 6, 144), ("PSL2Z", 6, 72)])
     def test_level_bound_is_the_quotient_order(self, target, level, order, capsys):
         code, _ = run_cli(["verify", target, "--mod", str(level),
@@ -299,8 +312,10 @@ class TestErrorExits:
         (["verify", "braid3", "--abelian-kill", ","], None,
          2, "error: --abelian-kill lists no levels"),
         (["expr", "FILE"], None, 2, "error: cannot read "),
+        (["verify", "braid1", "--abelian-kill", "2"], None,
+         2, "error: braid groups need at least 2 strands"),
     ], ids=["hypothesis", "invariant", "limit", "decreasing-mod", "decreasing-abelian-kill",
-            "empty-mod", "empty-abelian-kill", "missing-file"])
+            "empty-mod", "empty-abelian-kill", "missing-file", "braid1"])
     def test_exit_code_and_line(self, argv, text, code, line, tmp_path):
         path = tmp_path / "input"
         if text is not None:

@@ -39,6 +39,7 @@ from rgcost.groupexpr import (
     InvariantError,
     Surface,
     TrivialGroup,
+    Unknown,
     evaluate,
     is_known,
     recip_order,
@@ -164,11 +165,22 @@ def first_violation(tree) -> str | None:
     return None
 
 
+def in_full(text: str, tree) -> str:
+    """The text with every path token printed as its node's description."""
+    return PATH.sub(lambda m: node_at(tree, m.group()).describe(), text)
+
+
 def as_reference_entry(entry: str, tree) -> str:
     """Drop the entry's own path and print every path token in full."""
     rule, own, rest = entry.split(" ", 2)
     assert PATH.fullmatch(own), entry
-    return f"{rule} " + PATH.sub(lambda m: node_at(tree, m.group()).describe(), rest)
+    return f"{rule} " + in_full(rest, tree)
+
+
+def as_reference_value(value, tree):
+    """The value, an unknown one with every path token in its reason
+    printed in full."""
+    return Unknown(in_full(value.reason, tree)) if isinstance(value, Unknown) else value
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +197,8 @@ class TestAgainstReference:
             return
         ref = reference_evaluate(tree)
         got = evaluate(tree)
-        assert (got.cost, got.rank_gradient, got.betti1, got.fixed_price) == (
+        assert tuple(as_reference_value(v, tree) for v in (
+            got.cost, got.rank_gradient, got.betti1, got.fixed_price)) == (
             ref.cost, ref.rank_gradient, ref.betti1, ref.fixed_price)
         assert len(got.rule_trace) == len(ref.rule_trace)
         assert [as_reference_entry(e, tree) for e in got.rule_trace] == ref.rule_trace
@@ -203,7 +216,7 @@ class TestAgainstReference:
                 betti = evaluate(wrapped).betti1
             except InvariantError:
                 continue  # where it is raised is pinned by test_values_and_trace
-            assert betti == reference_evaluate(wrapped).betti1
+            assert as_reference_value(betti, wrapped) == reference_evaluate(wrapped).betti1
 
 
 # ---------------------------------------------------------------------------
@@ -333,15 +346,28 @@ class TestDepth:
                 "cost 1 - 1/4 = 3/4, betti1 0") in out.splitlines()
 
     def test_deep_subgroup_without_witness(self, tmp_path):
-        """The reason names a deep subgroup in full; it prints without
-        recursion."""
+        """The reason names a deep subgroup by its path."""
         sub = nest(3000, "left").replace("(cyclic 6)", "(free 2)")
         code, out = run_expr(tmp_path, f"(amalgam-amenable (free 2) (free 2) {sub} inf inf inf)")
         assert code == 0
-        assert out.splitlines()[2].startswith("cost=unknown(amalgam subgroup (amalgam-finite ")
+        reason = "unknown(amalgam subgroup root.amalgam carries no betti1 = 0 witness)"
+        assert out.splitlines()[2] == (
+            f"cost={reason} rg={reason} betti1={reason} fixed_price=false")
         assert out.splitlines()[-1] == (
             "  - rule-not-applicable root (amalgam-amenable (free 2) (free 2) root.amalgam "
             "inf inf inf): amalgam subgroup root.amalgam carries no betti1 = 0 witness")
+
+    def test_generations_over_one_unwitnessed_subgroup(self, tmp_path):
+        """Every generation node above the amalgam copies its reason, which
+        names the subgroup by its path, so the report grows linearly."""
+        text = f"(amalgam-amenable (free 2) (free 2) {nest(100, 'left')} inf inf inf)"
+        for _ in range(100):
+            text = f'(generation {text} (z) "shared")'
+        code, out = run_expr(tmp_path, text)
+        assert code == 0
+        assert out.splitlines()[2].startswith(
+            "cost=unknown(amalgam subgroup root.left*100.amalgam carries no betti1 = 0 witness)")
+        assert len(out.encode()) < 40_000
 
 
 # ---------------------------------------------------------------------------
@@ -368,11 +394,18 @@ rules:
   - rule-not-applicable root (generation root.left (free 3) "declared"): generation rule needs both factors of price 1 (got 3 and 3)
 """),
     ("(amalgam-amenable (free 2) (free 2) (amalgam-finite z z 1) inf inf inf)", """\
-cost=unknown(amalgam subgroup (amalgam-finite (z) (z) 1) carries no betti1 = 0 witness) rg=unknown(amalgam subgroup (amalgam-finite (z) (z) 1) carries no betti1 = 0 witness) betti1=unknown(amalgam subgroup (amalgam-finite (z) (z) 1) carries no betti1 = 0 witness) fixed_price=false
+cost=unknown(amalgam subgroup root.amalgam carries no betti1 = 0 witness) rg=unknown(amalgam subgroup root.amalgam carries no betti1 = 0 witness) betti1=unknown(amalgam subgroup root.amalgam carries no betti1 = 0 witness) fixed_price=false
 rules:
   - free-price root.left (free 2): cost 2, betti1 1
   - free-price root.right (free 2): cost 2, betti1 1
   - rule-not-applicable root (amalgam-amenable (free 2) (free 2) root.amalgam inf inf inf): amalgam subgroup root.amalgam carries no betti1 = 0 witness
+"""),
+    ("(amalgam-amenable (free 2) (z) (free 2) inf inf inf)", """\
+cost=unknown(amalgam subgroup (free 2) carries no betti1 = 0 witness) rg=unknown(amalgam subgroup (free 2) carries no betti1 = 0 witness) betti1=unknown(amalgam subgroup (free 2) carries no betti1 = 0 witness) fixed_price=false
+rules:
+  - free-price root.left (free 2): cost 2, betti1 1
+  - amenable-price root.right (z): cost 1, betti1 0
+  - rule-not-applicable root (amalgam-amenable (free 2) (z) (free 2) inf inf inf): amalgam subgroup (free 2) carries no betti1 = 0 witness
 """),
     ("(amalgam-finite (cyclic 2) (amalgam-finite (cyclic 2) (cyclic 3) 2) 1)", """\
 cost=7/6 rg=1/6 betti1=unknown(degenerate amalgam: declared subgroup order reaches a factor order, so the splitting formula does not apply) fixed_price=true

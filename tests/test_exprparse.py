@@ -116,6 +116,7 @@ class TestErrors:
         ("(cyclic 3", "unexpected end of input"),
         ("(cyclic 3) extra", "trailing input"),
         ('(amenable "t" 0)', "order 0 < 1"),
+        ('(amenable "t" x)', "expected order (integer or inf), got 'x'"),
         ('(generation (free 1) (free 1) "")', "justification"),
         ('(artin "missing.graph")', "cannot read graph file"),
         ("bogus", "unknown atom"),

@@ -50,6 +50,7 @@ class TestParse:
         ("vertex a\nfoo bar\n", "malformed line", 2),
         ("vertex a\nvertex b\nedge a b x\n", "malformed label", 3),
         ("vertex a b\n", "vertex line", 1),
+        ("vertex a\nvertex b\nedge a b\n", "edge line", 3),
     ])
     def test_errors_carry_line_numbers(self, text, fragment, line):
         with pytest.raises(GraphError) as exc:
@@ -88,6 +89,11 @@ class TestParse:
             LabelledGraph(["ab", "b"], [(["ab"], "b", 2)])
         with pytest.raises(GraphError, match="undeclared endpoint"):
             LabelledGraph(["ab", "b"], [("b", ("ab",), 2)])
+
+    def test_label_of_a_non_edge(self):
+        g = parse_graph("vertex a\nvertex b\nvertex c\nedge a b 3\n")
+        with pytest.raises(GraphError, match="no edge 'a' 'c'"):
+            g.label("a", "c")
 
     def test_empty_rejected(self):
         with pytest.raises(GraphError):
@@ -292,6 +298,11 @@ class TestReductionOrder:
     def test_replay_rejects_bad_order(self):
         g = complete_graph(4)
         with pytest.raises(GraphError):
+            build_trace(g, g.vertices)
+        g = cycle_graph([2] * 3)
+        with pytest.raises(GraphError, match="must be a permutation"):
+            build_trace(g, g.vertices[:2] + g.vertices[:1])
+        with pytest.raises(GraphError, match="neighbours 'v1', 'v2' of 'v0' are adjacent"):
             build_trace(g, g.vertices)
 
 

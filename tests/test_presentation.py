@@ -22,6 +22,12 @@ class TestWords:
         assert free_reduce([1, 2, -2, -1, 1]) == (1,)
         assert free_reduce([1, -1]) == ()
 
+    def test_rejects_bad_letters(self):
+        with pytest.raises(ValueError, match="word letters must be nonzero"):
+            free_reduce([1, 0])
+        with pytest.raises(PresentationError, match="relator letter -3 out of range"):
+            Presentation(["a", "b"], [[1, -3]])
+
     def test_invert(self):
         assert invert_word((1, 2, -3)) == (3, -2, -1)
 
@@ -77,6 +83,8 @@ class TestPresentation:
         "gens: a\nrel: b\n",             # unknown token
         "gens: a\nbogus: x\n",           # malformed line
         "gens: a\ngens: b\n",            # duplicate gens line
+        "gens:\n",                       # no generators
+        "# no gens line\n",              # missing gens line
     ])
     def test_errors(self, text):
         with pytest.raises(PresentationError):
