@@ -21,7 +21,7 @@ import json
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 
-from .groupexpr import PriceResult
+from .groupexpr import LimitExceeded, PriceResult
 from .lgraph import LabelledGraph
 
 FORMAT = "rgcost-certificate/2"
@@ -585,7 +585,9 @@ def _outfn_certificate(n: int) -> Certificate:
 
 
 # Each builtin's builder, the noun of its parameter (None: it takes none)
-# and the least parameter value.
+# and the least parameter value.  A parameter above PARAM_CAP is refused
+# before anything is built: a certificate grows with its parameter.
+PARAM_CAP = 1000
 BUILTINS = {
     "SL2Z": (_sl2z_certificate, None, None),
     "AutF2": (lambda: _autfn_certificate(2), None, None),
@@ -608,6 +610,9 @@ def builtin_certificate(name: str, param: int | None = None) -> Certificate:
         return build()
     if param is None or param < least:
         raise ValueError(f"{name} requires a {noun} parameter >= {least}")
+    if param > PARAM_CAP:
+        raise LimitExceeded(
+            f"{name} {noun} {param} exceeds the builtin certificate cap {PARAM_CAP}")
     return build(param)
 
 

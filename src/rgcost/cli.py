@@ -8,8 +8,9 @@ cannot be read, an output file that cannot be written, or a `verify` level
 list with no levels; 3 hypothesis failure, a `verify` row below the
 symbolic value, or an `expr` node whose values break betti1 - beta0 <=
 rank gradient; 4 certificate checker violation; 5 enumeration limit
-exceeded.  With --no-timestamp the output is byte-identical across runs
-for identical inputs.
+exceeded, or a builtin parameter or congruence level past its cap.  With
+--no-timestamp the output is byte-identical across runs for identical
+inputs.
 
 A command loads only the engine it runs: `artin` and `certify` load
 `certificate`, `coxeter` loads `coxeter` and `verify` loads `fpgroup`, so
@@ -42,7 +43,7 @@ _ERRORS = (
     ("rgcost.coxeter", "HypothesisError", EXIT_HYPOTHESIS, "hypothesis failed"),
     ("rgcost.groupexpr", "InvariantError", EXIT_HYPOTHESIS, "error"),
     ("rgcost.fpgroup.coset", "EnumerationLimit", EXIT_LIMIT, "inconclusive"),
-    (__name__, "_LevelLimit", EXIT_LIMIT, "inconclusive"),
+    ("rgcost.groupexpr", "LimitExceeded", EXIT_LIMIT, "inconclusive"),
     ("builtins", "ValueError", EXIT_PARSE, "error"),
 )
 
@@ -201,14 +202,6 @@ def _levels(text: str, flag: str) -> list[int]:
     return levels
 
 
-class _LevelLimit(RuntimeError):
-    """A congruence quotient larger than the coset limit, found before
-    any quotient is built; reported like an `EnumerationLimit`."""
-
-    def __init__(self, level: int, limit: int):
-        super().__init__(f"congruence level {level} exceeds the coset limit {limit}")
-
-
 def cmd_verify(args, report: Report) -> int:
     cli = sys.modules[__name__]  # the engine's names, through __getattr__
     target = cli.builtin_target(args.target)
@@ -238,7 +231,7 @@ def cmd_verify(args, report: Report) -> int:
         # large level is rejected without factoring n.
         for n in levels:
             if n ** 3 > 4 * limit or cli.sl2_order(n, target.psl) > limit:
-                raise _LevelLimit(n, limit)
+                raise ge.LimitExceeded(f"congruence level {n} exceeds the coset limit {limit}")
         build = cli.psl2z_images if target.psl else cli.sl2z_images
         tables = cli.kernel_chain_cayley(pres, [build(n) for n in levels], limit=limit)
     elif args.abelian_kill:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
 
 from . import groupexpr as ge
 from .lgraph import parse_graph
@@ -38,12 +37,12 @@ class ExprParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
 class _Token:
-    kind: str  # "(", ")", "atom", "string"
-    text: str
-    line: int
-    col: int
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind  # "(", ")", "atom", "string"
+        self.text, self.line, self.col = text, line, col
 
 
 # One lexeme per match, and every character starts one: a newline, a run

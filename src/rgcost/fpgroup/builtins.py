@@ -2,8 +2,8 @@
 
 Each target is declared once, by the expression whose symbolic value
 `verify` checks the chain against; its presentation is derived from that
-expression.  `braidN` (N >= 2) is the Artin group of the path with all
-labels 3.
+expression.  `braidN` (2 <= N <= STRAND_CAP) is the Artin group of the
+path with all labels 3.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from ..groupexpr import AmalgamFinite, ArtinGraph, Cyclic, GroupExpr
+from ..groupexpr import AmalgamFinite, ArtinGraph, Cyclic, GroupExpr, LimitExceeded
 from ..lgraph import LabelledGraph
 from .presentation import Presentation, artin_presentation
 
@@ -26,6 +26,10 @@ _FIXED = {
 TARGET_HINT = ", ".join([*_FIXED, "braidN"])
 
 _BRAID_RE = re.compile(r"^braid([0-9]+)$")
+
+# The most strands a `braidN` target may have: its presentation is built
+# whole, before any limit of the chain applies.
+STRAND_CAP = 1000
 
 
 @dataclass(frozen=True)
@@ -83,5 +87,9 @@ def builtin_target(name: str) -> BuiltinTarget | None:
         m = _BRAID_RE.match(name)
         if m is None:
             return None
-        expr, psl = ArtinGraph(braid_graph(int(m.group(1)))), None
+        n = int(m.group(1))
+        if n > STRAND_CAP:
+            raise LimitExceeded(
+                f"{name} has {n} strands, above the builtin target cap {STRAND_CAP}")
+        expr, psl = ArtinGraph(braid_graph(n)), None
     return BuiltinTarget(presentation_of(expr), expr, psl)

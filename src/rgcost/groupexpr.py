@@ -13,21 +13,45 @@ All arithmetic is `fractions.Fraction`; no floating point anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .lgraph import GraphError, LabelledGraph, components
 
 
-@dataclass(frozen=True)
-class GroupOrder:
+class _Value:
+    """A frozen value: its fields are its instance attributes, set once by
+    its `__init__`.  It equals an object of its own class with equal
+    fields, hashes by its class and fields, and prints as
+    `Class(field=value, ...)`."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self):
+        return hash((self.__class__, *self.__dict__.values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{self.__class__.__name__} is frozen: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+
+_set = object.__setattr__
+
+
+class GroupOrder(_Value):
     """Order of a group: Finite(n >= 1) or Infinite (value None)."""
 
-    value: int | None
-
-    def __post_init__(self):
-        if self.value is not None and self.value < 1:
+    def __init__(self, value: int | None):
+        if value is not None and value < 1:
             raise ValueError("finite group order must be >= 1")
+        _set(self, "value", value)
 
     @property
     def is_finite(self) -> bool:
@@ -47,11 +71,11 @@ def recip_order(o: GroupOrder) -> Fraction:
     return Fraction(1, o.value)
 
 
-@dataclass(frozen=True)
-class Unknown:
+class Unknown(_Value):
     """A value the calculus cannot determine, with the reason no rule fired."""
 
-    reason: str
+    def __init__(self, reason: str):
+        _set(self, "reason", reason)
 
     def __str__(self):
         return f"unknown({self.reason})"
@@ -61,13 +85,13 @@ def is_known(x) -> bool:
     return isinstance(x, Fraction)
 
 
-class GroupExpr:
+class GroupExpr(_Value):
     """Base class for expression nodes.
 
     Each node class is the one declaration of its construction: `head`
-    names it in expression syntax, and its dataclass fields are its
-    arguments in order, each field's annotation giving the argument's
-    kind:
+    names it in expression syntax, and its annotated class attributes are
+    its fields and its arguments in order, each annotation giving the
+    argument's kind:
 
         GroupExpr      a subexpression
         int            an integer, at least the class's `least`
@@ -75,10 +99,11 @@ class GroupExpr:
         str            a quoted string
         LabelledGraph  a graph file path, printed as the graph's sizes
 
-    The parser reads its forms from these declarations, `form` and
-    `describe` print every node from them, and `__post_init__` enforces
-    `least`.  `slots` (field name, kind) and `steps` (the subexpression
-    fields) are derived once per class.
+    The parser reads its forms from these declarations, and `form` and
+    `describe` print every node from them.  Derived once per class:
+    `slots` (field name, kind), `steps` (the subexpression fields) and
+    `__init__`, which takes the fields by position or keyword, refuses an
+    int below `least`, then runs the class's own `__post_init__`, if any.
     """
 
     head: str
@@ -90,11 +115,15 @@ class GroupExpr:
         super().__init_subclass__(**kwargs)
         cls.slots = tuple(cls.__annotations__.items())
         cls.steps = tuple(name for name, kind in cls.slots if kind == "GroupExpr")
-
-    def __post_init__(self):
-        for name, kind in self.slots:
-            if kind == "int" and getattr(self, name) < self.least:
-                raise ValueError(f"{self.head} {name} must be >= {self.least}")
+        body = [f"if {name} < {cls.least}: raise ValueError("
+                f"'{cls.head} {name} must be >= {cls.least}')"
+                for name, kind in cls.slots if kind == "int"]
+        body += [f"_set(self, {name!r}, {name})" for name, _ in cls.slots]
+        if "__post_init__" in vars(cls):
+            body.append("self.__post_init__()")
+        sig = "def __init__(self" + "".join(f", {name}" for name, _ in cls.slots) + "):\n"
+        exec(sig + "".join(f" {line}\n" for line in body or ["pass"]), scope := {"_set": _set})
+        cls.__init__ = scope["__init__"]
 
     def form(self) -> list:
         """The node's text pieces, each child node in place."""
@@ -128,43 +157,36 @@ class GroupExpr:
         return "".join(out)
 
 
-@dataclass(frozen=True)
 class TrivialGroup(GroupExpr):
     head = "trivial"
 
 
-@dataclass(frozen=True)
 class Cyclic(GroupExpr):
     head = "cyclic"
     least = 2
     n: int
 
 
-@dataclass(frozen=True)
 class IntegersZ(GroupExpr):
     head = "z"
 
 
-@dataclass(frozen=True)
 class Free(GroupExpr):
     head = "free"
     rank: int
 
 
-@dataclass(frozen=True)
 class Surface(GroupExpr):
     head = "surface"
     least = 2
     genus: int
 
 
-@dataclass(frozen=True)
 class FreeAbelian(GroupExpr):
     head = "free-abelian"
     rank: int
 
 
-@dataclass(frozen=True)
 class Amenable(GroupExpr):
     """Declared-amenable leaf; the tag and order are trusted inputs."""
 
@@ -173,19 +195,16 @@ class Amenable(GroupExpr):
     order: GroupOrder
 
 
-@dataclass(frozen=True)
 class ArtinGraph(GroupExpr):
     head = "artin"
     graph: LabelledGraph
 
 
-@dataclass(frozen=True)
 class CoxeterGraph(GroupExpr):
     head = "coxeter"
     graph: LabelledGraph
 
 
-@dataclass(frozen=True)
 class AmalgamFinite(GroupExpr):
     """Amalgam of two groups over a finite subgroup of declared order.
 
@@ -199,7 +218,6 @@ class AmalgamFinite(GroupExpr):
     amalgam_order: int
 
 
-@dataclass(frozen=True)
 class AmalgamAmenable(GroupExpr):
     """Amalgam over an amenable (or otherwise betti1 = 0) subgroup.
 
@@ -216,7 +234,6 @@ class AmalgamAmenable(GroupExpr):
     amalgam_order: GroupOrder
 
 
-@dataclass(frozen=True)
 class Generation(GroupExpr):
     """Group generated by two subgroups whose intersection is infinite.
 
@@ -234,7 +251,6 @@ class Generation(GroupExpr):
             raise ValueError("generation node requires an infinite-intersection justification")
 
 
-@dataclass
 class PriceResult:
     """Cost / first L2-Betti value with rule provenance.
 
@@ -245,11 +261,10 @@ class PriceResult:
     an infinite chain, so it is not enforced there.
     """
 
-    cost: Fraction | Unknown
-    betti1: Fraction | Unknown
-    rule_trace: list[str] = field(default_factory=list)
-
-    def __post_init__(self):
+    def __init__(self, cost: Fraction | Unknown, betti1: Fraction | Unknown,
+                 rule_trace: list[str] | None = None):
+        self.cost, self.betti1 = cost, betti1
+        self.rule_trace = [] if rule_trace is None else rule_trace
         rg = self.rank_gradient
         if is_known(rg) and is_known(self.betti1) and 0 <= rg < self.betti1:
             raise ValueError(f"rank gradient {rg} < betti1 {self.betti1}")
@@ -267,6 +282,12 @@ class InvariantError(ValueError):
     """Computed values break an inequality the theory guarantees: a node's
     betti1 - beta0 exceeds its rank gradient, or a `verify` row falls
     below the symbolic rank gradient."""
+
+
+class LimitExceeded(RuntimeError):
+    """An input past a size cap, refused before anything is built for it:
+    a builtin's parameter or a congruence level.  Inconclusive, like a
+    coset limit, so the command exits 5."""
 
 
 def _degenerate_amalgam(left: GroupOrder | None, right: GroupOrder | None,

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import cycle_graph, path_graph, random_connected_graph
 from rgcost.certificate import (
+    BUILTINS,
+    PARAM_CAP,
     AmalgamDescriptor,
     AmalgamNode,
     AmenableLeaf,
@@ -25,7 +27,7 @@ from rgcost.certificate import (
     lickorish_sequence,
     rg_artin,
 )
-from rgcost.groupexpr import ArtinGraph, evaluate
+from rgcost.groupexpr import ArtinGraph, LimitExceeded, evaluate
 from rgcost.lgraph import LabelledGraph, components, parse_graph
 
 
@@ -263,6 +265,21 @@ class TestBuiltins:
     def test_out_of_range(self, name, param):
         with pytest.raises(ValueError):
             builtin_certificate(name, param)
+
+    @pytest.mark.parametrize("name", ["MCG", "AutFn", "OutFn", "BnModCenter"])
+    def test_parameter_above_the_cap_builds_nothing(self, name, monkeypatch):
+        def build(param):
+            raise AssertionError(f"built {name} {param}")
+
+        _, noun, least = BUILTINS[name]
+        monkeypatch.setitem(BUILTINS, name, (build, noun, least))
+        for param in (PARAM_CAP + 1, 99_999_999_999):
+            with pytest.raises(LimitExceeded, match=f"{name} {noun} {param} exceeds "
+                                                    f"the builtin certificate cap {PARAM_CAP}"):
+                builtin_certificate(name, param)
+
+    def test_parameter_at_the_cap(self):
+        assert check_certificate(builtin_certificate("BnModCenter", PARAM_CAP)).valid
 
 
 class TestJson:

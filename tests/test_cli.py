@@ -314,8 +314,14 @@ class TestErrorExits:
         (["expr", "FILE"], None, 2, "error: cannot read "),
         (["verify", "braid1", "--abelian-kill", "2"], None,
          2, "error: braid groups need at least 2 strands"),
+        (["certify", "MCG", "99999999999"], None,
+         5, "inconclusive: MCG genus 99999999999 exceeds the builtin certificate cap 1000"),
+        (["verify", "braid99999999999", "--low-index", "2"], None,
+         5, "inconclusive: braid99999999999 has 99999999999 strands, "
+            "above the builtin target cap 1000"),
     ], ids=["hypothesis", "invariant", "limit", "decreasing-mod", "decreasing-abelian-kill",
-            "empty-mod", "empty-abelian-kill", "missing-file", "braid1"])
+            "empty-mod", "empty-abelian-kill", "missing-file", "braid1", "certificate-cap",
+            "braid-cap"])
     def test_exit_code_and_line(self, argv, text, code, line, tmp_path):
         path = tmp_path / "input"
         if text is not None:

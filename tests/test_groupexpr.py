@@ -15,6 +15,7 @@ from rgcost.groupexpr import (
     Free,
     FreeAbelian,
     Generation,
+    GroupExpr,
     GroupOrder,
     IntegersZ,
     PriceResult,
@@ -247,3 +248,74 @@ class TestWrappers:
 
                     assert math.gcd(v.numerator, v.denominator) == 1
                     assert v.denominator > 0
+
+
+_GRAPH = parse_graph("vertex a\nvertex b\nedge a b 3\n")
+
+# Each value class with a maker of fresh keyword arguments (fresh
+# subtrees, so equal trees are distinct objects) and the keyword
+# overrides it must refuse besides an int field below `least`.
+VALUE_CLASSES = [
+    (TrivialGroup, dict, []),
+    (Cyclic, lambda: {"n": 4}, []),
+    (IntegersZ, dict, []),
+    (Free, lambda: {"rank": 2}, []),
+    (Surface, lambda: {"genus": 2}, []),
+    (FreeAbelian, lambda: {"rank": 3}, []),
+    (Amenable, lambda: {"tag": "S3", "order": GroupOrder(6)}, []),
+    (ArtinGraph, lambda: {"graph": _GRAPH}, []),
+    (CoxeterGraph, lambda: {"graph": _GRAPH}, []),
+    (AmalgamFinite, lambda: {"left": Cyclic(4), "right": Cyclic(6), "amalgam_order": 2}, []),
+    (AmalgamAmenable, lambda: {"left": Free(2), "right": IntegersZ(), "amalgam": IntegersZ(),
+                               "left_order": INFINITE, "right_order": INFINITE,
+                               "amalgam_order": GroupOrder(None)}, []),
+    (Generation, lambda: {"left": Surface(2), "right": IntegersZ(), "justification": "shared"},
+     [{"justification": ""}, {"justification": " \t"}]),
+    (GroupOrder, lambda: {"value": 6}, [{"value": 0}, {"value": -1}]),
+    (Unknown, lambda: {"reason": "no rule"}, []),
+]
+
+
+class TestValueSemantics:
+    def test_every_node_class_is_listed(self):
+        listed = {cls for cls, _, _ in VALUE_CLASSES}
+        assert set(GroupExpr.__subclasses__()) <= listed
+
+    @pytest.mark.parametrize("cls,make,refused", VALUE_CLASSES,
+                             ids=[cls.__name__ for cls, _, _ in VALUE_CLASSES])
+    def test_frozen_value(self, cls, make, refused):
+        by_keyword, by_position = cls(**make()), cls(*make().values())
+        assert by_keyword == by_position and not by_keyword != by_position
+        assert hash(by_keyword) == hash(by_position)
+        assert repr(by_keyword) == repr(by_position)
+        assert {by_keyword, by_position} == {by_keyword}
+
+        # Another class with the same fields is never equal.
+        other = next(c for c, _, _ in VALUE_CLASSES if c is not cls)
+        twin = object.__new__(other)
+        twin.__dict__.update(vars(by_keyword))
+        assert by_keyword != twin and twin != by_keyword
+
+        for name in [*make(), "extra"]:
+            with pytest.raises(AttributeError):
+                setattr(by_keyword, name, None)
+        assert by_keyword == by_position
+
+        least = getattr(cls, "least", None)
+        ints = [name for name, kind in getattr(cls, "slots", ()) if kind == "int"]
+        for override in refused + [{name: least - 1} for name in ints]:
+            with pytest.raises(ValueError):
+                cls(**{**make(), **override})
+
+    def test_repr_is_the_field_form(self):
+        e = AmalgamFinite(Cyclic(4), TrivialGroup(), amalgam_order=1)
+        assert repr(e) == ("AmalgamFinite(left=Cyclic(n=4), right=TrivialGroup(), "
+                           "amalgam_order=1)")
+        assert repr(Unknown("x")) == "Unknown(reason='x')"
+        assert repr(INFINITE) == "GroupOrder(value=None)"
+
+    def test_price_results_do_not_share_a_trace(self):
+        a = PriceResult(cost=Fraction(1), betti1=Fraction(0))
+        b = PriceResult(Fraction(1), Fraction(0))
+        a.rule_trace.append("x")
+        assert (a.rule_trace, b.rule_trace) == (["x"], [])

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import coxeter_presentation, cycle_graph, path_graph
+from rgcost.fpgroup.builtins import STRAND_CAP, builtin_target
 from rgcost.fpgroup.presentation import (
     Presentation,
     PresentationError,
@@ -14,6 +15,7 @@ from rgcost.fpgroup.presentation import (
     invert_word,
     parse_presentation,
 )
+from rgcost.groupexpr import LimitExceeded
 from rgcost.lgraph import parse_graph
 
 
@@ -100,6 +102,20 @@ class TestPresentation:
             parse_presentation("gens: a 1x\nrel: a q\n")
         with pytest.raises(PresentationError, match="^generator name 'A' collides"):
             parse_presentation("gens: a A\nrel: q\n")
+
+
+class TestBraidTargets:
+    def test_strands_above_the_cap_are_refused_at_once(self):
+        for n in (STRAND_CAP + 1, 99_999_999_999):
+            start = time.perf_counter()
+            with pytest.raises(LimitExceeded, match=f"braid{n} has {n} strands, "
+                                                    f"above the builtin target cap {STRAND_CAP}"):
+                builtin_target(f"braid{n}")
+            assert time.perf_counter() - start < 0.5
+
+    def test_strands_at_the_cap(self):
+        pres = builtin_target(f"braid{STRAND_CAP}").presentation
+        assert len(pres.generators) == STRAND_CAP - 1
 
 
 class TestArtinPresentation:

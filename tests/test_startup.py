@@ -13,6 +13,9 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # Modules a short command must not pay for unless it runs them.
 ENGINES = ("rgcost.certificate", "rgcost.coxeter", "rgcost.fpgroup")
+# Standard modules that the start path (cli, groupexpr, exprparse, lgraph)
+# does without.
+UNUSED = {"dataclasses", "inspect"}
 TINY_EXPR = "(amalgam-finite (cyclic 6) (cyclic 4) 2)\n"
 
 
@@ -41,6 +44,7 @@ def test_package_loads_no_submodule(package):
 def test_import_loads_no_engine():
     modules = imported("-c", "import rgcost.cli")
     assert engines(modules) == set() and "datetime" not in modules
+    assert not UNUSED & modules
 
 
 @pytest.mark.parametrize("timestamp", [False, True])
@@ -67,6 +71,8 @@ def test_command_loads_only_its_engine(argv, expected, tmp_path):
     modules = imported("-m", "rgcost.cli", *(a.format(**paths) for a in argv))
     assert {"rgcost.groupexpr", "rgcost.exprparse", "rgcost.lgraph"} <= modules
     assert engines(modules) == expected
+    if argv[1] == "expr":
+        assert not UNUSED & modules
 
 
 @pytest.mark.parametrize("command", ["", "artin", "coxeter", "expr", "certify", "verify"])
