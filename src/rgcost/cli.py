@@ -203,6 +203,8 @@ def _levels(text: str, flag: str) -> list[int]:
 
 
 def cmd_verify(args, report: Report) -> int:
+    if args.coset_limit < 1:
+        raise ValueError("--coset-limit must be >= 1")
     cli = sys.modules[__name__]  # the engine's names, through __getattr__
     target = cli.builtin_target(args.target)
     if target is None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass
+from operator import mul
 
 from .coset import CosetTable, inv_col, word_to_cols
 from .presentation import Presentation, Word, cyclic_reduce, free_reduce, invert_word
@@ -157,12 +158,6 @@ def _rotation_key(word: Word) -> Word:
     return min(_least_rotation(word), _least_rotation(invert_word(word)))
 
 
-def _bucket(word: Word) -> tuple[int, int]:
-    """Invariant of a cyclic word under rotation and inversion: equal
-    rotation keys imply equal buckets."""
-    return len(word), sum(map(abs, word))
-
-
 def tietze_simplify(pres: Presentation) -> Presentation:
     """Iteratively eliminate generators occurring exactly once in a relator.
 
@@ -175,19 +170,29 @@ def tietze_simplify(pres: Presentation) -> Presentation:
     "A Tietze transformation program", 1984): a generator -> relator
     occurrence index limits substitution to the relators that contain the
     eliminated generator, and eligible relators wait in a heap keyed
-    (length, position) whose stale entries are skipped when popped.  Live
-    relators sit in buckets keyed (length, sum of |letters|), which rotation
-    and inversion preserve; a relator's canonical key is computed only when
-    its bucket collides with another live relator's, and is kept until the
-    relator changes.  Generators keep their input numbers until one
-    monotone renumbering at the end, so every choice is the one a
+    (length, position) whose stale entries are skipped when popped.  A
+    substitution splices each touched relator in one scan: the runs between
+    occurrences of the generator and the images are copied whole, and free
+    cancellation is tried only at the junctions, where a run's or an image's
+    head meets the output's tail (both are reduced, so nothing cancels
+    inside them).  One count of a relator's letters gives its bucket
+    (length, sum of |letters|), which rotation and inversion preserve, its
+    distinct generators and its smallest once-occurring generator; the
+    letter sum and the generators (the word itself when no generator
+    repeats) are stored by position until the relator is dropped, so
+    dropping it recounts nothing.  A relator's canonical key is computed
+    only when its bucket collides with another live relator's, and is kept
+    until the relator changes.  Generators keep their input numbers until
+    one monotone renumbering at the end, so every choice is the one a
     whole-list pass would make.
     """
     n = len(pres.relators)
     words: list[Word | None] = [None] * n  # by list position; None once dropped
     keys: list[Word | None] = [None] * n  # rotation keys, computed on first need
     once = [0] * n  # smallest generator occurring once in the relator, 0 if none
-    buckets: dict[tuple[int, int], list[int]] = {}  # live positions by _bucket
+    sums = [0] * n  # sum of |letters|; a live relator's bucket is (length, sum)
+    gens_of: list[Word | None] = [None] * n  # distinct generators, up to sign
+    buckets: dict[tuple[int, int], list[int]] = {}  # live positions by bucket
     occ: dict[int, set[int]] = {g: set() for g in range(1, pres.num_generators + 1)}
     heap: list[tuple[int, int]] = []
 
@@ -197,19 +202,20 @@ def tietze_simplify(pres: Presentation) -> Presentation:
         return keys[pos]
 
     def drop(pos: int) -> None:
-        word = words[pos]
-        for g in set(map(abs, word)):
-            occ[g].discard(pos)
-        b = _bucket(word)
+        b = len(words[pos]), sums[pos]
+        for g in gens_of[pos]:
+            occ[abs(g)].discard(pos)
         buckets[b].remove(pos)
         if not buckets[b]:
             del buckets[b]
-        words[pos] = keys[pos] = None
+        words[pos] = keys[pos] = gens_of[pos] = None
 
     def place(pos: int, word: Word) -> None:
         if not word:
             return
-        b = _bucket(word)
+        counts = Counter(map(abs, word))
+        total = sum(map(mul, counts.keys(), counts.values()))
+        b = len(word), total
         if b in buckets:
             # live relators are pairwise distinct, so at most one matches
             key = _rotation_key(word)
@@ -221,7 +227,9 @@ def tietze_simplify(pres: Presentation) -> Presentation:
             keys[pos] = key
         buckets.setdefault(b, []).append(pos)
         words[pos] = word
-        counts = Counter(map(abs, word))
+        sums[pos] = total
+        # a word whose generators are all distinct lists them itself
+        gens_of[pos] = word if len(counts) == len(word) else tuple(counts)
         for g in counts:
             occ[g].add(pos)
         single = [g for g, c in counts.items() if c == 1]
@@ -247,6 +255,7 @@ def tietze_simplify(pres: Presentation) -> Presentation:
             # u g^-1 v = 1  =>  g = v u
             replacement = free_reduce(v + u)
         inverse = invert_word(replacement)
+        m = len(replacement)
         drop(pos)
         # drop every relator the substitution rewrites before placing any,
         # so none of them collides with another's outdated word
@@ -257,22 +266,30 @@ def tietze_simplify(pres: Presentation) -> Presentation:
         del occ[gen]
         neg = -gen
         for t, word in zip(touched, old):
-            # free reduction in the same pass: the word and both images
-            # are reduced, so an image cancels only from its start; the
-            # sentinel 0 at out[0] never cancels
+            # splice: the sentinel 0 at out[0] never cancels; the word and
+            # both images are reduced, so a run or an image cancels only
+            # from its head, against the output's tail
             out = [0]
-            for x in word:
+            start = 0
+            for i, x in enumerate(word):
                 if x == gen or x == neg:
+                    k = start
+                    while k < i and out[-1] == -word[k]:
+                        out.pop()
+                        k += 1
+                    out.extend(word[k:i])
                     image = replacement if x == gen else inverse
                     k = 0
-                    while k < len(image) and out[-1] == -image[k]:
+                    while k < m and out[-1] == -image[k]:
                         out.pop()
                         k += 1
                     out.extend(image[k:])
-                elif out[-1] == -x:
-                    out.pop()
-                else:
-                    out.append(x)
+                    start = i + 1
+            k, end = start, len(word)
+            while k < end and out[-1] == -word[k]:
+                out.pop()
+                k += 1
+            out.extend(word[k:])
             i, j = 1, len(out) - 1
             while i < j and out[i] == -out[j]:
                 i += 1

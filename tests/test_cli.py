@@ -319,9 +319,13 @@ class TestErrorExits:
         (["verify", "braid99999999999", "--low-index", "2"], None,
          5, "inconclusive: braid99999999999 has 99999999999 strands, "
             "above the builtin target cap 1000"),
+        (["verify", "braid3", "--abelian-kill", "3", "--coset-limit", "-1"], None,
+         2, "error: --coset-limit must be >= 1"),
+        (["verify", "SL2Z", "--mod", "3", "--coset-limit", "-7"], None,
+         2, "error: --coset-limit must be >= 1"),
     ], ids=["hypothesis", "invariant", "limit", "decreasing-mod", "decreasing-abelian-kill",
             "empty-mod", "empty-abelian-kill", "missing-file", "braid1", "certificate-cap",
-            "braid-cap"])
+            "braid-cap", "negative-coset-limit-abelian-kill", "negative-coset-limit-mod"])
     def test_exit_code_and_line(self, argv, text, code, line, tmp_path):
         path = tmp_path / "input"
         if text is not None:

@@ -303,6 +303,55 @@ def finite_index_subgroups(draw):
     return reidemeister_schreier(pres, table)
 
 
+@functools.cache
+def _braid_kernel(name: str, k: int) -> Presentation:
+    """Reidemeister-Schreier presentation of the exponent-mod-k kernel of a
+    path-graph braid group: a few long relators by the end of Tietze."""
+    pres = builtin_target(name).presentation
+    return reidemeister_schreier(pres, cayley_table(pres, mod_cycle_images(pres, k)))
+
+
+@st.composite
+def planted_cancellations(draw):
+    """Relators whose rewriting cancels across junctions.  Relator 0,
+    g1^-1 w, is the shortest in most draws, so Tietze usually eliminates g1
+    first, with image w.  Each planted relator strings segments
+    P g1^e (P')^-1, with P' the reduced rewrite of P g1^e: after
+    substitution a segment cancels to nothing, its closing run consuming
+    the images and runs before it, so an image cancels whole and
+    cancellation crosses several junctions.  P ends with a suffix of
+    (w^e)^-1, which the image of g1^e cancels, whole when the suffix is.
+    Random chunks, pieces of w^+-1 and lone g1^+-1 go inside P and between
+    the segments."""
+    ngens = draw(st.integers(2, 4))
+    others = st.integers(2, ngens).flatmap(lambda g: st.sampled_from((g, -g)))
+    image = free_reduce(draw(st.lists(others, min_size=1, max_size=4))) or (2,)
+    inverse = invert_word(image)
+    pieces = st.one_of(
+        st.lists(others, max_size=3).map(tuple),
+        st.sampled_from(((1,), (-1,))),
+        st.sampled_from((image, inverse)).flatmap(
+            lambda w: st.integers(0, len(w)).flatmap(
+                lambda k: st.sampled_from((w[:k], w[k:])))),
+    )
+    relators = [(-1,) + image]
+    for _ in range(draw(st.integers(1, 5))):
+        word = []
+        for _ in range(draw(st.integers(1, 4))):
+            head = [x for piece in draw(st.lists(pieces, max_size=4)) for x in piece]
+            # a suffix of the next image's inverse, for that image's head
+            # to cancel against
+            e = draw(st.sampled_from((1, -1)))
+            head += invert_word(image if e == 1 else inverse)[draw(st.integers(0, len(image))):]
+            head.append(e)
+            rewritten = free_reduce(y for x in head for y in (
+                image if x == 1 else inverse if x == -1 else (x,)))
+            word += head + list(invert_word(rewritten))
+            word += draw(pieces)
+        relators.append(word)
+    return Presentation([f"g{i}" for i in range(ngens)], relators)
+
+
 class TestTietzeMatchesReference:
     @PROPERTY
     @given(random_presentations())
@@ -313,6 +362,26 @@ class TestTietzeMatchesReference:
     @PROPERTY
     @given(finite_index_subgroups())
     def test_subgroup_presentations(self, sub):
+        out, ref = tietze_simplify(sub), reference_tietze_simplify(sub)
+        assert (out.generators, out.relators) == (ref.generators, ref.relators)
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(("braid4", "braid5")), st.integers(1, 16))
+    def test_long_braid_kernels(self, name, k):
+        # relators pass 200 letters mid-run (braid5, k = 16), with the
+        # eliminated generator up to 14 times in one relator
+        sub = _braid_kernel(name, k)
+        out, ref = tietze_simplify(sub), reference_tietze_simplify(sub)
+        assert (out.generators, out.relators) == (ref.generators, ref.relators)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(planted_cancellations())
+    def test_planted_cancellations(self, pres):
+        out, ref = tietze_simplify(pres), reference_tietze_simplify(pres)
+        assert (out.generators, out.relators) == (ref.generators, ref.relators)
+
+    def test_braid5_kernel_32(self):
+        sub = _braid_kernel("braid5", 32)
         out, ref = tietze_simplify(sub), reference_tietze_simplify(sub)
         assert (out.generators, out.relators) == (ref.generators, ref.relators)
 
