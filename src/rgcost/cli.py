@@ -5,9 +5,9 @@ traces, CSV) are written only through explicit output flags.  Each command
 raises on failure and `main` maps the exception to an exit code, the same
 way for every command: 0 success; 2 input/parse error, an input file that
 cannot be read, an output file that cannot be written, or a `verify` level
-list with no levels; 3 hypothesis failure, a `verify` row below the
-symbolic value, or an `expr` node whose values break betti1 - beta0 <=
-rank gradient; 4 certificate checker violation; 5 enumeration limit
+list with no levels or a `verify` level or index out of range; 3
+hypothesis failure, a `verify` row below the symbolic value, or an `expr`
+node whose values break betti1 - beta0 <= rank gradient; 4 certificate checker violation; 5 enumeration limit
 exceeded, or a builtin parameter or congruence level past its cap.  With
 --no-timestamp the output is byte-identical across runs for identical
 inputs.
@@ -52,7 +52,7 @@ _ERRORS = (
 # them up on this module, so rebinding one here (as a tracer or a test
 # does) changes what it calls.
 _FPGROUP_NAMES = {
-    "builtin_target": "builtins", "low_index_normal": "lowindex",
+    "builtin_target": "builtins", "HARD_CAP": "lowindex", "low_index_normal": "lowindex",
     "parse_presentation": "presentation", "kernel_chain_cayley": "chains",
     "mod_cycle_images": "chains", "psl2z_images": "chains", "rg_sequence": "chains",
     "samples_to_csv": "chains", "sl2_order": "chains", "sl2z_images": "chains",
@@ -195,10 +195,12 @@ def cmd_certify(args, report: Report) -> int:
     return EXIT_OK
 
 
-def _levels(text: str, flag: str) -> list[int]:
+def _levels(text: str, flag: str, least: int) -> list[int]:
     levels = [int(part) for part in text.split(",") if part.strip()]
     if not levels:
         raise ValueError(f"{flag} lists no levels")
+    if min(levels) < least:
+        raise ValueError(f"{flag} levels must be >= {least}")
     return levels
 
 
@@ -206,6 +208,15 @@ def cmd_verify(args, report: Report) -> int:
     if args.coset_limit < 1:
         raise ValueError("--coset-limit must be >= 1")
     cli = sys.modules[__name__]  # the engine's names, through __getattr__
+    if args.low_index is not None:
+        if args.low_index < 1:
+            raise ValueError("--low-index must be >= 1")
+        if args.low_index > cli.HARD_CAP:
+            raise ValueError(f"--low-index {args.low_index} exceeds the hard cap {cli.HARD_CAP}")
+    if args.mod:
+        levels = _levels(args.mod, "--mod", 2)
+    elif args.abelian_kill:
+        levels = _levels(args.abelian_kill, "--abelian-kill", 1)
     target = cli.builtin_target(args.target)
     if target is None:
         pres = cli.parse_presentation(_read_file(args.target, report))
@@ -226,7 +237,6 @@ def cmd_verify(args, report: Report) -> int:
     if args.mod:
         if target is None or target.psl is None:
             raise ValueError("--mod congruence chains exist only for SL2Z and PSL2Z")
-        levels = _levels(args.mod, "--mod")
         # The image builders list the whole quotient, so bound each
         # quotient's order before building any.  The order is above
         # n^3/4 (prod_p (1 - 1/p^2) > 6/pi^2, halved for PSL), so a
@@ -237,7 +247,6 @@ def cmd_verify(args, report: Report) -> int:
         build = cli.psl2z_images if target.psl else cli.sl2z_images
         tables = cli.kernel_chain_cayley(pres, [build(n) for n in levels], limit=limit)
     elif args.abelian_kill:
-        levels = _levels(args.abelian_kill, "--abelian-kill")
         # The level-k images have degree k, so bound every level before
         # building any image.
         if max(levels) > limit:

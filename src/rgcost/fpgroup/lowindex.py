@@ -9,6 +9,22 @@ order of definition, and closes each node under relator deductions.
 Every complete table it reaches is therefore already standardized, and
 distinct branches give distinct tables.
 
+Deduction queue.  Every cyclic rotation of each relator and of its
+inverse is indexed by its first column.  An entry (a, c) filled by the
+branch or by a deduction is scanned at a against the rotations starting
+with c only: a relator scan can change its verdict only through an entry
+on its cycle.  A newly opened coset also scans the whole relators once,
+since a one-letter relator deduces from an empty row.  Deductions are
+forced, so the closure, and whether it is contradictory, do not depend on
+the order of the queue.
+
+One table, searched in place.  The search keeps a single table with room
+for max_index cosets and a trail of the entries filled since the root.
+Each choice point holds its hole, its candidates, the next candidate to
+try, the trail marks and the coset count; returning to it clears the
+entries filled since its marks.  The loop is iterative, so a deep search
+needs no Python recursion.
+
 Translation test.  The complete table of a normal subgroup N is the
 Cayley graph of G/N, whose colour-preserving automorphisms act regularly.
 So for every coset a, the assignment 0 -> a must extend, breadth-first
@@ -17,11 +33,17 @@ that is consistent and injective; a node where some a fails has no normal
 completion and is cut, with its whole subtree.  On a complete table the
 test is exact: each extended map is then an automorphism, and the
 automorphisms of a transitive action (its centralizer, N_G(H)/H) are
-transitive exactly when the point stabilizer H is normal.
+transitive exactly when the point stabilizer H is normal.  Each extension
+step is forced, so a child's map contains its parent's: the search keeps
+phi_a and its inverse for every coset a and grows them from the entries
+filled at the node, recording the new pairs on a second trail, and builds
+a map in full only for a newly opened coset.
 
 Budget.  The search counts every coset it opens, summed over all
 branches, and raises EnumerationLimit (inconclusive) when that count
-would pass the limit.
+would pass the limit.  The queue and the trail change how a node is
+closed, not which nodes exist, so the count is that of the rescanning
+search they replaced.
 """
 
 from __future__ import annotations
@@ -42,93 +64,204 @@ def low_index_normal(pres: Presentation, max_index: int,
     if max_index > HARD_CAP:
         raise ValueError(f"max_index {max_index} exceeds the hard cap {HARD_CAP}")
     ncols = 2 * pres.num_generators
-    relator_cols = [(cols, tuple(inv_col(c) for c in cols))
-                    for cols in map(word_to_cols, pres.relators)]
+    whole = [(cols, tuple(map(inv_col, cols)))
+             for cols in map(word_to_cols, pres.relators) if cols]
+    rotations = _rotations(whole, ncols)
 
+    table = [[None] * ncols for _ in range(max_index)]
+    trail = []        # filled entries (a, c, b): a.c = b, and so b.c^1 = a
+    grown = []        # (phi, psi, points newly mapped by phi)
+    maps = [None] * max_index  # (phi, psi) of the translation 0 -> a at a
+    stack = []        # choice points [alpha, col, candidates, next, marks, n]
     out = []
-    opened = 1
-    stack = [[[None] * ncols]]
-    while stack:
-        table = stack.pop()
-        if (not _propagate(table, relator_cols)
-                or not _has_translations(table, range(1, len(table)))):
-            continue
-        hole = _first_hole(table)
-        if hole is None:
-            found = CosetTable(generators=pres.generators,
-                               rows=tuple(tuple(row) for row in table))
-            found.validate(pres)
-            out.append(found)
-            continue
-        alpha, col = hole
-        candidates = [b for b in range(len(table)) if table[b][inv_col(col)] is None]
-        if len(table) < max_index:
-            opened += 1
-            if opened > limit:
-                raise EnumerationLimit(opened, limit, "cosets opened by the low-index search")
-            candidates.append(len(table))
-        # pushed in reverse so branches are explored in candidate order
-        for beta in reversed(candidates):
-            branch = [row[:] for row in table]
-            if beta == len(table):
-                branch.append([None] * ncols)
-            branch[alpha][col] = beta
-            branch[beta][inv_col(col)] = alpha
-            stack.append(branch)
+    opened = n = 1
+    alive = _deduce(table, trail, [(0, whole)], rotations)
+    alpha = 0
+    while True:
+        if alive:
+            hole = _first_hole(table, n, alpha)
+            if hole is None:
+                found = CosetTable(generators=pres.generators,
+                                   rows=tuple(map(tuple, table[:n])))
+                found.validate(pres)
+                out.append(found)
+            else:
+                alpha, col = hole
+                candidates = [b for b in range(n) if table[b][col ^ 1] is None]
+                if n < max_index:
+                    opened += 1
+                    if opened > limit:
+                        raise EnumerationLimit(opened, limit,
+                                               "cosets opened by the low-index search")
+                    candidates.append(n)
+                stack.append([alpha, col, candidates, 0, len(trail), len(grown), n])
+        while stack:
+            point = stack[-1]
+            alpha, col, candidates, k, mark, grown_mark, n = point
+            _undo(table, trail, mark, grown, grown_mark)
+            if k < len(candidates):
+                break
+            stack.pop()
+        else:
+            break
+        beta = candidates[k]
+        point[3] = k + 1
+
+        table[alpha][col] = beta
+        table[beta][col ^ 1] = alpha
+        trail.append((alpha, col, beta))
+        scans = [(alpha, rotations[col])]
+        fresh = beta == n
+        if fresh:
+            scans.append((beta, whole))
+        alive = _deduce(table, trail, scans, rotations)
+        if alive:
+            # each new entry a.c = b as an edge both ways
+            edges = trail[mark:]
+            edges += [(b, c ^ 1, a) for a, c, b in edges]
+            for a in range(1, n):
+                phi, psi = maps[a]
+                mapped = []
+                grown.append((phi, psi, mapped))
+                if not _grow(table, phi, psi, edges, mapped):
+                    alive = False
+                    break
+        if fresh:
+            n += 1
+            if alive:
+                maps[beta] = _translation(table, beta, max_index)
+                alive = maps[beta] is not None
 
     out.sort(key=lambda t: (t.index, t.rows))
     return out
 
 
-def _propagate(table, relator_cols) -> bool:
-    """Deduction closure: scan every relator at every coset, filling
-    single gaps; False on contradiction."""
-    changed = True
-    while changed:
-        changed = False
-        for alpha in range(len(table)):
-            for cols, inv_cols in relator_cols:
-                state = _scan(table, alpha, cols, inv_cols)
-                if state == "dead":
+def _rotations(relators, ncols):
+    """For each column c, the distinct cyclic rotations of every relator
+    and of its inverse that start with c, as (columns, inverse columns)."""
+    by_col = [{} for _ in range(ncols)]
+    for cols, inv_cols in relators:
+        for word, inv_word in ((cols, inv_cols), (inv_cols[::-1], cols[::-1])):
+            for k in range(len(word)):
+                rotated = word[k:] + word[:k]
+                by_col[rotated[0]][rotated] = inv_word[k:] + inv_word[:k]
+    return [list(d.items()) for d in by_col]
+
+
+def _deduce(table, trail, scans, rotations) -> bool:
+    """Scan each (coset, relators) in scans, filling single gaps; each
+    filled entry f.c = b goes on the trail and queues the rotations starting
+    with c at f.  False on contradiction."""
+    for alpha, relators in scans:
+        for cols, inv_cols in relators:
+            f, i = alpha, 0
+            b, j = alpha, len(cols) - 1
+            while i <= j and table[f][cols[i]] is not None:
+                f = table[f][cols[i]]
+                i += 1
+            if i > j:
+                if f != b:
                     return False
-                if state == "deduced":
-                    changed = True
+                continue
+            while j >= i and table[b][inv_cols[j]] is not None:
+                b = table[b][inv_cols[j]]
+                j -= 1
+            if j < i:
+                return False
+            if j == i:
+                # both scans stopped at this entry, so it and its inverse are empty
+                c = cols[i]
+                table[f][c] = b
+                table[b][inv_cols[i]] = f
+                trail.append((f, c, b))
+                scans.append((f, rotations[c]))
     return True
 
 
-def _first_hole(table):
-    for alpha, row in enumerate(table):
-        for col, entry in enumerate(row):
-            if entry is None:
-                return alpha, col
+def _first_hole(table, n, alpha):
+    """The first empty entry in row-major order, searching from row alpha
+    (every earlier row is full)."""
+    for a in range(alpha, n):
+        row = table[a]
+        if None in row:
+            return a, row.index(None)
     return None
 
 
-def _scan(table, alpha: int, cols, inv_cols) -> str:
-    """Scan one relator (columns, and their inverse columns) at one coset
-    on a partial table.
+def _undo(table, trail, mark, grown, grown_mark):
+    """Clear the entries and the map pairs recorded since the marks."""
+    for a, c, b in trail[mark:]:
+        table[a][c] = None
+        table[b][c ^ 1] = None
+    del trail[mark:]
+    for phi, psi, mapped in grown[grown_mark:]:
+        for y in mapped:
+            psi[phi[y]] = None
+            phi[y] = None
+    del grown[grown_mark:]
 
-    Returns "dead" on contradiction, "deduced" when a single gap was
-    filled, "ok" otherwise (complete or still open).
-    """
-    f, i = alpha, 0
-    b, j = alpha, len(cols) - 1
-    while i <= j and table[f][cols[i]] is not None:
-        f = table[f][cols[i]]
-        i += 1
-    if i > j:
-        return "ok" if f == b else "dead"
-    while j >= i and table[b][inv_cols[j]] is not None:
-        b = table[b][inv_cols[j]]
-        j -= 1
-    if j < i:
-        return "dead"
-    if j == i:
-        # both scans stopped at this entry, so it and its inverse are empty
-        table[f][cols[i]] = b
-        table[b][inv_cols[i]] = f
-        return "deduced"
-    return "ok"
+
+def _grow(table, phi, psi, edges, mapped) -> bool:
+    """Extend the closed partial map phi (psi its inverse) over the new
+    edges, each (p, c, q) with p.c = q: map the pairs they force, then
+    close phi from the points newly mapped, which go on mapped.  False
+    when phi would be inconsistent or not injective."""
+    pairs = []
+    for p, c, q in edges:
+        # x.c = y and phi(x).c = z force phi(y) = z, and the new edge
+        # p.c = q is x.c for x = p, or phi(x).c for x = psi(p)
+        x = phi[p]
+        if x is not None:
+            pairs.append((q, table[x][c]))
+        x = psi[p]
+        if x is not None:
+            pairs.append((table[x][c], q))
+    for y, z in pairs:
+        if y is None or z is None:
+            continue
+        w = phi[y]
+        if w is None:
+            if psi[z] is not None:
+                return False
+            phi[y] = z
+            psi[z] = y
+            mapped.append(y)
+        elif w != z:
+            return False
+    return _close(table, phi, psi, mapped)
+
+
+def _close(table, phi, psi, queue) -> bool:
+    """Breadth-first closure of phi (psi its inverse) from the mapped
+    points in queue, which grows with each point newly mapped: x.c = y and
+    phi(x).c = z give phi(y) = z.  False when phi would be inconsistent or
+    not injective."""
+    for x in queue:
+        image_row = table[phi[x]]
+        for col, y in enumerate(table[x]):
+            z = image_row[col]
+            if y is None or z is None:
+                continue
+            w = phi[y]
+            if w is None:
+                if psi[z] is not None:
+                    return False
+                phi[y] = z
+                psi[z] = y
+                queue.append(y)
+            elif w != z:
+                return False
+    return True
+
+
+def _translation(table, a, size):
+    """The map 0 -> a closed breadth-first, as (phi, psi) over points
+    below size; None when it is inconsistent or not injective."""
+    phi = [None] * size
+    psi = [None] * size
+    phi[0] = a
+    psi[a] = 0
+    return (phi, psi) if _close(table, phi, psi, [0]) else None
 
 
 def _has_translations(table, targets) -> bool:
@@ -136,25 +269,4 @@ def _has_translations(table, targets) -> bool:
     the edges defined at both ends (x.c and phi(x).c) to a consistent,
     injective partial map.  With every coset as a target, a partial table
     failing this has no regular completion."""
-    n = len(table)
-    for a in targets:
-        phi = [None] * n
-        used = [False] * n
-        phi[0] = a
-        used[a] = True
-        queue = [0]
-        for x in queue:
-            row, image_row = table[x], table[phi[x]]
-            for col, y in enumerate(row):
-                z = image_row[col]
-                if y is None or z is None:
-                    continue
-                if phi[y] is None:
-                    if used[z]:
-                        return False
-                    phi[y] = z
-                    used[z] = True
-                    queue.append(y)
-                elif phi[y] != z:
-                    return False
-    return True
+    return all(_translation(table, a, len(table)) is not None for a in targets)

@@ -221,7 +221,7 @@ class TestVerifyCommand:
     def test_low_index_zero_is_a_given_flag(self, capsys):
         code, out = run_cli(["verify", "braid3", "--low-index", "0"], capsys)
         assert code == 2
-        assert "error: max_index must be >= 1" in out.split("\n")
+        assert "error: --low-index must be >= 1" in out.split("\n")
 
     def test_mod_rejected_for_other_targets(self, capsys):
         code, out = run_cli(["verify", "braid3", "--mod", "3"], capsys)
@@ -323,9 +323,16 @@ class TestErrorExits:
          2, "error: --coset-limit must be >= 1"),
         (["verify", "SL2Z", "--mod", "3", "--coset-limit", "-7"], None,
          2, "error: --coset-limit must be >= 1"),
+        (["verify", "braid3", "--low-index", "0"], None, 2, "error: --low-index must be >= 1"),
+        (["verify", "braid3", "--low-index", "65"], None,
+         2, "error: --low-index 65 exceeds the hard cap 64"),
+        (["verify", "braid3", "--abelian-kill", "2,0"], None,
+         2, "error: --abelian-kill levels must be >= 1"),
+        (["verify", "SL2Z", "--mod", "1"], None, 2, "error: --mod levels must be >= 2"),
     ], ids=["hypothesis", "invariant", "limit", "decreasing-mod", "decreasing-abelian-kill",
             "empty-mod", "empty-abelian-kill", "missing-file", "braid1", "certificate-cap",
-            "braid-cap", "negative-coset-limit-abelian-kill", "negative-coset-limit-mod"])
+            "braid-cap", "negative-coset-limit-abelian-kill", "negative-coset-limit-mod",
+            "zero-low-index", "low-index-cap", "zero-abelian-kill", "mod-one"])
     def test_exit_code_and_line(self, argv, text, code, line, tmp_path):
         path = tmp_path / "input"
         if text is not None:

@@ -70,6 +70,9 @@ def _check_tables(pres, tables):
     assert len({t.rows for t in tables}) == len(tables)
 
 
+_LETTER = st.integers(1, 3).flatmap(lambda g: st.sampled_from((g, -g)))
+
+
 class TestMatchesReference:
     # The reference enumerates every subgroup and filters afterwards; it
     # takes about 1 s at braid5 N = 5 and 15 s at N = 6, which bounds the
@@ -99,6 +102,24 @@ class TestMatchesReference:
             pres, max_index)]
         _check_tables(pres, out)
 
+    # A one-letter relator deduces from a newly opened coset's empty row,
+    # and a proper power closes a cycle through a single coset: the two
+    # cases a deduction queue over filled entries alone would miss.
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.one_of(_LETTER.map(lambda x: [x]),
+                              st.builds(lambda w, k: w * k,
+                                        st.lists(_LETTER, min_size=1, max_size=3),
+                                        st.integers(2, 4)),
+                              st.lists(_LETTER, min_size=1, max_size=6)),
+                    min_size=1, max_size=3),
+           st.integers(1, 5))
+    def test_random_three_generator(self, relators, max_index):
+        pres = Presentation(("x", "y", "z"), relators)
+        out = low_index_normal(pres, max_index)
+        assert [t.rows for t in out] == [t.rows for t in reference_low_index_normal(
+            pres, max_index)]
+        _check_tables(pres, out)
+
 
 class TestSearchBudget:
     def test_limit_raises_with_count(self):
@@ -119,3 +140,21 @@ class TestSearchBudget:
         # braid5 at N = 8 opens fewer than a tenth of the default 100000
         b5 = builtin_target("braid5").presentation
         assert len(low_index_normal(b5, 8, limit=10_000)) == 21
+
+    # The number of cosets the search opens pins the size of its tree: a
+    # deduction the closure missed leaves holes to branch on, and so opens
+    # more.  Both boundaries were recorded with the search that rescanned
+    # every relator at every coset until nothing changed.
+    @staticmethod
+    def _assert_opens(pres, max_index, opened, found):
+        assert len(low_index_normal(pres, max_index, limit=opened)) == found
+        with pytest.raises(EnumerationLimit) as exc:
+            low_index_normal(pres, max_index, limit=opened - 1)
+        assert (exc.value.live, exc.value.limit) == (opened, opened - 1)
+
+    def test_braid5_tree_size(self):
+        self._assert_opens(builtin_target("braid5").presentation, 8, 5042, 21)
+
+    def test_one_letter_relator_and_powers_tree_size(self):
+        pres = parse_presentation("gens: x y z\nrel: Y\nrel: x z x z x z\nrel: z z z z\n")
+        self._assert_opens(pres, 12, 141, 9)
