@@ -7,10 +7,10 @@ way for every command: 0 success; 2 input/parse error, an input file that
 cannot be read, an output file that cannot be written, or a `verify` level
 list with no levels or a `verify` level or index out of range; 3
 hypothesis failure, a `verify` row below the symbolic value, or an `expr`
-node whose values break betti1 - beta0 <= rank gradient; 4 certificate checker violation; 5 enumeration limit
-exceeded, or a builtin parameter or congruence level past its cap.  With
---no-timestamp the output is byte-identical across runs for identical
-inputs.
+node whose values break betti1 - beta0 <= rank gradient; 4 certificate
+checker violation; 5 enumeration limit exceeded, or a builtin parameter or
+congruence level past its cap.  With --no-timestamp the output is
+byte-identical across runs for identical inputs.
 
 A command loads only the engine it runs: `artin` and `certify` load
 `certificate`, `coxeter` loads `coxeter` and `verify` loads `fpgroup`, so
@@ -212,7 +212,8 @@ def cmd_verify(args, report: Report) -> int:
         if args.low_index < 1:
             raise ValueError("--low-index must be >= 1")
         if args.low_index > cli.HARD_CAP:
-            raise ValueError(f"--low-index {args.low_index} exceeds the hard cap {cli.HARD_CAP}")
+            raise ValueError(
+                f"--low-index {args.low_index} exceeds the hard cap {cli.HARD_CAP}")
     if args.mod:
         levels = _levels(args.mod, "--mod", 2)
     elif args.abelian_kill:

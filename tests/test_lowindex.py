@@ -103,8 +103,8 @@ class TestMatchesReference:
         _check_tables(pres, out)
 
     # A one-letter relator deduces from a newly opened coset's empty row,
-    # and a proper power closes a cycle through a single coset: the two
-    # cases a deduction queue over filled entries alone would miss.
+    # which a queue over filled entries alone would miss, and a proper
+    # power has repeated rotations.
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(st.lists(st.one_of(_LETTER.map(lambda x: [x]),
                               st.builds(lambda w, k: w * k,
