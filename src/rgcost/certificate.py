@@ -474,16 +474,10 @@ def _mcg_certificate(genus: int) -> Certificate:
         seen.add(key)
         pairs.append((x, y))
 
-    witnesses = []
-    used = set(pairs[0])
-    for x, y in pairs[1:]:
-        shared = x if x in used else (y if y in used else None)
-        assert shared is not None, "twist pairs must chain"
-        witnesses.append(
-            f"the twist {shared} lies in both factors and has infinite order "
-            f"(braid-group generator)"
-        )
-        used.update((x, y))
+    # Each pair starts at a twist of the pair before it, since the pairs
+    # are consecutive in the sequence: that twist is the shared witness.
+    witnesses = [f"the twist {x} lies in both factors and has infinite order "
+                 f"(braid-group generator)" for x, _ in pairs[1:]]
     return _generated(
         f"mapping class group of the closed genus-{genus} surface, generated "
         f"by the twist sequence {', '.join(seq)}",

@@ -1,16 +1,19 @@
 """Command-line surface: artin, coxeter, expr, certify, verify.
 
 All reports are plain text on stdout; structured artifacts (certificates,
-traces, CSV) are written only through explicit output flags.  Each command
-raises on failure and `main` maps the exception to an exit code, the same
-way for every command: 0 success; 2 input/parse error, an input file that
-cannot be read, an output file that cannot be written, or a `verify` level
-list with no levels or a `verify` level or index out of range; 3
-hypothesis failure, a `verify` row below the symbolic value, or an `expr`
-node whose values break betti1 - beta0 <= rank gradient; 4 certificate
-checker violation; 5 enumeration limit exceeded, or a builtin parameter or
-congruence level past its cap.  With --no-timestamp the output is
-byte-identical across runs for identical inputs.
+traces, CSV) are written only through explicit output flags.  A command
+returns nothing when it succeeds and raises when it fails; `main` alone
+maps the exception's class to an exit code (`_ERRORS`), the same way for
+every command: 0 success; 2 input/parse error, an input file that cannot
+be read, an output file that cannot be written, or a `verify` level list
+with no levels or a `verify` level or index out of range; 3 hypothesis
+failure, a `verify` row below the symbolic value, or an `expr` node whose
+values break betti1 - beta0 <= rank gradient; 4 the checker rejected a
+certificate the command wrote, one `violation:` line each; 5 a budget
+refused the run (`LimitExceeded`: a coset limit, or a builtin parameter or
+congruence level past its cap), and the line names what it counted and the
+limit.  With --no-timestamp the output is byte-identical across runs for
+identical inputs.
 
 A command loads only the engine it runs: `artin` and `certify` load
 `certificate`, `coxeter` loads `coxeter` and `verify` loads `fpgroup`, so
@@ -35,17 +38,26 @@ EXIT_HYPOTHESIS = 3
 EXIT_CHECKER = 4
 EXIT_LIMIT = 5
 
-# What a command raises, as (module, exception, exit code, line prefix);
-# main reports the first row that matches, so subclasses come before
-# ValueError, and lets any other exception through.  A class is looked up
-# only in a module already loaded: one never loaded raised nothing.
-_ERRORS = (
-    ("rgcost.coxeter", "HypothesisError", EXIT_HYPOTHESIS, "hypothesis failed"),
-    ("rgcost.groupexpr", "InvariantError", EXIT_HYPOTHESIS, "error"),
-    ("rgcost.fpgroup.coset", "EnumerationLimit", EXIT_LIMIT, "inconclusive"),
-    ("rgcost.groupexpr", "LimitExceeded", EXIT_LIMIT, "inconclusive"),
-    ("builtins", "ValueError", EXIT_PARSE, "error"),
-)
+
+class CertificateRejected(Exception):
+    """The checker found violations in a certificate a command wrote.  The
+    message is one line per violation, so `main` prints each after its
+    own "violation: " prefix."""
+
+    def __init__(self, violations):
+        super().__init__("\nviolation: ".join(violations))
+
+
+# What a command raises, as exception -> (exit code, line prefix); main
+# reports the first row that matches, so subclasses come before
+# ValueError, and lets any other exception through.
+_ERRORS = {
+    ge.HypothesisError: (EXIT_HYPOTHESIS, "hypothesis failed"),
+    ge.InvariantError: (EXIT_HYPOTHESIS, "error"),
+    CertificateRejected: (EXIT_CHECKER, "violation"),
+    ge.LimitExceeded: (EXIT_LIMIT, "inconclusive"),
+    ValueError: (EXIT_PARSE, "error"),
+}
 
 # The `fpgroup` names `cmd_verify` uses, each with its submodule.  The
 # module `__getattr__` binds each on first use, and `cmd_verify` looks
@@ -56,7 +68,7 @@ _FPGROUP_NAMES = {
     "parse_presentation": "presentation", "kernel_chain_cayley": "chains",
     "mod_cycle_images": "chains", "psl2z_images": "chains", "rg_sequence": "chains",
     "samples_to_csv": "chains", "sl2_order": "chains", "sl2z_images": "chains",
-    "trend_summary": "chains", "EnumerationLimit": "coset",
+    "trend_summary": "chains",
 }
 
 
@@ -111,18 +123,22 @@ def _write_file(path: str, text: str) -> None:
 
 def _write_certificate(path: str, certificate):
     """Write the certificate's JSON, then parse that text back and check
-    it: (the parsed certificate, the checker's result)."""
+    it: (the parsed certificate, the checker's report).  A report with
+    violations raises CertificateRejected."""
     from . import certificate as cert_mod
     text = cert_mod.certificate_to_json(certificate)
     _write_file(path, text)
     reread = cert_mod.certificate_from_json(text)
-    return reread, cert_mod.check_certificate(reread)
+    check = cert_mod.check_certificate(reread)
+    if not check.valid:
+        raise CertificateRejected(check.violations)
+    return reread, check
 
 
 # ---------------------------------------------------------------------------
 
 
-def cmd_artin(args, report: Report) -> int:
+def cmd_artin(args, report: Report):
     from . import certificate as cert_mod
     g = parse_graph(_read_file(args.graph, report))
     price, certificate = cert_mod.rg_artin(g)
@@ -132,15 +148,10 @@ def cmd_artin(args, report: Report) -> int:
     )
     if args.certify:
         _, check = _write_certificate(args.certify, certificate)
-        if not check.valid:
-            for v in check.violations:
-                report.add(f"violation: {v}")
-            return EXIT_CHECKER
         report.add(f"certificate: {args.certify} (assumptions={len(check.assumptions)}, valid)")
-    return EXIT_OK
 
 
-def cmd_coxeter(args, report: Report) -> int:
+def cmd_coxeter(args, report: Report):
     from . import coxeter as cox_mod
     g = parse_graph(_read_file(args.graph, report))
     price, trace = cox_mod.rg_coxeter_planar(g)
@@ -151,10 +162,9 @@ def cmd_coxeter(args, report: Report) -> int:
     if args.trace:
         _write_file(args.trace, cox_mod.trace_to_json(trace))
         report.add(f"trace: {args.trace} ({len(trace.steps)} steps)")
-    return EXIT_OK
 
 
-def cmd_expr(args, report: Report) -> int:
+def cmd_expr(args, report: Report):
     price = ge.evaluate(parse_expr_file(args.file, _read_file(args.file, report)))
     report.add(
         f"cost={price.cost} rg={price.rank_gradient} "
@@ -163,10 +173,9 @@ def cmd_expr(args, report: Report) -> int:
     report.add("rules:")
     for entry in price.rule_trace:
         report.add(f"  - {entry}")
-    return EXIT_OK
 
 
-def cmd_certify(args, report: Report) -> int:
+def cmd_certify(args, report: Report):
     from . import certificate as cert_mod
     name = args.target
     if name in cert_mod.BUILTINS:
@@ -182,17 +191,11 @@ def cmd_certify(args, report: Report) -> int:
 
     reread, check = _write_certificate(out_path, certificate)
     report.add(f"certificate: {out_path}")
-    if not check.valid:
-        for v in check.violations:
-            report.add(f"violation: {v}")
-        report.add(f"valid=false assumptions={len(check.assumptions)}")
-        return EXIT_CHECKER
     report.add(
         f"valid=true assumptions={len(check.assumptions)} cost={reread.root.cost}"
     )
     for a in check.assumptions:
         report.add(f"  assumes: {a}")
-    return EXIT_OK
 
 
 def _levels(text: str, flag: str, least: int) -> list[int]:
@@ -204,7 +207,7 @@ def _levels(text: str, flag: str, least: int) -> list[int]:
     return levels
 
 
-def cmd_verify(args, report: Report) -> int:
+def cmd_verify(args, report: Report):
     if args.coset_limit < 1:
         raise ValueError("--coset-limit must be >= 1")
     cli = sys.modules[__name__]  # the engine's names, through __getattr__
@@ -227,7 +230,7 @@ def cmd_verify(args, report: Report) -> int:
 
     if args.dump_presentation:
         report.add(pres.to_text().rstrip("\n"))
-        return EXIT_OK
+        return
 
     chain_flags = [f for f in (args.mod, args.abelian_kill) if f] + (
         [args.low_index] if args.low_index is not None else [])
@@ -250,8 +253,10 @@ def cmd_verify(args, report: Report) -> int:
     elif args.abelian_kill:
         # The level-k images have degree k, so bound every level before
         # building any image.
-        if max(levels) > limit:
-            raise cli.EnumerationLimit(limit, limit)
+        top = max(levels)
+        if top > limit:
+            from .fpgroup.coset import EnumerationLimit
+            raise EnumerationLimit(top, limit, f"cosets needed by --abelian-kill level {top}")
         images = [cli.mod_cycle_images(pres, k) for k in levels]
         tables = cli.kernel_chain_cayley(pres, images, limit=limit)
     else:
@@ -268,7 +273,7 @@ def cmd_verify(args, report: Report) -> int:
 
     if target is None:
         report.add("symbolic value unknown")
-        return EXIT_OK
+        return
     sym = ge.evaluate(target.expr).rank_gradient
     # Gaboriau's index formula: d(H) - 1 >= [G:H](cost - 1), so every
     # row's r_upper bounds the rank gradient from above.
@@ -280,7 +285,6 @@ def cmd_verify(args, report: Report) -> int:
         report.add(f"matches symbolic {sym}")
     else:
         report.add(f"symbolic target {sym}")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -357,14 +361,11 @@ def main(argv=None) -> int:
         "certify": cmd_certify,
         "verify": cmd_verify,
     }[args.command]
+    code = EXIT_OK
     try:
-        code = handler(args, report)
-    except Exception as exc:
-        row = next(((c, p) for module, kind, c, p in _ERRORS
-                    if isinstance(exc, getattr(sys.modules.get(module), kind, ()))), None)
-        if row is None:
-            raise
-        code, prefix = row
+        handler(args, report)
+    except tuple(_ERRORS) as exc:
+        code, prefix = next(row for kind, row in _ERRORS.items() if isinstance(exc, kind))
         report.add(f"{prefix}: {exc}")
     report.emit()
     return code

@@ -20,27 +20,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import groupexpr as ge
+from .groupexpr import HypothesisError
 from .lgraph import GraphError, LabelledGraph, girth, is_planar, reduction_order
 
 AMALGAM_TRIVIAL = "trivial"
 AMALGAM_ORDER2 = "cyclic-2"
 AMALGAM_DINF = "infinite-dihedral"
-
-class HypothesisError(ValueError):
-    """A required hypothesis (planarity, girth >= 6) fails.
-
-    The message lists the failing checks in the fixed report format, e.g.
-    "girth(3) < 6; nonplanar=false".
-    """
-
-    def __init__(self, girth_value, planar: bool):
-        parts = []
-        if girth_value < 6:
-            parts.append(f"girth({girth_value}) < 6")
-        parts.append(f"nonplanar={'false' if planar else 'true'}")
-        super().__init__("; ".join(parts))
-        self.girth_value = girth_value
-        self.planar = planar
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ class NotHomomorphism(ValueError):
     def __init__(self, relator_text: str):
         super().__init__(f"images do not define a homomorphism: relator {relator_text} "
                          f"does not map to the identity")
-        self.relator_text = relator_text
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,7 @@ def cayley_table(pres: Presentation, images: dict[str, Perm],
         return CosetTable(generators=(), rows=((),))
     degree = len(next(iter(images.values())))
     if limit is not None and degree > limit:
-        raise EnumerationLimit(limit, limit)
+        raise EnumerationLimit(degree, limit, "cosets of the kernel (the action's degree)")
     gen_perms = [_check_perm(images[name], degree) for name in pres.generators]
     identity = tuple(range(degree))
     inv_perms = [_invert(p) for p in gen_perms]

@@ -10,16 +10,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..groupexpr import LimitExceeded
 from .presentation import Presentation
 
 
-class EnumerationLimit(RuntimeError):
+class EnumerationLimit(LimitExceeded):
     """A coset limit was reached; explicitly inconclusive (this is never a
-    proof that the index is infinite)."""
+    proof that the index is infinite).  `what` names what `count` counted."""
 
-    def __init__(self, live: int, limit: int, what: str = "live cosets"):
-        super().__init__(f"coset limit exceeded: {live} {what} (limit {limit})")
-        self.live = live
+    def __init__(self, count: int, limit: int, what: str):
+        super().__init__(f"coset limit exceeded: {count} {what} (limit {limit})")
+        self.count = count
         self.limit = limit
 
 

@@ -278,6 +278,19 @@ class PriceResult:
         return is_known(self.cost)
 
 
+class HypothesisError(ValueError):
+    """A required hypothesis (planarity, girth >= 6) fails.
+
+    The message lists the failing checks in the fixed report format, e.g.
+    "girth(3) < 6; nonplanar=false".
+    """
+
+    def __init__(self, girth, planar: bool):
+        parts = [f"girth({girth}) < 6"] if girth < 6 else []
+        parts.append(f"nonplanar={'false' if planar else 'true'}")
+        super().__init__("; ".join(parts))
+
+
 class InvariantError(ValueError):
     """Computed values break an inequality the theory guarantees: a node's
     betti1 - beta0 exceeds its rank gradient, or a `verify` row falls
@@ -285,9 +298,9 @@ class InvariantError(ValueError):
 
 
 class LimitExceeded(RuntimeError):
-    """An input past a size cap, refused before anything is built for it:
-    a builtin's parameter or a congruence level.  Inconclusive, like a
-    coset limit, so the command exits 5."""
+    """A budget refused the run before it could decide: an input past a
+    size cap, refused before anything is built for it, or a coset limit
+    reached.  Inconclusive, so the command exits 5."""
 
 
 def _degenerate_amalgam(left: GroupOrder | None, right: GroupOrder | None,
@@ -431,7 +444,7 @@ def _price(e: GroupExpr, kids: list[tuple], path):
             ("artin-components-price", f"{b} component(s), cost {b}, betti1 {b - 1}")]
 
     if isinstance(e, CoxeterGraph):
-        from .coxeter import HypothesisError, coxeter_order, rg_coxeter_planar
+        from .coxeter import coxeter_order, rg_coxeter_planar
 
         try:
             price, _ = rg_coxeter_planar(e.graph)

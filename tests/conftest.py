@@ -478,7 +478,7 @@ class _Enumerator:
                 before = self.live
                 self.lookahead()
                 if self.live >= self.limit or self.live >= before:
-                    raise EnumerationLimit(self.live, self.limit) from None
+                    raise EnumerationLimit(self.live, self.limit, "live cosets") from None
                 # retry the same coset after the lookahead freed space
         return self._compressed()
 
@@ -491,7 +491,7 @@ class _Enumerator:
                 before = self.live
                 self.lookahead()
                 if self.live >= self.limit or self.live >= before:
-                    raise EnumerationLimit(self.live, self.limit) from None
+                    raise EnumerationLimit(self.live, self.limit, "live cosets") from None
 
     def _compressed(self) -> list[list[int]]:
         live = [k for k in range(len(self.table)) if self.p[k] == k]
@@ -896,7 +896,7 @@ def reference_cayley_table(pres: Presentation, images: dict[str, Perm],
                 target = _compose(q, p)
                 if target not in index_of:
                     if limit is not None and len(elements) >= limit:
-                        raise EnumerationLimit(len(elements), limit)
+                        raise EnumerationLimit(len(elements), limit, "live cosets")
                     index_of[target] = len(elements)
                     elements.append(target)
                 row.append(index_of[target])

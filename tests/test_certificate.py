@@ -337,13 +337,20 @@ class TestJson:
           {"kind": "amalgam", "children": [0, 1], "cost": "1/2",
            "amalgam": {"kind": "finite", "order": 2, "vertex": "a"}}],
          r"certificate node 2 \(amalgam\): field 'vertex' is not declared by AmalgamDescriptor"),
+        # order 0 would price the subgroup at 1 - 1/0
+        ([{"kind": "finite", "order": 2, "cost": "1/2"},
+          {"kind": "finite", "order": 2, "cost": "1/2"},
+          {"kind": "amalgam", "children": [0, 1], "cost": "1",
+           "amalgam": {"kind": "finite", "order": 0}}],
+         r"certificate node 2 \(amalgam\): finite descriptor needs an order >= 1"),
         ([], "certificate has no nodes"),
         # a leaf that claims a child would drop it, and its assumption, unseen
         ([{"kind": "cited-fact", "statement": "s", "citation": "c", "cost": "5"},
           {"kind": "amenable", "name": "Z", "reason": "r", "cost": "1", "children": [0]}],
          r"certificate node 1 \(amenable\): field 'children' is not declared by AmenableLeaf"),
     ], ids=["shared-child", "two-roots", "forward-reference", "missing-cost",
-            "normal-subgroup", "amenable-amalgam", "descriptor-undeclared-key", "no-nodes",
+            "normal-subgroup", "amenable-amalgam", "descriptor-undeclared-key",
+            "descriptor-order-zero", "no-nodes",
             "leaf-with-children"])
     def test_rejects_nodes_that_are_not_one_post_order_tree(self, nodes, match):
         doc = {"format": "rgcost-certificate/2", "target": "", "claimed_cost": "1",

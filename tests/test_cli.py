@@ -254,7 +254,8 @@ class TestVerifyCommand:
             ["verify", "braid3", "--abelian-kill", "3,200", "--coset-limit", "100"], capsys)
         assert code == 5 and calls == []
         assert out.split("\n")[-2] == (
-            "inconclusive: coset limit exceeded: 100 live cosets (limit 100)")
+            "inconclusive: coset limit exceeded: 200 cosets needed by --abelian-kill "
+            "level 200 (limit 100)")
 
     @pytest.mark.parametrize("target,level,order", [("SL2Z", 6, 144), ("PSL2Z", 6, 72)])
     def test_level_bound_is_the_quotient_order(self, target, level, order, capsys):
@@ -329,10 +330,17 @@ class TestErrorExits:
         (["verify", "braid3", "--abelian-kill", "2,0"], None,
          2, "error: --abelian-kill levels must be >= 1"),
         (["verify", "SL2Z", "--mod", "1"], None, 2, "error: --mod levels must be >= 2"),
+        (["verify", "SL2Z"], None,
+         2, "error: choose exactly one of --mod, --abelian-kill, --low-index"),
+        (["verify", "SL2Z", "--mod", "3", "--low-index", "2"], None,
+         2, "error: choose exactly one of --mod, --abelian-kill, --low-index"),
+        (["certify", "FILE", "3"], B4_GRAPH, 2, "error: graph-file targets take no parameter"),
+        (["certify", "SL2Z", "3"], None, 2, "error: SL2Z takes no parameter"),
     ], ids=["hypothesis", "invariant", "limit", "decreasing-mod", "decreasing-abelian-kill",
             "empty-mod", "empty-abelian-kill", "missing-file", "braid1", "certificate-cap",
             "braid-cap", "negative-coset-limit-abelian-kill", "negative-coset-limit-mod",
-            "zero-low-index", "low-index-cap", "zero-abelian-kill", "mod-one"])
+            "zero-low-index", "low-index-cap", "zero-abelian-kill", "mod-one",
+            "no-chain-flag", "two-chain-flags", "graph-file-param", "builtin-param"])
     def test_exit_code_and_line(self, argv, text, code, line, tmp_path):
         path = tmp_path / "input"
         if text is not None:
@@ -364,6 +372,71 @@ class TestErrorExits:
         assert proc.wait(timeout=60) == 1
         assert first == f"# rgcost --no-timestamp expr {path}\n".encode()
         assert stderr == b""
+
+
+# Defines `forged`, a stand-in for rgcost.certificate.rg_artin that gives
+# every edge leaf under the root a centre exponent one too large.  On the
+# path a-b-c the root is a generation node over the two edge leaves, so the
+# checker must report two violations.
+FORGED_RG_ARTIN = """\
+from dataclasses import replace
+
+import rgcost.certificate
+
+real = rgcost.certificate.rg_artin
+
+
+def forged(g):
+    price, cert = real(g)
+    leaves = tuple(replace(c, exponent=c.exponent + 1) for c in cert.root.children)
+    return price, replace(cert, root=replace(cert.root, children=leaves))
+"""
+PATH_GRAPH = "vertex a\nvertex b\nvertex c\nedge a b 3\nedge b c 4\n"
+VIOLATIONS = [
+    "violation: node 0 [InfiniteCenterLeaf]: centre witness exponent 4 != 3 for label 3",
+    "violation: node 1 [InfiniteCenterLeaf]: centre witness exponent 3 != 2 for label 4",
+]
+
+
+class TestCheckerRejects:
+    """A certificate the checker rejects exits 4 through main's table: one
+    `violation:` line per violation ends the report, and no traceback."""
+
+    COMMANDS = [["artin", "GRAPH", "--certify", "OUT"], ["certify", "GRAPH", "--out", "OUT"]]
+
+    @staticmethod
+    def _argv(command, tmp_path):
+        graph = tmp_path / "path.graph"
+        graph.write_text(PATH_GRAPH)
+        paths = {"GRAPH": str(graph), "OUT": str(tmp_path / "path.cert.json")}
+        return [paths.get(a, a) for a in command]
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=["artin", "certify"])
+    def test_in_process(self, command, tmp_path, capsys, monkeypatch):
+        import rgcost.certificate
+
+        namespace = {}
+        exec(FORGED_RG_ARTIN, namespace)
+        monkeypatch.setattr(rgcost.certificate, "rg_artin", namespace["forged"])
+        code, out = run_cli(self._argv(command, tmp_path), capsys)
+        assert code == 4
+        assert out.split("\n")[-3:-1] == VIOLATIONS
+        assert "valid" not in out
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=["artin", "certify"])
+    def test_console_module(self, command, tmp_path):
+        (tmp_path / "sitecustomize.py").write_text(
+            FORGED_RG_ARTIN + "\n\nrgcost.certificate.rg_artin = forged\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(tmp_path), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "rgcost.cli", "--no-timestamp",
+             *self._argv(command, tmp_path)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 4
+        assert proc.stdout.split("\n")[-3:-1] == VIOLATIONS
+        assert "Traceback" not in proc.stderr
 
 
 class TestFileErrors:
@@ -556,7 +629,8 @@ class TestGoldenVerify:
         code, out = run_cli(command.split(), capsys)
         assert code == 5
         assert out.split("\n", 2)[2] == (
-            "inconclusive: coset limit exceeded: 100 live cosets (limit 100)\n")
+            "inconclusive: coset limit exceeded: 200 cosets needed by --abelian-kill "
+            "level 200 (limit 100)\n")
 
 
 # Graph inputs of the golden certificate rows.

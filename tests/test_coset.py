@@ -70,7 +70,7 @@ class TestInfinite:
         p = parse_presentation("gens: a b\nrel: a a\nrel: b b\n")
         with pytest.raises(EnumerationLimit) as exc:
             todd_coxeter(p, coset_limit=1000)
-        assert exc.value.live >= 1000
+        assert exc.value.count >= 1000
         assert "not" not in str(exc.value).split("inconclusive")  # message sanity
 
     def test_free_group_trivial_subgroup(self):

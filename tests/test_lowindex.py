@@ -126,7 +126,7 @@ class TestSearchBudget:
         b5 = builtin_target("braid5").presentation
         with pytest.raises(EnumerationLimit) as exc:
             low_index_normal(b5, 8, limit=100)
-        assert (exc.value.live, exc.value.limit) == (101, 100)
+        assert (exc.value.count, exc.value.limit) == (101, 100)
         assert "low-index search" in str(exc.value)
 
     def test_limit_counts_the_first_coset(self):
@@ -150,7 +150,7 @@ class TestSearchBudget:
         assert len(low_index_normal(pres, max_index, limit=opened)) == found
         with pytest.raises(EnumerationLimit) as exc:
             low_index_normal(pres, max_index, limit=opened - 1)
-        assert (exc.value.live, exc.value.limit) == (opened, opened - 1)
+        assert (exc.value.count, exc.value.limit) == (opened, opened - 1)
 
     def test_braid5_tree_size(self):
         self._assert_opens(builtin_target("braid5").presentation, 8, 5042, 21)
