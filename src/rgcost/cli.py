@@ -5,15 +5,18 @@ traces, CSV) are written only through explicit output flags.  A command
 returns nothing when it succeeds and raises when it fails; `main` alone
 maps the exception's class to an exit code (`_ERRORS`), the same way for
 every command: 0 success; 2 input/parse error, an input file that cannot
-be read, an output file that cannot be written, or a `verify` level list
-with no levels or a `verify` level or index out of range; 3 hypothesis
-failure, a `verify` row below the symbolic value, or an `expr` node whose
-values break betti1 - beta0 <= rank gradient; 4 the checker rejected a
-certificate the command wrote, one `violation:` line each; 5 a budget
-refused the run (`LimitExceeded`: a coset limit, or a builtin parameter or
-congruence level past its cap), and the line names what it counted and the
-limit.  With --no-timestamp the output is byte-identical across runs for
-identical inputs.
+be read, an output file that cannot be written, or a `verify` option its
+gate refuses; 3 hypothesis failure, a `verify` row below the symbolic
+value, or an `expr` node whose values break betti1 - beta0 <= rank
+gradient; 4 the checker rejected a certificate the command wrote, one
+`violation:` line each; 5 a budget refused the run (`LimitExceeded`: a
+coset limit, or a builtin parameter or congruence level past its cap),
+and the line names what it counted and the limit.  With --no-timestamp
+the output is byte-identical across runs for identical inputs.
+
+`cmd_verify` checks every option before it reads the target or builds
+any quotient: the `fpgroup` engine takes what passes as given and checks
+none of it again.
 
 A command loads only the engine it runs: `artin` and `certify` load
 `certificate`, `coxeter` loads `coxeter` and `verify` loads `fpgroup`, so
@@ -199,7 +202,12 @@ def cmd_certify(args, report: Report):
 
 
 def _levels(text: str, flag: str, least: int) -> list[int]:
-    levels = [int(part) for part in text.split(",") if part.strip()]
+    levels = []
+    for part in filter(None, map(str.strip, text.split(","))):
+        try:
+            levels.append(int(part))
+        except ValueError:
+            raise ValueError(f"{flag} levels must be integers, not {part!r}") from None
     if not levels:
         raise ValueError(f"{flag} lists no levels")
     if min(levels) < least:
@@ -208,9 +216,15 @@ def _levels(text: str, flag: str, least: int) -> list[int]:
 
 
 def cmd_verify(args, report: Report):
-    if args.coset_limit < 1:
-        raise ValueError("--coset-limit must be >= 1")
+    # The gate: every option is checked before the target is read or any
+    # quotient is built, so the engine below takes its inputs as given.
     cli = sys.modules[__name__]  # the engine's names, through __getattr__
+    limit = args.coset_limit
+    if limit < 1:
+        raise ValueError("--coset-limit must be >= 1")
+    chain_flags = sum(map(bool, (args.mod, args.abelian_kill, args.low_index is not None)))
+    if chain_flags != 1 and not args.dump_presentation:
+        raise ValueError("choose exactly one of --mod, --abelian-kill, --low-index")
     if args.low_index is not None:
         if args.low_index < 1:
             raise ValueError("--low-index must be >= 1")
@@ -222,43 +236,40 @@ def cmd_verify(args, report: Report):
     elif args.abelian_kill:
         levels = _levels(args.abelian_kill, "--abelian-kill", 1)
     target = cli.builtin_target(args.target)
-    if target is None:
-        pres = cli.parse_presentation(_read_file(args.target, report))
-    else:
+    if target is not None:
         pres = target.presentation
         report.note_input(f"builtin:{args.target}", pres.to_text().encode("utf-8"))
-
     if args.dump_presentation:
-        report.add(pres.to_text().rstrip("\n"))
-        return
-
-    chain_flags = [f for f in (args.mod, args.abelian_kill) if f] + (
-        [args.low_index] if args.low_index is not None else [])
-    if len(chain_flags) != 1:
-        raise ValueError("choose exactly one of --mod, --abelian-kill, --low-index")
-
-    limit = args.coset_limit
-    if args.mod:
+        pass  # it builds no chain, so no chain bound applies
+    elif args.mod:
         if target is None or target.psl is None:
             raise ValueError("--mod congruence chains exist only for SL2Z and PSL2Z")
         # The image builders list the whole quotient, so bound each
         # quotient's order before building any.  The order is above
         # n^3/4 (prod_p (1 - 1/p^2) > 6/pi^2, halved for PSL), so a
         # large level is rejected without factoring n.
+        group = "PSL" if target.psl else "SL"
         for n in levels:
             if n ** 3 > 4 * limit or cli.sl2_order(n, target.psl) > limit:
-                raise ge.LimitExceeded(f"congruence level {n} exceeds the coset limit {limit}")
-        build = cli.psl2z_images if target.psl else cli.sl2z_images
-        tables = cli.kernel_chain_cayley(pres, [build(n) for n in levels], limit=limit)
-    elif args.abelian_kill:
-        # The level-k images have degree k, so bound every level before
-        # building any image.
+                raise ge.LimitExceeded(f"--mod level {n}: {group}(2,Z/{n}) has more "
+                                       f"elements than the coset limit {limit}")
+    elif args.abelian_kill and max(levels) > limit:
+        # The level-k image has degree k, so the top level bounds them all.
+        from .fpgroup.coset import EnumerationLimit
         top = max(levels)
-        if top > limit:
-            from .fpgroup.coset import EnumerationLimit
-            raise EnumerationLimit(top, limit, f"cosets needed by --abelian-kill level {top}")
-        images = [cli.mod_cycle_images(pres, k) for k in levels]
-        tables = cli.kernel_chain_cayley(pres, images, limit=limit)
+        raise EnumerationLimit(top, limit, f"cosets needed by --abelian-kill level {top}")
+
+    if target is None:
+        pres = cli.parse_presentation(_read_file(args.target, report))
+    if args.dump_presentation:
+        report.add(pres.to_text().rstrip("\n"))
+        return
+
+    if args.mod:
+        build = cli.psl2z_images if target.psl else cli.sl2z_images
+        tables = cli.kernel_chain_cayley(pres, [build(n) for n in levels])
+    elif args.abelian_kill:
+        tables = cli.kernel_chain_cayley(pres, [cli.mod_cycle_images(pres, k) for k in levels])
     else:
         tables = cli.low_index_normal(pres, args.low_index, limit=limit)
     samples = cli.rg_sequence(pres, tables)

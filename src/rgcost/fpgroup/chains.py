@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coset import CosetTable, EnumerationLimit, standardize_rows
+from .coset import CosetTable, standardize_rows
 from .lowindex import _has_translations
 from .presentation import Presentation
 from .rewrite import d_bounds, reidemeister_schreier
@@ -70,8 +70,7 @@ def _check_perm(p, degree) -> Perm:
     return p
 
 
-def cayley_table(pres: Presentation, images: dict[str, Perm],
-                 limit: int | None = None) -> CosetTable:
+def cayley_table(pres: Presentation, images: dict[str, Perm]) -> CosetTable:
     """Coset table of the kernel of the map sending generators to the given
     permutations.
 
@@ -80,17 +79,14 @@ def cayley_table(pres: Presentation, images: dict[str, Perm],
     Schreier graph of point 0: row a holds a.p and a.p^-1 for each
     generator image p.  Checks first that every relator maps to the
     identity permutation (NotHomomorphism otherwise); an action that is not
-    transitive, or transitive but not regular, raises ValueError.  With a
-    limit, a degree past it raises EnumerationLimit (inconclusive) before
-    any image is checked.
+    transitive, or transitive but not regular, raises ValueError.  The
+    caller bounds the degree: the images are already built.
     """
     if set(images) != set(pres.generators):
         raise ValueError("images must cover exactly the presentation's generators")
     if not pres.generators:
         return CosetTable(generators=(), rows=((),))
     degree = len(next(iter(images.values())))
-    if limit is not None and degree > limit:
-        raise EnumerationLimit(degree, limit, "cosets of the kernel (the action's degree)")
     gen_perms = [_check_perm(images[name], degree) for name in pres.generators]
     identity = tuple(range(degree))
     inv_perms = [_invert(p) for p in gen_perms]
@@ -115,21 +111,17 @@ def cayley_table(pres: Presentation, images: dict[str, Perm],
     return CosetTable(generators=pres.generators, rows=rows)
 
 
-def kernel_chain_cayley(pres: Presentation, image_levels,
-                        limit: int | None = None) -> list[CosetTable]:
-    """One kernel coset table per level of declared generator images."""
-    return [cayley_table(pres, images, limit=limit) for images in image_levels]
+def kernel_chain_cayley(pres: Presentation, image_levels) -> list[CosetTable]:
+    """One kernel coset table per level of declared generator images, in
+    the order given.  The caller bounds each level's degree."""
+    return [cayley_table(pres, images) for images in image_levels]
 
 
 def rg_sequence(pres: Presentation, tables) -> list[RGSample]:
-    """Sample (d-1)/index along a list of complete coset tables.
-
-    Indices must be non-decreasing (chain order).  Each subgroup runs
-    through Reidemeister-Schreier and the generator bounds.
+    """Sample (d-1)/index along a list of complete coset tables, one row
+    per table in the order given.  Each subgroup runs through
+    Reidemeister-Schreier and the generator bounds.
     """
-    indices = [t.index for t in tables]
-    if indices != sorted(indices):
-        raise ValueError("chain tables must have non-decreasing indices")
     samples = []
     for table in tables:
         sub = reidemeister_schreier(pres, table)
@@ -166,9 +158,7 @@ def samples_to_csv(samples) -> str:
 def sl2_order(n: int, projective: bool = False) -> int:
     """|SL(2, Z/n)| = n^3 prod_{p | n} (1 - 1/p^2), computed without
     enumerating.  With projective, |PSL(2, Z/n)|: half of that when n > 2,
-    where m and -m are always distinct."""
-    if n < 2:
-        raise ValueError("modulus must be >= 2")
+    where m and -m are always distinct.  Needs n >= 2."""
     order, m, p = n ** 3, n, 2
     while p * p <= m:
         if m % p == 0:
@@ -198,9 +188,8 @@ def _sl2_images(n: int, projective: bool) -> dict[str, Perm]:
     """Right multiplication by a and b on SL(2, Z/n), or on PSL(2, Z/n)
     when projective, with the elements listed breadth-first from the
     identity.  a and b generate the quotient because SL(2, Z) maps onto
-    SL(2, Z/n).  In PSL each class {m, -m} is named by its smaller matrix."""
-    if n < 2:
-        raise ValueError("modulus must be >= 2")
+    SL(2, Z/n).  In PSL each class {m, -m} is named by its smaller matrix.
+    Needs n >= 2."""
 
     def name(m):
         return min(m, tuple((-x) % n for x in m)) if projective else m
@@ -234,8 +223,7 @@ def psl2z_images(n: int) -> dict[str, Perm]:
 def mod_cycle_images(pres: Presentation, k: int) -> dict[str, Perm]:
     """Images for the total-exponent map to Z/k: every generator goes to
     the same k-cycle.  The kernel has index k when the relators have zero
-    total exponent (checked downstream by the homomorphism test)."""
-    if k < 1:
-        raise ValueError("modulus must be >= 1")
+    total exponent (checked downstream by the homomorphism test).  Needs
+    k >= 1."""
     cycle = tuple((i + 1) % k for i in range(k))
     return {name: cycle for name in pres.generators}

@@ -51,6 +51,7 @@ from __future__ import annotations
 from .coset import CosetTable, EnumerationLimit, inv_col, word_to_cols
 from .presentation import Presentation
 
+# The largest max_index `verify --low-index` accepts.
 HARD_CAP = 64
 
 
@@ -58,11 +59,8 @@ def low_index_normal(pres: Presentation, max_index: int,
                      limit: int = 100_000) -> list[CosetTable]:
     """All normal subgroups of index <= max_index, as coset tables sorted
     by (index, table).  Index 1 (the whole group) is included.  Raises
-    EnumerationLimit when the search would open more than limit cosets."""
-    if max_index < 1:
-        raise ValueError("max_index must be >= 1")
-    if max_index > HARD_CAP:
-        raise ValueError(f"max_index {max_index} exceeds the hard cap {HARD_CAP}")
+    EnumerationLimit when the search would open more than limit cosets.
+    Needs 1 <= max_index <= HARD_CAP, which the caller checks."""
     ncols = 2 * pres.num_generators
     whole = [(cols, tuple(map(inv_col, cols)))
              for cols in map(word_to_cols, pres.relators) if cols]

@@ -19,7 +19,6 @@ from rgcost.fpgroup.chains import (
     sl2z_images,
     trend_summary,
 )
-from rgcost.fpgroup.coset import EnumerationLimit
 from rgcost.fpgroup.lowindex import _has_translations, low_index_normal
 from rgcost.fpgroup.presentation import Presentation, parse_presentation
 
@@ -43,14 +42,6 @@ class TestImageBuilders:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_projective_order_matches_enumeration(self, n):
         assert sl2_order(n, projective=True) == len(psl2z_images(n)["a"])
-
-    def test_order_rejects_small_modulus(self):
-        with pytest.raises(ValueError):
-            sl2_order(1)
-        with pytest.raises(ValueError, match="modulus must be >= 2"):
-            sl2z_images(1)
-        with pytest.raises(ValueError, match="modulus must be >= 1"):
-            mod_cycle_images(builtin_target("braid3").presentation, 0)
 
     def test_mod_cycle(self):
         b3 = builtin_target("braid3").presentation
@@ -99,28 +90,6 @@ class TestCayleyTable:
         f1 = parse_presentation("gens: a\n")
         with pytest.raises(ValueError):
             cayley_table(f1, {"b": (0,)})
-
-    def test_closure_limit_is_inconclusive(self):
-        f1 = parse_presentation("gens: a\n")
-        cycle = tuple((i + 1) % 50 for i in range(50))
-        with pytest.raises(EnumerationLimit):
-            cayley_table(f1, {"a": cycle}, limit=10)
-
-    def test_limit_text_matches_the_closure_stop(self):
-        f1 = parse_presentation("gens: a\n")
-        cycle = tuple((i + 1) % 50 for i in range(50))
-        for table_of, text in (
-                (cayley_table, "50 cosets of the kernel (the action's degree)"),
-                (reference_cayley_table, "49 live cosets")):
-            with pytest.raises(EnumerationLimit) as exc:
-                table_of(f1, {"a": cycle}, limit=49)
-            assert str(exc.value) == f"coset limit exceeded: {text} (limit 49)"
-        assert cayley_table(f1, {"a": cycle}, limit=50).index == 50
-
-    def test_limit_comes_before_the_image_checks(self):
-        f1 = parse_presentation("gens: a\n")
-        with pytest.raises(EnumerationLimit):
-            cayley_table(f1, {"a": (0, 0, 0)}, limit=2)
 
 
 def permutation_lists(max_degree):
@@ -307,11 +276,10 @@ class TestRgSequence:
             expected = 1 + s.index * sym
             assert s.d_lower == s.d_upper == expected
 
-    def test_indices_must_be_nondecreasing(self):
+    def test_rows_follow_listed_order(self):
         sl2z = builtin_target("SL2Z").presentation
         tables = kernel_chain_cayley(sl2z, [sl2z_images(n) for n in (4, 3)])
-        with pytest.raises(ValueError):
-            rg_sequence(sl2z, tables)
+        assert [s.index for s in rg_sequence(sl2z, tables)] == [48, 24]
 
     def test_sample_invariants(self):
         s = make_sample(12, 3, 5)

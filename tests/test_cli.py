@@ -241,7 +241,8 @@ class TestVerifyCommand:
             ["verify", "SL2Z", "--mod", "400", "--coset-limit", "1000"], capsys)
         assert time.perf_counter() - start < 1.0
         assert code == 5
-        assert "inconclusive: congruence level 400 exceeds the coset limit 1000" in out
+        assert ("inconclusive: --mod level 400: SL(2,Z/400) has more elements than the "
+                "coset limit 1000") in out
 
     def test_abelian_kill_past_the_limit_builds_no_image(self, capsys, monkeypatch):
         # a level-k image has degree k, so level 200 is refused before the
@@ -265,7 +266,20 @@ class TestVerifyCommand:
         code, out = run_cli(["verify", target, "--mod", str(level),
                              "--coset-limit", str(order - 1)], capsys)
         assert code == 5
-        assert f"congruence level {level} exceeds the coset limit {order - 1}" in out
+        group = "PSL" if target == "PSL2Z" else "SL"
+        assert (f"--mod level {level}: {group}(2,Z/{level}) has more elements than the "
+                f"coset limit {order - 1}") in out
+
+    def test_levels_need_no_order(self, capsys):
+        # |SL(2,Z/12)| = 1152 is less than |SL(2,Z/11)| = 1320; the rows
+        # follow the listed levels
+        code, out = run_cli(["verify", "SL2Z", "--mod", "11,12"], capsys)
+        assert code == 0
+        lines = out.split("\n")
+        rows = ["1320,111,111,1/12,1/12", "1152,97,97,1/12,1/12", "matches symbolic 1/12"]
+        assert sorted(map(lines.index, rows)) == list(map(lines.index, rows))
+        for argv in (["SL2Z", "--mod", "5,3"], ["braid3", "--abelian-kill", "3,2"]):
+            assert run_cli(["verify", *argv], capsys)[0] == 0
 
     def test_low_index_search_limit_exits_5(self, capsys):
         start = time.perf_counter()
@@ -305,10 +319,6 @@ class TestErrorExits:
          3, "error: inconsistent values at root: "),
         (["verify", "braid3", "--abelian-kill", "30", "--coset-limit", "20"], None,
          5, "inconclusive: coset limit exceeded: "),
-        (["verify", "SL2Z", "--mod", "5,3"], None,
-         2, "error: chain tables must have non-decreasing indices"),
-        (["verify", "braid3", "--abelian-kill", "3,2"], None,
-         2, "error: chain tables must have non-decreasing indices"),
         (["verify", "SL2Z", "--mod", ","], None, 2, "error: --mod lists no levels"),
         (["verify", "braid3", "--abelian-kill", ","], None,
          2, "error: --abelian-kill lists no levels"),
@@ -334,13 +344,23 @@ class TestErrorExits:
          2, "error: choose exactly one of --mod, --abelian-kill, --low-index"),
         (["verify", "SL2Z", "--mod", "3", "--low-index", "2"], None,
          2, "error: choose exactly one of --mod, --abelian-kill, --low-index"),
+        (["verify", "SL2Z", "--mod", "x"], None,
+         2, "error: --mod levels must be integers, not 'x'"),
+        (["verify", "braid3", "--abelian-kill", "2,y"], None,
+         2, "error: --abelian-kill levels must be integers, not 'y'"),
+        (["verify", "FILE", "--mod", "3", "--low-index", "2"], None,
+         2, "error: choose exactly one of --mod, --abelian-kill, --low-index"),
+        (["verify", "FILE", "--mod", "3"], None,
+         2, "error: --mod congruence chains exist only for SL2Z and PSL2Z"),
         (["certify", "FILE", "3"], B4_GRAPH, 2, "error: graph-file targets take no parameter"),
         (["certify", "SL2Z", "3"], None, 2, "error: SL2Z takes no parameter"),
-    ], ids=["hypothesis", "invariant", "limit", "decreasing-mod", "decreasing-abelian-kill",
-            "empty-mod", "empty-abelian-kill", "missing-file", "braid1", "certificate-cap",
-            "braid-cap", "negative-coset-limit-abelian-kill", "negative-coset-limit-mod",
+    ], ids=["hypothesis", "invariant", "limit", "empty-mod", "empty-abelian-kill",
+            "missing-file", "braid1", "certificate-cap", "braid-cap",
+            "negative-coset-limit-abelian-kill", "negative-coset-limit-mod",
             "zero-low-index", "low-index-cap", "zero-abelian-kill", "mod-one",
-            "no-chain-flag", "two-chain-flags", "graph-file-param", "builtin-param"])
+            "no-chain-flag", "two-chain-flags", "non-integer-mod",
+            "non-integer-abelian-kill", "chain-flags-before-file", "mod-target-before-file",
+            "graph-file-param", "builtin-param"])
     def test_exit_code_and_line(self, argv, text, code, line, tmp_path):
         path = tmp_path / "input"
         if text is not None:

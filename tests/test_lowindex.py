@@ -45,16 +45,6 @@ class TestLowIndexNormal:
         for t in low_index_normal(s3, 6):
             t.validate(s3)
 
-    def test_hard_cap(self):
-        f2 = parse_presentation("gens: x y\n")
-        with pytest.raises(ValueError):
-            low_index_normal(f2, 65)
-
-    def test_bad_max_index(self):
-        f2 = parse_presentation("gens: x y\n")
-        with pytest.raises(ValueError):
-            low_index_normal(f2, 0)
-
     def test_deterministic_order(self):
         f2 = parse_presentation("gens: x y\n")
         a = low_index_normal(f2, 3)
