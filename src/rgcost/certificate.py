@@ -36,9 +36,8 @@ ARTIN_CAVEAT = (
 def edge_center_word(label: int) -> int:
     """Exponent k such that (a_v a_w)^k generates the centre of the
     two-generator Artin group on an edge with the given label: label/2
-    when the label is even, the label itself when odd."""
-    if label < 2:
-        raise ValueError(f"edge label {label} < 2")
+    when the label is even, the label itself when odd.  Needs label >= 2,
+    as every graph edge has."""
     return label // 2 if label % 2 == 0 else label
 
 
@@ -594,9 +593,7 @@ BUILTINS = {
 
 def builtin_certificate(name: str, param: int | None = None) -> Certificate:
     """The hand-encoded certificate `name` of `BUILTINS`, built for its
-    parameter."""
-    if name not in BUILTINS:
-        raise ValueError(f"unknown builtin certificate {name!r}")
+    parameter.  Needs `name` in `BUILTINS`, as `cmd_certify` tests first."""
     build, noun, least = BUILTINS[name]
     if noun is None:
         if param is not None:

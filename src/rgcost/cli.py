@@ -10,8 +10,9 @@ gate refuses; 3 hypothesis failure, a `verify` row below the symbolic
 value, or an `expr` node whose values break betti1 - beta0 <= rank
 gradient; 4 the checker rejected a certificate the command wrote, one
 `violation:` line each; 5 a budget refused the run (`LimitExceeded`: a
-coset limit, or a builtin parameter or congruence level past its cap),
-and the line names what it counted and the limit.  With --no-timestamp
+coset limit, a builtin parameter or congruence level past its cap, or a
+level too long for any limit), and the line names what it counted and
+the limit.  With --no-timestamp
 the output is byte-identical across runs for identical inputs.
 
 `cmd_verify` checks every option before it reads the target or builds
@@ -204,8 +205,19 @@ def cmd_certify(args, report: Report):
 def _levels(text: str, flag: str, least: int) -> list[int]:
     levels = []
     for part in filter(None, map(str.strip, text.split(","))):
+        # int() refuses more than sys.get_int_max_str_digits() digits,
+        # leading zeros included, so it reads the digits without those.
+        sign = part[0] if part[0] in "+-" else ""
+        digits = part[len(sign):].lstrip("0")
+        if digits.isdecimal() and 0 < sys.get_int_max_str_digits() < len(digits):
+            if sign == "-":
+                raise ValueError(f"{flag} levels must be >= {least}")
+            # argparse reads --coset-limit through int() too: no limit is
+            # as long as this level.
+            raise ge.LimitExceeded(f"{flag} level of {len(digits)} digits is past "
+                                   "every coset limit")
         try:
-            levels.append(int(part))
+            levels.append(int(sign + digits if digits.isdecimal() else part))
         except ValueError:
             raise ValueError(f"{flag} levels must be integers, not {part!r}") from None
     if not levels:
@@ -292,7 +304,9 @@ def cmd_verify(args, report: Report):
     if below is not None:
         raise ge.InvariantError(f"row at index {below.index} has r_upper {below.r_upper} "
                                 f"below the symbolic rank gradient {sym}")
-    if samples and all(s.r_lower == s.r_upper == sym for s in samples):
+    # Every chain has a row: the gate requires a level, and the low-index
+    # search always finds the whole group.
+    if all(s.r_lower == s.r_upper == sym for s in samples):
         report.add(f"matches symbolic {sym}")
     else:
         report.add(f"symbolic target {sym}")

@@ -135,20 +135,14 @@ def build_trace(g: LabelledGraph, order) -> CoxeterTrace:
 
 def rg_coxeter_planar(g: LabelledGraph) -> tuple[ge.PriceResult, CoxeterTrace]:
     """Rank gradient / betti1 of the Coxeter group of a planar graph with
-    girth >= 6 (infinity allowed), with the elimination-trace cross-check."""
+    girth >= 6 (infinity allowed), with the elimination-trace cross-check.
+    The hypotheses make `reduction_order` complete; `build_trace` refuses
+    an order that is not."""
     gv = girth(g)
     planar = is_planar(g)
     if gv < 6 or not planar:
         raise HypothesisError(gv, planar)
-    order = reduction_order(g)
-    if len(order) < g.num_vertices:
-        # Unreachable under the hypotheses (a planar girth->=6 graph always
-        # has a valence-<=2 vertex); the stuck set's size is reported.
-        raise RuntimeError(
-            f"internal error: no elimination order; stuck subgraph on "
-            f"{g.num_vertices - len(order)} vertices where every vertex has degree >= 3"
-        )
-    trace = build_trace(g, order)
+    trace = build_trace(g, reduction_order(g))
     value = closed_form(g)
     total = trace.total()
     if total != value:

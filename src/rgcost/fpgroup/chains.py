@@ -35,20 +35,18 @@ class RGSample:
     index: int
     d_lower: int
     d_upper: int
-    r_lower: Fraction
-    r_upper: Fraction
 
+    def __post_init__(self):
+        if self.d_lower > self.d_upper:
+            raise ValueError(f"d_lower {self.d_lower} > d_upper {self.d_upper}")
 
-def make_sample(index: int, d_lower: int, d_upper: int) -> RGSample:
-    if d_lower > d_upper:
-        raise ValueError(f"d_lower {d_lower} > d_upper {d_upper}")
-    return RGSample(
-        index=index,
-        d_lower=d_lower,
-        d_upper=d_upper,
-        r_lower=Fraction(d_lower - 1, index),
-        r_upper=Fraction(d_upper - 1, index),
-    )
+    @property
+    def r_lower(self) -> Fraction:
+        return Fraction(self.d_lower - 1, self.index)
+
+    @property
+    def r_upper(self) -> Fraction:
+        return Fraction(self.d_upper - 1, self.index)
 
 
 def _compose(p: Perm, q: Perm) -> Perm:
@@ -63,13 +61,6 @@ def _invert(p: Perm) -> Perm:
     return tuple(out)
 
 
-def _check_perm(p, degree) -> Perm:
-    p = tuple(p)
-    if sorted(p) != list(range(degree)):
-        raise ValueError(f"not a permutation of degree {degree}: {p!r}")
-    return p
-
-
 def cayley_table(pres: Presentation, images: dict[str, Perm]) -> CosetTable:
     """Coset table of the kernel of the map sending generators to the given
     permutations.
@@ -79,15 +70,12 @@ def cayley_table(pres: Presentation, images: dict[str, Perm]) -> CosetTable:
     Schreier graph of point 0: row a holds a.p and a.p^-1 for each
     generator image p.  Checks first that every relator maps to the
     identity permutation (NotHomomorphism otherwise); an action that is not
-    transitive, or transitive but not regular, raises ValueError.  The
-    caller bounds the degree: the images are already built.
+    transitive, or transitive but not regular, raises ValueError.
+    Needs a generator, and images of exactly `pres.generators` that all
+    permute one range(d), as the builders below give; the caller bounds d.
     """
-    if set(images) != set(pres.generators):
-        raise ValueError("images must cover exactly the presentation's generators")
-    if not pres.generators:
-        return CosetTable(generators=(), rows=((),))
-    degree = len(next(iter(images.values())))
-    gen_perms = [_check_perm(images[name], degree) for name in pres.generators]
+    gen_perms = [images[name] for name in pres.generators]
+    degree = len(gen_perms[0])
     identity = tuple(range(degree))
     inv_perms = [_invert(p) for p in gen_perms]
 
@@ -126,15 +114,17 @@ def rg_sequence(pres: Presentation, tables) -> list[RGSample]:
     for table in tables:
         sub = reidemeister_schreier(pres, table)
         lo, hi = d_bounds(sub)
-        samples.append(make_sample(table.index, lo, hi))
+        samples.append(RGSample(table.index, lo, hi))
     return samples
 
 
 def trend_summary(samples) -> str:
-    if not samples:
-        return "no samples"
-    non_increasing = all(a.r_upper >= b.r_upper for a, b in zip(samples, samples[1:]))
-    last = samples[-1]
+    """The r_upper trend and the last interval, reading the samples in
+    index order (a stable sort), not in the order listed.  Needs at least
+    one sample."""
+    chain = sorted(samples, key=lambda s: s.index)
+    non_increasing = all(a.r_upper >= b.r_upper for a, b in zip(chain, chain[1:]))
+    last = chain[-1]
     return (
         f"r_upper {'non-increasing' if non_increasing else 'not monotone'}; "
         f"final interval [{last.r_lower}, {last.r_upper}] at index {last.index}"

@@ -23,11 +23,10 @@ class SNFResult:
 
 
 def smith_normal_form(matrix) -> SNFResult:
+    """Needs a rectangular matrix, as `rewrite.relation_matrix` builds."""
     m = [[int(x) for x in row] for row in matrix]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
-    if any(len(row) != ncols for row in m):
-        raise ValueError("matrix rows must have equal length")
 
     factors: list[int] = []
     t = 0

@@ -412,7 +412,7 @@ def _check_node(name: str, cost, betti, order: GroupOrder | None) -> None:
 def _price(e: GroupExpr, kids: list[tuple], path):
     """(cost, betti1, order, [(rule, text)]) of one node, from its
     evaluated children's (cost, betti1, order) in `kids`.  The order is
-    None when it is undetermined."""
+    None when it is undetermined.  Needs one of the twelve node kinds above."""
     if isinstance(e, TrivialGroup):
         return Fraction(0), Fraction(0), GroupOrder(1), [("finite-price", "cost 0, betti1 0")]
 
@@ -486,12 +486,10 @@ def _price(e: GroupExpr, kids: list[tuple], path):
         if known:
             lg, rg = lc - 1, rc - 1
             note = f"; gradient sum route {lg} + {rg} + 1/{m} = {lg + rg + Fraction(1, m)} agrees"
-    elif isinstance(e, AmalgamAmenable):
+    else:  # AmalgamAmenable, the last node kind
         lo, ro, sub = e.left_order, e.right_order, e.amalgam_order
         witnessed = is_known(kids[2][1]) and kids[2][1] == 0
         note = f" (declared orders {lo}, {ro}, {sub})"
-    else:
-        raise TypeError(f"unsupported expression node {type(e).__name__}")
     order = None if _degenerate_amalgam(lo, ro, sub) else INFINITE
     if not witnessed:
         reason = (f"amalgam subgroup {_ref(e.amalgam, path, 'amalgam')} "

@@ -8,9 +8,9 @@ from conftest import brute_sl2_order, reference_cayley_table
 from rgcost.fpgroup.builtins import builtin_target
 from rgcost.fpgroup.chains import (
     NotHomomorphism,
+    RGSample,
     cayley_table,
     kernel_chain_cayley,
-    make_sample,
     mod_cycle_images,
     psl2z_images,
     rg_sequence,
@@ -50,6 +50,32 @@ class TestImageBuilders:
         assert set(images) == {"s1", "s2"}
 
 
+def _assert_images_of(pres, images):
+    """What cayley_table needs: images of exactly the generators, each a
+    permutation of one range(d)."""
+    assert pres.generators and list(images) == list(pres.generators)
+    degree = len(images[pres.generators[0]])
+    assert all(sorted(p) == list(range(degree)) for p in images.values())
+
+
+class TestImagePreconditions:
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_sl2z(self, n):
+        _assert_images_of(builtin_target("SL2Z").presentation, sl2z_images(n))
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_psl2z(self, n):
+        _assert_images_of(builtin_target("PSL2Z").presentation, psl2z_images(n))
+
+    @pytest.mark.parametrize("pres", [
+        builtin_target("braid3").presentation, builtin_target("braid5").presentation,
+        parse_presentation("gens: x y z\nrel: x y X Y\nrel: z x z X\n")],
+        ids=["braid3", "braid5", "file"])
+    def test_mod_cycles(self, pres):
+        for k in range(1, 65):
+            _assert_images_of(pres, mod_cycle_images(pres, k))
+
+
 class TestCayleyTable:
     def test_sl2z_mod3_kernel_index(self):
         sl2z = builtin_target("SL2Z").presentation
@@ -77,19 +103,6 @@ class TestCayleyTable:
                 rejected += 1
         # every single transposition of a generator image breaks a relator
         assert rejected == 20
-
-    def test_rejects_non_permutation(self):
-        f1 = parse_presentation("gens: a\n")
-        with pytest.raises(ValueError):
-            cayley_table(f1, {"a": (0, 0)})
-
-    def test_no_generators(self):
-        assert cayley_table(Presentation([], []), {}).index == 1
-
-    def test_rejects_wrong_generator_set(self):
-        f1 = parse_presentation("gens: a\n")
-        with pytest.raises(ValueError):
-            cayley_table(f1, {"b": (0,)})
 
 
 def permutation_lists(max_degree):
@@ -282,30 +295,40 @@ class TestRgSequence:
         assert [s.index for s in rg_sequence(sl2z, tables)] == [48, 24]
 
     def test_sample_invariants(self):
-        s = make_sample(12, 3, 5)
+        s = RGSample(12, 3, 5)
         assert s.r_lower == Fraction(2, 12) == Fraction(1, 6)
         assert s.r_upper == Fraction(4, 12) == Fraction(1, 3)
         with pytest.raises(ValueError):
-            make_sample(12, 5, 3)
+            RGSample(12, 5, 3)
 
     def test_trend_summary(self):
-        samples = [make_sample(1, 1, 2), make_sample(2, 2, 2)]
+        samples = [RGSample(1, 1, 2), RGSample(2, 2, 2)]
         assert "non-increasing" in trend_summary([samples[0], samples[1]])
-        up = [make_sample(1, 1, 1), make_sample(2, 2, 9)]
+        up = [RGSample(1, 1, 1), RGSample(2, 2, 9)]
         assert "not monotone" in trend_summary(up)
-        assert trend_summary([]) == "no samples"
+        # the trend reads index order: SL2Z --mod 5,3 lists index 120 first
+        rows = [RGSample(120, 11, 11), RGSample(24, 3, 3)]
+        assert trend_summary(rows) == ("r_upper non-increasing; final interval "
+                                       "[1/12, 1/12] at index 120")
+        # braid3 --abelian-kill 3,2: r_upper 2/3 at index 3, 1/2 at index 2
+        rows = [RGSample(3, 3, 3), RGSample(2, 2, 2)]
+        assert trend_summary(rows) == ("r_upper not monotone; final interval "
+                                       "[2/3, 2/3] at index 3")
+        # equal indices keep their listed order
+        tie = [RGSample(4, 1, 5), RGSample(4, 2, 2)]
+        assert trend_summary(tie).endswith("[1/4, 1/4] at index 4")
 
 
 class TestCsv:
     def test_round_trip(self):
-        samples = [make_sample(24, 3, 3), make_sample(48, 5, 5)]
+        samples = [RGSample(24, 3, 3), RGSample(48, 5, 5)]
         text = samples_to_csv(samples)
         lines = text.strip().split("\n")
         assert lines[0] == "index,d_lower,d_upper,r_lower,r_upper"
         parsed = []
         for line in lines[1:]:
             index, dl, du, rl, ru = line.split(",")
-            parsed.append(make_sample(int(index), int(dl), int(du)))
+            parsed.append(RGSample(int(index), int(dl), int(du)))
             assert Fraction(rl) == parsed[-1].r_lower
             assert Fraction(ru) == parsed[-1].r_upper
         assert parsed == samples

@@ -181,13 +181,13 @@ class TestVerifyCommand:
         # d(H) - 1 >= [G:H](cost - 1), so a forged d_upper of 4 at index 48
         # (r_upper 1/16 < 1/12) refutes the engine or the symbolic value
         import rgcost.cli as cli_mod
-        from rgcost.fpgroup.chains import make_sample
+        from rgcost.fpgroup.chains import RGSample
 
         real = cli_mod.rg_sequence
 
         def forged(pres, tables):
             rows = real(pres, tables)
-            return rows[:-1] + [make_sample(rows[-1].index, 4, 4)]
+            return rows[:-1] + [RGSample(rows[-1].index, 4, 4)]
 
         monkeypatch.setattr(cli_mod, "rg_sequence", forged)
         code, out = run_cli(["verify", "SL2Z", "--mod", "3,4"], capsys)
@@ -279,6 +279,18 @@ class TestVerifyCommand:
         rows = ["1320,111,111,1/12,1/12", "1152,97,97,1/12,1/12", "matches symbolic 1/12"]
         assert sorted(map(lines.index, rows)) == list(map(lines.index, rows))
 
+    @pytest.mark.parametrize("argv,trend", [
+        (["verify", "SL2Z", "--mod", "5,3"],
+         "trend: r_upper non-increasing; final interval [1/12, 1/12] at index 120"),
+        (["verify", "braid3", "--abelian-kill", "3,2"],
+         "trend: r_upper not monotone; final interval [2/3, 2/3] at index 3"),
+    ], ids=["mod", "abelian-kill"])
+    def test_trend_reads_index_order(self, argv, trend, capsys):
+        # the rows print in listed order; the trend reads them by index
+        code, out = run_cli(argv, capsys)
+        assert code == 0
+        assert trend in out.split("\n")
+
     def test_low_index_search_limit_exits_5(self, capsys):
         start = time.perf_counter()
         code, out = run_cli(
@@ -350,6 +362,10 @@ class TestErrorExits:
          2, "error: --mod levels must be integers, not 'x'"),
         (["verify", "braid3", "--abelian-kill", "2,y"], None,
          2, "error: --abelian-kill levels must be integers, not 'y'"),
+        (["verify", "SL2Z", "--mod", "1" * 5000], None,
+         5, "inconclusive: --mod level of 5000 digits is past every coset limit"),
+        (["verify", "braid3", "--abelian-kill", "2,+" + "0" * 9 + "1" * 5000], None,
+         5, "inconclusive: --abelian-kill level of 5000 digits is past every coset limit"),
         (["verify", "FILE", "--mod", "3", "--low-index", "2"], None,
          2, "error: choose exactly one of --mod, --abelian-kill, --low-index"),
         (["verify", "FILE", "--mod", "3"], None,
@@ -361,7 +377,8 @@ class TestErrorExits:
             "braid-cap", "negative-coset-limit-abelian-kill", "negative-coset-limit-mod",
             "zero-low-index", "low-index-cap", "zero-abelian-kill", "mod-one",
             "no-chain-flag", "two-chain-flags", "non-integer-mod",
-            "non-integer-abelian-kill", "chain-flags-before-file", "mod-target-before-file",
+            "non-integer-abelian-kill", "overlong-mod", "overlong-abelian-kill",
+            "chain-flags-before-file", "mod-target-before-file",
             "graph-file-param", "builtin-param"])
     def test_exit_code_and_line(self, argv, text, code, line, tmp_path):
         path = tmp_path / "input"

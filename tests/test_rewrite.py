@@ -543,3 +543,15 @@ class TestSimplifiedAbelianization:
     @given(finite_index_subgroups())
     def test_invariants_survive_tietze(self, sub):
         assert abelian_invariants(sub) == abelian_invariants(tietze_simplify(sub))
+
+
+class TestDBounds:
+    """RGSample's d_lower <= d_upper holds for every presentation."""
+
+    @PROPERTY
+    @given(st.one_of(random_presentations(), finite_index_subgroups(),
+                     power_relator_subgroups().map(
+                         lambda case: reidemeister_schreier(*case))))
+    def test_lower_at_most_upper(self, pres):
+        lo, hi = d_bounds(pres)
+        assert 0 <= lo <= hi
