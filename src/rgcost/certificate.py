@@ -578,8 +578,8 @@ def _outfn_certificate(n: int) -> Certificate:
 
 
 # Each builtin's builder, the noun of its parameter (None: it takes none)
-# and the least parameter value.  A parameter above PARAM_CAP is refused
-# before anything is built: a certificate grows with its parameter.
+# and the least parameter value.  `cmd_certify` refuses a parameter above
+# PARAM_CAP before anything is built: a certificate grows with its parameter.
 PARAM_CAP = 1000
 BUILTINS = {
     "SL2Z": (_sl2z_certificate, None, None),
@@ -593,18 +593,12 @@ BUILTINS = {
 
 def builtin_certificate(name: str, param: int | None = None) -> Certificate:
     """The hand-encoded certificate `name` of `BUILTINS`, built for its
-    parameter.  Needs `name` in `BUILTINS`, as `cmd_certify` tests first."""
-    build, noun, least = BUILTINS[name]
-    if noun is None:
-        if param is not None:
-            raise ValueError(f"{name} takes no parameter")
-        return build()
-    if param is None or param < least:
-        raise ValueError(f"{name} requires a {noun} parameter >= {least}")
-    if param > PARAM_CAP:
-        raise LimitExceeded(
-            f"{name} {noun} {param} exceeds the builtin certificate cap {PARAM_CAP}")
-    return build(param)
+    parameter.  Needs `name` in `BUILTINS`, and `param` None for a builtin
+    that takes no parameter, else least <= param <= PARAM_CAP: the command
+    line is checked once, where it is read (`cmd_certify`), and nothing
+    here checks it again."""
+    build, noun, _ = BUILTINS[name]
+    return build() if noun is None else build(param)
 
 
 # ---------------------------------------------------------------------------
@@ -713,11 +707,6 @@ def certificate_to_json(cert: Certificate) -> str:
 def certificate_from_json(text: str) -> Certificate:
     doc = json.loads(text)
     fmt = doc.get("format") if isinstance(doc, dict) else None
-    if fmt == "rgcost-certificate/1":
-        raise ValueError(
-            "certificate format 'rgcost-certificate/1' is no longer read; re-run "
-            f"`rgcost certify` (or `rgcost artin --certify`) to write {FORMAT}"
-        )
     if fmt != FORMAT:
         raise ValueError(f"unsupported certificate format {fmt!r}")
     entries = doc.get("nodes")

@@ -5,19 +5,20 @@ traces, CSV) are written only through explicit output flags.  A command
 returns nothing when it succeeds and raises when it fails; `main` alone
 maps the exception's class to an exit code (`_ERRORS`), the same way for
 every command: 0 success; 2 input/parse error, an input file that cannot
-be read, an output file that cannot be written, or a `verify` option its
-gate refuses; 3 hypothesis failure, a `verify` row below the symbolic
-value, or an `expr` node whose values break betti1 - beta0 <= rank
-gradient; 4 the checker rejected a certificate the command wrote, one
-`violation:` line each; 5 a budget refused the run (`LimitExceeded`: a
-coset limit, a builtin parameter or congruence level past its cap, or a
-level too long for any limit), and the line names what it counted and
-the limit.  With --no-timestamp
-the output is byte-identical across runs for identical inputs.
+be read, an output file that cannot be written, or an option its command
+refuses; 3 hypothesis failure, a `verify` row below the symbolic value,
+or an `expr` node whose values break betti1 - beta0 <= rank gradient; 4
+the checker rejected a certificate the command wrote, one `violation:`
+line each; 5 a budget refused the run (`LimitExceeded`: a count past its
+cap, `--low-index` included, a count too long for any limit, or a coset
+limit reached), and the line names what it counted and the limit.  With
+--no-timestamp the output is byte-identical across runs for identical
+inputs.
 
 `cmd_verify` checks every option before it reads the target or builds
 any quotient: the `fpgroup` engine takes what passes as given and checks
-none of it again.
+none of it again.  Every count on the command line goes through
+`groupexpr.read_count`.
 
 A command loads only the engine it runs: `artin` and `certify` load
 `certificate`, `coxeter` loads `coxeter` and `verify` loads `fpgroup`, so
@@ -183,8 +184,14 @@ def cmd_certify(args, report: Report):
     from . import certificate as cert_mod
     name = args.target
     if name in cert_mod.BUILTINS:
-        certificate = cert_mod.builtin_certificate(name, args.param)
-        out_path = args.out or f"{name}{'' if args.param is None else args.param}.cert.json"
+        _, noun, least = cert_mod.BUILTINS[name]
+        if (noun is None) != (args.param is None):
+            raise ValueError(f"{name} takes no parameter" if noun is None else
+                             f"{name} requires a {noun} parameter >= {least}")
+        param = None if noun is None else ge.read_count(
+            args.param, f"{name} {noun}", least, cert_mod.PARAM_CAP)
+        certificate = cert_mod.builtin_certificate(name, param)
+        out_path = args.out or f"{name}{'' if param is None else param}.cert.json"
     else:
         if args.param is not None:
             raise ValueError("graph-file targets take no parameter")
@@ -203,27 +210,10 @@ def cmd_certify(args, report: Report):
 
 
 def _levels(text: str, flag: str, least: int) -> list[int]:
-    levels = []
-    for part in filter(None, map(str.strip, text.split(","))):
-        # int() refuses more than sys.get_int_max_str_digits() digits,
-        # leading zeros included, so it reads the digits without those.
-        sign = part[0] if part[0] in "+-" else ""
-        digits = part[len(sign):].lstrip("0")
-        if digits.isdecimal() and 0 < sys.get_int_max_str_digits() < len(digits):
-            if sign == "-":
-                raise ValueError(f"{flag} levels must be >= {least}")
-            # argparse reads --coset-limit through int() too: no limit is
-            # as long as this level.
-            raise ge.LimitExceeded(f"{flag} level of {len(digits)} digits is past "
-                                   "every coset limit")
-        try:
-            levels.append(int(sign + digits if digits.isdecimal() else part))
-        except ValueError:
-            raise ValueError(f"{flag} levels must be integers, not {part!r}") from None
+    levels = [ge.read_count(part, f"{flag} level", least)
+              for part in text.split(",") if part.strip()]
     if not levels:
         raise ValueError(f"{flag} lists no levels")
-    if min(levels) < least:
-        raise ValueError(f"{flag} levels must be >= {least}")
     return levels
 
 
@@ -231,18 +221,12 @@ def cmd_verify(args, report: Report):
     # The gate: every option is checked before the target is read or any
     # quotient is built, so the engine below takes its inputs as given.
     cli = sys.modules[__name__]  # the engine's names, through __getattr__
-    limit = args.coset_limit
-    if limit < 1:
-        raise ValueError("--coset-limit must be >= 1")
+    limit = ge.read_count(args.coset_limit, "--coset-limit", 1)
     chain_flags = sum(map(bool, (args.mod, args.abelian_kill, args.low_index is not None)))
     if chain_flags != 1 and not args.dump_presentation:
         raise ValueError("choose exactly one of --mod, --abelian-kill, --low-index")
     if args.low_index is not None:
-        if args.low_index < 1:
-            raise ValueError("--low-index must be >= 1")
-        if args.low_index > cli.HARD_CAP:
-            raise ValueError(
-                f"--low-index {args.low_index} exceeds the hard cap {cli.HARD_CAP}")
+        max_index = ge.read_count(args.low_index, "--low-index", 1, cli.HARD_CAP)
     if args.mod:
         levels = _levels(args.mod, "--mod", 2)
     elif args.abelian_kill:
@@ -283,7 +267,7 @@ def cmd_verify(args, report: Report):
     elif args.abelian_kill:
         tables = cli.kernel_chain_cayley(pres, [cli.mod_cycle_images(pres, k) for k in levels])
     else:
-        tables = cli.low_index_normal(pres, args.low_index, limit=limit)
+        tables = cli.low_index_normal(pres, max_index, limit=limit)
     samples = cli.rg_sequence(pres, tables)
 
     csv_text = cli.samples_to_csv(samples)
@@ -352,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="build and check a certificate")
     p.add_argument("target", help=_Listing(
         "certificate", lambda m: f"builtin ({', '.join(m.BUILTINS)}) or a graph file"))
-    p.add_argument("param", nargs="?", type=int, default=None, help=_Listing(
+    p.add_argument("param", nargs="?", help=_Listing(
         "certificate", lambda m: "parameter for " + "/".join(
             name for name, (_, noun, _) in m.BUILTINS.items() if noun)))
     p.add_argument("--out", metavar="PATH", help="output path for the certificate")
@@ -363,10 +347,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mod", metavar="LIST", help="congruence levels, e.g. 3,4,5")
     p.add_argument("--abelian-kill", metavar="LIST",
                    help="kill the total exponent mod each k in the list")
-    p.add_argument("--low-index", metavar="N", type=int, default=None,
+    p.add_argument("--low-index", metavar="N",
                    help="use all normal subgroups of index <= N")
-    p.add_argument("--coset-limit", metavar="N", type=int, default=100_000,
-                   help="coset cap for enumerations and the low-index search "
+    p.add_argument("--coset-limit", metavar="N", default="100000",
+                   help="cap on enumerated cosets and on low-index search nodes "
                         "(default 100000)")
     p.add_argument("--csv", metavar="PATH", help="also write the sample rows as CSV")
     p.add_argument("--dump-presentation", action="store_true",

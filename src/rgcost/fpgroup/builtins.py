@@ -8,10 +8,9 @@ path with all labels 3.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
-from ..groupexpr import AmalgamFinite, ArtinGraph, Cyclic, GroupExpr, LimitExceeded
+from ..groupexpr import AmalgamFinite, ArtinGraph, Cyclic, GroupExpr, read_count
 from ..lgraph import LabelledGraph
 from .presentation import Presentation, artin_presentation
 
@@ -24,8 +23,6 @@ _FIXED = {
 }
 
 TARGET_HINT = ", ".join([*_FIXED, "braidN"])
-
-_BRAID_RE = re.compile(r"^braid([0-9]+)$")
 
 # The most strands a `braidN` target may have: its presentation is built
 # whole, before any limit of the chain applies.
@@ -70,10 +67,8 @@ def braid_graph(n: int) -> LabelledGraph:
     n >= 4 it is not: an absent edge means no relation here, so the
     far-commutation relations s_i s_j = s_j s_i (|i - j| >= 2) are
     missing.  For example, the index-2 kernel of braid5 has
-    H1 = Z + (Z/3)^3.
+    H1 = Z + (Z/3)^3.  Needs n >= 2, which `builtin_target` reads.
     """
-    if n < 2:
-        raise ValueError("braid groups need at least 2 strands")
     vertices = [f"s{i}" for i in range(1, n)]
     edges = [(vertices[i], vertices[i + 1], 3) for i in range(len(vertices) - 1)]
     return LabelledGraph(vertices, edges)
@@ -81,15 +76,12 @@ def braid_graph(n: int) -> LabelledGraph:
 
 def builtin_target(name: str) -> BuiltinTarget | None:
     """The built-in target called `name`, or None if there is none."""
+    strands = name[5:]
     if name in _FIXED:
         expr, psl = _FIXED[name]
-    else:
-        m = _BRAID_RE.match(name)
-        if m is None:
-            return None
-        n = int(m.group(1))
-        if n > STRAND_CAP:
-            raise LimitExceeded(
-                f"{name} has {n} strands, above the builtin target cap {STRAND_CAP}")
+    elif name[:5] == "braid" and strands.isascii() and strands.isdigit():
+        n = read_count(strands, "braidN strand count", 2, STRAND_CAP)
         expr, psl = ArtinGraph(braid_graph(n)), None
+    else:
+        return None
     return BuiltinTarget(presentation_of(expr), expr, psl)

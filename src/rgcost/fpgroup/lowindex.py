@@ -39,11 +39,12 @@ phi_a and its inverse for every coset a and grows them from the entries
 filled at the node, recording the new pairs on a second trail, and builds
 a map in full only for a newly opened coset.
 
-Budget.  The search counts every coset it opens, summed over all
-branches, and raises EnumerationLimit (inconclusive) when that count
-would pass the limit.  The queue and the trail change how a node is
-closed, not which nodes exist, so the count is that of the rescanning
-search they replaced.
+Budget.  The search counts every node it enters (each candidate tried),
+summed over all branches, and raises EnumerationLimit (inconclusive) when
+that count would pass the limit; each node is one closure, so the count
+bounds the work.  The queue and the trail change how a node is closed,
+not which nodes exist, so the count is that of the rescanning search
+they replaced.
 """
 
 from __future__ import annotations
@@ -59,8 +60,8 @@ def low_index_normal(pres: Presentation, max_index: int,
                      limit: int = 100_000) -> list[CosetTable]:
     """All normal subgroups of index <= max_index, as coset tables sorted
     by (index, table).  Index 1 (the whole group) is included.  Raises
-    EnumerationLimit when the search would open more than limit cosets.
-    Needs 1 <= max_index <= HARD_CAP, which the caller checks."""
+    EnumerationLimit past limit nodes (candidates tried; the root is not
+    one).  Needs 1 <= max_index <= HARD_CAP, which the caller checks."""
     ncols = 2 * pres.num_generators
     whole = [(cols, tuple(map(inv_col, cols)))
              for cols in map(word_to_cols, pres.relators) if cols]
@@ -72,7 +73,7 @@ def low_index_normal(pres: Presentation, max_index: int,
     maps = [None] * max_index  # (phi, psi) of the translation 0 -> a at a
     stack = []        # choice points [alpha, col, candidates, next, marks, n]
     out = []
-    opened = n = 1
+    nodes, n = 0, 1
     alive = _deduce(table, trail, [(0, whole)], rotations)
     alpha = 0
     while True:
@@ -87,10 +88,6 @@ def low_index_normal(pres: Presentation, max_index: int,
                 alpha, col = hole
                 candidates = [b for b in range(n) if table[b][col ^ 1] is None]
                 if n < max_index:
-                    opened += 1
-                    if opened > limit:
-                        raise EnumerationLimit(opened, limit,
-                                               "cosets opened by the low-index search")
                     candidates.append(n)
                 stack.append([alpha, col, candidates, 0, len(trail), len(grown), n])
         while stack:
@@ -104,6 +101,9 @@ def low_index_normal(pres: Presentation, max_index: int,
             break
         beta = candidates[k]
         point[3] = k + 1
+        nodes += 1
+        if nodes > limit:
+            raise EnumerationLimit(nodes, limit, "low-index search nodes")
 
         table[alpha][col] = beta
         table[beta][col ^ 1] = alpha

@@ -27,7 +27,8 @@ from rgcost.certificate import (
     lickorish_sequence,
     rg_artin,
 )
-from rgcost.groupexpr import ArtinGraph, LimitExceeded, evaluate
+from rgcost.cli import main
+from rgcost.groupexpr import ArtinGraph, evaluate
 from rgcost.lgraph import LabelledGraph, components, parse_graph
 
 
@@ -254,25 +255,32 @@ class TestBuiltins:
         cert = builtin_certificate("AutF2")
         assert check_certificate(cert).valid
 
-    @pytest.mark.parametrize("name,param", [
-        ("MCG", 1), ("AutFn", 1), ("OutFn", 2), ("BnModCenter", 3),
-        ("MCG", None), ("SL2Z", 3),
-    ])
-    def test_out_of_range(self, name, param):
-        with pytest.raises(ValueError):
-            builtin_certificate(name, param)
+    # The command line is read once, by `cmd_certify`, so the range and the
+    # cap are refused there, before `builtin_certificate` is called.
+    @pytest.mark.parametrize("name,param,line", [
+        ("MCG", 1, "error: MCG genus must be >= 2"),
+        ("AutFn", 1, "error: AutFn rank must be >= 2"),
+        ("OutFn", 2, "error: OutFn rank must be >= 3"),
+        ("BnModCenter", 3, "error: BnModCenter strand must be >= 4"),
+        ("MCG", None, "error: MCG requires a genus parameter >= 2"),
+        ("SL2Z", 3, "error: SL2Z takes no parameter"),
+    ], ids=["MCG-1", "AutFn-1", "OutFn-2", "BnModCenter-3", "MCG-None", "SL2Z-3"])
+    def test_out_of_range(self, name, param, line, capsys):
+        argv = ["--no-timestamp", "certify", name] + ([] if param is None else [str(param)])
+        assert main(argv) == 2
+        assert capsys.readouterr().out.split("\n")[-2] == line
 
     @pytest.mark.parametrize("name", ["MCG", "AutFn", "OutFn", "BnModCenter"])
-    def test_parameter_above_the_cap_builds_nothing(self, name, monkeypatch):
+    def test_parameter_above_the_cap_builds_nothing(self, name, monkeypatch, capsys):
         def build(param):
             raise AssertionError(f"built {name} {param}")
 
         _, noun, least = BUILTINS[name]
         monkeypatch.setitem(BUILTINS, name, (build, noun, least))
         for param in (PARAM_CAP + 1, 99_999_999_999):
-            with pytest.raises(LimitExceeded, match=f"{name} {noun} {param} exceeds "
-                                                    f"the builtin certificate cap {PARAM_CAP}"):
-                builtin_certificate(name, param)
+            assert main(["--no-timestamp", "certify", name, str(param)]) == 5
+            assert capsys.readouterr().out.split("\n")[-2] == (
+                f"inconclusive: {name} {noun} {param} exceeds the cap {PARAM_CAP}")
 
     def test_parameter_at_the_cap(self):
         assert check_certificate(builtin_certificate("BnModCenter", PARAM_CAP)).valid
@@ -302,7 +310,8 @@ class TestJson:
         old = ('{"format": "rgcost-certificate/1", "target": "", "claimed_cost": "1", '
                '"citations": [], "caveat": null, "graph": null, '
                '"root": {"kind": "amenable", "cost": "1", "name": "Z", "reason": "r"}}')
-        with pytest.raises(ValueError, match=r"rgcost-certificate/1.*re-run `rgcost certify`"):
+        with pytest.raises(ValueError,
+                           match=r"^unsupported certificate format 'rgcost-certificate/1'$"):
             certificate_from_json(old)
 
     @pytest.mark.parametrize("nodes,match", [

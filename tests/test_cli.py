@@ -297,8 +297,8 @@ class TestVerifyCommand:
             ["verify", "braid5", "--low-index", "8", "--coset-limit", "100"], capsys)
         assert time.perf_counter() - start < 2.0
         assert code == 5
-        assert ("inconclusive: coset limit exceeded: 101 cosets opened by the "
-                "low-index search (limit 100)") in out
+        assert ("inconclusive: coset limit exceeded: 101 low-index search nodes "
+                "(limit 100)") in out
 
     def test_presentation_file_target(self, tmp_path, capsys):
         path = tmp_path / "b3.pres"
@@ -323,7 +323,8 @@ class TestErrorExits:
     the same way for every command, and never prints a traceback.  One
     input per row of main's table; the ValueError row has several.  The
     decreasing-level rows were refusals once and now exit 0: levels need
-    no order."""
+    no order.  Every refusal is one stdout line of at most 200 bytes, with
+    nothing on stderr, however long the count it quotes."""
 
     @pytest.mark.parametrize("argv,text,code,line", [
         (["coxeter", "FILE"], K4_GRAPH, 3, "hypothesis failed: girth(3) < 6; nonplanar=false"),
@@ -338,40 +339,59 @@ class TestErrorExits:
          2, "error: --abelian-kill lists no levels"),
         (["expr", "FILE"], None, 2, "error: cannot read "),
         (["verify", "braid1", "--abelian-kill", "2"], None,
-         2, "error: braid groups need at least 2 strands"),
+         2, "error: braidN strand count must be >= 2"),
         (["certify", "MCG", "99999999999"], None,
-         5, "inconclusive: MCG genus 99999999999 exceeds the builtin certificate cap 1000"),
+         5, "inconclusive: MCG genus 99999999999 exceeds the cap 1000"),
         (["verify", "braid99999999999", "--low-index", "2"], None,
-         5, "inconclusive: braid99999999999 has 99999999999 strands, "
-            "above the builtin target cap 1000"),
+         5, "inconclusive: braidN strand count 99999999999 exceeds the cap 1000"),
         (["verify", "braid3", "--abelian-kill", "3", "--coset-limit", "-1"], None,
          2, "error: --coset-limit must be >= 1"),
         (["verify", "SL2Z", "--mod", "3", "--coset-limit", "-7"], None,
          2, "error: --coset-limit must be >= 1"),
         (["verify", "braid3", "--low-index", "0"], None, 2, "error: --low-index must be >= 1"),
         (["verify", "braid3", "--low-index", "65"], None,
-         2, "error: --low-index 65 exceeds the hard cap 64"),
+         5, "inconclusive: --low-index 65 exceeds the cap 64"),
         (["verify", "braid3", "--abelian-kill", "2,0"], None,
-         2, "error: --abelian-kill levels must be >= 1"),
-        (["verify", "SL2Z", "--mod", "1"], None, 2, "error: --mod levels must be >= 2"),
+         2, "error: --abelian-kill level must be >= 1"),
+        (["verify", "SL2Z", "--mod", "1"], None, 2, "error: --mod level must be >= 2"),
         (["verify", "SL2Z"], None,
          2, "error: choose exactly one of --mod, --abelian-kill, --low-index"),
         (["verify", "SL2Z", "--mod", "3", "--low-index", "2"], None,
          2, "error: choose exactly one of --mod, --abelian-kill, --low-index"),
         (["verify", "SL2Z", "--mod", "x"], None,
-         2, "error: --mod levels must be integers, not 'x'"),
+         2, "error: --mod level must be an integer, not 'x'"),
         (["verify", "braid3", "--abelian-kill", "2,y"], None,
-         2, "error: --abelian-kill levels must be integers, not 'y'"),
+         2, "error: --abelian-kill level must be an integer, not 'y'"),
         (["verify", "SL2Z", "--mod", "1" * 5000], None,
-         5, "inconclusive: --mod level of 5000 digits is past every coset limit"),
+         5, "inconclusive: --mod level of 5000 digits is past every limit"),
         (["verify", "braid3", "--abelian-kill", "2,+" + "0" * 9 + "1" * 5000], None,
-         5, "inconclusive: --abelian-kill level of 5000 digits is past every coset limit"),
+         5, "inconclusive: --abelian-kill level of 5000 digits is past every limit"),
         (["verify", "FILE", "--mod", "3", "--low-index", "2"], None,
          2, "error: choose exactly one of --mod, --abelian-kill, --low-index"),
         (["verify", "FILE", "--mod", "3"], None,
          2, "error: --mod congruence chains exist only for SL2Z and PSL2Z"),
         (["certify", "FILE", "3"], B4_GRAPH, 2, "error: graph-file targets take no parameter"),
         (["certify", "SL2Z", "3"], None, 2, "error: SL2Z takes no parameter"),
+        (["certify", "MCG", "9" * 5000], None,
+         5, "inconclusive: MCG genus of 5000 digits exceeds the cap 1000"),
+        (["verify", "braid" + "9" * 5000, "--low-index", "2"], None,
+         5, "inconclusive: braidN strand count of 5000 digits exceeds the cap 1000"),
+        (["verify", "braid3", "--low-index", "9" * 5000], None,
+         5, "inconclusive: --low-index of 5000 digits exceeds the cap 64"),
+        (["verify", "braid3", "--abelian-kill", "3", "--coset-limit", "9" * 5000], None,
+         5, "inconclusive: --coset-limit of 5000 digits is past every limit"),
+        (["verify", "braid3", "--low-index", "x"], None,
+         2, "error: --low-index must be an integer, not 'x'"),
+        (["verify", "braid3", "--abelian-kill", "3", "--coset-limit", "x" * 5000], None,
+         2, "error: --coset-limit must be an integer, not 'xxxxxxxxxxxxxxxxxxxx...'"),
+        (["verify", "SL2Z", "--mod", "\u0663"], None,
+         2, "error: --mod level must be an integer, not '\u0663'"),
+        (["verify", "braid3", "--abelian-kill", "1_0"], None,
+         2, "error: --abelian-kill level must be an integer, not '1_0'"),
+        (["verify", "braid3", "--low-index", "1_0"], None,
+         2, "error: --low-index must be an integer, not '1_0'"),
+        (["certify", "MCG", "\u0663"], None,
+         2, "error: MCG genus must be an integer, not '\u0663'"),
     ], ids=["hypothesis", "invariant", "limit", "decreasing-mod", "decreasing-abelian-kill",
             "empty-mod", "empty-abelian-kill", "missing-file", "braid1", "certificate-cap",
             "braid-cap", "negative-coset-limit-abelian-kill", "negative-coset-limit-mod",
@@ -379,7 +399,10 @@ class TestErrorExits:
             "no-chain-flag", "two-chain-flags", "non-integer-mod",
             "non-integer-abelian-kill", "overlong-mod", "overlong-abelian-kill",
             "chain-flags-before-file", "mod-target-before-file",
-            "graph-file-param", "builtin-param"])
+            "graph-file-param", "builtin-param", "overlong-certificate-param",
+            "overlong-braid", "overlong-low-index", "overlong-coset-limit",
+            "non-integer-low-index", "non-integer-coset-limit", "non-ascii-mod",
+            "underscore-abelian-kill", "underscore-low-index", "non-ascii-certificate-param"])
     def test_exit_code_and_line(self, argv, text, code, line, tmp_path):
         path = tmp_path / "input"
         if text is not None:
@@ -388,9 +411,9 @@ class TestErrorExits:
             [sys.executable, "-m", "rgcost.cli", "--no-timestamp",
              *(str(path) if a == "FILE" else a for a in argv)],
             capture_output=True, text=True)
-        assert proc.returncode == code
-        assert proc.stdout.split("\n")[-2].startswith(line)
-        assert "Traceback" not in proc.stderr
+        assert (proc.returncode, proc.stderr) == (code, "")
+        last = proc.stdout.split("\n")[-2]
+        assert last.startswith(line) and len(last.encode()) <= 200
 
     def test_reader_closes_stdout(self, tmp_path):
         """`rgcost expr nest.expr | head -n 1`: the report (about 0.7 MB)

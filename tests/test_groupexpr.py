@@ -1,7 +1,11 @@
 import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import induced, infer_order, random_graph
 from rgcost.groupexpr import (
@@ -18,12 +22,14 @@ from rgcost.groupexpr import (
     GroupExpr,
     GroupOrder,
     IntegersZ,
+    LimitExceeded,
     PriceResult,
     Surface,
     TrivialGroup,
     Unknown,
     evaluate,
     is_known,
+    read_count,
     recip_order,
 )
 from rgcost.lgraph import components, parse_graph
@@ -319,3 +325,67 @@ class TestValueSemantics:
         b = PriceResult(Fraction(1), Fraction(0))
         a.rule_trace.append("x")
         assert (a.rule_trace, b.rule_trace) == (["x"], [])
+
+
+def reference_count(text, least, cap):
+    """What `read_count` gives, by a regular expression and `int()`: the
+    value, or the class of the refusal."""
+    m = re.fullmatch(r" *([+-]?)([0-9]+) *", text)
+    if m is None:
+        return ValueError
+    sign, digits = m.group(1), m.group(2).lstrip("0")
+    if sign == "-" and digits:
+        return ValueError
+    if len(digits) > (sys.get_int_max_str_digits() or len(digits)):
+        return LimitExceeded
+    value = int(digits or "0")
+    if value < least:
+        return ValueError
+    return LimitExceeded if cap is not None and value > cap else value
+
+
+# Text over digits, signs, "_", spaces, "x" and a non-ASCII digit, and
+# signed, zero-padded digit runs on both sides of the conversion limit.
+COUNT_TEXT = st.one_of(
+    st.text(alphabet="0123456789+-_ x\u0663", max_size=5000),
+    st.builds(lambda pad, sign, zeros, digits, end: pad + sign + "0" * zeros + digits + end,
+              st.sampled_from(["", " "]), st.sampled_from(["", "+", "-"]),
+              st.integers(0, 30),
+              st.one_of(st.text("0123456789", max_size=30),
+                        st.integers(4290, 4310).map(lambda n: "7" * n)),
+              st.sampled_from(["", " ", "x"])),
+)
+
+
+class TestReadCount:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(COUNT_TEXT, st.integers(1, 5), st.one_of(st.none(), st.integers(5, 2000)),
+           st.sampled_from(["--abelian-kill level", "BnModCenter strand", "--coset-limit"]))
+    def test_matches_reference(self, text, least, cap, what):
+        expected = reference_count(text, least, cap)
+        try:
+            value = read_count(text, what, least, cap)
+        except (ValueError, LimitExceeded) as exc:
+            assert type(exc) is expected
+            prefix = "error" if expected is ValueError else "inconclusive"
+            line = f"{prefix}: {exc}"
+            assert line.startswith(f"{prefix}: {what} ") and len(line.encode()) <= 200
+        else:
+            assert value == expected
+
+    @pytest.mark.parametrize("text,cap,message", [
+        (" x1 ", None, "--low-index must be an integer, not 'x1'"),
+        ("x" * 21, None, "--low-index must be an integer, not '" + "x" * 20 + "...'"),
+        ("-0" + "1" * 5000, 64, "--low-index must be >= 1"),
+        ("+000", None, "--low-index must be >= 1"),
+        ("65", 64, "--low-index 65 exceeds the cap 64"),
+        ("9" * 21, 64, "--low-index of 21 digits exceeds the cap 64"),
+        ("0" * 9 + "1" * 5000, None, "--low-index of 5000 digits is past every limit"),
+    ])
+    def test_refusal_lines(self, text, cap, message):
+        with pytest.raises((ValueError, LimitExceeded), match=f"^{re.escape(message)}$"):
+            read_count(text, "--low-index", 1, cap)
+
+    def test_reads_signs_padding_and_zeros(self):
+        assert read_count(" +007 ", "n", 1) == 7
+        assert read_count("9" * 20, "n", 1, 10 ** 20) == 10 ** 20 - 1

@@ -119,32 +119,47 @@ class TestSearchBudget:
         assert (exc.value.count, exc.value.limit) == (101, 100)
         assert "low-index search" in str(exc.value)
 
-    def test_limit_counts_the_first_coset(self):
-        # coset 0 counts, so a limit of 1 allows index 1 and nothing more
-        f2 = parse_presentation("gens: x y\n")
-        assert len(low_index_normal(f2, 1, limit=1)) == 1
-        with pytest.raises(EnumerationLimit):
-            low_index_normal(f2, 2, limit=1)
+    def test_limit_counts_every_candidate_not_the_root(self):
+        # the root is not a node entered: a group closed by its relators
+        # alone is found with a limit of 0; F2 at index 1 tries one
+        # candidate at each of its two holes
+        trivial = parse_presentation("gens: x\nrel: x\n")
+        assert len(low_index_normal(trivial, 1, limit=0)) == 1
+        self._assert_nodes(parse_presentation("gens: x y\n"), 1, 2, 1)
+        self._assert_nodes(parse_presentation("gens: x y\n"), 2, 11, 4)
 
     def test_default_limit_has_headroom(self):
-        # braid5 at N = 8 opens fewer than a tenth of the default 100000
+        # braid5 at N = 8 enters fewer than half the default 100000 nodes
         b5 = builtin_target("braid5").presentation
-        assert len(low_index_normal(b5, 8, limit=10_000)) == 21
+        assert len(low_index_normal(b5, 8, limit=50_000)) == 21
 
-    # The number of cosets the search opens pins the size of its tree: a
-    # deduction the closure missed leaves holes to branch on, and so opens
-    # more.  Both boundaries were recorded with the search that rescanned
-    # every relator at every coset until nothing changed.
+    # The number of nodes the search enters pins the size of its tree: a
+    # deduction the closure missed leaves holes to branch on, and so
+    # enters more.  Each count was recorded by counting the candidates
+    # tried by the search before its budget counted nodes, and the
+    # search that rescanned every relator at every coset enters the same.
     @staticmethod
-    def _assert_opens(pres, max_index, opened, found):
-        assert len(low_index_normal(pres, max_index, limit=opened)) == found
+    def _assert_nodes(pres, max_index, nodes, found):
+        assert len(low_index_normal(pres, max_index, limit=nodes)) == found
         with pytest.raises(EnumerationLimit) as exc:
-            low_index_normal(pres, max_index, limit=opened - 1)
-        assert (exc.value.count, exc.value.limit) == (opened, opened - 1)
+            low_index_normal(pres, max_index, limit=nodes - 1)
+        assert (exc.value.count, exc.value.limit) == (nodes, nodes - 1)
+
+    def test_braid3_tree_size(self):
+        self._assert_nodes(builtin_target("braid3").presentation, 14, 936, 17)
 
     def test_braid5_tree_size(self):
-        self._assert_opens(builtin_target("braid5").presentation, 8, 5042, 21)
+        self._assert_nodes(builtin_target("braid5").presentation, 8, 42731, 21)
 
     def test_one_letter_relator_and_powers_tree_size(self):
         pres = parse_presentation("gens: x y z\nrel: Y\nrel: x z x z x z\nrel: z z z z\n")
-        self._assert_opens(pres, 12, 141, 9)
+        self._assert_nodes(pres, 12, 678, 9)
+
+    def test_wide_search_stops_at_the_limit(self):
+        # at N = 2 row 0 chooses each of its 2(n - 1) entries on its own,
+        # so the tree grows like 2^(2(n - 1)) while few cosets open; the
+        # node count stops it at the limit
+        b40 = builtin_target("braid40").presentation
+        with pytest.raises(EnumerationLimit) as exc:
+            low_index_normal(b40, 2, limit=2_000)
+        assert exc.value.count == 2_001
