@@ -21,8 +21,9 @@ import json
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 
-from .groupexpr import LimitExceeded, PriceResult
+from .groupexpr import PriceResult
 from .lgraph import LabelledGraph
+from .numread import LimitExceeded, read_rational
 
 FORMAT = "rgcost-certificate/2"
 
@@ -639,11 +640,10 @@ def _optional(check):
 
 
 # Type check of a decoded JSON value by its field's annotation text (each
-# also as "... | None"), before a fraction is read from its text; children
-# and descriptors are checked as they are built.
+# also as "... | None"); costs are checked as they are read, and children
+# and descriptors as they are built.
 _CHECKS = {
     "str": lambda value: isinstance(value, str),
-    "Fraction": lambda value: isinstance(value, str),
     "int": lambda value: type(value) is int,
     "tuple[str, ...]": _strings,
     "tuple[str, str]": lambda value: _strings(value) and len(value) == 2,
@@ -676,7 +676,7 @@ def _decode(cls, d: dict, children: tuple = ()):
         if check is not None and not check(value):
             raise ValueError(f"field {f.name!r} is {value!r}, not {f.type}")
         if f.type == "Fraction":
-            value = Fraction(value)
+            value = read_rational(value, f"field {f.name!r}")
         elif f.type == "AmalgamDescriptor":
             kind = value.get("kind") if isinstance(value, dict) else None
             if kind != AmalgamDescriptor.kind:
@@ -725,8 +725,9 @@ def certificate_from_json(text: str) -> Certificate:
                     raise ValueError(f"child {c!r} is not an unclaimed earlier node")
                 taken.add(c)
             nodes.append(_decode(KINDS[kind], d, tuple(nodes[c] for c in refs)))
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"certificate node {len(nodes)} ({kind}): {exc}") from None
+        except (TypeError, ValueError, LimitExceeded) as exc:
+            refusal = LimitExceeded if isinstance(exc, LimitExceeded) else ValueError
+            raise refusal(f"certificate node {len(nodes)} ({kind}): {exc}") from None
     if len(taken) != len(nodes) - 1:
         raise ValueError("certificate nodes are not one tree in post-order")
     gd = doc.get("graph")
@@ -737,12 +738,8 @@ def certificate_from_json(text: str) -> Certificate:
                              "{vertices: [str], edges: [[str, str, int]]}")
         graph = LabelledGraph(gd["vertices"], [tuple(e) for e in gd["edges"]])
     root = nodes[-1]
-    claimed = doc.get("claimed_cost")
-    try:
-        matches = isinstance(claimed, str) and Fraction(claimed) == root.cost
-    except (ValueError, ZeroDivisionError):
-        matches = False
-    if not matches:
-        raise ValueError(f"field 'claimed_cost' is {claimed!r}, not the root's cost {root.cost}")
+    claimed = read_rational(doc.get("claimed_cost"), "field 'claimed_cost'")
+    if claimed != root.cost:
+        raise ValueError(f"field 'claimed_cost' is {claimed}, not the root's cost {root.cost}")
     header = {k: doc[k] for k in ("target", "caveat", "citations") if k in doc}
     return _decode(Certificate, {"target": "", **header, "root": root, "graph": graph})

@@ -18,7 +18,7 @@ inputs.
 `cmd_verify` checks every option before it reads the target or builds
 any quotient: the `fpgroup` engine takes what passes as given and checks
 none of it again.  Every count on the command line goes through
-`groupexpr.read_count`.
+`numread.read_count`.
 
 A command loads only the engine it runs: `artin` and `certify` load
 `certificate`, `coxeter` loads `coxeter` and `verify` loads `fpgroup`, so
@@ -36,6 +36,7 @@ import sys
 from . import groupexpr as ge
 from .exprparse import parse_expr_file
 from .lgraph import girth, is_planar, parse_graph
+from .numread import LimitExceeded, read_count
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -60,7 +61,7 @@ _ERRORS = {
     ge.HypothesisError: (EXIT_HYPOTHESIS, "hypothesis failed"),
     ge.InvariantError: (EXIT_HYPOTHESIS, "error"),
     CertificateRejected: (EXIT_CHECKER, "violation"),
-    ge.LimitExceeded: (EXIT_LIMIT, "inconclusive"),
+    LimitExceeded: (EXIT_LIMIT, "inconclusive"),
     ValueError: (EXIT_PARSE, "error"),
 }
 
@@ -188,7 +189,7 @@ def cmd_certify(args, report: Report):
         if (noun is None) != (args.param is None):
             raise ValueError(f"{name} takes no parameter" if noun is None else
                              f"{name} requires a {noun} parameter >= {least}")
-        param = None if noun is None else ge.read_count(
+        param = None if noun is None else read_count(
             args.param, f"{name} {noun}", least, cert_mod.PARAM_CAP)
         certificate = cert_mod.builtin_certificate(name, param)
         out_path = args.out or f"{name}{'' if param is None else param}.cert.json"
@@ -210,7 +211,7 @@ def cmd_certify(args, report: Report):
 
 
 def _levels(text: str, flag: str, least: int) -> list[int]:
-    levels = [ge.read_count(part, f"{flag} level", least)
+    levels = [read_count(part, f"{flag} level", least)
               for part in text.split(",") if part.strip()]
     if not levels:
         raise ValueError(f"{flag} lists no levels")
@@ -221,12 +222,12 @@ def cmd_verify(args, report: Report):
     # The gate: every option is checked before the target is read or any
     # quotient is built, so the engine below takes its inputs as given.
     cli = sys.modules[__name__]  # the engine's names, through __getattr__
-    limit = ge.read_count(args.coset_limit, "--coset-limit", 1)
+    limit = read_count(args.coset_limit, "--coset-limit", 1)
     chain_flags = sum(map(bool, (args.mod, args.abelian_kill, args.low_index is not None)))
     if chain_flags != 1 and not args.dump_presentation:
         raise ValueError("choose exactly one of --mod, --abelian-kill, --low-index")
     if args.low_index is not None:
-        max_index = ge.read_count(args.low_index, "--low-index", 1, cli.HARD_CAP)
+        max_index = read_count(args.low_index, "--low-index", 1, cli.HARD_CAP)
     if args.mod:
         levels = _levels(args.mod, "--mod", 2)
     elif args.abelian_kill:
@@ -247,8 +248,8 @@ def cmd_verify(args, report: Report):
         group = "PSL" if target.psl else "SL"
         for n in levels:
             if n ** 3 > 4 * limit or cli.sl2_order(n, target.psl) > limit:
-                raise ge.LimitExceeded(f"--mod level {n}: {group}(2,Z/{n}) has more "
-                                       f"elements than the coset limit {limit}")
+                raise LimitExceeded(f"--mod level {n}: {group}(2,Z/{n}) has more "
+                                    f"elements than the coset limit {limit}")
     elif args.abelian_kill and max(levels) > limit:
         # The level-k image has degree k, so the top level bounds them all.
         from .fpgroup.coset import EnumerationLimit
@@ -363,13 +364,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     report = Report(argv, timestamp=not args.no_timestamp)
-    handler = {
-        "artin": cmd_artin,
-        "coxeter": cmd_coxeter,
-        "expr": cmd_expr,
-        "certify": cmd_certify,
-        "verify": cmd_verify,
-    }[args.command]
+    handler = globals()["cmd_" + args.command]
     code = EXIT_OK
     try:
         handler(args, report)

@@ -17,17 +17,20 @@ Grammar (";" starts a comment to end of line):
     (amalgam-amenable EXPR EXPR EXPR ORDER ORDER ORDER)
     (generation EXPR EXPR "justification")
 
-Each form is declared once, by its node class in `groupexpr`.  Graph file
-paths are resolved relative to the expression file's directory.
+Each form is declared once, by its node class in `groupexpr`.  Each N and
+ORDER is read by `numread.read_count`.  Graph file paths are resolved
+relative to the expression file's directory.
 """
 
 from __future__ import annotations
 
 import os
 import re
+from collections import namedtuple
 
 from . import groupexpr as ge
 from .lgraph import parse_graph
+from .numread import LimitExceeded, quote, read_count
 
 
 class ExprParseError(ValueError):
@@ -37,12 +40,8 @@ class ExprParseError(ValueError):
         self.col = col
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        self.kind = kind  # "(", ")", "atom", "string"
-        self.text, self.line, self.col = text, line, col
+# A token's kind is "(", ")", "atom" or "string".
+_Token = namedtuple("_Token", "kind text line col")
 
 
 # One lexeme per match, and every character starts one: a newline, a run
@@ -89,7 +88,7 @@ class _Parser:
             last = self.tokens[-1] if self.tokens else _Token("atom", "", 1, 1)
             raise ExprParseError("unexpected end of input", last.line, last.col)
         if expect is not None and tok.kind != expect:
-            raise ExprParseError(f"expected {expect}, got {tok.text!r}", tok.line, tok.col)
+            raise ExprParseError(f"expected {expect}, got {quote(tok.text)}", tok.line, tok.col)
         self.pos += 1
         return tok
 
@@ -117,9 +116,8 @@ class _Parser:
                 break
         trailing = self._peek()
         if trailing is not None:
-            raise ExprParseError(
-                f"trailing input {trailing.text!r}", trailing.line, trailing.col
-            )
+            raise ExprParseError(f"trailing input {quote(trailing.text)}",
+                                 trailing.line, trailing.col)
         return value
 
     def _start(self) -> ge.GroupExpr | _Token:
@@ -131,71 +129,50 @@ class _Parser:
             cls = _HEADS.get(tok.text)
             if cls is not None and not cls.slots:
                 return cls()
-            raise ExprParseError(f"unknown atom {tok.text!r}", tok.line, tok.col)
+            raise ExprParseError(f"unknown atom {quote(tok.text)}", tok.line, tok.col)
         if tok.kind != "(":
-            raise ExprParseError(f"expected expression, got {tok.text!r}", tok.line, tok.col)
+            raise ExprParseError(f"expected expression, got {quote(tok.text)}", tok.line, tok.col)
         head = self._next("atom")
         if head.text not in _HEADS:
-            raise ExprParseError(f"unknown construction {head.text!r}", head.line, head.col)
+            raise ExprParseError(f"unknown construction {quote(head.text)}", head.line, head.col)
         return head
 
     def _fill(self, head: _Token, cls: type, args: list) -> ge.GroupExpr | None:
         """Read the form's arguments up to its next subexpression (None),
         or to the end, where it builds the group.  A ValueError from a
-        graph file or a constructor is reported at the head."""
+        constructor is reported at the head."""
+        while len(args) < len(cls.slots):
+            name, kind = cls.slots[len(args)]
+            if kind == "GroupExpr":
+                return None
+            args.append(self._slot(cls, name, kind))
         try:
-            while len(args) < len(cls.slots):
-                kind = cls.slots[len(args)][1]
-                if kind == "GroupExpr":
-                    return None
-                args.append(self._slot(kind, cls.least))
             return cls(*args)
-        except ExprParseError:
-            raise
         except ValueError as exc:
             raise ExprParseError(str(exc), head.line, head.col) from None
 
-    def _slot(self, kind: str, least: int):
+    def _slot(self, cls: type, name: str, kind: str):
+        """Read the argument `name` of kind `kind`.  A refusal, a graph
+        file's included, is reported at its token."""
+        tok = self._next("string" if kind in ("str", "LabelledGraph") else "atom")
         if kind == "str":
-            return self._next("string").text
-        if kind == "GroupOrder":
-            return self._order()
-        if kind == "LabelledGraph":
-            path_tok = self._next("string")
-            path = os.path.join(self.base_dir, path_tok.text)
-            try:
-                with open(path, encoding="utf-8") as fh:
-                    return parse_graph(fh.read())
-            except OSError as exc:
-                raise ExprParseError(
-                    f"cannot read graph file {path_tok.text!r}: {exc}",
-                    path_tok.line, path_tok.col,
-                ) from None
-        return self._int(least)
-
-    def _int(self, least: int) -> int:
-        tok = self._next("atom")
-        try:
-            value = int(tok.text)
-        except ValueError:
-            raise ExprParseError(f"expected integer, got {tok.text!r}", tok.line, tok.col) from None
-        if value < least:
-            raise ExprParseError(f"integer {value} < {least}", tok.line, tok.col)
-        return value
-
-    def _order(self) -> ge.GroupOrder:
-        tok = self._next("atom")
-        if tok.text == "inf":
+            return tok.text
+        if kind == "GroupOrder" and tok.text == "inf":
             return ge.INFINITE
+        where = f"graph file {quote(tok.text)}: " if kind == "LabelledGraph" else ""
         try:
-            value = int(tok.text)
-        except ValueError:
-            raise ExprParseError(
-                f"expected order (integer or inf), got {tok.text!r}", tok.line, tok.col
-            ) from None
-        if value < 1:
-            raise ExprParseError(f"order {value} < 1", tok.line, tok.col)
-        return ge.GroupOrder(value)
+            if where:
+                with open(os.path.join(self.base_dir, tok.text), encoding="utf-8") as fh:
+                    return parse_graph(fh.read())
+            value = read_count(tok.text, f"{cls.head} {name}", cls.least if kind == "int" else 1)
+        except OSError as exc:
+            raise ExprParseError(f"cannot read graph file {tok.text!r}: {exc}",
+                                 tok.line, tok.col) from None
+        except ValueError as exc:
+            raise ExprParseError(where + str(exc), tok.line, tok.col) from None
+        except LimitExceeded as exc:
+            raise LimitExceeded(f"line {tok.line}, col {tok.col}: {where}{exc}") from None
+        return value if kind == "int" else ge.GroupOrder(value)
 
 
 def parse_expr(text: str, base_dir: str = ".") -> ge.GroupExpr:

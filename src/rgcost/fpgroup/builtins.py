@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..groupexpr import AmalgamFinite, ArtinGraph, Cyclic, GroupExpr, read_count
+from ..groupexpr import AmalgamFinite, ArtinGraph, Cyclic, GroupExpr
 from ..lgraph import LabelledGraph
+from ..numread import read_count
 from .presentation import Presentation, artin_presentation
 
 # name: (expr, psl), as in BuiltinTarget.  In SL2Z, a has order 4, b order

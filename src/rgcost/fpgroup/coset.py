@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..groupexpr import LimitExceeded
+from ..numread import LimitExceeded
 from .presentation import Presentation
 
 

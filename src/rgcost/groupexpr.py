@@ -13,7 +13,6 @@ All arithmetic is `fractions.Fraction`; no floating point anywhere.
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 
 from .lgraph import GraphError, LabelledGraph, components
@@ -296,39 +295,6 @@ class InvariantError(ValueError):
     """Computed values break an inequality the theory guarantees: a node's
     betti1 - beta0 exceeds its rank gradient, or a `verify` row falls
     below the symbolic rank gradient."""
-
-
-class LimitExceeded(RuntimeError):
-    """A budget refused the run before it could decide: an input past a
-    size cap, refused before anything is built for it, or a coset limit
-    reached.  Inconclusive, so the command exits 5."""
-
-
-def read_count(text: str, what: str, least: int, cap: int | None = None) -> int:
-    """The count `text` from the command line, named `what` in a refusal.
-
-    It must be an optional sign and ASCII digits, give or take surrounding
-    whitespace, and at least `least` (else ValueError), and at most `cap`
-    (else LimitExceeded).  Leading zeros and the sign are not digits, and
-    digits past what `int()` converts are never converted: such a count is
-    above any cap, and with no cap past every limit (LimitExceeded).  A
-    refusal quotes at most 20 characters of the text or digits of the value."""
-    stripped = text.strip()
-    sign = stripped[:1] if stripped[:1] in ("+", "-") else ""
-    body = stripped[len(sign):]
-    if not (body.isascii() and body.isdigit()):
-        shown = stripped if len(stripped) <= 20 else stripped[:20] + "..."
-        raise ValueError(f"{what} must be an integer, not {shown!r}")
-    digits = body.lstrip("0")
-    value = None if 0 < sys.get_int_max_str_digits() < len(digits) else int(digits or "0")
-    if sign == "-" and digits or value is not None and value < least:
-        raise ValueError(f"{what} must be >= {least}")
-    if cap is not None and (value is None or value > cap):
-        shown = value if len(digits) <= 20 else f"of {len(digits)} digits"
-        raise LimitExceeded(f"{what} {shown} exceeds the cap {cap}")
-    if value is None:
-        raise LimitExceeded(f"{what} of {len(digits)} digits is past every limit")
-    return value
 
 
 def _degenerate_amalgam(left: GroupOrder | None, right: GroupOrder | None,

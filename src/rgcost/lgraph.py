@@ -11,6 +11,8 @@ from __future__ import annotations
 import heapq
 import math
 
+from .numread import LimitExceeded, quote, read_count
+
 NAME_CHARS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_"
 
 
@@ -65,9 +67,9 @@ class LabelledGraph:
             if not isinstance(end, str) or end not in self._index:
                 raise GraphError(f"undeclared endpoint {end!r}")
         if not isinstance(lab, int):
-            raise GraphError(f"malformed label {lab!r}")
+            raise GraphError(f"label must be an integer, not {quote(lab)}")
         if lab < 2:
-            raise GraphError(f"label {lab} < 2")
+            raise GraphError("label must be >= 2")
         i, j = sorted((self._index[u], self._index[v]))
         if (i, j) in self._labels:
             raise GraphError(f"duplicate edge {u!r} {v!r}")
@@ -155,16 +157,13 @@ def parse_graph(text: str) -> LabelledGraph:
             elif parts[0] == "edge":
                 if len(parts) != 4:
                     raise GraphError("edge line must be `edge <name1> <name2> <label>`")
-                u, v, lab = parts[1:]
-                try:
-                    lab = int(lab)
-                except ValueError:
-                    pass  # the label rule rejects the text as malformed
-                g._add_edge(u, v, lab)
+                g._add_edge(parts[1], parts[2], read_count(parts[3], "label", 2))
             else:
-                raise GraphError(f"malformed line {line!r}")
-        except GraphError as exc:
+                raise GraphError(f"malformed line {quote(line)}")
+        except ValueError as exc:
             raise GraphError(str(exc), lineno) from None
+        except LimitExceeded as exc:
+            raise LimitExceeded(f"line {lineno}: {exc}") from None
     g._close()
     return g
 

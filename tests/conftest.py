@@ -8,9 +8,13 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+
+from hypothesis import strategies as st
 
 from rgcost import groupexpr as ge
 from rgcost.coxeter import CoxeterTrace, EliminationStep, HypothesisError
@@ -62,6 +66,46 @@ from rgcost.lgraph import (
     is_planar,
     parse_graph,
 )
+from rgcost.numread import LimitExceeded
+
+
+# ---------------------------------------------------------------------------
+# the number rule, by a regular expression and `int()`
+
+
+def reference_count(text, least, cap):
+    """What `read_count` gives, by a regular expression and `int()`: the
+    value, or the class of the refusal."""
+    m = re.fullmatch(r" *([+-]?)([0-9]+) *", text)
+    if m is None:
+        return ValueError
+    sign, digits = m.group(1), m.group(2).lstrip("0")
+    if sign == "-" and digits:
+        return ValueError
+    if len(digits) > (sys.get_int_max_str_digits() or len(digits)):
+        return LimitExceeded
+    value = int(digits or "0")
+    if value < least:
+        return ValueError
+    return LimitExceeded if cap is not None and value > cap else value
+
+
+# Text over digits, signs, "_", spaces, "x" and a non-ASCII digit, and
+# signed, zero-padded digit runs on both sides of the conversion limit.
+COUNT_TEXT = st.one_of(
+    st.text(alphabet="0123456789+-_ x\u0663", max_size=5000),
+    st.builds(lambda pad, sign, zeros, digits, end: pad + sign + "0" * zeros + digits + end,
+              st.sampled_from(["", " "]), st.sampled_from(["", "+", "-"]),
+              st.integers(0, 30),
+              st.one_of(st.text("0123456789", max_size=30),
+                        st.integers(4290, 4310).map(lambda n: "7" * n)),
+              st.sampled_from(["", " ", "x"])),
+)
+
+
+def reference_quote(text: str) -> str:
+    """A token as a refusal quotes it: its first 20 characters."""
+    return repr(text[:20] + "..." if len(text) > 20 else text)
 
 
 # ---------------------------------------------------------------------------
@@ -1227,7 +1271,8 @@ class _ReferenceParser:
             last = self.tokens[-1] if self.tokens else _Token("atom", "", 1, 1)
             raise ExprParseError("unexpected end of input", last.line, last.col)
         if expect is not None and tok.kind != expect:
-            raise ExprParseError(f"expected {expect}, got {tok.text!r}", tok.line, tok.col)
+            raise ExprParseError(f"expected {expect}, got {reference_quote(tok.text)}",
+                                 tok.line, tok.col)
         self.pos += 1
         return tok
 
@@ -1236,7 +1281,7 @@ class _ReferenceParser:
         trailing = self._peek()
         if trailing is not None:
             raise ExprParseError(
-                f"trailing input {trailing.text!r}", trailing.line, trailing.col
+                f"trailing input {reference_quote(trailing.text)}", trailing.line, trailing.col
             )
         return expr
 
@@ -1247,9 +1292,10 @@ class _ReferenceParser:
                 return ge.IntegersZ()
             if tok.text == "trivial":
                 return ge.TrivialGroup()
-            raise ExprParseError(f"unknown atom {tok.text!r}", tok.line, tok.col)
+            raise ExprParseError(f"unknown atom {reference_quote(tok.text)}", tok.line, tok.col)
         if tok.kind != "(":
-            raise ExprParseError(f"expected expression, got {tok.text!r}", tok.line, tok.col)
+            raise ExprParseError(f"expected expression, got {reference_quote(tok.text)}",
+                                 tok.line, tok.col)
         head = self._next("atom")
         try:
             expr = self._form(head)
@@ -1267,67 +1313,76 @@ class _ReferenceParser:
         if name == "z":
             return ge.IntegersZ()
         if name == "cyclic":
-            return ge.Cyclic(self._int(minimum=2))
+            return ge.Cyclic(self._int("cyclic n", minimum=2))
         if name == "free":
-            return ge.Free(self._int(minimum=1))
+            return ge.Free(self._int("free rank", minimum=1))
         if name == "free-abelian":
-            return ge.FreeAbelian(self._int(minimum=1))
+            return ge.FreeAbelian(self._int("free-abelian rank", minimum=1))
         if name == "surface":
-            return ge.Surface(self._int(minimum=2))
+            return ge.Surface(self._int("surface genus", minimum=2))
         if name == "amenable":
             tag = self._next("string").text
-            return ge.Amenable(tag, self._order())
+            return ge.Amenable(tag, self._order("amenable order"))
         if name in ("artin", "coxeter"):
             path_tok = self._next("string")
-            path = os.path.join(self.base_dir, path_tok.text)
-            try:
-                with open(path, encoding="utf-8") as fh:
-                    graph = parse_graph(fh.read())
-            except OSError as exc:
-                raise ExprParseError(
-                    f"cannot read graph file {path_tok.text!r}: {exc}",
-                    path_tok.line, path_tok.col,
-                ) from None
+            graph = self._graph(path_tok)
             return ge.ArtinGraph(graph) if name == "artin" else ge.CoxeterGraph(graph)
         if name == "amalgam-finite":
             left = self._expr()
             right = self._expr()
-            return ge.AmalgamFinite(left, right, self._int(minimum=1))
+            return ge.AmalgamFinite(left, right, self._int("amalgam-finite amalgam_order", 1))
         if name == "amalgam-amenable":
             left = self._expr()
             right = self._expr()
             sub = self._expr()
-            return ge.AmalgamAmenable(left, right, sub, self._order(), self._order(), self._order())
+            orders = [self._order(f"amalgam-amenable {slot}_order")
+                      for slot in ("left", "right", "amalgam")]
+            return ge.AmalgamAmenable(left, right, sub, *orders)
         if name == "generation":
             left = self._expr()
             right = self._expr()
             justification = self._next("string").text
             return ge.Generation(left, right, justification)
-        raise ExprParseError(f"unknown construction {name!r}", head.line, head.col)
+        raise ExprParseError(f"unknown construction {reference_quote(name)}",
+                             head.line, head.col)
 
-    def _int(self, minimum: int) -> int:
-        tok = self._next("atom")
+    def _graph(self, path_tok: _Token) -> LabelledGraph:
+        """The graph file named by `path_tok`; its errors are reported at
+        the path."""
+        name = path_tok.text
         try:
-            value = int(tok.text)
-        except ValueError:
-            raise ExprParseError(f"expected integer, got {tok.text!r}", tok.line, tok.col) from None
-        if value < minimum:
-            raise ExprParseError(f"integer {value} < {minimum}", tok.line, tok.col)
+            with open(os.path.join(self.base_dir, name), encoding="utf-8") as fh:
+                return parse_graph(fh.read())
+        except OSError as exc:
+            message = f"cannot read graph file {name!r}: {exc}"
+        except ValueError as exc:
+            message = f"graph file {reference_quote(name)}: {exc}"
+        except LimitExceeded as exc:
+            raise LimitExceeded(f"line {path_tok.line}, col {path_tok.col}: "
+                                f"graph file {reference_quote(name)}: {exc}") from None
+        raise ExprParseError(message, path_tok.line, path_tok.col)
+
+    def _int(self, what: str, minimum: int) -> int:
+        return self._count(self._next("atom"), what, minimum)
+
+    def _order(self, what: str) -> ge.GroupOrder:
+        tok = self._next("atom")
+        return ge.INFINITE if tok.text == "inf" else ge.GroupOrder(self._count(tok, what, 1))
+
+    def _count(self, tok: _Token, what: str, minimum: int) -> int:
+        """The integer `tok` names, through `reference_count`."""
+        value = reference_count(tok.text, minimum, None)
+        if value is ValueError:
+            if re.fullmatch(r"[+-]?[0-9]+", tok.text):
+                message = f"{what} must be >= {minimum}"
+            else:
+                message = f"{what} must be an integer, not {reference_quote(tok.text)}"
+            raise ExprParseError(message, tok.line, tok.col)
+        if value is LimitExceeded:
+            digits = len(tok.text.lstrip("+-").lstrip("0"))
+            raise LimitExceeded(f"line {tok.line}, col {tok.col}: {what} of {digits} "
+                                "digits is past every limit")
         return value
-
-    def _order(self) -> ge.GroupOrder:
-        tok = self._next("atom")
-        if tok.text == "inf":
-            return ge.INFINITE
-        try:
-            value = int(tok.text)
-        except ValueError:
-            raise ExprParseError(
-                f"expected order (integer or inf), got {tok.text!r}", tok.line, tok.col
-            ) from None
-        if value < 1:
-            raise ExprParseError(f"order {value} < 1", tok.line, tok.col)
-        return ge.GroupOrder(value)
 
 
 def reference_parse_expr(text: str, base_dir: str = ".") -> ge.GroupExpr:

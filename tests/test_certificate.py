@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from rgcost.certificate import (
 from rgcost.cli import main
 from rgcost.groupexpr import ArtinGraph, evaluate
 from rgcost.lgraph import LabelledGraph, components, parse_graph
+from rgcost.numread import LimitExceeded
 
 
 class TestEdgeCenterWord:
@@ -376,9 +378,35 @@ class TestJson:
             certificate_from_json(json.dumps(doc))
 
     def test_claimed_cost_is_read_as_a_fraction(self):
+        """By the rational rule: the text `str(Fraction)` writes, so in
+        lowest terms, compared with the root's cost by value."""
         doc = json.loads(certificate_to_json(builtin_certificate("SL2Z")))
-        doc["claimed_cost"] = "26/24"
+        assert doc["claimed_cost"] == "13/12"
         assert certificate_from_json(json.dumps(doc)).root.cost == Fraction(13, 12)
+        doc["claimed_cost"] = "26/24"
+        with pytest.raises(ValueError, match="^field 'claimed_cost' must be a rational"):
+            certificate_from_json(json.dumps(doc))
+
+    # Cost text outside the rule: an exponent, an underscore, a non-ASCII
+    # digit, padding, a plus sign, a fraction not in lowest terms, a zero
+    # denominator, a leading zero, a term past the int() digit limit and
+    # a 12-byte exponent that Fraction() would take seconds to read.
+    FORGED_COSTS = ["1e3", "1_0", "\u0663", " 1", "+1", "2/4", "1/0", "01", "7" * 5000,
+                    "1e10000000"]
+
+    def test_rejects_forged_cost_text(self):
+        start = time.perf_counter()
+        for cost in self.FORGED_COSTS:
+            doc = json.loads(certificate_to_json(builtin_certificate("SL2Z")))
+            doc["nodes"][0]["cost"] = cost
+            with pytest.raises((ValueError, LimitExceeded),
+                               match=r"^certificate node 0 \(finite\): field 'cost' "):
+                certificate_from_json(json.dumps(doc))
+            doc = json.loads(certificate_to_json(builtin_certificate("SL2Z")))
+            doc["claimed_cost"] = cost
+            with pytest.raises((ValueError, LimitExceeded), match=r"^field 'claimed_cost' "):
+                certificate_from_json(json.dumps(doc))
+        assert time.perf_counter() - start < 1.0
 
     def test_rejects_zero_denominator_node_cost(self):
         doc = json.loads(certificate_to_json(builtin_certificate("SL2Z")))

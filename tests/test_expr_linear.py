@@ -244,6 +244,7 @@ def graph_dir(tmp_path_factory):
         (d / name).write_text(text)
     (d / "bad.graph").write_text("vertex a\nedge a a 2\n")
     (d / "bin.graph").write_bytes(b"vertex \xff\n")
+    (d / "t.expr").write_text('(artin "t.expr")\n')
     return str(d)
 
 
@@ -302,6 +303,10 @@ class TestParserAgainstReference:
         '(artin "bad.graph")', '(coxeter "bin.graph")', '(artin "missing.graph")',
         '(amalgam-finite (generation z z "  ") (cyclic 2) 1)',
         '(amalgam-amenable z z z inf 0 inf)', "(amalgam-finite z z)",
+        # an expression file read as a graph: the error names the graph file
+        '(artin "t.expr")',
+        "(cyclic 1_0)", '(amenable "t" \u0663)', '(amenable "t" "inf")', "(cyclic -0)",
+        "(cyclic 3 " + "7" * 30 + ")", "(" + "x" * 30 + " 1)",
     ])
     def test_edge_cases(self, graph_dir, text):
         assert parse_outcome(parse_expr, text, graph_dir) == parse_outcome(

@@ -110,13 +110,13 @@ class TestForms:
 class TestErrors:
     @pytest.mark.parametrize("text,fragment", [
         ("", "empty expression"),
-        ("(cyclic 1)", "integer 1 < 2"),
-        ("(cyclic x)", "expected integer"),
+        ("(cyclic 1)", "cyclic n must be >= 2"),
+        ("(cyclic x)", "cyclic n must be an integer, not 'x'"),
         ("(mystery 3)", "unknown construction"),
         ("(cyclic 3", "unexpected end of input"),
         ("(cyclic 3) extra", "trailing input"),
-        ('(amenable "t" 0)', "order 0 < 1"),
-        ('(amenable "t" x)', "expected order (integer or inf), got 'x'"),
+        ('(amenable "t" 0)', "amenable order must be >= 1"),
+        ('(amenable "t" x)', "amenable order must be an integer, not 'x'"),
         ('(generation (free 1) (free 1) "")', "justification"),
         ('(artin "missing.graph")', "cannot read graph file"),
         ("bogus", "unknown atom"),
@@ -134,7 +134,8 @@ class TestErrors:
         """The parser and the constructor both reject an integer below the
         construction's `least`."""
         least = construction.least
-        with pytest.raises(ExprParseError, match=f"integer {least - 1} < {least}"):
+        slot = construction.slots[-1][0]
+        with pytest.raises(ExprParseError, match=f"{construction.head} {slot} must be >= {least}"):
             parse_expr(text)
         args = [IntegersZ()] * len(construction.steps) + [least - 1]
         with pytest.raises(ValueError, match=f"must be >= {least}"):
@@ -144,4 +145,4 @@ class TestErrors:
         with pytest.raises(ExprParseError) as exc:
             parse_expr("(amalgam-finite (cyclic 6)\n  (cyclic 1) 2)")
         assert exc.value.line == 2
-        assert "1 < 2" in str(exc.value)
+        assert "cyclic n must be >= 2" in str(exc.value)

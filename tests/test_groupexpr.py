@@ -1,13 +1,12 @@
 import random
 import re
-import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import induced, infer_order, random_graph
+from conftest import COUNT_TEXT, induced, infer_order, random_graph, reference_count
 from rgcost.groupexpr import (
     INFINITE,
     AmalgamAmenable,
@@ -22,17 +21,16 @@ from rgcost.groupexpr import (
     GroupExpr,
     GroupOrder,
     IntegersZ,
-    LimitExceeded,
     PriceResult,
     Surface,
     TrivialGroup,
     Unknown,
     evaluate,
     is_known,
-    read_count,
     recip_order,
 )
 from rgcost.lgraph import components, parse_graph
+from rgcost.numread import LimitExceeded, read_count
 
 
 class TestRecipOrder:
@@ -325,36 +323,6 @@ class TestValueSemantics:
         b = PriceResult(Fraction(1), Fraction(0))
         a.rule_trace.append("x")
         assert (a.rule_trace, b.rule_trace) == (["x"], [])
-
-
-def reference_count(text, least, cap):
-    """What `read_count` gives, by a regular expression and `int()`: the
-    value, or the class of the refusal."""
-    m = re.fullmatch(r" *([+-]?)([0-9]+) *", text)
-    if m is None:
-        return ValueError
-    sign, digits = m.group(1), m.group(2).lstrip("0")
-    if sign == "-" and digits:
-        return ValueError
-    if len(digits) > (sys.get_int_max_str_digits() or len(digits)):
-        return LimitExceeded
-    value = int(digits or "0")
-    if value < least:
-        return ValueError
-    return LimitExceeded if cap is not None and value > cap else value
-
-
-# Text over digits, signs, "_", spaces, "x" and a non-ASCII digit, and
-# signed, zero-padded digit runs on both sides of the conversion limit.
-COUNT_TEXT = st.one_of(
-    st.text(alphabet="0123456789+-_ x\u0663", max_size=5000),
-    st.builds(lambda pad, sign, zeros, digits, end: pad + sign + "0" * zeros + digits + end,
-              st.sampled_from(["", " "]), st.sampled_from(["", "+", "-"]),
-              st.integers(0, 30),
-              st.one_of(st.text("0123456789", max_size=30),
-                        st.integers(4290, 4310).map(lambda n: "7" * n)),
-              st.sampled_from(["", " ", "x"])),
-)
 
 
 class TestReadCount:

@@ -44,11 +44,11 @@ class TestParse:
     @pytest.mark.parametrize("text,fragment,line", [
         ("vertex a\nvertex a\n", "duplicate vertex", 2),
         ("vertex a\nedge a b 2\n", "undeclared endpoint", 2),
-        ("vertex a\nvertex b\nedge a b 1\n", "label 1 < 2", 3),
+        ("vertex a\nvertex b\nedge a b 1\n", "label must be >= 2", 3),
         ("vertex a\nvertex b\nedge a b 2\nedge b a 3\n", "duplicate edge", 4),
         ("vertex a\nedge a a 2\n", "self-loop", 2),
         ("vertex a\nfoo bar\n", "malformed line", 2),
-        ("vertex a\nvertex b\nedge a b x\n", "malformed label", 3),
+        ("vertex a\nvertex b\nedge a b x\n", "label must be an integer, not 'x'", 3),
         ("vertex a b\n", "vertex line", 1),
         ("vertex a\nvertex b\nedge a b\n", "edge line", 3),
     ])

@@ -15,7 +15,7 @@ from rgcost.fpgroup.presentation import (
     invert_word,
     parse_presentation,
 )
-from rgcost.groupexpr import LimitExceeded
+from rgcost.numread import LimitExceeded
 from rgcost.lgraph import parse_graph
 
 

@@ -13,8 +13,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # Modules a short command must not pay for unless it runs them.
 ENGINES = ("rgcost.certificate", "rgcost.coxeter", "rgcost.fpgroup")
-# Standard modules that the start path (cli, groupexpr, exprparse, lgraph)
-# does without.
+# Standard modules that the start path (cli, groupexpr, exprparse, lgraph,
+# numread) does without.
 UNUSED = {"dataclasses", "inspect"}
 TINY_EXPR = "(amalgam-finite (cyclic 6) (cyclic 4) 2)\n"
 
