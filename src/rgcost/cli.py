@@ -171,7 +171,8 @@ def cmd_coxeter(args, report: Report):
 
 
 def cmd_expr(args, report: Report):
-    price = ge.evaluate(parse_expr_file(args.file, _read_file(args.file, report)))
+    text = _read_file(args.file, report)
+    price = ge.evaluate(parse_expr_file(args.file, text, report.note_input))
     report.add(
         f"cost={price.cost} rg={price.rank_gradient} "
         f"betti1={price.betti1} fixed_price={str(price.fixed_price).lower()}"

@@ -19,7 +19,8 @@ Grammar (";" starts a comment to end of line):
 
 Each form is declared once, by its node class in `groupexpr`.  Each N and
 ORDER is read by `numread.read_count`.  Graph file paths are resolved
-relative to the expression file's directory.
+relative to the expression file's directory, and each file read is passed
+to `note_input` (path, bytes) in read order.
 """
 
 from __future__ import annotations
@@ -74,10 +75,11 @@ _HEADS = {cls.head: cls for cls in ge.GroupExpr.__subclasses__()}
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], base_dir: str):
+    def __init__(self, tokens: list[_Token], base_dir: str, note_input):
         self.tokens = tokens
         self.pos = 0
         self.base_dir = base_dir
+        self.note_input = note_input
 
     def _peek(self) -> _Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -162,8 +164,12 @@ class _Parser:
         where = f"graph file {quote(tok.text)}: " if kind == "LabelledGraph" else ""
         try:
             if where:
-                with open(os.path.join(self.base_dir, tok.text), encoding="utf-8") as fh:
-                    return parse_graph(fh.read())
+                path = os.path.join(self.base_dir, tok.text)
+                with open(path, "rb") as fh:
+                    data = fh.read()
+                text = data.decode("utf-8")
+                self.note_input(path, data)
+                return parse_graph(text)
             value = read_count(tok.text, f"{cls.head} {name}", cls.least if kind == "int" else 1)
         except OSError as exc:
             raise ExprParseError(f"cannot read graph file {tok.text!r}: {exc}",
@@ -175,14 +181,17 @@ class _Parser:
         return value if kind == "int" else ge.GroupOrder(value)
 
 
-def parse_expr(text: str, base_dir: str = ".") -> ge.GroupExpr:
+def parse_expr(text: str, base_dir: str = ".", note_input=lambda path, data: None
+               ) -> ge.GroupExpr:
     tokens = _tokenize(text)
     if not tokens:
         raise ExprParseError("empty expression", 1, 1)
-    return _Parser(tokens, base_dir).parse()
+    return _Parser(tokens, base_dir, note_input).parse()
 
 
-def parse_expr_file(path: str, text: str) -> ge.GroupExpr:
+def parse_expr_file(path: str, text: str, note_input=lambda path, data: None
+                    ) -> ge.GroupExpr:
     """Parse `text`, read from the expression file at `path`; the path
-    only resolves the graph files the expression names."""
-    return parse_expr(text, base_dir=os.path.dirname(os.path.abspath(path)))
+    only resolves the graph files the expression names, each passed to
+    `note_input` under its path joined to the file's directory."""
+    return parse_expr(text, os.path.dirname(path), note_input)

@@ -55,24 +55,24 @@ class LabelledGraph:
 
     def _add_vertex(self, v) -> None:
         if not _valid_name(v):
-            raise GraphError(f"invalid vertex name {v!r}")
+            raise GraphError(f"invalid vertex name {quote(v)}")
         if v in self._index:
-            raise GraphError(f"duplicate vertex {v!r}")
+            raise GraphError(f"duplicate vertex {quote(v)}")
         self._index[v] = len(self._index)
 
     def _add_edge(self, u, v, lab) -> None:
         if u == v:
-            raise GraphError(f"self-loop at {u!r}")
+            raise GraphError(f"self-loop at {quote(u)}")
         for end in (u, v):
             if not isinstance(end, str) or end not in self._index:
-                raise GraphError(f"undeclared endpoint {end!r}")
+                raise GraphError(f"undeclared endpoint {quote(end)}")
         if not isinstance(lab, int):
             raise GraphError(f"label must be an integer, not {quote(lab)}")
         if lab < 2:
             raise GraphError("label must be >= 2")
         i, j = sorted((self._index[u], self._index[v]))
         if (i, j) in self._labels:
-            raise GraphError(f"duplicate edge {u!r} {v!r}")
+            raise GraphError(f"duplicate edge {quote(u)} {quote(v)}")
         self._labels[(i, j)] = lab
 
     def _close(self) -> None:
@@ -265,16 +265,13 @@ def _shortest_cycle(g: LabelledGraph):
 
 
 def is_planar(g: LabelledGraph) -> bool:
-    """Planarity via the DFS-based left-right criterion, computed once per
-    graph and memoised on it."""
+    """Planarity by the left-right test (`planarity.left_right_planar`),
+    computed once per graph and memoised on it."""
     memo = g._memo
     if "planar" not in memo:
-        import networkx as nx  # deferred: costs every CLI start, needed only here
+        from .planarity import left_right_planar  # deferred: needed only here
 
-        G = nx.Graph()
-        G.add_nodes_from(range(g.num_vertices))
-        G.add_edges_from(g._labels.keys())
-        memo["planar"], _ = nx.check_planarity(G)
+        memo["planar"] = left_right_planar(g._adj)
     return memo["planar"]
 
 

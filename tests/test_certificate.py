@@ -472,6 +472,23 @@ class TestJson:
         with pytest.raises(ValueError, match="certificate graph must be"):
             certificate_from_json(json.dumps(doc))
 
+    LONG = "A" * 3000
+
+    @pytest.mark.parametrize("vertices,edges,message", [
+        ([LONG + "-"], [], "invalid vertex name"),
+        ([LONG, LONG], [], "duplicate vertex"),
+        (["a"], [["a", LONG, 2]], "undeclared endpoint"),
+        ([LONG], [[LONG, LONG, 2]], "self-loop at"),
+        ([LONG, "b"], [[LONG, "b", 2], ["b", LONG, 3]], "duplicate edge 'b'"),
+    ], ids=["invalid", "duplicate-vertex", "undeclared", "self-loop", "duplicate-edge"])
+    def test_graph_error_cuts_long_names(self, vertices, edges, message):
+        doc = json.loads(certificate_to_json(rg_artin(parse_graph(self.TYPED))[1]))
+        doc["graph"] = {"vertices": vertices, "edges": edges}
+        with pytest.raises(ValueError) as caught:
+            certificate_from_json(json.dumps(doc))
+        text = str(caught.value)
+        assert text == f"{message} '{'A' * 20}...'" and len(text.encode()) <= 200
+
     def test_rejects_unknown_node_kind(self):
         bad = ('{"format": "rgcost-certificate/2", "target": "", "claimed_cost": "1", '
                '"citations": [], "caveat": null, "graph": null, '

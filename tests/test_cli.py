@@ -134,6 +134,30 @@ class TestExprCommand:
         assert code == 0
         assert opened.count(str(path)) == 1
 
+    def test_digests_graph_files_in_read_order(self, tmp_path, capsys):
+        # a graph file the expression names gets its own "# input" line,
+        # so editing it changes the report
+        edge, vertex = tmp_path / "edge.graph", tmp_path / "vertex.graph"
+        edge.write_text("vertex a\nvertex b\nedge a b 3\n")
+        vertex.write_text("vertex x\n")
+        path = tmp_path / "e.expr"
+        path.write_text('(amalgam-finite (artin "vertex.graph") (coxeter "edge.graph") 1)\n')
+
+        def report():
+            code, out = run_cli(["expr", str(path)], capsys)
+            assert code == 0
+            return out
+
+        def digest(p):
+            return f"# input {p} sha256={hashlib.sha256(p.read_bytes()).hexdigest()}"
+
+        before, old = report(), digest(edge)
+        assert [line for line in before.split("\n") if line.startswith("# input")] == \
+            [digest(path), digest(vertex), old]
+        edge.write_text("vertex a\nvertex b\nedge a b 3\n# edited\n")
+        after = report()
+        assert after != before and after == before.replace(old, digest(edge))
+
 
 class TestCertifyCommand:
     def test_sl2z(self, tmp_path, capsys, monkeypatch):
@@ -318,13 +342,27 @@ class TestVerifyCommand:
         assert Fraction(rl) == Fraction(1, 12) and Fraction(ru) == Fraction(1, 12)
 
 
+# Graph files whose error names a 3,000-letter vertex, cut to 20 letters:
+# (text, line of the error, message).
+LONG_NAME = "A" * 3000
+LONG_NAME_CUT = "'" + "A" * 20 + "...'"
+LONG_NAME_GRAPHS = [
+    (f"vertex {LONG_NAME}-\n", 1, f"invalid vertex name {LONG_NAME_CUT}"),
+    (f"vertex {LONG_NAME}\nvertex {LONG_NAME}\n", 2, f"duplicate vertex {LONG_NAME_CUT}"),
+    (f"vertex a\nedge a {LONG_NAME} 2\n", 2, f"undeclared endpoint {LONG_NAME_CUT}"),
+    (f"vertex {LONG_NAME}\nedge {LONG_NAME} {LONG_NAME} 2\n", 2, f"self-loop at {LONG_NAME_CUT}"),
+    (f"vertex {LONG_NAME}\nvertex b\nedge {LONG_NAME} b 2\nedge b {LONG_NAME} 3\n",
+     4, f"duplicate edge 'b' {LONG_NAME_CUT}"),
+]
+
+
 class TestErrorExits:
     """main maps what a command raises to an exit code and a line prefix,
     the same way for every command, and never prints a traceback.  One
     input per row of main's table; the ValueError row has several.  The
     decreasing-level rows were refusals once and now exit 0: levels need
     no order.  Every refusal is one stdout line of at most 200 bytes, with
-    nothing on stderr, however long the count it quotes."""
+    nothing on stderr, however long the count or vertex name it quotes."""
 
     @pytest.mark.parametrize("argv,text,code,line", [
         (["coxeter", "FILE"], K4_GRAPH, 3, "hypothesis failed: girth(3) < 6; nonplanar=false"),
@@ -392,6 +430,8 @@ class TestErrorExits:
          2, "error: --low-index must be an integer, not '1_0'"),
         (["certify", "MCG", "\u0663"], None,
          2, "error: MCG genus must be an integer, not '\u0663'"),
+        *[([command, "FILE"], text, 2, f"error: line {line}: {message}")
+          for command in ("artin", "coxeter") for text, line, message in LONG_NAME_GRAPHS],
     ], ids=["hypothesis", "invariant", "limit", "decreasing-mod", "decreasing-abelian-kill",
             "empty-mod", "empty-abelian-kill", "missing-file", "braid1", "certificate-cap",
             "braid-cap", "negative-coset-limit-abelian-kill", "negative-coset-limit-mod",
@@ -402,7 +442,10 @@ class TestErrorExits:
             "graph-file-param", "builtin-param", "overlong-certificate-param",
             "overlong-braid", "overlong-low-index", "overlong-coset-limit",
             "non-integer-low-index", "non-integer-coset-limit", "non-ascii-mod",
-            "underscore-abelian-kill", "underscore-low-index", "non-ascii-certificate-param"])
+            "underscore-abelian-kill", "underscore-low-index", "non-ascii-certificate-param",
+            *[f"{command}-long-name-{key}" for command in ("artin", "coxeter")
+              for key in ("invalid", "duplicate-vertex", "undeclared", "self-loop",
+                          "duplicate-edge")]])
     def test_exit_code_and_line(self, argv, text, code, line, tmp_path):
         path = tmp_path / "input"
         if text is not None:
@@ -876,23 +919,22 @@ class TestHypothesesOnce:
 
     @pytest.fixture
     def spies(self, monkeypatch):
-        import networkx
-
         import rgcost.lgraph as lgraph
+        import rgcost.planarity as planarity
 
         calls = {"girth": [], "planar": []}
-        shortest_cycle, check_planarity = lgraph._shortest_cycle, networkx.check_planarity
+        shortest_cycle, left_right_planar = lgraph._shortest_cycle, planarity.left_right_planar
 
         def girth_spy(g):
             calls["girth"].append(id(g))
             return shortest_cycle(g)
 
-        def planar_spy(G, *args, **kwargs):
-            calls["planar"].append(G.number_of_nodes())
-            return check_planarity(G, *args, **kwargs)
+        def planar_spy(adj):
+            calls["planar"].append(len(adj))
+            return left_right_planar(adj)
 
         monkeypatch.setattr(lgraph, "_shortest_cycle", girth_spy)
-        monkeypatch.setattr(networkx, "check_planarity", planar_spy)
+        monkeypatch.setattr(planarity, "left_right_planar", planar_spy)
         return calls
 
     def test_coxeter_command(self, spies, tmp_path, capsys):
@@ -931,13 +973,22 @@ class TestDeterminism:
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
 
-    def test_cli_import_skips_networkx(self):
-        # only planarity needs networkx; importing it costs every CLI start
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, rgcost.cli; print('networkx' in sys.modules)"],
-            capture_output=True, text=True, check=True)
-        assert proc.stdout.strip() == "False"
+    def test_commands_run_without_networkx(self, tmp_path):
+        """`coxeter` on a honeycomb and `expr` with a `coxeter` leaf print
+        the same report when networkx cannot be imported."""
+        (tmp_path / "hex.graph").write_text(hex_grid_text(4, 6))
+        (tmp_path / "e.expr").write_text('(amalgam-finite (coxeter "hex.graph") (cyclic 4) 2)\n')
+        outs = []
+        for block in ("", "sys.modules['networkx'] = None; "):
+            code = f"import sys; {block}from rgcost.cli import entry; entry()"
+            runs = [subprocess.run([sys.executable, "-c", code, "--no-timestamp", command,
+                                    str(tmp_path / name)], capture_output=True, text=True)
+                    for command, name in (("coxeter", "hex.graph"), ("expr", "e.expr"))]
+            assert [(p.returncode, p.stderr) for p in runs] == [(0, "")] * 2
+            outs.append([p.stdout for p in runs])
+        assert outs[0] == outs[1]
+        assert "hypotheses: girth=6 planar=true OK" in outs[1][0]
+        assert "coxeter-planar-girth6" in outs[1][1]
 
     def test_verify_deterministic(self, capsys):
         _, out1 = run_cli(["verify", "PSL2Z", "--mod", "3,5"], capsys)

@@ -252,6 +252,33 @@ class TestPlanarity:
             g = random_graph(rng, n_max=8, p=0.45)
             assert is_planar(g) == brute_planar(g), g.edges()
 
+    def test_honeycomb_2501_vertices(self):
+        # the brick-wall honeycomb, 41 x 61 vertices
+        name = "v{}_{}".format
+        vs = [name(i, j) for i in range(41) for j in range(61)]
+        es = [(name(i, j), name(i, j + 1), 2) for i in range(41) for j in range(60)]
+        es += [(name(i, j), name(i + 1, j), 3)
+               for i in range(40) for j in range(61) if (i + j) % 2 == 0]
+        g = LabelledGraph(vs, es)
+        assert g.num_vertices == 2501
+        assert girth(g) == 6 and is_planar(g) is True
+
+    def test_path_3000_vertices(self):
+        assert is_planar(path_graph([2] * 2999)) is True
+
+    def test_subdivided_k33_girth_at_least_6(self):
+        # each edge of K3,3 a path through 112 new vertices: 1,014 vertices
+        vs = [f"s{k}" for k in range(6)]
+        es = []
+        for u in range(3):
+            for v in range(3, 6):
+                ends = [f"s{u}"] + [f"p{u}_{v}_{k}" for k in range(112)] + [f"s{v}"]
+                vs += ends[1:-1]
+                es += [(a, b, 2) for a, b in zip(ends, ends[1:])]
+        g = LabelledGraph(vs, es)
+        assert g.num_vertices == 1014
+        assert girth(g) >= 6 and is_planar(g) is False
+
 
 class TestReductionOrder:
     def test_tree_succeeds(self):

@@ -12,7 +12,7 @@ import pytest
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # Modules a short command must not pay for unless it runs them.
-ENGINES = ("rgcost.certificate", "rgcost.coxeter", "rgcost.fpgroup")
+ENGINES = ("rgcost.certificate", "rgcost.coxeter", "rgcost.fpgroup", "rgcost.planarity")
 # Standard modules that the start path (cli, groupexpr, exprparse, lgraph,
 # numread) does without.
 UNUSED = {"dataclasses", "inspect"}
@@ -43,7 +43,7 @@ def test_package_loads_no_submodule(package):
 
 def test_import_loads_no_engine():
     modules = imported("-c", "import rgcost.cli")
-    assert engines(modules) == set() and "datetime" not in modules
+    assert engines(modules) == set() and not {"datetime", "networkx"} & modules
     assert not UNUSED & modules
 
 
@@ -60,7 +60,7 @@ def test_datetime_loads_only_to_write_a_timestamp(timestamp, tmp_path):
     (["--no-timestamp", "expr", "{expr}"], set()),
     (["--no-timestamp", "artin", "{graph}"], {"rgcost.certificate"}),
     (["--no-timestamp", "certify", "SL2Z", "--out", "{out}"], {"rgcost.certificate"}),
-    (["--no-timestamp", "coxeter", "{graph}"], {"rgcost.coxeter"}),
+    (["--no-timestamp", "coxeter", "{graph}"], {"rgcost.coxeter", "rgcost.planarity"}),
     (["--no-timestamp", "verify", "SL2Z", "--mod", "3"], {"rgcost.fpgroup"}),
 ], ids=["expr", "artin", "certify", "coxeter", "verify"])
 def test_command_loads_only_its_engine(argv, expected, tmp_path):
@@ -70,7 +70,7 @@ def test_command_loads_only_its_engine(argv, expected, tmp_path):
              "out": tmp_path / "sl2z.cert.json"}
     modules = imported("-m", "rgcost.cli", *(a.format(**paths) for a in argv))
     assert {"rgcost.groupexpr", "rgcost.exprparse", "rgcost.lgraph"} <= modules
-    assert engines(modules) == expected
+    assert engines(modules) == expected and "networkx" not in modules
     if argv[1] == "expr":
         assert not UNUSED & modules
 
