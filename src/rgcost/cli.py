@@ -68,13 +68,15 @@ _ERRORS = {
 # The `fpgroup` names `cmd_verify` uses, each with its submodule.  The
 # module `__getattr__` binds each on first use, and `cmd_verify` looks
 # them up on this module, so rebinding one here (as a tracer or a test
-# does) changes what it calls.
+# does) changes what it calls.  `cmd_verify` does not call
+# `mod_cycle_images` (`exponent_kernel_samples` builds its images itself),
+# but `perfbench/tracer.py` wraps it under this name, so it stays bound.
 _FPGROUP_NAMES = {
     "builtin_target": "builtins", "HARD_CAP": "lowindex", "low_index_normal": "lowindex",
-    "parse_presentation": "presentation", "kernel_chain_cayley": "chains",
-    "mod_cycle_images": "chains", "psl2z_images": "chains", "rg_sequence": "chains",
-    "samples_to_csv": "chains", "sl2_order": "chains", "sl2z_images": "chains",
-    "trend_summary": "chains",
+    "parse_presentation": "presentation", "exponent_kernel_samples": "chains",
+    "kernel_chain_cayley": "chains", "mod_cycle_images": "chains",
+    "psl2z_images": "chains", "rg_sequence": "chains", "samples_to_csv": "chains",
+    "sl2_order": "chains", "sl2z_images": "chains", "trend_summary": "chains",
 }
 
 
@@ -113,7 +115,9 @@ def _read_file(path: str, report: Report) -> str:
         with open(path, "rb") as fh:
             data = fh.read()
         text = data.decode("utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
     report.note_input(path, data)
     return text
@@ -124,7 +128,7 @@ def _write_file(path: str, text: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ValueError(f"cannot write {path}: {exc}") from None
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _write_certificate(path: str, certificate):
@@ -265,12 +269,11 @@ def cmd_verify(args, report: Report):
 
     if args.mod:
         build = cli.psl2z_images if target.psl else cli.sl2z_images
-        tables = cli.kernel_chain_cayley(pres, [build(n) for n in levels])
+        samples = cli.rg_sequence(pres, cli.kernel_chain_cayley(pres, [build(n) for n in levels]))
     elif args.abelian_kill:
-        tables = cli.kernel_chain_cayley(pres, [cli.mod_cycle_images(pres, k) for k in levels])
+        samples = cli.exponent_kernel_samples(pres, levels)
     else:
-        tables = cli.low_index_normal(pres, max_index, limit=limit)
-    samples = cli.rg_sequence(pres, tables)
+        samples = cli.rg_sequence(pres, cli.low_index_normal(pres, max_index, limit=limit))
 
     csv_text = cli.samples_to_csv(samples)
     for line in csv_text.rstrip("\n").split("\n"):

@@ -19,8 +19,10 @@ Grammar (";" starts a comment to end of line):
 
 Each form is declared once, by its node class in `groupexpr`.  Each N and
 ORDER is read by `numread.read_count`.  Graph file paths are resolved
-relative to the expression file's directory, and each file read is passed
-to `note_input` (path, bytes) in read order.
+relative to the expression file's directory.  Each distinct joined path is
+read and parsed once per expression, so leaves that name it share one
+graph (and its memoised girth and planarity), and each file read is passed
+to `note_input` (path, bytes) once, in read order.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import re
 from collections import namedtuple
 
 from . import groupexpr as ge
-from .lgraph import parse_graph
+from .lgraph import LabelledGraph, parse_graph
 from .numread import LimitExceeded, quote, read_count
 
 
@@ -80,6 +82,7 @@ class _Parser:
         self.pos = 0
         self.base_dir = base_dir
         self.note_input = note_input
+        self.graphs: dict[str, LabelledGraph] = {}  # by joined path
 
     def _peek(self) -> _Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -165,14 +168,16 @@ class _Parser:
         try:
             if where:
                 path = os.path.join(self.base_dir, tok.text)
-                with open(path, "rb") as fh:
-                    data = fh.read()
-                text = data.decode("utf-8")
-                self.note_input(path, data)
-                return parse_graph(text)
+                if path not in self.graphs:
+                    with open(path, "rb") as fh:
+                        data = fh.read()
+                    text = data.decode("utf-8")
+                    self.note_input(path, data)
+                    self.graphs[path] = parse_graph(text)
+                return self.graphs[path]
             value = read_count(tok.text, f"{cls.head} {name}", cls.least if kind == "int" else 1)
         except OSError as exc:
-            raise ExprParseError(f"cannot read graph file {tok.text!r}: {exc}",
+            raise ExprParseError(f"cannot read graph file {quote(tok.text)}: {exc.strerror}",
                                  tok.line, tok.col) from None
         except ValueError as exc:
             raise ExprParseError(where + str(exc), tok.line, tok.col) from None

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coset import CosetTable, standardize_rows
+from .cover import OddTreeCover
 from .lowindex import _has_translations
 from .presentation import Presentation
 from .rewrite import d_bounds, reidemeister_schreier
@@ -116,6 +117,35 @@ def rg_sequence(pres: Presentation, tables) -> list[RGSample]:
         lo, hi = d_bounds(sub)
         samples.append(RGSample(table.index, lo, hi))
     return samples
+
+
+def exponent_kernel_samples(pres: Presentation, levels) -> list[RGSample]:
+    """One row per level k, in the order given, for the kernel H_k of the
+    total-exponent map to Z/k (`verify --abelian-kill`).
+
+    On the Artin group of a tree with odd labels, written as
+    `artin_presentation` writes it, a level k > 2w (w = the cover's window
+    width, sum (m_e - 1)) is presented from the infinite cyclic cover
+    (`OddTreeCover.kernel`) and then bounded by `d_bounds`.  Every other
+    level, and every level of any other presentation, takes the k-fold
+    route: Cayley table, Reidemeister-Schreier, Tietze.  On the cover's
+    levels both routes give the same row: d_lower is read from H1, which
+    no presentation changes, and d_upper was compared level by level on
+    braid3 to braid7 and on random odd-labelled trees.  At k <= 2w it can
+    differ (braid5 at k = 4: 6 by the k-fold route, 7 from the cover), so
+    those levels stay on the k-fold route.  Needs levels >= 1, each bounded
+    by the caller.
+    """
+    cover = OddTreeCover.of(pres)
+
+    def covered(k: int) -> bool:
+        return cover is not None and k > 2 * cover.width
+
+    kfold = [k for k in levels if not covered(k)]
+    rows = iter(rg_sequence(pres, kernel_chain_cayley(
+        pres, [mod_cycle_images(pres, k) for k in kfold])))
+    return [RGSample(k, *d_bounds(cover.kernel(k))) if covered(k) else next(rows)
+            for k in levels]
 
 
 def trend_summary(samples) -> str:

@@ -1354,7 +1354,7 @@ class _ReferenceParser:
             with open(os.path.join(self.base_dir, name), encoding="utf-8") as fh:
                 return parse_graph(fh.read())
         except OSError as exc:
-            message = f"cannot read graph file {name!r}: {exc}"
+            message = f"cannot read graph file {reference_quote(name)}: {exc.strerror}"
         except ValueError as exc:
             message = f"graph file {reference_quote(name)}: {exc}"
         except LimitExceeded as exc:

@@ -271,10 +271,10 @@ class TestVerifyCommand:
     def test_abelian_kill_past_the_limit_builds_no_image(self, capsys, monkeypatch):
         # a level-k image has degree k, so level 200 is refused before the
         # image of level 3 is built
-        import rgcost.cli as cli_mod
+        import rgcost.fpgroup.chains as chains
 
         calls = []
-        monkeypatch.setattr(cli_mod, "mod_cycle_images", lambda *args: calls.append(args))
+        monkeypatch.setattr(chains, "mod_cycle_images", lambda *args: calls.append(args))
         code, out = run_cli(
             ["verify", "braid3", "--abelian-kill", "3,200", "--coset-limit", "100"], capsys)
         assert code == 5 and calls == []
@@ -432,6 +432,9 @@ class TestErrorExits:
          2, "error: MCG genus must be an integer, not '\u0663'"),
         *[([command, "FILE"], text, 2, f"error: line {line}: {message}")
           for command in ("artin", "coxeter") for text, line, message in LONG_NAME_GRAPHS],
+        (["expr", "FILE"], f'(artin "{"/".join(["a" * 98] * 3)}.graph")', 2,
+         "error: line 1, col 8: cannot read graph file 'aaaaaaaaaaaaaaaaaaaa...': "
+         "No such file or directory"),
     ], ids=["hypothesis", "invariant", "limit", "decreasing-mod", "decreasing-abelian-kill",
             "empty-mod", "empty-abelian-kill", "missing-file", "braid1", "certificate-cap",
             "braid-cap", "negative-coset-limit-abelian-kill", "negative-coset-limit-mod",
@@ -445,7 +448,7 @@ class TestErrorExits:
             "underscore-abelian-kill", "underscore-low-index", "non-ascii-certificate-param",
             *[f"{command}-long-name-{key}" for command in ("artin", "coxeter")
               for key in ("invalid", "duplicate-vertex", "undeclared", "self-loop",
-                          "duplicate-edge")]])
+                          "duplicate-edge")], "long-missing-graph-path"])
     def test_exit_code_and_line(self, argv, text, code, line, tmp_path):
         path = tmp_path / "input"
         if text is not None:
@@ -957,6 +960,23 @@ class TestHypothesesOnce:
         # two graphs, each searched and tested once
         assert len(spies["girth"]) == len(set(spies["girth"])) == 2
         assert sorted(spies["planar"]) == [2, 35]
+
+    def test_expr_naming_one_graph_twice(self, spies, tmp_path, capsys, monkeypatch):
+        # both leaves share one graph: one read, one parse, one "# input"
+        # line, one girth search and one planarity test
+        import rgcost.exprparse as exprparse
+
+        parsed, parse_graph = [], exprparse.parse_graph
+        monkeypatch.setattr(exprparse, "parse_graph",
+                            lambda text: parsed.append(text) or parse_graph(text))
+        (tmp_path / "hex.graph").write_text(hex_grid_text(4, 6))
+        expr = tmp_path / "e.expr"
+        expr.write_text('(amalgam-finite (coxeter "hex.graph") (coxeter "hex.graph") 2)\n')
+        code, out = run_cli(["expr", str(expr)], capsys)
+        assert code == 0 and "coxeter-planar-girth6" in out
+        assert len(parsed) == 1 and len(spies["girth"]) == 1 and spies["planar"] == [35]
+        inputs = [line for line in out.split("\n") if line.startswith("# input")]
+        assert len(inputs) == 2 and inputs[1].startswith(f"# input {tmp_path / 'hex.graph'} ")
 
 
 class TestDeterminism:

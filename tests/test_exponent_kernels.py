@@ -27,18 +27,32 @@ diag(0, C_e^k - I), computed here by sympy's Smith normal form over ZZ.
 And H_k is generated by t^k and the free basis of K, so d(H_k) <=
 1 + sum (m_e - 1).  `d_upper` comes from Tietze moves, which need not
 reach that bound: on the path with labels 3, 7, 7 at k = 11 it is 16,
-above the bound 15.  So the bound is checked only on the rows below,
-where it holds.
+above the bound 15.  That row stays on the k-fold route (Cayley table,
+Reidemeister-Schreier, Tietze), because the cover's window is w = 2 + 6 +
+6 = 14 and only levels k > 2w = 28 are built from the infinite cyclic
+cover.  So the bound is checked only on the rows below, where it holds.
+
+The second half checks that route: on the levels it takes, its rows equal
+the k-fold route's, called directly; every other level and every other
+presentation builds a Cayley table.
 """
 
+import itertools
+
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 
+import rgcost.fpgroup.chains as chains
 from rgcost.cli import main
-from rgcost.fpgroup.chains import kernel_chain_cayley, mod_cycle_images, rg_sequence
+from rgcost.fpgroup.builtins import builtin_target
+from rgcost.fpgroup.chains import (exponent_kernel_samples, kernel_chain_cayley,
+                                   mod_cycle_images, rg_sequence)
+from rgcost.fpgroup.cover import OddTreeCover
 from rgcost.fpgroup.presentation import artin_presentation
+from rgcost.fpgroup.rewrite import reidemeister_schreier, tietze_simplify
 from rgcost.lgraph import LabelledGraph
 
 
@@ -79,7 +93,8 @@ def test_companion_matrix_has_the_polynomial():
 
 
 # braid5 is the path s1 - s2 - s3 - s4, every label 3: the bound is 7.
-BRAID5_KS = [*range(2, 14), 18, 24, 30]
+# Levels above 2w = 12 come from the infinite cyclic cover.
+BRAID5_KS = [*range(2, 14), 18, 24, 30, 64, 300]
 
 
 def test_braid5(capsys):
@@ -130,3 +145,142 @@ def test_random_odd_trees(graph, k):
     assert row.index == k
     assert row.d_lower == d_oracle(labels, k)
     assert row.d_lower <= min(row.d_upper, 1 + sum(m - 1 for m in labels))
+
+
+# ---------------------------------------------------------------------------
+# the infinite cyclic cover route
+
+
+def kfold_row(pres, k: int):
+    """The k-fold route for one level, the reference: Cayley table,
+    Reidemeister-Schreier, Tietze."""
+    (row,) = rg_sequence(pres, kernel_chain_cayley(pres, [mod_cycle_images(pres, k)]))
+    return row
+
+
+def width(labels) -> int:
+    """The cover's window, sum (m_e - 1)."""
+    return sum(m - 1 for m in labels)
+
+
+@pytest.fixture
+def cayley_levels(monkeypatch):
+    """The degree of each Cayley table built, in build order."""
+    real = chains.cayley_table
+    seen = []
+
+    def spy(pres, images):
+        seen.append(len(images[pres.generators[0]]))
+        return real(pres, images)
+
+    monkeypatch.setattr(chains, "cayley_table", spy)
+    return seen
+
+
+@pytest.mark.parametrize("strands", [3, 4, 5, 6])
+def test_cover_rows_equal_kfold_rows_on_braids(strands, cayley_levels):
+    pres = builtin_target(f"braid{strands}").presentation
+    levels = list(range(2 * width([3] * (strands - 2)) + 1, 41))
+    rows = exponent_kernel_samples(pres, levels)
+    assert cayley_levels == []
+    assert rows == [kfold_row(pres, k) for k in levels]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(odd_trees(), st.data())
+def test_cover_rows_equal_kfold_rows_on_random_odd_trees(graph, data):
+    # any vertex order: the walk then meets edges from either end
+    pres = artin_presentation(LabelledGraph(data.draw(st.permutations(graph.vertices)),
+                                            graph.edges()))
+    w = width(m for _, _, m in graph.edges())
+    k = data.draw(st.integers(2 * w + 1, 2 * w + 16))
+    calls = []
+    real = chains.cayley_table
+    chains.cayley_table = lambda *args: calls.append(args) or real(*args)
+    try:
+        (row,) = exponent_kernel_samples(pres, [k])
+    finally:
+        chains.cayley_table = real
+    assert calls == []
+    assert row == kfold_row(pres, k)
+
+
+S3 = list(itertools.permutations(range(3)))
+
+
+def s3_homomorphisms(pres) -> int:
+    """|Hom(G, S3)|, counted by trying every image of the generators."""
+    count = 0
+    for images in itertools.product(S3, repeat=pres.num_generators):
+        inverses = [tuple(p.index(i) for i in range(3)) for p in images]
+        for rel in pres.relators:
+            point = [0, 1, 2]
+            for x in rel:
+                p = images[x - 1] if x > 0 else inverses[-x - 1]
+                point = [p[i] for i in point]
+            if point != [0, 1, 2]:
+                break
+        else:
+            count += 1
+    return count
+
+
+@pytest.mark.parametrize("vertices,edges,levels", [
+    ("ab", [("a", "b", 3)], range(5, 14)),
+    # c comes before b, so the edge {c, b} is written c first; the walk
+    # from a reaches b first, so c is solved from the relator's first half,
+    # where its top letter is positive
+    ("acb", [("a", "b", 3), ("c", "b", 3)], (9, 11)),
+], ids=["braid3", "path-reached-from-its-second-end"])
+def test_cover_presents_the_kernel(vertices, edges, levels):
+    # d_bounds sees only H1 and a generator count, so a cover that drops
+    # the tau-conjugation of wrapped translates still passes the row tests.
+    # Homomorphisms to S3 see the group: they must match the Tietze-
+    # simplified k-fold presentation's
+    pres = artin_presentation(LabelledGraph(list(vertices), edges))
+    cover = OddTreeCover.of(pres)
+    for k in levels:
+        (table,) = kernel_chain_cayley(pres, [mod_cycle_images(pres, k)])
+        kfold = tietze_simplify(reidemeister_schreier(pres, table))
+        assert s3_homomorphisms(cover.kernel(k)) == s3_homomorphisms(kfold), k
+
+
+def test_levels_up_to_twice_the_window_take_the_kfold_route(cayley_levels):
+    # braid5: w = 6, so 12 builds a Cayley table and 13 does not; the rows
+    # keep the listed order
+    pres = builtin_target("braid5").presentation
+    rows = exponent_kernel_samples(pres, [13, 4, 12, 16])
+    assert cayley_levels == [4, 12]
+    assert rows == [kfold_row(pres, k) for k in (13, 4, 12, 16)]
+    assert rows[1].d_upper == 6
+
+
+@pytest.mark.parametrize("vertices,edges", [
+    ("abc", [("a", "b", 4), ("b", "c", 3)]),
+    ("abc", [("a", "b", 3), ("b", "c", 3), ("a", "c", 3)]),
+    # n - 1 edges, but a cycle and an isolated vertex, not a tree
+    ("abcd", [("a", "b", 3), ("b", "c", 3), ("a", "c", 3)]),
+], ids=["even-label", "triangle", "triangle-and-isolated-vertex"])
+def test_graphs_outside_the_class_take_the_kfold_route(vertices, edges, cayley_levels):
+    pres = artin_presentation(LabelledGraph(list(vertices), edges))
+    levels = [3, 40, 41]
+    rows = exponent_kernel_samples(pres, levels)
+    assert cayley_levels == levels
+    assert rows == [kfold_row(pres, k) for k in levels]
+
+
+def test_free_group_takes_the_kfold_route(cayley_levels):
+    pres = artin_presentation(LabelledGraph(["a", "b"], []))
+    rows = exponent_kernel_samples(pres, [5, 9])
+    assert cayley_levels == [5, 9]
+    assert [(r.d_lower, r.d_upper) for r in rows] == [(6, 6), (10, 10)]
+
+
+def test_nonzero_exponent_sum_keeps_its_refusal(tmp_path, capsys, cayley_levels):
+    path = tmp_path / "sum1.pres"
+    path.write_text("gens: a b\nrel: a a B\n")
+    assert main(["--no-timestamp", "verify", str(path), "--abelian-kill", "7"]) == 2
+    assert capsys.readouterr().out.split("\n")[-2] == (
+        "error: images do not define a homomorphism: relator a a B does not map to "
+        "the identity")
+    assert cayley_levels == [7]
