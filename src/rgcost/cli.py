@@ -18,7 +18,8 @@ inputs.
 `cmd_verify` checks every option before it reads the target or builds
 any quotient: the `fpgroup` engine takes what passes as given and checks
 none of it again.  Every count on the command line goes through
-`numread.read_count`.
+`numread.read_count`, and an error line names a file path through
+`numread.quote`, cut to 20 characters like every other quoted input.
 
 A command loads only the engine it runs: `artin` and `certify` load
 `certificate`, `coxeter` loads `coxeter` and `verify` loads `fpgroup`, so
@@ -36,7 +37,7 @@ import sys
 from . import groupexpr as ge
 from .exprparse import parse_expr_file
 from .lgraph import girth, is_planar, parse_graph
-from .numread import LimitExceeded, read_count
+from .numread import LimitExceeded, quote, read_count
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -116,9 +117,9 @@ def _read_file(path: str, report: Report) -> str:
             data = fh.read()
         text = data.decode("utf-8")
     except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc.strerror}") from None
+        raise ValueError(f"cannot read {quote(path)}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
-        raise ValueError(f"cannot read {path}: {exc}") from None
+        raise ValueError(f"cannot read {quote(path)}: {exc}") from None
     report.note_input(path, data)
     return text
 
@@ -128,7 +129,7 @@ def _write_file(path: str, text: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
+        raise ValueError(f"cannot write {quote(path)}: {exc.strerror}") from None
 
 
 def _write_certificate(path: str, certificate):

@@ -13,6 +13,8 @@ case, since the inverse token of a name is its swapcase.
 
 from __future__ import annotations
 
+from operator import neg
+
 from ..lgraph import LabelledGraph
 
 Word = tuple[int, ...]
@@ -39,7 +41,7 @@ def free_reduce(letters) -> Word:
 
 
 def invert_word(word) -> Word:
-    return tuple(-x for x in reversed(word))
+    return tuple(map(neg, reversed(word)))
 
 
 def cyclic_reduce(word) -> Word:

@@ -154,8 +154,26 @@ def _least_rotation(word: Word) -> Word:
 
 
 def _rotation_key(word: Word) -> Word:
-    """Canonical form of a cyclic word up to rotation and inversion."""
+    """Canonical form of a cyclic word up to rotation and inversion: the
+    least rotation of the word or of its inverse.  Words of one and two
+    letters, most of what Reidemeister-Schreier emits on congruence
+    kernels, take a closed form: the least candidate starts with the
+    larger generator's inverse."""
+    n = len(word)
+    if n == 1:
+        return (-abs(word[0]),)
+    if n == 2:
+        # the candidates are (x, y), (y, x), (-y, -x) and (-x, -y)
+        x, y = word
+        if abs(x) >= abs(y):
+            return (x, y) if x < 0 else (-x, -y)
+        return (y, x) if y < 0 else (-y, -x)
     return min(_least_rotation(word), _least_rotation(invert_word(word)))
+
+
+# Tietze counts a word this long or longer with Counter's C loop, and a
+# shorter one with a plain dict, which skips Counter's set-up cost.
+_COUNTER_FROM = 48
 
 
 def tietze_simplify(pres: Presentation) -> Presentation:
@@ -170,29 +188,33 @@ def tietze_simplify(pres: Presentation) -> Presentation:
     "A Tietze transformation program", 1984): a generator -> relator
     occurrence index limits substitution to the relators that contain the
     eliminated generator, and eligible relators wait in a heap keyed
-    (length, position) whose stale entries are skipped when popped.  A
-    substitution splices each touched relator in one scan: the runs between
-    occurrences of the generator and the images are copied whole, and free
-    cancellation is tried only at the junctions, where a run's or an image's
-    head meets the output's tail (both are reduced, so nothing cancels
-    inside them).  One count of a relator's letters gives its bucket
-    (length, sum of |letters|), which rotation and inversion preserve, its
-    distinct generators and its smallest once-occurring generator; the
-    letter sum and the generators (the word itself when no generator
-    repeats) are stored by position until the relator is dropped, so
-    dropping it recounts nothing.  A relator's canonical key is computed
-    only when its bucket collides with another live relator's, and is kept
-    until the relator changes.  Generators keep their input numbers until
-    one monotone renumbering at the end, so every choice is the one a
+    (length, position) whose stale entries are skipped when popped.  The
+    image of the eliminated generator is read off its relator u g^e v as
+    a rotation, v u, already reduced.  A substitution splices each touched
+    relator in one scan: the runs between occurrences of the generator and
+    the images are copied whole, and free cancellation is tried only at
+    the junctions, where a run's or an image's head meets the output's
+    tail (both are reduced, so nothing cancels inside them).
+
+    Placing a relator counts its letters once, into a dict (Counter's C
+    loop from _COUNTER_FROM letters on), which gives its distinct
+    generators, kept by position so that dropping it recounts nothing, its
+    smallest once-occurring generator and its bucket.  A relator of one or
+    two letters is bucketed by its closed-form rotation key, so a bucket
+    it shares is a copy; a longer one by (length, sum of |letters|), which
+    rotation and inversion preserve, and its key is computed only when its
+    bucket collides with another live relator's, and kept until the
+    relator changes.  Generators keep their input numbers until one
+    monotone renumbering at the end, so every choice is the one a
     whole-list pass would make.
     """
     n = len(pres.relators)
     words: list[Word | None] = [None] * n  # by list position; None once dropped
-    keys: list[Word | None] = [None] * n  # rotation keys, computed on first need
+    keys: list[Word | None] = [None] * n  # rotation keys; past two letters, on first need
     once = [0] * n  # smallest generator occurring once in the relator, 0 if none
-    sums = [0] * n  # sum of |letters|; a live relator's bucket is (length, sum)
-    gens_of: list[Word | None] = [None] * n  # distinct generators, up to sign
-    buckets: dict[tuple[int, int], list[int]] = {}  # live positions by bucket
+    bucket_of: list[tuple | None] = [None] * n  # a live relator's bucket
+    gens_of: list[dict[int, int] | None] = [None] * n  # generator -> count
+    buckets: dict[tuple, list[int]] = {}  # live positions by bucket
     occ: dict[int, set[int]] = {g: set() for g in range(1, pres.num_generators + 1)}
     heap: list[tuple[int, int]] = []
 
@@ -202,43 +224,61 @@ def tietze_simplify(pres: Presentation) -> Presentation:
         return keys[pos]
 
     def drop(pos: int) -> None:
-        b = len(words[pos]), sums[pos]
         for g in gens_of[pos]:
-            occ[abs(g)].discard(pos)
+            occ[g].discard(pos)
+        b = bucket_of[pos]
         buckets[b].remove(pos)
         if not buckets[b]:
             del buckets[b]
         words[pos] = keys[pos] = gens_of[pos] = None
 
     def place(pos: int, word: Word) -> None:
-        if not word:
+        size = len(word)
+        if not size:
             return
-        counts = Counter(map(abs, word))
-        total = sum(map(mul, counts.keys(), counts.values()))
-        b = len(word), total
-        if b in buckets:
-            # live relators are pairwise distinct, so at most one matches
-            key = _rotation_key(word)
-            other = next((o for o in buckets[b] if key_of(o) == key), None)
-            if other is not None:
-                if other < pos:
-                    return
-                drop(other)
-            keys[pos] = key
+        if size < _COUNTER_FROM:
+            counts: dict[int, int] = {}
+            total = 0
+            for x in word:
+                g = x if x > 0 else -x
+                counts[g] = counts.get(g, 0) + 1
+                total += g
+        else:
+            counts = Counter(map(abs, word))
+            total = sum(map(mul, counts.keys(), counts.values()))
+        if size <= 2:
+            # the bucket is the key itself, so a live relator in it is a copy
+            b = key = _rotation_key(word)
+            other = buckets[b][0] if b in buckets else None
+        else:
+            b = size, total
+            if b in buckets:
+                # live relators are pairwise distinct, so at most one matches
+                key = _rotation_key(word)
+                other = next((o for o in buckets[b] if key_of(o) == key), None)
+            else:
+                key = other = None
+        if other is not None:
+            if other < pos:
+                return
+            drop(other)
         buckets.setdefault(b, []).append(pos)
         words[pos] = word
-        sums[pos] = total
-        # a word whose generators are all distinct lists them itself
-        gens_of[pos] = word if len(counts) == len(word) else tuple(counts)
-        for g in counts:
+        keys[pos] = key
+        bucket_of[pos] = b
+        gens_of[pos] = counts
+        single = 0
+        for g, c in counts.items():
             occ[g].add(pos)
-        single = [g for g, c in counts.items() if c == 1]
-        once[pos] = min(single) if single else 0
+            if c == 1 and (not single or g < single):
+                single = g
+        once[pos] = single
         if single:
-            heapq.heappush(heap, (len(word), pos))
+            heapq.heappush(heap, (size, pos))
 
     for pos, rel in enumerate(pres.relators):
-        place(pos, cyclic_reduce(rel))
+        # relators are freely reduced, so only inverse end letters need work
+        place(pos, cyclic_reduce(rel) if rel[0] == -rel[-1] else rel)
 
     while heap:
         length, pos = heapq.heappop(heap)
@@ -246,15 +286,14 @@ def tietze_simplify(pres: Presentation) -> Presentation:
         if rel is None or len(rel) != length or not once[pos]:
             continue  # stale: dropped or rewritten since it was pushed
         gen = once[pos]
-        i = next(i for i, x in enumerate(rel) if abs(x) == gen)
-        u, v = rel[:i], rel[i + 1:]
-        if rel[i] > 0:
-            # u g v = 1  =>  g = u^-1 v^-1
-            replacement = free_reduce(invert_word(u) + invert_word(v))
-        else:
-            # u g^-1 v = 1  =>  g = v u
-            replacement = free_reduce(v + u)
-        inverse = invert_word(replacement)
+        i = 0
+        while rel[i] != gen and rel[i] != -gen:
+            i += 1
+        # rel = u g^e v is cyclically reduced, so v u is reduced:
+        # u g v = 1 gives g = (v u)^-1 and u g^-1 v = 1 gives g = v u
+        vu = rel[i + 1:] + rel[:i]
+        vu_inv = invert_word(vu)
+        replacement, inverse = (vu_inv, vu) if rel[i] > 0 else (vu, vu_inv)
         m = len(replacement)
         drop(pos)
         # drop every relator the substitution rewrites before placing any,

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import trace_from_json
+from conftest import reference_quote, trace_from_json
 from rgcost.certificate import certificate_from_json, check_certificate
 from rgcost.cli import main
 
@@ -354,6 +354,9 @@ LONG_NAME_GRAPHS = [
     (f"vertex {LONG_NAME}\nvertex b\nedge {LONG_NAME} b 2\nedge b {LONG_NAME} 3\n",
      4, f"duplicate edge 'b' {LONG_NAME_CUT}"),
 ]
+# A 312-character path under a directory that does not exist, as an input
+# file and as a --csv target: its error line quotes it cut to 20 characters.
+LONG_MISSING_PATH = "/nonexistent/" + "/".join(["a" * 99] * 3)
 
 
 class TestErrorExits:
@@ -435,6 +438,11 @@ class TestErrorExits:
         (["expr", "FILE"], f'(artin "{"/".join(["a" * 98] * 3)}.graph")', 2,
          "error: line 1, col 8: cannot read graph file 'aaaaaaaaaaaaaaaaaaaa...': "
          "No such file or directory"),
+        *[([command, LONG_MISSING_PATH], None, 2,
+           "error: cannot read '/nonexistent/aaaaaaa...': No such file or directory")
+          for command in ("expr", "artin")],
+        (["verify", "SL2Z", "--mod", "3", "--csv", LONG_MISSING_PATH], None, 2,
+         "error: cannot write '/nonexistent/aaaaaaa...': No such file or directory"),
     ], ids=["hypothesis", "invariant", "limit", "decreasing-mod", "decreasing-abelian-kill",
             "empty-mod", "empty-abelian-kill", "missing-file", "braid1", "certificate-cap",
             "braid-cap", "negative-coset-limit-abelian-kill", "negative-coset-limit-mod",
@@ -448,7 +456,8 @@ class TestErrorExits:
             "underscore-abelian-kill", "underscore-low-index", "non-ascii-certificate-param",
             *[f"{command}-long-name-{key}" for command in ("artin", "coxeter")
               for key in ("invalid", "duplicate-vertex", "undeclared", "self-loop",
-                          "duplicate-edge")], "long-missing-graph-path"])
+                          "duplicate-edge")], "long-missing-graph-path",
+            "expr-long-missing-path", "artin-long-missing-path", "verify-long-csv-path"])
     def test_exit_code_and_line(self, argv, text, code, line, tmp_path):
         path = tmp_path / "input"
         if text is not None:
@@ -458,6 +467,7 @@ class TestErrorExits:
              *(str(path) if a == "FILE" else a for a in argv)],
             capture_output=True, text=True)
         assert (proc.returncode, proc.stderr) == (code, "")
+        assert "Traceback" not in proc.stdout
         last = proc.stdout.split("\n")[-2]
         assert last.startswith(line) and len(last.encode()) <= 200
 
@@ -559,7 +569,8 @@ class TestFileErrors:
         path.write_bytes(b"vertex a\nvertex \xff\n")
         code, out = run_cli([command[0], str(path), *command[1:]], capsys)
         assert code == 2
-        assert f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff" in out
+        assert (f"error: cannot read {reference_quote(str(path))}: "
+                "'utf-8' codec can't decode byte 0xff") in out
 
     @pytest.mark.parametrize("command,flag", [
         (["artin", "GRAPH"], "--certify"),
@@ -574,7 +585,8 @@ class TestFileErrors:
         argv = [str(graph) if a == "GRAPH" else a for a in command]
         code, out = run_cli([*argv, flag, str(target)], capsys)
         assert code == 2
-        assert out.split("\n")[-2].startswith(f"error: cannot write {target}: ")
+        assert out.split("\n")[-2].startswith(
+            f"error: cannot write {reference_quote(str(target))}: ")
         assert not target.parent.exists()
 
 

@@ -18,6 +18,7 @@ from conftest import (
 from rgcost.fpgroup.builtins import builtin_target
 from rgcost.fpgroup.chains import cayley_table, mod_cycle_images, psl2z_images, sl2z_images
 from rgcost.fpgroup.coset import CosetTable, EnumerationLimit
+from rgcost.fpgroup.cover import OddTreeCover
 from rgcost.fpgroup.lowindex import low_index_normal
 from rgcost.fpgroup.presentation import (
     Presentation,
@@ -385,11 +386,37 @@ class TestTietzeMatchesReference:
         out, ref = tietze_simplify(sub), reference_tietze_simplify(sub)
         assert (out.generators, out.relators) == (ref.generators, ref.relators)
 
+    def test_benchmark_kernels(self):
+        # the short relators of the congruence kernels (1,392 relators of
+        # 1-4 letters) and the long ones of the infinite-cyclic-cover
+        # kernels (up to 680 letters): both sides of the count Tietze
+        # chooses by word length
+        kernels = []
+        for name, images, levels in (("SL2Z", sl2z_images, range(3, 8)),
+                                     ("PSL2Z", psl2z_images, range(3, 9))):
+            pres = builtin_target(name).presentation
+            kernels += [reidemeister_schreier(pres, cayley_table(pres, images(n)))
+                        for n in levels]
+        for name, levels in (("braid5", (16, 32)), ("braid3", (32, 64, 128, 256))):
+            cover = OddTreeCover.of(builtin_target(name).presentation)
+            kernels += [cover.kernel(k) for k in levels]
+        for sub in kernels:
+            out, ref = tietze_simplify(sub), reference_tietze_simplify(sub)
+            assert (out.generators, out.relators) == (ref.generators, ref.relators)
+
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(st.lists(st.integers(-4, 4).filter(bool), min_size=1, max_size=16))
     def test_rotation_key_is_least_rotation(self, letters):
         word = tuple(letters)
         assert library_rotation_key(word) == _rotation_key(word)
+
+    def test_short_rotation_keys_are_least_rotations(self):
+        # every word of one or two letters on four generators, reduced or
+        # not: the closed form Tietze keys such relators by
+        letters = [x for g in range(1, 5) for x in (g, -g)]
+        words = [(x,) for x in letters] + [(x, y) for x in letters for y in letters]
+        for word in words:
+            assert library_rotation_key(word) == _rotation_key(word), word
 
 
 # ---------------------------------------------------------------------------
