@@ -6,14 +6,13 @@ returns nothing when it succeeds and raises when it fails; `main` alone
 maps the exception's class to an exit code (`_ERRORS`), the same way for
 every command: 0 success; 2 input/parse error, an input file that cannot
 be read, an output file that cannot be written, or an option its command
-refuses; 3 hypothesis failure, a `verify` row below the symbolic value,
-or an `expr` node whose values break betti1 - beta0 <= rank gradient; 4
-the checker rejected a certificate the command wrote, one `violation:`
-line each; 5 a budget refused the run (`LimitExceeded`: a count past its
-cap, `--low-index` included, a count too long for any limit, or a coset
-limit reached), and the line names what it counted and the limit.  With
---no-timestamp the output is byte-identical across runs for identical
-inputs.
+refuses; 3 hypothesis failure or a `verify` row below the symbolic
+value; 4 the checker rejected a certificate the command wrote, one
+`violation:` line each; 5 a budget refused the run (`LimitExceeded`: a
+count past its cap, `--low-index` included, a count too long for any
+limit, or a coset limit reached), and the line names what it counted and
+the limit.  With --no-timestamp the output is byte-identical across runs
+for identical inputs.
 
 `cmd_verify` checks every option before it reads the target or builds
 any quotient: the `fpgroup` engine takes what passes as given and checks

@@ -14,15 +14,17 @@ Grammar (";" starts a comment to end of line):
     (amenable "tag" ORDER)
     (artin "file.graph")              (coxeter "file.graph")
     (amalgam-finite EXPR EXPR N)      N >= 1
-    (amalgam-amenable EXPR EXPR EXPR ORDER ORDER ORDER)
+    (amalgam-amenable EXPR EXPR EXPR)
     (generation EXPR EXPR "justification")
 
-Each form is declared once, by its node class in `groupexpr`.  Each N and
-ORDER is read by `numread.read_count`.  Graph file paths are resolved
-relative to the expression file's directory.  Each distinct joined path is
-read and parsed once per expression, so leaves that name it share one
-graph (and its memoised girth and planarity), and each file read is passed
-to `note_input` (path, bytes) once, in read order.
+Each form is declared once, by its node class in `groupexpr`, and a form
+given more arguments than its class declares is refused at the first
+extra one.  Each N and ORDER is read by `numread.read_count`.  Graph file
+paths are resolved relative to the expression file's directory.  Each
+distinct joined path is read and parsed once per expression, so leaves
+that name it share one graph (and its memoised girth and planarity), and
+each file read is passed to `note_input` (path, bytes) once, in read
+order.
 """
 
 from __future__ import annotations
@@ -115,7 +117,11 @@ class _Parser:
                 value = self._fill(head, cls, args)
                 if value is None:
                     break
-                self._next(")")
+                extra = self._next()
+                if extra.kind != ")":
+                    n = len(cls.slots)
+                    raise ExprParseError(f"{cls.head} takes {n} argument{'s' * (n != 1)}, "
+                                         f"got {quote(extra.text)}", extra.line, extra.col)
                 open_forms.pop()
             if not open_forms:
                 break

@@ -362,15 +362,17 @@ LONG_MISSING_PATH = "/nonexistent/" + "/".join(["a" * 99] * 3)
 class TestErrorExits:
     """main maps what a command raises to an exit code and a line prefix,
     the same way for every command, and never prints a traceback.  One
-    input per row of main's table; the ValueError row has several.  The
-    decreasing-level rows were refusals once and now exit 0: levels need
-    no order.  Every refusal is one stdout line of at most 200 bytes, with
-    nothing on stderr, however long the count or vertex name it quotes."""
+    input per row of main's table, the ValueError row has several, and
+    the InvariantError row, which only a forged `verify` row reaches, is
+    TestVerifyCommand's.  The decreasing-level rows were refusals once and
+    now exit 0: levels need no order.  Every refusal is one stdout line of
+    at most 200 bytes, with nothing on stderr, however long the count or
+    vertex name it quotes."""
 
     @pytest.mark.parametrize("argv,text,code,line", [
         (["coxeter", "FILE"], K4_GRAPH, 3, "hypothesis failed: girth(3) < 6; nonplanar=false"),
         (["expr", "FILE"], "(amalgam-amenable (cyclic 2) (cyclic 2) (trivial) inf inf 1)",
-         3, "error: inconsistent values at root: "),
+         2, "error: line 1, col 51: amalgam-amenable takes 3 arguments, got 'inf'"),
         (["verify", "braid3", "--abelian-kill", "30", "--coset-limit", "20"], None,
          5, "inconclusive: coset limit exceeded: "),
         (["verify", "SL2Z", "--mod", "5,3"], None, 0, "matches symbolic 1/12"),
@@ -443,7 +445,7 @@ class TestErrorExits:
           for command in ("expr", "artin")],
         (["verify", "SL2Z", "--mod", "3", "--csv", LONG_MISSING_PATH], None, 2,
          "error: cannot write '/nonexistent/aaaaaaa...': No such file or directory"),
-    ], ids=["hypothesis", "invariant", "limit", "decreasing-mod", "decreasing-abelian-kill",
+    ], ids=["hypothesis", "extra-argument", "limit", "decreasing-mod", "decreasing-abelian-kill",
             "empty-mod", "empty-abelian-kill", "missing-file", "braid1", "certificate-cap",
             "braid-cap", "negative-coset-limit-abelian-kill", "negative-coset-limit-mod",
             "zero-low-index", "low-index-cap", "zero-abelian-kill", "mod-one",

@@ -234,7 +234,7 @@ class TestClassC:
         assert direct.rank_gradient == 2 + 2 + 1
 
     def test_free_amalgam_over_z(self):
-        e = AmalgamAmenable(Free(2), Free(2), FreeAbelian(1), INFINITE, INFINITE, INFINITE)
+        e = AmalgamAmenable(Free(2), Free(2), FreeAbelian(1))
         r = eval_class_C(e)
         assert r.rank_gradient == 2
         assert any("pinch" in line for line in r.rule_trace)
@@ -257,7 +257,7 @@ class TestClassC:
         assert "outside the supported class" in r.rank_gradient.reason
 
     def test_amalgam_without_witness(self):
-        e = AmalgamAmenable(Free(2), Free(2), Free(3), INFINITE, INFINITE, INFINITE)
+        e = AmalgamAmenable(Free(2), Free(2), Free(3))
         r = eval_class_C(e)
         assert isinstance(r.rank_gradient, Unknown)
 

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    _reference_eval,
+    REFERENCE_ARITY,
     _tokenize as reference_tokenize,
     infer_order,
     reference_evaluate,
@@ -22,7 +22,7 @@ from conftest import (
     reference_parse_expr,
 )
 from rgcost.cli import main
-from rgcost.exprparse import ExprParseError, _tokenize, parse_expr
+from rgcost.exprparse import _HEADS, ExprParseError, _tokenize, parse_expr
 from rgcost.groupexpr import (
     INFINITE,
     AmalgamAmenable,
@@ -36,7 +36,6 @@ from rgcost.groupexpr import (
     Generation,
     GroupOrder,
     IntegersZ,
-    InvariantError,
     Surface,
     TrivialGroup,
     Unknown,
@@ -111,24 +110,15 @@ def trees(draw, graphs=small_graphs(), depth=0):
         # orders up to 9 make degenerate amalgams of the cyclic leaves
         return AmalgamFinite(left, right, draw(st.integers(1, 9)))
     if kind == 4:
-        return AmalgamAmenable(left, right, draw(trees(graphs, depth + 1)),
-                               draw(orders()), draw(orders()), draw(orders()))
+        return AmalgamAmenable(left, right, draw(trees(graphs, depth + 1)))
     return Generation(left, right, draw(st.sampled_from(JUSTIFICATIONS)))
 
 
 # ---------------------------------------------------------------------------
-# paths, computed here from step lists
+# paths
 
 
 PATH = re.compile(r"root(?:\.(?:left|right|amalgam)(?:\*\d+)?)*")
-
-
-def path_name(steps) -> str:
-    parts = ["root"]
-    for step, run in itertools.groupby(steps):
-        k = len(list(run))
-        parts.append(f".{step}" if k == 1 else f".{step}*{k}")
-    return "".join(parts)
 
 
 def node_at(tree, name: str):
@@ -138,31 +128,10 @@ def node_at(tree, name: str):
     return tree
 
 
-def evaluated_nodes(tree, steps=()):
-    """(steps, node) in the evaluator's post-order: left, right, the
-    amalgam subgroup, then the node."""
-    for step in tree.steps:
-        yield from evaluated_nodes(getattr(tree, step), steps + (step,))
-    yield steps, tree
-
-
 def subtrees(tree, steps=()):
     yield steps, tree
     for step in tree.steps:
         yield from subtrees(getattr(tree, step), steps + (step,))
-
-
-def first_violation(tree) -> str | None:
-    """Path of the first evaluated node, by the reference's values and
-    orders, with betti1 - beta0 > cost - 1."""
-    for steps, node in evaluated_nodes(tree):
-        cost, betti = _reference_eval(node, [])
-        if is_known(cost) and is_known(betti):
-            order = reference_infer_order(node)
-            beta0 = recip_order(order) if order is not None else 0
-            if betti - beta0 > cost - 1:
-                return path_name(steps)
-    return None
 
 
 def in_full(text: str, tree) -> str:
@@ -190,11 +159,6 @@ class TestAgainstReference:
     @PROPERTY
     @given(trees())
     def test_values_and_trace(self, tree):
-        violation = first_violation(tree)
-        if violation is not None:
-            with pytest.raises(InvariantError, match=rf"at {re.escape(violation)}:"):
-                evaluate(tree)
-            return
         ref = reference_evaluate(tree)
         got = evaluate(tree)
         assert tuple(as_reference_value(v, tree) for v in (
@@ -212,10 +176,7 @@ class TestAgainstReference:
         for _, node in subtrees(tree):
             assert infer_order(node) == reference_infer_order(node)
             wrapped = AmalgamFinite(node, Free(2), 1)
-            try:
-                betti = evaluate(wrapped).betti1
-            except InvariantError:
-                continue  # where it is raised is pinned by test_values_and_trace
+            betti = evaluate(wrapped).betti1
             assert as_reference_value(betti, wrapped) == reference_evaluate(wrapped).betti1
 
 
@@ -312,6 +273,26 @@ class TestParserAgainstReference:
         assert parse_outcome(parse_expr, text, graph_dir) == parse_outcome(
             reference_parse_expr, text, graph_dir)
 
+    def test_extra_argument_on_every_head(self, graph_dir):
+        """A form given one argument too many is refused at that argument,
+        by the head and its count, the same way as the reference."""
+        forms = {
+            "trivial": "(trivial", "z": "(z", "cyclic": "(cyclic 3", "free": "(free 2",
+            "free-abelian": "(free-abelian 2", "surface": "(surface 2",
+            "amenable": '(amenable "t" inf', "artin": '(artin "one.graph"',
+            "coxeter": '(coxeter "edge.graph"', "amalgam-finite": "(amalgam-finite z z 1",
+            "amalgam-amenable": "(amalgam-amenable z z z", "generation": '(generation z z "j"',
+        }
+        assert set(forms) == set(_HEADS) == set(REFERENCE_ARITY)
+        for head, form in forms.items():
+            n, col = REFERENCE_ARITY[head], len(form) + 2
+            for extra, shown in [("inf", "'inf'"), ("(z)", "'('"), ('"x"', "'x'")]:
+                text = f"{form} {extra})"
+                refusal = (f"line 1, col {col}: {head} takes {n} "
+                           f"argument{'' if n == 1 else 's'}, got {shown}", 1, col)
+                assert parse_outcome(parse_expr, text, graph_dir) == refusal
+                assert parse_outcome(reference_parse_expr, text, graph_dir) == refusal
+
 
 # ---------------------------------------------------------------------------
 # depth
@@ -353,19 +334,19 @@ class TestDepth:
     def test_deep_subgroup_without_witness(self, tmp_path):
         """The reason names a deep subgroup by its path."""
         sub = nest(3000, "left").replace("(cyclic 6)", "(free 2)")
-        code, out = run_expr(tmp_path, f"(amalgam-amenable (free 2) (free 2) {sub} inf inf inf)")
+        code, out = run_expr(tmp_path, f"(amalgam-amenable (free 2) (free 2) {sub})")
         assert code == 0
         reason = "unknown(amalgam subgroup root.amalgam carries no betti1 = 0 witness)"
         assert out.splitlines()[2] == (
             f"cost={reason} rg={reason} betti1={reason} fixed_price=false")
         assert out.splitlines()[-1] == (
-            "  - rule-not-applicable root (amalgam-amenable (free 2) (free 2) root.amalgam "
-            "inf inf inf): amalgam subgroup root.amalgam carries no betti1 = 0 witness")
+            "  - rule-not-applicable root (amalgam-amenable (free 2) (free 2) root.amalgam): "
+            "amalgam subgroup root.amalgam carries no betti1 = 0 witness")
 
     def test_generations_over_one_unwitnessed_subgroup(self, tmp_path):
         """Every generation node above the amalgam copies its reason, which
         names the subgroup by its path, so the report grows linearly."""
-        text = f"(amalgam-amenable (free 2) (free 2) {nest(100, 'left')} inf inf inf)"
+        text = f"(amalgam-amenable (free 2) (free 2) {nest(100, 'left')})"
         for _ in range(100):
             text = f'(generation {text} (z) "shared")'
         code, out = run_expr(tmp_path, text)
@@ -385,7 +366,7 @@ cost=13/12 rg=1/12 betti1=1/12 fixed_price=true
 rules:
   - finite-price root.left (cyclic 6): cost 1 - 1/6 = 5/6, betti1 0
   - finite-price root.right (cyclic 4): cost 1 - 1/4 = 3/4, betti1 0
-  - amalgam-price root (amalgam-finite (cyclic 6) (cyclic 4) 2): cost 5/6 + 3/4 - 1/2 = 13/12; gradient sum route -1/6 + -1/4 + 1/2 = 1/12 agrees
+  - amalgam-price root (amalgam-finite (cyclic 6) (cyclic 4) 2): cost 5/6 + 3/4 - 1/2 = 13/12
   - amalgam-betti root (amalgam-finite (cyclic 6) (cyclic 4) 2): 0 - 1/6 + 0 - 1/4 + 1/2 = 1/12
 """),
     ('(generation (amalgam-finite (free 2) z 1) (free 3) "declared")', """\
@@ -393,24 +374,24 @@ cost=unknown(generation rule needs both factors of price 1 (got 3 and 3)) rg=unk
 rules:
   - free-price root.left*2 (free 2): cost 2, betti1 1
   - amenable-price root.left.right (z): cost 1, betti1 0
-  - amalgam-price root.left (amalgam-finite (free 2) (z) 1): cost 2 + 1 - 0 = 3; gradient sum route 1 + 0 + 1/1 = 2 agrees
+  - amalgam-price root.left (amalgam-finite (free 2) (z) 1): cost 2 + 1 - 0 = 3
   - amalgam-betti root.left (amalgam-finite (free 2) (z) 1): 1 - 0 + 0 - 0 + 1 = 2
   - free-price root.right (free 3): cost 3, betti1 2
   - rule-not-applicable root (generation root.left (free 3) "declared"): generation rule needs both factors of price 1 (got 3 and 3)
 """),
-    ("(amalgam-amenable (free 2) (free 2) (amalgam-finite z z 1) inf inf inf)", """\
+    ("(amalgam-amenable (free 2) (free 2) (amalgam-finite z z 1))", """\
 cost=unknown(amalgam subgroup root.amalgam carries no betti1 = 0 witness) rg=unknown(amalgam subgroup root.amalgam carries no betti1 = 0 witness) betti1=unknown(amalgam subgroup root.amalgam carries no betti1 = 0 witness) fixed_price=false
 rules:
   - free-price root.left (free 2): cost 2, betti1 1
   - free-price root.right (free 2): cost 2, betti1 1
-  - rule-not-applicable root (amalgam-amenable (free 2) (free 2) root.amalgam inf inf inf): amalgam subgroup root.amalgam carries no betti1 = 0 witness
+  - rule-not-applicable root (amalgam-amenable (free 2) (free 2) root.amalgam): amalgam subgroup root.amalgam carries no betti1 = 0 witness
 """),
-    ("(amalgam-amenable (free 2) (z) (free 2) inf inf inf)", """\
+    ("(amalgam-amenable (free 2) (z) (free 2))", """\
 cost=unknown(amalgam subgroup (free 2) carries no betti1 = 0 witness) rg=unknown(amalgam subgroup (free 2) carries no betti1 = 0 witness) betti1=unknown(amalgam subgroup (free 2) carries no betti1 = 0 witness) fixed_price=false
 rules:
   - free-price root.left (free 2): cost 2, betti1 1
   - amenable-price root.right (z): cost 1, betti1 0
-  - rule-not-applicable root (amalgam-amenable (free 2) (z) (free 2) inf inf inf): amalgam subgroup (free 2) carries no betti1 = 0 witness
+  - rule-not-applicable root (amalgam-amenable (free 2) (z) (free 2)): amalgam subgroup (free 2) carries no betti1 = 0 witness
 """),
     ("(amalgam-finite (cyclic 2) (amalgam-finite (cyclic 2) (cyclic 3) 2) 1)", """\
 cost=7/6 rg=1/6 betti1=unknown(degenerate amalgam: declared subgroup order reaches a factor order, so the splitting formula does not apply) fixed_price=true
@@ -418,9 +399,9 @@ rules:
   - finite-price root.left (cyclic 2): cost 1 - 1/2 = 1/2, betti1 0
   - finite-price root.right.left (cyclic 2): cost 1 - 1/2 = 1/2, betti1 0
   - finite-price root.right*2 (cyclic 3): cost 1 - 1/3 = 2/3, betti1 0
-  - amalgam-price root.right (amalgam-finite (cyclic 2) (cyclic 3) 2): cost 1/2 + 2/3 - 1/2 = 2/3; gradient sum route -1/2 + -1/3 + 1/2 = -1/3 agrees
+  - amalgam-price root.right (amalgam-finite (cyclic 2) (cyclic 3) 2): cost 1/2 + 2/3 - 1/2 = 2/3
   - rule-not-applicable root.right (amalgam-finite (cyclic 2) (cyclic 3) 2): degenerate amalgam: declared subgroup order reaches a factor order, so the splitting formula does not apply
-  - amalgam-price root (amalgam-finite (cyclic 2) root.right 1): cost 1/2 + 2/3 - 0 = 7/6; gradient sum route -1/2 + -1/3 + 1/1 = 1/6 agrees
+  - amalgam-price root (amalgam-finite (cyclic 2) root.right 1): cost 1/2 + 2/3 - 0 = 7/6
 """),
 ]
 
@@ -436,29 +417,67 @@ class TestGoldenExpr:
         assert rest == expected
 
 
-INCONSISTENT = "(amalgam-amenable (cyclic 2) (cyclic 2) (trivial) inf inf 1)"
+def assert_invariant(tree):
+    """betti1 - beta0 <= rg at every node whose values are known, with
+    beta0 from the reference's order, never from the evaluator's."""
+    for _, node in subtrees(tree):
+        r = evaluate(node)
+        if is_known(r.cost) and is_known(r.betti1):
+            order = reference_infer_order(node)
+            beta0 = recip_order(order) if order is not None else 0
+            assert r.betti1 - beta0 <= r.rank_gradient, node.describe()
+
+
+# Z/2 * Z/2 over the trivial group; with the orders once declared as
+# inf inf 1 it broke the invariant, inferred they give D-infinity's values.
+DIHEDRAL = "(amalgam-amenable (cyclic 2) (cyclic 2) (trivial))"
 
 
 class TestInvariant:
+    @PROPERTY
+    @given(trees())
+    def test_every_subtree(self, tree):
+        assert_invariant(tree)
+
     def test_root(self, tmp_path):
-        code, out = run_expr(tmp_path, INCONSISTENT)
-        assert code == 3
-        assert out.splitlines()[2] == (
-            "error: inconsistent values at root: betti1 1 - beta0 0 "
-            "exceeds rank gradient 0")
+        code, out = run_expr(tmp_path, DIHEDRAL)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[2] == "cost=1 rg=0 betti1=0 fixed_price=true"
+        assert not any(line.startswith("error:") for line in lines)
+        assert lines[-1] == (f"  - amalgam-betti root {DIHEDRAL}: "
+                             "0 - 1/2 + 0 - 1/2 + 1 = 0")
 
     def test_first_violation_in_post_order(self, tmp_path):
-        code, out = run_expr(tmp_path, f"(amalgam-finite {INCONSISTENT} (cyclic 2) 1)")
-        assert code == 3
-        assert out.splitlines()[2].startswith("error: inconsistent values at root.left:")
+        """No node of the tree that once failed first at root.left fails now."""
+        text = f"(amalgam-finite {DIHEDRAL} (cyclic 2) 1)"
+        code, out = run_expr(tmp_path, text)
+        assert code == 0
+        assert out.splitlines()[2] == "cost=3/2 rg=1/2 betti1=1/2 fixed_price=true"
+        assert_invariant(parse_expr(text))
 
     def test_inside_a_subgroup(self):
-        e = AmalgamAmenable(Free(2), Free(2), parse_expr(INCONSISTENT),
-                            INFINITE, INFINITE, INFINITE)
-        with pytest.raises(InvariantError, match="at root.amalgam:"):
-            evaluate(e)
+        e = AmalgamAmenable(Free(2), Free(2), parse_expr(DIHEDRAL))
+        r = evaluate(e)
+        assert (r.cost, r.rank_gradient, r.betti1) == (3, 2, 2)
+        assert_invariant(e)
 
     def test_finite_factor_declared_finite_is_consistent(self):
-        r = evaluate(AmalgamAmenable(Cyclic(2), Cyclic(2), TrivialGroup(),
-                                     GroupOrder(2), GroupOrder(2), GroupOrder(1)))
+        r = evaluate(AmalgamAmenable(Cyclic(2), Cyclic(2), TrivialGroup()))
         assert r.rank_gradient == r.betti1 == 0
+
+    @pytest.mark.parametrize("text,values", [
+        # F3 * F3 is F6, free of rank 6
+        ("(amalgam-amenable (free 3) (free 3) (trivial))",
+         "cost=6 rg=5 betti1=5 fixed_price=true"),
+        # an amalgam of Z with Z over an infinite cyclic subgroup: cost 1 + 1 - 1
+        ("(amalgam-amenable (z) (z) (z))", "cost=1 rg=0 betti1=0 fixed_price=true"),
+        # Z/2 * Z/2 is the infinite dihedral group
+        ("(amalgam-amenable (cyclic 2) (cyclic 2) (trivial))",
+         "cost=1 rg=0 betti1=0 fixed_price=true"),
+    ], ids=["F6", "Z", "infinite-dihedral"])
+    def test_inferred_orders(self, tmp_path, text, values):
+        """Each subgroup order and factor order comes from its expression."""
+        code, out = run_expr(tmp_path, text)
+        assert code == 0
+        assert out.splitlines()[2] == values

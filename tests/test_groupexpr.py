@@ -91,13 +91,13 @@ class TestAmalgams:
         assert r.rank_gradient == Fraction(1, 6)
 
     def test_amenable_amalgam_betti(self):
-        e = AmalgamAmenable(Free(2), Free(2), FreeAbelian(1), INFINITE, INFINITE, INFINITE)
+        e = AmalgamAmenable(Free(2), Free(2), FreeAbelian(1))
         r = evaluate(e)
         assert r.betti1 == Fraction(2)
         assert r.cost == Fraction(3)
 
     def test_amalgam_without_witness_is_unknown(self):
-        e = AmalgamAmenable(Free(2), Free(2), Free(2), INFINITE, INFINITE, INFINITE)
+        e = AmalgamAmenable(Free(2), Free(2), Free(2))
         r = evaluate(e)
         assert isinstance(r.betti1, Unknown)
         assert "witness" in r.betti1.reason
@@ -270,9 +270,7 @@ VALUE_CLASSES = [
     (ArtinGraph, lambda: {"graph": _GRAPH}, []),
     (CoxeterGraph, lambda: {"graph": _GRAPH}, []),
     (AmalgamFinite, lambda: {"left": Cyclic(4), "right": Cyclic(6), "amalgam_order": 2}, []),
-    (AmalgamAmenable, lambda: {"left": Free(2), "right": IntegersZ(), "amalgam": IntegersZ(),
-                               "left_order": INFINITE, "right_order": INFINITE,
-                               "amalgam_order": GroupOrder(None)}, []),
+    (AmalgamAmenable, lambda: {"left": Free(2), "right": IntegersZ(), "amalgam": IntegersZ()}, []),
     (Generation, lambda: {"left": Surface(2), "right": IntegersZ(), "justification": "shared"},
      [{"justification": ""}, {"justification": " \t"}]),
     (GroupOrder, lambda: {"value": 6}, [{"value": 0}, {"value": -1}]),
