@@ -4,15 +4,16 @@ All reports are plain text on stdout; structured artifacts (certificates,
 traces, CSV) are written only through explicit output flags.  A command
 returns nothing when it succeeds and raises when it fails; `main` alone
 maps the exception's class to an exit code (`_ERRORS`), the same way for
-every command: 0 success; 2 input/parse error, an input file that cannot
-be read, an output file that cannot be written, or an option its command
-refuses; 3 hypothesis failure or a `verify` row below the symbolic
-value; 4 the checker rejected a certificate the command wrote, one
-`violation:` line each; 5 a budget refused the run (`LimitExceeded`: a
-count past its cap, `--low-index` included, a count too long for any
-limit, or a coset limit reached), and the line names what it counted and
-the limit.  With --no-timestamp the output is byte-identical across runs
-for identical inputs.
+every command: 0 success (`--help` too); 2 input/parse error, an input
+file that cannot be read, an output file that cannot be written, an
+option its command refuses, or an argparse usage error; 3 hypothesis
+failure or a `verify` row below the symbolic value; 4 the checker
+rejected a certificate the command wrote, one `violation:` line each; 5
+a budget refused the run (`LimitExceeded`: a count past its cap,
+`--low-index` included, a count too long for any limit, or a coset
+limit reached), and the line names what it counted and the limit.
+With --no-timestamp the output is byte-identical across runs for
+identical inputs.
 
 `cmd_verify` checks every option before it reads the target or builds
 any quotient: the `fpgroup` engine takes what passes as given and checks
@@ -91,11 +92,8 @@ def __getattr__(name: str):
 class Report:
     """Accumulated run report: command echo, input digests, result lines."""
 
-    def __init__(self, argv, timestamp: bool):
+    def __init__(self, argv):
         self.lines = ["# rgcost " + " ".join(argv)]
-        if timestamp:
-            from datetime import datetime, timezone
-            self.lines.append("# generated " + datetime.now(timezone.utc).isoformat())
 
     def note_input(self, label: str, data: bytes):
         digest = hashlib.sha256(data).hexdigest()
@@ -104,7 +102,10 @@ class Report:
     def add(self, line: str):
         self.lines.append(line)
 
-    def emit(self):
+    def emit(self, timestamp: bool):
+        if timestamp:
+            from datetime import datetime, timezone
+            self.lines.insert(1, "# generated " + datetime.now(timezone.utc).isoformat())
         for line in self.lines:
             print(line)
 
@@ -317,8 +318,19 @@ class _Listing(str):
         return self.make(importlib.import_module(f".{self.module}", __package__)) % params
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, with a usage error raised as ValueError, so that `main`
+    reports it like every other input error.  The message quotes argv
+    words in full, so it is cut to 180 bytes.  Its subparsers share the
+    class."""
+
+    def error(self, message):
+        cut = message.encode("utf-8")[:180].decode("utf-8", "ignore")
+        raise ValueError(cut if cut == message else cut + "...")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rgcost",
         description="Exact rank gradient / cost / first L2-Betti calculator with "
                     "certificates and an empirical verification engine.",
@@ -365,17 +377,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    report = Report(argv, timestamp=not args.no_timestamp)
-    handler = globals()["cmd_" + args.command]
+    # argparse sets each option on this namespace as it reads it, so a
+    # usage error after --no-timestamp still sees it
+    args = argparse.Namespace()
+    report = Report(argv)
     code = EXIT_OK
     try:
-        handler(args, report)
+        build_parser().parse_args(argv, namespace=args)
+        globals()["cmd_" + args.command](args, report)
+    except SystemExit as exc:  # --help: argparse printed it and exits 0
+        return exc.code
     except tuple(_ERRORS) as exc:
         code, prefix = next(row for kind, row in _ERRORS.items() if isinstance(exc, kind))
         report.add(f"{prefix}: {exc}")
-    report.emit()
+    report.emit(timestamp=not args.no_timestamp)
     return code
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coset import CosetTable, standardize_rows
-from .cover import OddTreeCover
+from .cover import odd_tree_bounds, odd_tree_labels
 from .lowindex import _has_translations
 from .presentation import Presentation
 from .rewrite import d_bounds, reidemeister_schreier
@@ -123,28 +123,29 @@ def exponent_kernel_samples(pres: Presentation, levels) -> list[RGSample]:
     """One row per level k, in the order given, for the kernel H_k of the
     total-exponent map to Z/k (`verify --abelian-kill`).
 
-    On the Artin group of a tree with odd labels, written as
-    `artin_presentation` writes it, a level k > 2w (w = the cover's window
-    width, sum (m_e - 1)) is presented from the infinite cyclic cover
-    (`OddTreeCover.kernel`) and then bounded by `d_bounds`.  Every other
-    level, and every level of any other presentation, takes the k-fold
-    route: Cayley table, Reidemeister-Schreier, Tietze.  On the cover's
-    levels both routes give the same row: d_lower is read from H1, which
-    no presentation changes, and d_upper was compared level by level on
-    braid3 to braid7 and on random odd-labelled trees.  At k <= 2w it can
-    differ (braid5 at k = 4: 6 by the k-fold route, 7 from the cover), so
-    those levels stay on the k-fold route.  Needs levels >= 1, each bounded
-    by the caller.
+    Every level of a presentation that `cover.odd_tree_labels` does not
+    read as an odd-labelled Artin tree takes the k-fold route: Cayley
+    table, Reidemeister-Schreier, Tietze.  On such a tree, of fibre rank
+    w = sum (m_e - 1), a level k > 2w is read from the labels alone
+    (`cover.odd_tree_bounds`, no presentation of H_k), and a level k <= 2w
+    takes the k-fold route, whose Tietze count can be lower there (braid5:
+    6 at k = 4), with d_upper capped at w + 1: t^k and a free basis of
+    ker(G -> Z) generate H_k.  d_lower is read from H1 on both routes, so
+    it does not depend on the route.  Needs levels >= 1, each bounded by
+    the caller.
     """
-    cover = OddTreeCover.of(pres)
+    labels = odd_tree_labels(pres)
+    w = None if labels is None else sum(m - 1 for m in labels)
 
-    def covered(k: int) -> bool:
-        return cover is not None and k > 2 * cover.width
+    def closed(k: int) -> bool:
+        return w is not None and k > 2 * w
 
-    kfold = [k for k in levels if not covered(k)]
+    def capped(row: RGSample) -> RGSample:
+        return row if w is None else RGSample(row.index, row.d_lower, min(row.d_upper, w + 1))
+
     rows = iter(rg_sequence(pres, kernel_chain_cayley(
-        pres, [mod_cycle_images(pres, k) for k in kfold])))
-    return [RGSample(k, *d_bounds(cover.kernel(k))) if covered(k) else next(rows)
+        pres, [mod_cycle_images(pres, k) for k in levels if not closed(k)])))
+    return [RGSample(k, *odd_tree_bounds(labels, k)) if closed(k) else capped(next(rows))
             for k in levels]
 
 

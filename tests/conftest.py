@@ -627,6 +627,24 @@ def schreier_words(table: CosetTable) -> list[Word]:
             for c, col in edges]
 
 
+def window_words(pres: Presentation, k: int) -> list[Word]:
+    """The generators that `verify --abelian-kill k` counts on an
+    odd-labelled Artin tree, as words in G: t^h x_i t^-(h+1) for h < m - 1,
+    for each generator x_i other than t = x_1 and the label m of the edge
+    that reaches x_i from x_1, then t^k.  Each relator is read as
+    `artin_presentation` writes an edge {a, b} labelled m: a b a ... of
+    length 2m."""
+    edges = [(rel[0], rel[1], len(rel) // 2) for rel in pres.relators]
+    reached, words = {1}, []
+    while edges:
+        a, b, m = next(e for e in edges if (e[0] in reached) != (e[1] in reached))
+        edges.remove((a, b, m))
+        x = b if a in reached else a
+        reached.add(x)
+        words += [(1,) * h + (x,) + (-1,) * (h + 1) for h in range(m - 1)]
+    return words + [(1,) * k]
+
+
 # Every relator from every coset, proper powers included.  The library
 # drops the rewrites of a proper power that are rotations of an earlier
 # one; Tietze must not see the difference.

@@ -214,10 +214,7 @@ def _in_process(row: Row):
 
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(["--no-timestamp", *row.argv])
-        except SystemExit as exc:  # argparse: --help and usage errors
-            code = exc.code or 0
+        code = main(["--no-timestamp", *row.argv])
     return code, out.getvalue().encode("utf-8"), err.getvalue().encode("utf-8")
 
 

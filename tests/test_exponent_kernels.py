@@ -24,20 +24,17 @@ H_k = K x| <t^k>, so H1(H_k) = Z + (K^ab)_(t^k), the coinvariants of t^k:
 `d_lower` is the least number of generators of H1(H_k): the number of
 invariant factors other than 1 of the block-diagonal matrix
 diag(0, C_e^k - I), computed here by sympy's Smith normal form over ZZ.
-And H_k is generated by t^k and the free basis of K, so d(H_k) <=
-1 + sum (m_e - 1).  `d_upper` comes from Tietze moves, which need not
-reach that bound: on the path with labels 3, 7, 7 at k = 11 it is 16,
-above the bound 15.  That row stays on the k-fold route (Cayley table,
-Reidemeister-Schreier, Tietze), because the cover's window is w = 2 + 6 +
-6 = 14 and only levels k > 2w = 28 are built from the infinite cyclic
-cover.  So the bound is checked only on the rows below, where it holds.
+And H_k is generated by t^k and the free basis of K, so d(H_k) <= w + 1,
+w = sum (m_e - 1); `tests/test_witness.py` enumerates those words back to
+index k.  `verify` caps every row's `d_upper` at w + 1.  Tietze moves on
+the k-fold presentation need not reach that bound: on the path with
+labels 3, 7, 7 at k = 11 they keep 16 generators, and the row prints 15.
 
-The second half checks that route: on the levels it takes, its rows equal
-the k-fold route's, called directly; every other level and every other
-presentation builds a Cayley table.
+The second half checks the closed-form route: above k = 2w a row comes
+from the labels alone (`cover.odd_tree_bounds`) and equals the k-fold
+route's, called directly; every other level and every other presentation
+builds a Cayley table.
 """
-
-import itertools
 
 import pytest
 import sympy
@@ -46,13 +43,12 @@ from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 
 import rgcost.fpgroup.chains as chains
+from conftest import todd_coxeter, window_words
 from rgcost.cli import main
 from rgcost.fpgroup.builtins import builtin_target
 from rgcost.fpgroup.chains import (exponent_kernel_samples, kernel_chain_cayley,
                                    mod_cycle_images, rg_sequence)
-from rgcost.fpgroup.cover import OddTreeCover
 from rgcost.fpgroup.presentation import artin_presentation
-from rgcost.fpgroup.rewrite import reidemeister_schreier, tietze_simplify
 from rgcost.lgraph import LabelledGraph
 
 
@@ -148,7 +144,7 @@ def test_random_odd_trees(graph, k):
 
 
 # ---------------------------------------------------------------------------
-# the infinite cyclic cover route
+# the closed-form route
 
 
 def kfold_row(pres, k: int):
@@ -159,7 +155,7 @@ def kfold_row(pres, k: int):
 
 
 def width(labels) -> int:
-    """The cover's window, sum (m_e - 1)."""
+    """The fibre rank w = sum (m_e - 1)."""
     return sum(m - 1 for m in labels)
 
 
@@ -205,44 +201,35 @@ def test_cover_rows_equal_kfold_rows_on_random_odd_trees(graph, data):
     assert row == kfold_row(pres, k)
 
 
-S3 = list(itertools.permutations(range(3)))
-
-
-def s3_homomorphisms(pres) -> int:
-    """|Hom(G, S3)|, counted by trying every image of the generators."""
-    count = 0
-    for images in itertools.product(S3, repeat=pres.num_generators):
-        inverses = [tuple(p.index(i) for i in range(3)) for p in images]
-        for rel in pres.relators:
-            point = [0, 1, 2]
-            for x in rel:
-                p = images[x - 1] if x > 0 else inverses[-x - 1]
-                point = [p[i] for i in point]
-            if point != [0, 1, 2]:
-                break
-        else:
-            count += 1
-    return count
-
-
 @pytest.mark.parametrize("vertices,edges,levels", [
     ("ab", [("a", "b", 3)], range(5, 14)),
     # c comes before b, so the edge {c, b} is written c first; the walk
-    # from a reaches b first, so c is solved from the relator's first half,
-    # where its top letter is positive
+    # from a reaches b first, so c's window has the edge {c, b}'s label
     ("acb", [("a", "b", 3), ("c", "b", 3)], (9, 11)),
 ], ids=["braid3", "path-reached-from-its-second-end"])
 def test_cover_presents_the_kernel(vertices, edges, levels):
-    # d_bounds sees only H1 and a generator count, so a cover that drops
-    # the tau-conjugation of wrapped translates still passes the row tests.
-    # Homomorphisms to S3 see the group: they must match the Tietze-
-    # simplified k-fold presentation's
+    # the row counts the window words and t^k, and Todd-Coxeter over
+    # them closes at index k: they generate H_k
     pres = artin_presentation(LabelledGraph(list(vertices), edges))
-    cover = OddTreeCover.of(pres)
-    for k in levels:
-        (table,) = kernel_chain_cayley(pres, [mod_cycle_images(pres, k)])
-        kfold = tietze_simplify(reidemeister_schreier(pres, table))
-        assert s3_homomorphisms(cover.kernel(k)) == s3_homomorphisms(kfold), k
+    for row in exponent_kernel_samples(pres, list(levels)):
+        words = window_words(pres, row.index)
+        assert row.d_upper == len(words), row.index
+        assert todd_coxeter(pres, subgroup=words).index == row.index
+
+
+@pytest.mark.parametrize("graph,k,tietze", [
+    (LabelledGraph(list("abcd"), [("a", "b", 3), ("b", "c", 7), ("c", "d", 7)]), 11, 16),
+    (LabelledGraph(list("abcde"), [("a", "b", 3), ("b", "c", 3), ("c", "d", 3),
+                                   ("d", "e", 3)]), 5, 10),
+], ids=["path-3-7-7", "braid6"])
+def test_kfold_levels_are_capped_at_the_fibre_bound(graph, k, tietze, cayley_levels):
+    # Tietze keeps more generators than t^k and the window at these k <= 2w
+    pres = artin_presentation(graph)
+    labels = [m for _, _, m in graph.edges()]
+    assert kfold_row(pres, k).d_upper == tietze
+    (row,) = exponent_kernel_samples(pres, [k])
+    assert cayley_levels == [k, k]
+    assert (row.d_lower, row.d_upper) == (d_oracle(labels, k), 1 + width(labels))
 
 
 def test_levels_up_to_twice_the_window_take_the_kfold_route(cayley_levels):

@@ -18,7 +18,6 @@ from conftest import (
 from rgcost.fpgroup.builtins import builtin_target
 from rgcost.fpgroup.chains import cayley_table, mod_cycle_images, psl2z_images, sl2z_images
 from rgcost.fpgroup.coset import CosetTable, EnumerationLimit
-from rgcost.fpgroup.cover import OddTreeCover
 from rgcost.fpgroup.lowindex import low_index_normal
 from rgcost.fpgroup.presentation import (
     Presentation,
@@ -388,18 +387,18 @@ class TestTietzeMatchesReference:
 
     def test_benchmark_kernels(self):
         # the short relators of the congruence kernels (1,392 relators of
-        # 1-4 letters) and the long ones of the infinite-cyclic-cover
-        # kernels (up to 680 letters): both sides of the count Tietze
-        # chooses by word length
+        # 1-4 letters) and the long ones the k-fold braid kernels end with
+        # (up to 511 letters): both sides of the count Tietze chooses by
+        # word length
         kernels = []
         for name, images, levels in (("SL2Z", sl2z_images, range(3, 8)),
                                      ("PSL2Z", psl2z_images, range(3, 9))):
             pres = builtin_target(name).presentation
             kernels += [reidemeister_schreier(pres, cayley_table(pres, images(n)))
                         for n in levels]
-        for name, levels in (("braid5", (16, 32)), ("braid3", (32, 64, 128, 256))):
-            cover = OddTreeCover.of(builtin_target(name).presentation)
-            kernels += [cover.kernel(k) for k in levels]
+        for name, levels in (("braid5", (16,)), ("braid4", (40,)),
+                             ("braid3", (32, 64, 128, 256))):
+            kernels += [_braid_kernel(name, k) for k in levels]
         for sub in kernels:
             out, ref = tietze_simplify(sub), reference_tietze_simplify(sub)
             assert (out.generators, out.relators) == (ref.generators, ref.relators)
