@@ -357,6 +357,33 @@ class TestDepth:
 
 
 # ---------------------------------------------------------------------------
+# golden output
+
+
+GOLDEN_EXPR = [
+    ("(amalgam-finite (cyclic 6) (cyclic 4) 2)", """\
+cost=13/12 rg=1/12 betti1=1/12 fixed_price=true
+rules:
+  - finite-price root.left (cyclic 6): cost 1 - 1/6 = 5/6, betti1 0
+  - finite-price root.right (cyclic 4): cost 1 - 1/4 = 3/4, betti1 0
+  - amalgam-price root (amalgam-finite (cyclic 6) (cyclic 4) 2): cost 5/6 + 3/4 - 1/2 = 13/12
+  - amalgam-betti root (amalgam-finite (cyclic 6) (cyclic 4) 2): 0 - 1/6 + 0 - 1/4 + 1/2 = 1/12
+"""),
+]
+
+
+class TestGoldenExpr:
+    @pytest.mark.parametrize("text,expected", GOLDEN_EXPR, ids=[t for t, _ in GOLDEN_EXPR])
+    def test_stdout(self, tmp_path, text, expected):
+        code, out = run_expr(tmp_path, text + "\n")
+        assert code == 0
+        echo, digest, rest = out.split("\n", 2)
+        assert echo == f"# rgcost --no-timestamp expr {tmp_path / 'e.expr'}"
+        assert digest.startswith(f"# input {tmp_path / 'e.expr'} sha256=")
+        assert rest == expected
+
+
+# ---------------------------------------------------------------------------
 # the invariant
 
 
