@@ -1,12 +1,14 @@
 """Decomposition certificates: builder, independent checker, JSON format.
 
-A certificate is a tree of priced claims.  Interior nodes split a group as
-an amalgam of several factors over one finite subgroup, or generate it by a
-sequence of subgroups each of which meets the group generated by the
+A certificate is a tree of derivation steps.  Interior nodes split a group
+as an amalgam of several factors over one finite subgroup, or generate it
+by a sequence of subgroups each of which meets the group generated by the
 earlier ones in an infinite subgroup; leaves are finite groups, infinite
 amenable groups, two-vertex Artin groups with infinite centre, or cited
-facts from the literature.  The checker recomputes every claimed cost from
-the children and never trusts the stored values; cited-fact leaves are the
+facts from the literature.  A node stores only its inputs, and its cost is
+derived from its kind and its children's costs when it is built, so the
+only claims are the header's claimed cost, which the reader compares with
+the root's, and the cost each cited fact cites.  Cited-fact leaves are the
 only assumptions and are counted and reported separately.
 
 A certificate for an Artin group carries its defining graph.  Only the
@@ -25,7 +27,7 @@ from .groupexpr import PriceResult
 from .lgraph import LabelledGraph
 from .numread import LimitExceeded, read_rational
 
-FORMAT = "rgcost-certificate/2"
+FORMAT = "rgcost-certificate/3"
 
 ARTIN_CAVEAT = (
     "values refer to normal chains of finite-index subgroups whose intersection "
@@ -34,98 +36,89 @@ ARTIN_CAVEAT = (
 )
 
 
-def edge_center_word(label: int) -> int:
-    """Exponent k such that (a_v a_w)^k generates the centre of the
-    two-generator Artin group on an edge with the given label: label/2
-    when the label is even, the label itself when odd.  Needs label >= 2,
-    as every graph edge has."""
-    return label // 2 if label % 2 == 0 else label
-
-
 # Each class below names its JSON "kind" tag in a class attribute, which is
-# not a dataclass field.
-
-
-@dataclass(frozen=True)
-class AmalgamDescriptor:
-    """The finite subgroup an amalgam node splits over, of the declared
-    order; order 1 is the trivial group, so the amalgam is a free product."""
-
-    kind = "finite"
-    order: int
-    name: str = ""
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("finite descriptor needs an order >= 1")
-
-    def price(self) -> Fraction:
-        return 1 - Fraction(1, self.order)
+# not a dataclass field.  So is `cost`, except on a cited fact: a class
+# attribute where the kind fixes it, else set once in __post_init__.
 
 
 @dataclass(frozen=True)
 class FiniteLeaf:
+    """Finite group of the given order: cost 1 - 1/order."""
+
     kind = "finite"
     order: int
-    cost: Fraction
+
+    def __post_init__(self):
+        if self.order < 1:
+            raise ValueError("a finite group needs an order >= 1")
+        object.__setattr__(self, "cost", 1 - Fraction(1, self.order))
 
 
 @dataclass(frozen=True)
 class AmenableLeaf:
-    """Infinite amenable group; `vertex` names the graph vertex when the
-    group is an infinite cyclic vertex subgroup of an Artin group."""
+    """Infinite amenable group, of cost 1; `vertex` names the graph vertex
+    when the group is an infinite cyclic vertex subgroup of an Artin
+    group."""
 
     kind = "amenable"
+    cost = Fraction(1)
     name: str
     reason: str
-    cost: Fraction
     vertex: str | None = None
 
 
 @dataclass(frozen=True)
 class InfiniteCenterLeaf:
-    """Two-vertex Artin subgroup; its centre is generated by the witness
-    word (a_v a_w)^exponent.  The centre misses the intersection of a
-    chain: its generator has nonzero image under the exponent-sum map to Z,
-    while the intersection of all finite-index subgroups lies in the kernel
-    of every map to Z/k, hence in the kernel of that map."""
+    """Two-vertex Artin subgroup, of cost 1: its centre is infinite cyclic,
+    generated by (a_v a_w)^(label/2) for an even label and (a_v a_w)^label
+    for an odd one.  The centre misses the intersection of a chain: its
+    generator has nonzero image under the exponent-sum map to Z, while the
+    intersection of all finite-index subgroups lies in the kernel of every
+    map to Z/k, hence in the kernel of that map."""
 
     kind = "infinite-centre"
+    cost = Fraction(1)
     endpoints: tuple[str, str]
     label: int
-    exponent: int
-    cost: Fraction
 
 
 @dataclass(frozen=True)
 class AmalgamNode:
-    """Amalgam of all children over one common subgroup: cost is the sum of
-    the children's costs minus (k - 1) times the subgroup's price."""
+    """Amalgam of all children over one common finite subgroup of the
+    given order, named by `name` (order 1: a free product).  Cost: the sum
+    of the children's costs minus (k - 1)(1 - 1/order)."""
 
     kind = "amalgam"
     children: tuple
-    amalgam: AmalgamDescriptor
-    cost: Fraction
+    order: int
+    name: str = ""
+
+    def __post_init__(self):
+        if self.order < 1:
+            raise ValueError("an amalgam needs a subgroup order >= 1")
+        kids = self.children
+        object.__setattr__(self, "cost", sum((c.cost for c in kids), Fraction(0))
+                           - (len(kids) - 1) * (1 - Fraction(1, self.order)))
 
 
 @dataclass(frozen=True)
 class GenerationNode:
-    """Group generated by the children, each of cost 1, where child j >= 1
-    meets the group generated by children 0..j-1 in an infinite subgroup
-    named by witnesses[j - 1] (in an Artin group, the vertex subgroup of
-    witness_vertices[j - 1])."""
+    """Group of cost 1 generated by the children, each of cost 1, where
+    child j >= 1 meets the group generated by children 0..j-1 in an
+    infinite subgroup named by witnesses[j - 1] (in an Artin group, the
+    vertex subgroup of witness_vertices[j - 1])."""
 
     kind = "generation"
+    cost = Fraction(1)
     children: tuple
     witnesses: tuple[str, ...]
-    cost: Fraction
     witness_vertices: tuple[str, ...] | None = None
 
 
 @dataclass(frozen=True)
 class CitedFactLeaf:
-    """Unverifiable assumption with a literature citation tag; the checker
-    records it instead of validating it."""
+    """Unverifiable assumption with a literature citation tag and the cost
+    it cites; the checker records it instead of validating it."""
 
     kind = "cited-fact"
     statement: str
@@ -191,7 +184,6 @@ def _component_nodes(g: LabelledGraph) -> list:
     vertex, neighbours in index order): each tree edge meets the earlier
     ones in the vertex subgroup of its tree parent.
     """
-    one = Fraction(1)
     seen: set[str] = set()
     parts = []
     for root in g.vertices:
@@ -206,14 +198,12 @@ def _component_nodes(g: LabelledGraph) -> list:
                     continue
                 seen.add(child)
                 queue.append(child)
-                label = g.label(parent, child)
-                leaves.append(InfiniteCenterLeaf(
-                    endpoints=(parent, child), label=label,
-                    exponent=edge_center_word(label), cost=one))
+                leaves.append(InfiniteCenterLeaf(endpoints=(parent, child),
+                                                 label=g.label(parent, child)))
                 parents.append(parent)
         if not leaves:
             parts.append(AmenableLeaf(name=f"<{root}>", reason="infinite cyclic vertex subgroup",
-                                      cost=one, vertex=root))
+                                      vertex=root))
         elif len(leaves) == 1:
             parts.append(leaves[0])
         else:
@@ -221,7 +211,6 @@ def _component_nodes(g: LabelledGraph) -> list:
             parts.append(GenerationNode(
                 children=tuple(leaves),
                 witnesses=tuple(f"vertex subgroup <{v}>, infinite cyclic" for v in shared),
-                cost=one,
                 witness_vertices=shared,
             ))
     return parts
@@ -234,9 +223,7 @@ def rg_artin(g: LabelledGraph) -> tuple[PriceResult, Certificate]:
     product, whose cost is the sum of the factors' costs)."""
     parts = _component_nodes(g)
     b = len(parts)
-    root = parts[0] if b == 1 else AmalgamNode(
-        children=tuple(parts), amalgam=AmalgamDescriptor(order=1, name="trivial"),
-        cost=Fraction(b))
+    root = parts[0] if b == 1 else AmalgamNode(children=tuple(parts), order=1, name="trivial")
     cert = Certificate(
         root=root,
         target=f"Artin group on {g.num_vertices} vertices ({b} component(s))",
@@ -253,23 +240,23 @@ def rg_artin(g: LabelledGraph) -> tuple[PriceResult, Certificate]:
 def check_certificate(cert: Certificate) -> CheckReport:
     """Validate a certificate without re-deriving any group theory.
 
-    One pass over the nodes in post-order recomputes every claimed cost
-    from the children and lists cited facts as assumptions.  With an
-    ambient graph it also derives each node's vertex set from its leaves
-    and requires the node to be a step of the Artin induction: a vertex or
-    edge leaf of the graph, a free product of vertex-disjoint factors with
-    no graph edge between them, or a generation sequence of cost-1 factors
-    each containing its witness vertex together with the earlier factors;
-    the root's set must be all of the graph's vertices.
+    Every cost is derived as the nodes are built, so one pass over the
+    nodes in post-order checks the structure of each step and lists cited
+    facts as assumptions.  With an ambient graph it also derives each
+    node's vertex set from its leaves and requires the node to be a step
+    of the Artin induction: a vertex or edge leaf of the graph, a free
+    product of vertex-disjoint factors with no graph edge between them, or
+    a generation sequence of cost-1 factors each containing its witness
+    vertex together with the earlier factors; the root's set must be all
+    of the graph's vertices.
     """
     graph = cert.graph
     report = CheckReport(violations=[], assumptions=[])
     order = _post_order(cert.root)
-    costs: list[Fraction] = []
     sets: list[set | None] = []
     for i, (node, refs) in enumerate(order):
         where = f"node {i} [{type(node).__name__}]"
-        costs.append(_check_cost(node, [costs[r] for r in refs], report, where))
+        _check_step(node, report, where)
         if graph is not None:
             sets.append(_derive_vertices(node, [sets[r] for r in refs], graph,
                                          report.violations, where))
@@ -279,76 +266,42 @@ def check_certificate(cert: Certificate) -> CheckReport:
     return report
 
 
-def _check_cost(node, kids: list[Fraction], report: CheckReport, where: str) -> Fraction:
-    """The node's cost recomputed from its children's; arithmetic and
-    witness-text violations go to the report."""
+def _check_step(node, report: CheckReport, where: str) -> None:
+    """Structural and witness-text violations of one node go to the
+    report, and a cited fact to its assumptions."""
     bad = report.violations
 
-    if isinstance(node, FiniteLeaf):
-        if not isinstance(node.order, int) or node.order < 1:
-            bad.append(f"{where}: order {node.order} < 1")
-            return Fraction(0)
-        expected = 1 - Fraction(1, node.order)
-        if node.cost != expected:
-            bad.append(f"{where}: claimed cost {node.cost} != {expected}")
-        return expected
-
-    if isinstance(node, AmenableLeaf):
-        if node.cost != 1:
-            bad.append(f"{where}: amenable leaf must claim cost 1")
-        return Fraction(1)
-
     if isinstance(node, InfiniteCenterLeaf):
-        if node.cost != 1:
-            bad.append(f"{where}: infinite-centre leaf must claim cost 1")
         if not isinstance(node.label, int) or node.label < 2:
             bad.append(f"{where}: label {node.label!r} is not an integer >= 2")
-        elif node.exponent != edge_center_word(node.label):
-            bad.append(
-                f"{where}: centre witness exponent {node.exponent} != "
-                f"{edge_center_word(node.label)} for label {node.label}"
-            )
-        return Fraction(1)
 
-    if isinstance(node, AmalgamNode):
-        if len(kids) < 2:
+    elif isinstance(node, AmalgamNode):
+        if len(node.children) < 2:
             bad.append(f"{where}: an amalgam needs at least two factors")
-        price = node.amalgam.price()
         # the subgroup amalgamated over is a subgroup of every factor
         for j, child in enumerate(node.children):
-            if isinstance(child, FiniteLeaf) and isinstance(child.order, int) \
-                    and child.order % node.amalgam.order:
-                bad.append(f"{where}: subgroup order {node.amalgam.order} does not divide "
+            if isinstance(child, FiniteLeaf) and child.order % node.order:
+                bad.append(f"{where}: subgroup order {node.order} does not divide "
                            f"factor {j} order {child.order}")
-        expected = sum(kids, Fraction(0)) - (len(kids) - 1) * price
-        if node.cost != expected:
-            bad.append(
-                f"{where}: claimed cost {node.cost} != {' + '.join(map(str, kids))} "
-                f"- {len(kids) - 1} * {price}"
-            )
-        return expected
 
-    if isinstance(node, GenerationNode):
+    elif isinstance(node, GenerationNode):
+        kids = node.children
         if len(kids) < 2:
             bad.append(f"{where}: a generation sequence needs at least two factors")
-        for j, c in enumerate(kids):
-            if c != 1:
-                bad.append(f"{where}: factor {j} cost {c} != 1")
-        if node.cost != 1:
-            bad.append(f"{where}: claimed cost {node.cost} != 1")
+        for j, child in enumerate(kids):
+            if child.cost != 1:
+                bad.append(f"{where}: factor {j} cost {child.cost} != 1")
         if len(node.witnesses) != len(kids) - 1:
             bad.append(f"{where}: {len(node.witnesses)} intersection witnesses for "
                        f"{len(kids)} factors")
         if not all(str(w).strip() for w in node.witnesses):
             bad.append(f"{where}: empty intersection witness")
-        return Fraction(1)
 
-    if isinstance(node, CitedFactLeaf):
+    elif isinstance(node, CitedFactLeaf):
         report.assumptions.append(f"{node.statement} [{node.citation}]")
-        return node.cost
 
-    bad.append(f"{where}: unknown node kind")
-    return Fraction(0)
+    elif not isinstance(node, (FiniteLeaf, AmenableLeaf)):
+        bad.append(f"{where}: unknown node kind")
 
 
 def _derive_vertices(node, kids: list, graph: LabelledGraph, bad: list[str],
@@ -374,9 +327,9 @@ def _derive_vertices(node, kids: list, graph: LabelledGraph, bad: list[str],
         return set(ends)
 
     if isinstance(node, AmalgamNode):
-        if node.amalgam.price():  # only the trivial subgroup has price 0
+        if node.order != 1:
             bad.append(f"{where}: an Artin certificate amalgamates only over the "
-                       f"trivial group, not {node.amalgam.name or node.amalgam.kind!r}")
+                       f"trivial group, not over a subgroup of order {node.order}")
         if not kids or any(s is None for s in kids):
             return None
         merged = max(kids, key=len)
@@ -425,13 +378,8 @@ def _derive_vertices(node, kids: list, graph: LabelledGraph, bad: list[str],
 
 
 def _sl2z_certificate() -> Certificate:
-    cost = (1 - Fraction(1, 6)) + (1 - Fraction(1, 4)) - (1 - Fraction(1, 2))
-    root = AmalgamNode(
-        children=(FiniteLeaf(order=6, cost=1 - Fraction(1, 6)),
-                  FiniteLeaf(order=4, cost=1 - Fraction(1, 4))),
-        amalgam=AmalgamDescriptor(order=2, name="common central subgroup of order 2"),
-        cost=cost,
-    )
+    root = AmalgamNode(children=(FiniteLeaf(order=6), FiniteLeaf(order=4)),
+                       order=2, name="common central subgroup of order 2")
     return Certificate(
         root=root,
         target="SL(2,Z) as the amalgam of cyclic groups of orders 6 and 4 over a common order-2 subgroup",
@@ -447,8 +395,7 @@ def _fact(statement: str, citation: str) -> CitedFactLeaf:
 def _generated(target: str, citation: str, children, witnesses) -> Certificate:
     """The certificate of a group of cost 1 generated by `children`, each
     meeting the earlier ones in the infinite subgroup of its witness."""
-    root = GenerationNode(children=tuple(children), witnesses=tuple(witnesses),
-                          cost=Fraction(1))
+    root = GenerationNode(children=tuple(children), witnesses=tuple(witnesses))
     return Certificate(root=root, target=target, citations=(citation,))
 
 
@@ -526,7 +473,6 @@ def _autfn_certificate(n: int) -> Certificate:
                      "index-two subgroup (preimage of an infinite-order determinant -1 "
                      "matrix in GL(2,Z))"
                  ),
-                 cost=Fraction(1),
              )],
             ["t^2 lies in both factors and has infinite order (index two)"],
         )
@@ -606,11 +552,12 @@ def builtin_certificate(name: str, param: int | None = None) -> Certificate:
 # JSON serialization
 #
 # The nodes are listed flat in post-order: children before their parent,
-# the root last, each child named by its position in the list.  A node or
-# descriptor writes its kind tag first, then its fields in declaration
-# order, leaving out a field equal to its default; the reader rejects any
-# other key.  Nothing nests by depth, so the text is O(nodes) and json's C
-# encoder (used only without indent) writes it.
+# the root last, each child named by its position in the list.  A node
+# writes its kind tag first, then its fields in declaration order, leaving
+# out a field equal to its default; the reader rejects any other key, so a
+# derived cost written into a node is refused.  Nothing nests by depth, so
+# the text is O(nodes) and json's C encoder (used only without indent)
+# writes it.
 
 
 def _encode(obj, refs: list[int] | None = None) -> dict:
@@ -623,8 +570,6 @@ def _encode(obj, refs: list[int] | None = None) -> dict:
             value = refs
         elif isinstance(value, Fraction):
             value = str(value)
-        elif isinstance(value, AmalgamDescriptor):
-            value = _encode(value)
         elif isinstance(value, tuple):
             value = list(value)
         d[f.name] = value
@@ -640,8 +585,8 @@ def _optional(check):
 
 
 # Type check of a decoded JSON value by its field's annotation text (each
-# also as "... | None"); costs are checked as they are read, and children
-# and descriptors as they are built.
+# also as "... | None"); a cited cost is checked as it is read, and
+# children as they are built.
 _CHECKS = {
     "str": lambda value: isinstance(value, str),
     "int": lambda value: type(value) is int,
@@ -677,11 +622,6 @@ def _decode(cls, d: dict, children: tuple = ()):
             raise ValueError(f"field {f.name!r} is {value!r}, not {f.type}")
         if f.type == "Fraction":
             value = read_rational(value, f"field {f.name!r}")
-        elif f.type == "AmalgamDescriptor":
-            kind = value.get("kind") if isinstance(value, dict) else None
-            if kind != AmalgamDescriptor.kind:
-                raise ValueError(f"unknown amalgam descriptor kind {kind!r}")
-            value = _decode(AmalgamDescriptor, value)
         kwargs[f.name] = value
     if len(kwargs) + ("kind" in d) < len(d):
         extra = next(key for key in d if key != "kind" and key not in kwargs)

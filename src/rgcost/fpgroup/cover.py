@@ -15,6 +15,9 @@ written.  `tests/test_exponent_kernels.py` proves the H1 formula, and
 
 from __future__ import annotations
 
+from collections import Counter
+from math import gcd, lcm
+
 from .presentation import Presentation, Word, _alternating, invert_word
 from .snf import smith_normal_form
 
@@ -69,16 +72,36 @@ def _fibre_block(m: int, k: int) -> list[list[int]]:
     return rows
 
 
+def _insert(chain: list[list[int]], x: int) -> None:
+    """Put x into `chain`, invariant factors as ascending [value, count]
+    runs, each value dividing the next.  For each prime p this inserts x's
+    p-exponent into the sorted exponents: each run keeps the smaller (a
+    gcd) and passes the larger (an lcm) up.  0 has every exponent
+    infinite, so the zero factors stay at the top."""
+    runs = []
+    for y, count in chain:
+        runs += [(gcd(x, y), 1), (y, count - 1)]
+        x = lcm(x, y)
+    runs.append((x, 1))
+    chain.clear()
+    for value, count in runs:
+        if chain and chain[-1][0] == value:
+            chain[-1][1] += count
+        elif count:
+            chain.append([value, count])
+
+
 def odd_tree_bounds(labels: list[int], k: int) -> tuple[int, int]:
-    """(d_lower, d_upper) for H_k on the tree with these labels: one Smith
-    normal form of the w x w block-diagonal matrix of t^k - 1, so O(w^3)
-    work whatever k is.  Needs k >= 1."""
+    """(d_lower, d_upper) for H_k on the tree with these labels.  The
+    matrix of t^k - 1 is block-diagonal, one block per edge, so each
+    distinct label's block has one Smith normal form, O(m^3), and the
+    blocks' invariant factors merge into the whole matrix's chain by gcd
+    and lcm.  Needs k >= 1."""
+    chain: list[list[int]] = []
+    for m, edges in Counter(labels).items():
+        snf = smith_normal_form(_fibre_block(m, k))
+        for factor in [f for f in snf.factors if f > 1] + [0] * (m - 1 - snf.rank):
+            for _ in range(edges):
+                _insert(chain, factor)
     w = sum(m - 1 for m in labels)
-    matrix = [[0] * w for _ in range(w)]
-    start = 0
-    for m in labels:
-        for i, row in enumerate(_fibre_block(m, k)):
-            matrix[start + i][start:start + m - 1] = row
-        start += m - 1
-    snf = smith_normal_form(matrix)
-    return 1 + w - snf.rank + sum(f > 1 for f in snf.factors), w + 1
+    return 1 + sum(count for value, count in chain if value != 1), w + 1

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from conftest import cycle_graph, path_graph, random_connected_graph
 from rgcost.certificate import (
     BUILTINS,
+    FORMAT,
     PARAM_CAP,
-    AmalgamDescriptor,
     AmalgamNode,
     AmenableLeaf,
     Certificate,
@@ -24,7 +24,6 @@ from rgcost.certificate import (
     certificate_from_json,
     certificate_to_json,
     check_certificate,
-    edge_center_word,
     lickorish_sequence,
     rg_artin,
 )
@@ -34,10 +33,10 @@ from rgcost.lgraph import LabelledGraph, components, parse_graph
 from rgcost.numread import LimitExceeded
 
 
-class TestEdgeCenterWord:
-    @pytest.mark.parametrize("label,exponent", [(2, 1), (3, 3), (4, 2), (5, 5), (6, 3)])
-    def test_values(self, label, exponent):
-        assert edge_center_word(label) == exponent
+def document(nodes, graph=None) -> str:
+    """A certificate's text with these nodes under a header claiming 1."""
+    return json.dumps({"format": FORMAT, "target": "", "claimed_cost": "1",
+                       "citations": [], "caveat": None, "graph": graph, "nodes": nodes})
 
 
 class TestDecompose:
@@ -51,7 +50,7 @@ class TestDecompose:
         g = parse_graph("vertex a\nvertex b\nedge a b 5\n")
         node = rg_artin(g)[1].root
         assert isinstance(node, InfiniteCenterLeaf)
-        assert node.exponent == 5
+        assert node.label == 5
         assert node.cost == 1
 
     def test_path_is_generation_over_shared_vertex(self):
@@ -146,63 +145,93 @@ class TestRgArtin:
 
 class TestChecker:
     def test_tampered_cost_is_violation(self):
+        # no node stores a cost, so the one to tamper with is the header's
+        # claimed cost, which the reader compares with the root's
         g = parse_graph("vertex a\nvertex b\nvertex c\nedge a b 3\nedge b c 3\n")
-        node = rg_artin(g)[1].root
-        bad = replace(node, cost=Fraction(2))
-        report = check_certificate(Certificate(root=bad, target="t", graph=g))
-        assert not report.valid
-        assert any("claimed cost" in v for v in report.violations)
+        doc = json.loads(certificate_to_json(rg_artin(g)[1]))
+        doc["claimed_cost"] = "2"
+        with pytest.raises(ValueError,
+                           match=r"^field 'claimed_cost' is 2, not the root's cost 1$"):
+            certificate_from_json(json.dumps(doc))
 
     def test_disjoint_generation_children(self):
         g = parse_graph("vertex a\nvertex b\nvertex c\nvertex d\nedge a b 2\nedge c d 2\n")
-        first = InfiniteCenterLeaf(endpoints=("a", "b"), label=2, exponent=1, cost=Fraction(1))
-        second = InfiniteCenterLeaf(endpoints=("c", "d"), label=2, exponent=1, cost=Fraction(1))
+        first = InfiniteCenterLeaf(endpoints=("a", "b"), label=2)
+        second = InfiniteCenterLeaf(endpoints=("c", "d"), label=2)
         node = GenerationNode(children=(first, second), witnesses=("none",),
-                              cost=Fraction(1), witness_vertices=("b",))
+                              witness_vertices=("b",))
         report = check_certificate(Certificate(root=node, target="t", graph=g))
         assert any("empty intersection" in v for v in report.violations)
 
     def test_amalgam_arithmetic_with_order_two_subgroup(self):
         node = AmalgamNode(
-            children=(AmenableLeaf(name="A", reason="declared", cost=Fraction(1)),
-                      AmenableLeaf(name="B", reason="declared", cost=Fraction(1))),
-            amalgam=AmalgamDescriptor(order=2, name="C"),
-            cost=Fraction(3, 2),
-        )
+            children=(AmenableLeaf(name="A", reason="declared"),
+                      AmenableLeaf(name="B", reason="declared")),
+            order=2, name="C")
+        assert node.cost == Fraction(3, 2)
         assert check_certificate(Certificate(root=node, target="t")).valid
 
     def test_wrong_center_exponent(self):
-        leaf = InfiniteCenterLeaf(endpoints=("a", "b"), label=4, exponent=4, cost=Fraction(1))
-        report = check_certificate(Certificate(root=leaf, target="t"))
-        assert any("exponent" in v for v in report.violations)
+        # the centre exponent is a function of the label, so the label is
+        # the claim to forge: the graph rejects it, and an exponent in the
+        # text is a key no node declares
+        g = parse_graph("vertex a\nvertex b\nedge a b 3\n")
+        leaf = InfiniteCenterLeaf(endpoints=("a", "b"), label=4)
+        report = check_certificate(Certificate(root=leaf, target="t", graph=g))
+        assert report.violations == ["node 0 [InfiniteCenterLeaf]: label 4 != graph label 3"]
+        doc = json.loads(certificate_to_json(rg_artin(g)[1]))
+        doc["nodes"][0]["exponent"] = 3
+        with pytest.raises(ValueError, match=r"^certificate node 0 \(infinite-centre\): "
+                                             r"field 'exponent' is not declared"):
+            certificate_from_json(json.dumps(doc))
 
     def test_finite_leaf_cost(self):
-        for cost, valid in [(Fraction(5, 6), True), (Fraction(1, 2), False)]:
-            leaf = FiniteLeaf(order=6, cost=cost)
-            assert check_certificate(Certificate(root=leaf, target="t")).valid == valid
+        # the cost follows from the order; only the header claims one
+        leaf = FiniteLeaf(order=6)
+        assert leaf.cost == Fraction(5, 6)
+        text = certificate_to_json(Certificate(root=leaf, target="t"))
+        assert check_certificate(certificate_from_json(text)).valid
+        with pytest.raises(ValueError, match="^field 'claimed_cost' is 1/2"):
+            certificate_from_json(text.replace('"5/6"', '"1/2"'))
+        with pytest.raises(ValueError, match=r"^certificate node 0 \(finite\): field 'cost' "
+                                             r"is not declared by FiniteLeaf$"):
+            certificate_from_json(text.replace('"order": 6', '"order": 6, "cost": "5/6"'))
 
-    @pytest.mark.parametrize("leaf", [
-        FiniteLeaf(order=0, cost=Fraction(0)),
-        InfiniteCenterLeaf(endpoints=("a", "b"), label=1, exponent=1, cost=Fraction(1)),
+    # a leaf the reader cannot build is refused where it is read, and one it
+    # can build is checked: neither raises anything else
+    @pytest.mark.parametrize("node,refusal,violations", [
+        ({"kind": "finite", "order": 0},
+         r"^certificate node 0 \(finite\): a finite group needs an order >= 1$", None),
+        ({"kind": "infinite-centre", "endpoints": ["a", "b"], "label": 1},
+         None, ["node 0 [InfiniteCenterLeaf]: label 1 is not an integer >= 2"]),
     ], ids=["order-0", "label-1"])
-    def test_degenerate_leaf_is_violation_not_crash(self, leaf):
-        assert not check_certificate(Certificate(root=leaf, target="t")).valid
+    def test_degenerate_leaf_is_violation_not_crash(self, node, refusal, violations):
+        if refusal:
+            with pytest.raises(ValueError, match=refusal):
+                certificate_from_json(document([node]))
+        else:
+            assert check_certificate(certificate_from_json(document([node]))).violations \
+                == violations
 
     def test_blank_generation_witness(self):
-        node = GenerationNode(children=(AmenableLeaf(name="A", reason="r", cost=Fraction(1)),
-                                        AmenableLeaf(name="B", reason="r", cost=Fraction(1))),
-                              witnesses=(" \t",), cost=Fraction(1))
+        node = GenerationNode(children=(AmenableLeaf(name="A", reason="r"),
+                                        AmenableLeaf(name="B", reason="r")),
+                              witnesses=(" \t",))
         report = check_certificate(Certificate(root=node, target="t"))
         assert report.violations == ["node 2 [GenerationNode]: empty intersection witness"]
 
     def test_checker_recomputes_from_children(self):
-        # consistent-looking parent over a tampered child must be caught
+        # a consistent-looking parent over a tampered child must be caught:
+        # the child's label is forged, and every cost is derived
         g = parse_graph("vertex a\nvertex b\nvertex c\nedge a b 3\nedge b c 3\n")
         node = rg_artin(g)[1].root
-        bad_child = replace(node.children[0], cost=Fraction(2))
-        bad = replace(node, children=(bad_child,) + node.children[1:], cost=Fraction(2))
+        bad_child = replace(node.children[0], label=4)
+        bad = replace(node, children=(bad_child,) + node.children[1:])
         report = check_certificate(Certificate(root=bad, target="t", graph=g))
-        assert not report.valid
+        assert report.violations == ["node 0 [InfiniteCenterLeaf]: label 4 != graph label 3"]
+        # a parent's cost comes from its children's, a cited one included
+        fact = CitedFactLeaf(statement="s", citation="c", cost=Fraction(5))
+        assert AmalgamNode(children=(fact, bad_child), order=1).cost == 6
 
 
 class TestBuiltins:
@@ -316,54 +345,61 @@ class TestJson:
                            match=r"^unsupported certificate format 'rgcost-certificate/1'$"):
             certificate_from_json(old)
 
+    def test_rejects_format_2(self):
+        # the format that stored every node's cost, SL(2,Z) as it wrote it
+        old = ('{"format": "rgcost-certificate/2", "target": "", "claimed_cost": "13/12", '
+               '"citations": [], "caveat": null, "graph": null, "nodes": ['
+               '{"kind": "finite", "order": 6, "cost": "5/6"}, '
+               '{"kind": "finite", "order": 4, "cost": "3/4"}, '
+               '{"kind": "amalgam", "children": [0, 1], '
+               '"amalgam": {"kind": "finite", "order": 2}, "cost": "13/12"}]}')
+        with pytest.raises(ValueError,
+                           match=r"^unsupported certificate format 'rgcost-certificate/2'$"):
+            certificate_from_json(old)
+
     @pytest.mark.parametrize("nodes,match", [
-        ([{"kind": "amenable", "name": "<a>", "reason": "r", "cost": "1", "vertex": "a"},
-          {"kind": "amalgam", "children": [0, 0], "cost": "2",
-           "amalgam": {"kind": "finite", "order": 1}}], "certificate node 1"),
-        ([{"kind": "amenable", "name": "<a>", "reason": "r", "cost": "1", "vertex": "a"},
-          {"kind": "amenable", "name": "<b>", "reason": "r", "cost": "1", "vertex": "b"}],
+        ([{"kind": "amenable", "name": "<a>", "reason": "r", "vertex": "a"},
+          {"kind": "amalgam", "children": [0, 0], "order": 1}], "certificate node 1"),
+        ([{"kind": "amenable", "name": "<a>", "reason": "r", "vertex": "a"},
+          {"kind": "amenable", "name": "<b>", "reason": "r", "vertex": "b"}],
          "not one tree"),
-        ([{"kind": "amalgam", "children": [1], "cost": "1",
-           "amalgam": {"kind": "finite", "order": 1}},
-          {"kind": "amenable", "name": "<a>", "reason": "r", "cost": "1", "vertex": "a"}],
+        ([{"kind": "amalgam", "children": [1], "order": 1},
+          {"kind": "amenable", "name": "<a>", "reason": "r", "vertex": "a"}],
          "certificate node 0"),
-        ([{"kind": "amenable", "name": "<a>", "reason": "r"}], "certificate node 0"),
+        # only a cited fact stores a cost, and it cannot leave it out
+        ([{"kind": "cited-fact", "statement": "s", "citation": "c"}],
+         r"certificate node 0 \(cited-fact\)"),
         # a claim of cost 1 on a hypothesis tag alone, for any ambient group
         ([{"kind": "normal-subgroup", "ambient": "G", "subgroup": "C",
            "hypothesis": "infinite-centre", "reason": "r", "cost": "1"}],
          "unknown certificate node kind 'normal-subgroup'"),
         # two order-2 groups amalgamated at price 1 over a declared amenable
-        # subgroup: cost 0
-        ([{"kind": "finite", "order": 2, "cost": "1/2"},
-          {"kind": "finite", "order": 2, "cost": "1/2"},
-          {"kind": "amalgam", "children": [0, 1], "cost": "0",
-           "amalgam": {"kind": "amenable", "name": "<c>"}}],
-         r"certificate node 2 \(amalgam\): unknown amalgam descriptor kind 'amenable'"),
-        ([{"kind": "finite", "order": 2, "cost": "1/2"},
-          {"kind": "finite", "order": 2, "cost": "1/2"},
-          {"kind": "amalgam", "children": [0, 1], "cost": "1/2",
-           "amalgam": {"kind": "finite", "order": 2, "vertex": "a"}}],
-         r"certificate node 2 \(amalgam\): field 'vertex' is not declared by AmalgamDescriptor"),
+        # subgroup: cost 0; an amalgam names only a finite subgroup's order
+        ([{"kind": "finite", "order": 2},
+          {"kind": "finite", "order": 2},
+          {"kind": "amalgam", "children": [0, 1], "amalgam": {"kind": "amenable", "name": "<c>"}}],
+         r"certificate node 2 \(amalgam\): field 'amalgam' is not declared by AmalgamNode"),
+        ([{"kind": "finite", "order": 2},
+          {"kind": "finite", "order": 2},
+          {"kind": "amalgam", "children": [0, 1], "order": 2, "vertex": "a"}],
+         r"certificate node 2 \(amalgam\): field 'vertex' is not declared by AmalgamNode"),
         # order 0 would price the subgroup at 1 - 1/0
-        ([{"kind": "finite", "order": 2, "cost": "1/2"},
-          {"kind": "finite", "order": 2, "cost": "1/2"},
-          {"kind": "amalgam", "children": [0, 1], "cost": "1",
-           "amalgam": {"kind": "finite", "order": 0}}],
-         r"certificate node 2 \(amalgam\): finite descriptor needs an order >= 1"),
+        ([{"kind": "finite", "order": 2},
+          {"kind": "finite", "order": 2},
+          {"kind": "amalgam", "children": [0, 1], "order": 0}],
+         r"certificate node 2 \(amalgam\): an amalgam needs a subgroup order >= 1"),
         ([], "certificate has no nodes"),
         # a leaf that claims a child would drop it, and its assumption, unseen
         ([{"kind": "cited-fact", "statement": "s", "citation": "c", "cost": "5"},
-          {"kind": "amenable", "name": "Z", "reason": "r", "cost": "1", "children": [0]}],
+          {"kind": "amenable", "name": "Z", "reason": "r", "children": [0]}],
          r"certificate node 1 \(amenable\): field 'children' is not declared by AmenableLeaf"),
     ], ids=["shared-child", "two-roots", "forward-reference", "missing-cost",
             "normal-subgroup", "amenable-amalgam", "descriptor-undeclared-key",
             "descriptor-order-zero", "no-nodes",
             "leaf-with-children"])
     def test_rejects_nodes_that_are_not_one_post_order_tree(self, nodes, match):
-        doc = {"format": "rgcost-certificate/2", "target": "", "claimed_cost": "1",
-               "citations": [], "caveat": None, "graph": None, "nodes": nodes}
         with pytest.raises(ValueError, match=match):
-            certificate_from_json(json.dumps(doc))
+            certificate_from_json(document(nodes))
 
     @pytest.mark.parametrize("field,value", [
         ("target", 5), ("caveat", ["c"]), ("citations", 5), ("citations", "ab"),
@@ -390,18 +426,26 @@ class TestJson:
     # Cost text outside the rule: an exponent, an underscore, a non-ASCII
     # digit, padding, a plus sign, a fraction not in lowest terms, a zero
     # denominator, a leading zero, a term past the int() digit limit and
-    # a 12-byte exponent that Fraction() would take seconds to read.
+    # a 12-byte exponent that Fraction() would take seconds to read.  The
+    # costs read are the header's claim and each cited fact's.
     FORGED_COSTS = ["1e3", "1_0", "\u0663", " 1", "+1", "2/4", "1/0", "01", "7" * 5000,
                     "1e10000000"]
+
+    @staticmethod
+    def _cited(cost):
+        """MCG 2's certificate, whose node 0 is a cited fact, with that
+        fact's cost replaced."""
+        doc = json.loads(certificate_to_json(builtin_certificate("MCG", 2)))
+        assert doc["nodes"][0]["kind"] == "cited-fact"
+        doc["nodes"][0]["cost"] = cost
+        return json.dumps(doc)
 
     def test_rejects_forged_cost_text(self):
         start = time.perf_counter()
         for cost in self.FORGED_COSTS:
-            doc = json.loads(certificate_to_json(builtin_certificate("SL2Z")))
-            doc["nodes"][0]["cost"] = cost
             with pytest.raises((ValueError, LimitExceeded),
-                               match=r"^certificate node 0 \(finite\): field 'cost' "):
-                certificate_from_json(json.dumps(doc))
+                               match=r"^certificate node 0 \(cited-fact\): field 'cost' "):
+                certificate_from_json(self._cited(cost))
             doc = json.loads(certificate_to_json(builtin_certificate("SL2Z")))
             doc["claimed_cost"] = cost
             with pytest.raises((ValueError, LimitExceeded), match=r"^field 'claimed_cost' "):
@@ -409,20 +453,17 @@ class TestJson:
         assert time.perf_counter() - start < 1.0
 
     def test_rejects_zero_denominator_node_cost(self):
-        doc = json.loads(certificate_to_json(builtin_certificate("SL2Z")))
-        doc["nodes"][0]["cost"] = "1/0"
-        with pytest.raises(ValueError, match=r"certificate node 0 \(finite\)"):
-            certificate_from_json(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"certificate node 0 \(cited-fact\)"):
+            certificate_from_json(self._cited("1/0"))
 
     # a cost read from a float would be the float's binary value, and a
     # boolean would read as 0 or 1
     @pytest.mark.parametrize("value", [0.8333333333333334, True, 1, None],
                              ids=["float", "bool", "int", "null"])
     def test_rejects_non_string_node_cost(self, value):
-        doc = json.loads(certificate_to_json(builtin_certificate("SL2Z")))
-        doc["nodes"][0]["cost"] = value
-        with pytest.raises(ValueError, match=r"certificate node 0 \(finite\): field 'cost'"):
-            certificate_from_json(json.dumps(doc))
+        with pytest.raises(ValueError,
+                           match=r"certificate node 0 \(cited-fact\): field 'cost'"):
+            certificate_from_json(self._cited(value))
 
     def test_external_cost_strings_are_fractions(self):
         cert = builtin_certificate("SL2Z")
@@ -490,19 +531,15 @@ class TestJson:
         assert text == f"{message} '{'A' * 20}...'" and len(text.encode()) <= 200
 
     def test_rejects_unknown_node_kind(self):
-        bad = ('{"format": "rgcost-certificate/2", "target": "", "claimed_cost": "1", '
-               '"citations": [], "caveat": null, "graph": null, '
-               '"nodes": [{"kind": "mystery", "cost": "1"}]}')
         with pytest.raises(ValueError, match="mystery"):
-            certificate_from_json(bad)
+            certificate_from_json(document([{"kind": "mystery"}]))
 
 
 TRIANGLE = "vertex a\nvertex b\nvertex c\nedge a b 3\nedge b c 3\nedge a c 3\n"
 
 
 def edge_leaf(u, v, label):
-    return InfiniteCenterLeaf(endpoints=(u, v), label=label,
-                              exponent=edge_center_word(label), cost=Fraction(1))
+    return InfiniteCenterLeaf(endpoints=(u, v), label=label)
 
 
 class TestSoundness:
@@ -521,73 +558,64 @@ class TestSoundness:
         # cost 2 claimed for B3, whose cost is 1
         g = parse_graph("vertex a\nvertex b\nedge a b 3\n")
         leaf = edge_leaf("a", "b", 3)
-        forged = AmalgamNode(children=(leaf, leaf), cost=Fraction(2),
-                             amalgam=AmalgamDescriptor(order=1, name="trivial"))
+        forged = AmalgamNode(children=(leaf, leaf), order=1, name="trivial")
         report = check_certificate(Certificate(root=forged, target="forged", graph=g))
         assert any("share vertices" in v for v in report.violations)
 
     def test_vertex_amalgam_in_triangle(self):
-        # {a,c} and {b,c} over <c>: c does not separate a from b
-        doc = {"format": "rgcost-certificate/2", "target": "forged", "claimed_cost": "1",
-               "citations": [], "caveat": None,
-               "graph": {"vertices": ["a", "b", "c"],
-                         "edges": [["a", "b", 3], ["a", "c", 3], ["b", "c", 3]]},
-               "nodes": [
-                   {"kind": "infinite-centre", "endpoints": ["a", "c"], "label": 3,
-                    "exponent": 3, "cost": "1"},
-                   {"kind": "infinite-centre", "endpoints": ["b", "c"], "label": 3,
-                    "exponent": 3, "cost": "1"},
-                   {"kind": "amalgam", "children": [0, 1], "cost": "1",
-                    "amalgam": {"kind": "vertex", "name": "<c>"}}]}
-        with pytest.raises(ValueError, match="unknown amalgam descriptor kind"):
-            certificate_from_json(json.dumps(doc))
-        # the same split stated over a subgroup of order 2 is arithmetically
-        # consistent (1 + 1 - 1/2) but is no step of the Artin induction
+        # {a,c} and {b,c} over <c>: c does not separate a from b, and an
+        # amalgam has no way to name an infinite subgroup
+        text = document(
+            [{"kind": "infinite-centre", "endpoints": ["a", "c"], "label": 3},
+             {"kind": "infinite-centre", "endpoints": ["b", "c"], "label": 3},
+             {"kind": "amalgam", "children": [0, 1], "amalgam": {"kind": "vertex", "name": "<c>"}}],
+            graph={"vertices": ["a", "b", "c"],
+                   "edges": [["a", "b", 3], ["a", "c", 3], ["b", "c", 3]]})
+        with pytest.raises(ValueError, match="field 'amalgam' is not declared by AmalgamNode"):
+            certificate_from_json(text)
+        # the same split stated over a subgroup of order 2 costs 1 + 1 - 1/2
+        # but is no step of the Artin induction
         forged = AmalgamNode(children=(edge_leaf("a", "c", 3), edge_leaf("b", "c", 3)),
-                             amalgam=AmalgamDescriptor(order=2, name="<c^2>"),
-                             cost=Fraction(3, 2))
+                             order=2, name="<c^2>")
         report = check_certificate(Certificate(root=forged, target="forged",
                                                 graph=parse_graph(TRIANGLE)))
         assert any("trivial group" in v for v in report.violations)
 
     def test_free_product_factors_joined_by_an_edge(self):
         g = parse_graph("vertex a\nvertex b\nvertex c\nedge a b 3\nedge b c 4\n")
-        forged = AmalgamNode(children=(edge_leaf("a", "b", 3), AmenableLeaf(
-            name="<c>", reason="r", cost=Fraction(1), vertex="c")),
-            amalgam=AmalgamDescriptor(order=1), cost=Fraction(2))
+        forged = AmalgamNode(children=(edge_leaf("a", "b", 3),
+                                       AmenableLeaf(name="<c>", reason="r", vertex="c")),
+                             order=1)
         report = check_certificate(Certificate(root=forged, target="forged", graph=g))
         assert any("joins two free-product factors" in v for v in report.violations)
 
     @pytest.mark.parametrize("leaf", [
-        FiniteLeaf(order=2, cost=Fraction(1, 2)),
+        FiniteLeaf(order=2),
         CitedFactLeaf(statement="s", citation="c", cost=Fraction(1)),
-        AmenableLeaf(name="Z", reason="r", cost=Fraction(1)),
+        AmenableLeaf(name="Z", reason="r"),
     ], ids=["finite", "cited", "amenable-without-vertex"])
     def test_nodes_outside_the_artin_induction(self, leaf):
         # a free-product factor with no vertices would leave the root's set intact
         g = parse_graph("vertex a\nvertex b\nedge a b 3\n")
-        root = AmalgamNode(children=(edge_leaf("a", "b", 3), leaf), cost=1 + leaf.cost,
-                           amalgam=AmalgamDescriptor(order=1))
+        root = AmalgamNode(children=(edge_leaf("a", "b", 3), leaf), order=1)
         report = check_certificate(Certificate(root=root, target="t", graph=g))
         assert [v for v in report.violations if v.startswith("node 1 ")], report.violations
 
     def test_generation_factor_must_cost_one(self):
         # <a> * <c> costs 2, so the generated group need not cost 1
         g = parse_graph("vertex a\nvertex b\nvertex c\nedge a b 3\n")
-        free = AmalgamNode(
-            children=(AmenableLeaf(name="<a>", reason="r", cost=Fraction(1), vertex="a"),
-                      AmenableLeaf(name="<c>", reason="r", cost=Fraction(1), vertex="c")),
-            amalgam=AmalgamDescriptor(order=1), cost=Fraction(2))
+        free = AmalgamNode(children=(AmenableLeaf(name="<a>", reason="r", vertex="a"),
+                                     AmenableLeaf(name="<c>", reason="r", vertex="c")),
+                           order=1)
         root = GenerationNode(children=(free, edge_leaf("a", "b", 3)), witnesses=("<a>",),
-                              cost=Fraction(1), witness_vertices=("a",))
+                              witness_vertices=("a",))
         report = check_certificate(Certificate(root=root, target="t", graph=g))
         assert any("factor 0 cost 2 != 1" in v for v in report.violations)
 
     def test_subgroup_order_must_divide_finite_factors(self):
         # three Z/2 over a declared subgroup of order 100: 3 * 1/2 - 2 * 99/100
-        forged = AmalgamNode(children=(FiniteLeaf(order=2, cost=Fraction(1, 2)),) * 3,
-                             amalgam=AmalgamDescriptor(order=100),
-                             cost=Fraction(-12, 25))
+        forged = AmalgamNode(children=(FiniteLeaf(order=2),) * 3, order=100)
+        assert forged.cost == Fraction(-12, 25)
         report = check_certificate(Certificate(root=forged, target="forged"))
         assert not report.valid and report.assumptions == []
         assert report.violations == [
@@ -597,9 +625,8 @@ class TestSoundness:
         assert check_certificate(builtin_certificate("SL2Z")).valid
 
     @pytest.mark.parametrize("root", [
-        AmalgamNode(children=(), amalgam=AmalgamDescriptor(order=1),
-                    cost=Fraction(0)),
-        GenerationNode(children=(), witnesses=(), cost=Fraction(1), witness_vertices=()),
+        AmalgamNode(children=(), order=1),
+        GenerationNode(children=(), witnesses=(), witness_vertices=()),
     ], ids=["empty-free-product", "empty-generation"])
     def test_node_without_factors(self, root):
         g = parse_graph("vertex a\n")
@@ -648,13 +675,10 @@ def _mutations(root, g, data):
                               witness_vertices=node.witness_vertices[:k]
                               + node.witness_vertices[k + 1:])
         else:
-            dropped = replace(node, children=kids, cost=node.cost - 1)
+            dropped = replace(node, children=kids)
         out.append(("drop child", _replace_at(root, path, dropped)))
         dup = node.children[:j + 1] + node.children[j:]
         out.append(("duplicate child", _replace_at(root, path, replace(node, children=dup))))
-        if isinstance(node, AmalgamNode):
-            out.append(("duplicate factor", _replace_at(
-                root, path, replace(node, children=dup, cost=node.cost + 1))))
     if leaves:
         path, leaf = data.draw(st.sampled_from(leaves))
         non_edges = [(u, w) for u in g.vertices for w in g.vertices
@@ -663,10 +687,7 @@ def _mutations(root, g, data):
             ends = data.draw(st.sampled_from(non_edges))
             out.append(("move edge", _replace_at(root, path, replace(leaf, endpoints=ends))))
         label = data.draw(st.integers(2, 7).filter(lambda x: x != leaf.label))
-        out.append(("change label", _replace_at(root, path, replace(
-            leaf, label=label, exponent=edge_center_word(label)))))
-        out.append(("change exponent", _replace_at(
-            root, path, replace(leaf, exponent=leaf.exponent + 1))))
+        out.append(("change label", _replace_at(root, path, replace(leaf, label=label))))
     if gens:
         path, node = data.draw(st.sampled_from(gens))
         j = data.draw(st.integers(1, len(node.children) - 1))
@@ -676,9 +697,6 @@ def _mutations(root, g, data):
         shared[j - 1] = w
         out.append(("move witness", _replace_at(
             root, path, replace(node, witness_vertices=tuple(shared)))))
-    path, node = data.draw(st.sampled_from(spots))
-    delta = data.draw(st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2)]))
-    out.append(("change cost", _replace_at(root, path, replace(node, cost=node.cost + delta))))
     return out
 
 
@@ -698,6 +716,96 @@ class TestMutations:
             assert not check_certificate(forged).valid, name
             assert not check_certificate(certificate_from_json(
                 certificate_to_json(forged))).valid, name
+        # a cost is derived, so the forged cost (and the centre exponent,
+        # which the label determines) can only be the header's claim
+        delta = data.draw(st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2)]))
+        with pytest.raises(ValueError, match="^field 'claimed_cost' is "):
+            certificate_from_json(_edit(text, ("claimed_cost",), str(cert.root.cost + delta)))
+
+
+def _edit(text: str, path: tuple, value) -> str:
+    """The certificate text with the value at `path` (keys and list
+    positions from the top of the document) replaced."""
+    doc = json.loads(text)
+    *head, last = path
+    place = doc
+    for key in head:
+        place = place[key]
+    place[last] = value
+    return json.dumps(doc)
+
+
+def _text_edits(text: str, data) -> list[tuple[str, str, bool | None]]:
+    """(what, edited text, refused) for one drawn edit of each kind that
+    applies to a certificate's text: refused is True when the reader must
+    refuse the text, False when it must read it and the checker reject
+    it, and None when either will do."""
+    doc = json.loads(text)
+    nodes = doc["nodes"]
+
+    def pick(test):
+        return data.draw(st.sampled_from([i for i, d in enumerate(nodes) if test(d)]))
+
+    cost = data.draw(st.fractions(-3, 3, max_denominator=12).filter(
+        lambda c: str(c) != doc["claimed_cost"]))
+    out = [("claimed cost", _edit(text, ("claimed_cost",), str(cost)), True)]
+    if any("children" in d for d in nodes):
+        i = pick(lambda d: "children" in d)
+        j = data.draw(st.integers(0, len(nodes[i]["children"]) - 1))
+        child = data.draw(st.integers(-2, len(nodes) + 1).filter(
+            lambda c: c != nodes[i]["children"][j]))
+        out.append(("child index", _edit(text, ("nodes", i, "children", j), child), True))
+    if any(d["kind"] == "amalgam" for d in nodes):
+        i = pick(lambda d: d["kind"] == "amalgam")
+        order = data.draw(st.integers(-2, 30).filter(lambda n: n != nodes[i]["order"]))
+        out.append(("amalgam order", _edit(text, ("nodes", i, "order"), order), None))
+    if doc["graph"] is None:
+        return out
+    names = st.sampled_from(doc["graph"]["vertices"] + ["not-a-vertex"])
+    if any(d["kind"] == "infinite-centre" for d in nodes):
+        i = pick(lambda d: d["kind"] == "infinite-centre")
+        label = data.draw(st.integers(-1, 9).filter(lambda m: m != nodes[i]["label"]))
+        out.append(("label", _edit(text, ("nodes", i, "label"), label), False))
+        j = data.draw(st.integers(0, 1))
+        end = data.draw(names.filter(lambda v: v != nodes[i]["endpoints"][j]))
+        out.append(("endpoint", _edit(text, ("nodes", i, "endpoints", j), end), False))
+    if any(d.get("witness_vertices") for d in nodes):
+        i = pick(lambda d: d.get("witness_vertices"))
+        j = data.draw(st.integers(0, len(nodes[i]["witness_vertices"]) - 1))
+        w = data.draw(names.filter(lambda v: v != nodes[i]["witness_vertices"][j]))
+        out.append(("witness vertex", _edit(text, ("nodes", i, "witness_vertices", j), w),
+                    False))
+    return out
+
+
+def _assert_caught(what: str, text: str, refused: bool | None) -> None:
+    try:
+        cert = certificate_from_json(text)
+    except ValueError:
+        assert refused is not False, f"{what}: refused by the reader, not read and rejected"
+        return
+    assert refused is not True, f"{what}: read, not refused"
+    assert not check_certificate(cert).valid, f"{what}: accepted"
+
+
+class TestTextForgeries:
+    """One edit to the text of a builder certificate, which stores no
+    cost but the header's claim and the cited facts': the reader refuses
+    it or the checker rejects it."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(labelled_graphs(), st.data())
+    def test_artin_graph_certificates(self, g, data):
+        for what, text, refused in _text_edits(certificate_to_json(rg_artin(g)[1]), data):
+            _assert_caught(what, text, refused)
+
+    @pytest.mark.parametrize("name", list(BUILTINS))
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_builtin_certificates(self, name, data):
+        text = certificate_to_json(builtin_certificate(name, BUILTINS[name][2]))
+        for what, forged, refused in _text_edits(text, data):
+            _assert_caught(what, forged, refused)
 
 
 def _json_depth(value) -> int:

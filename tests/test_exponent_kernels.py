@@ -32,7 +32,8 @@ labels 3, 7, 7 at k = 11 they keep 16 generators, and the row prints 15.
 
 The second half checks the closed-form route: above k = 2w a row comes
 from the labels alone (`cover.odd_tree_bounds`) and equals the k-fold
-route's, called directly; every other level and every other presentation
+route's, called directly, and sympy's Smith form of the whole
+block-diagonal matrix; every other level and every other presentation
 builds a Cayley table.
 """
 
@@ -48,6 +49,7 @@ from rgcost.cli import main
 from rgcost.fpgroup.builtins import builtin_target
 from rgcost.fpgroup.chains import (exponent_kernel_samples, kernel_chain_cayley,
                                    mod_cycle_images, rg_sequence)
+from rgcost.fpgroup.cover import odd_tree_bounds
 from rgcost.fpgroup.presentation import artin_presentation
 from rgcost.lgraph import LabelledGraph
 
@@ -180,6 +182,29 @@ def test_cover_rows_equal_kfold_rows_on_braids(strands, cayley_levels):
     rows = exponent_kernel_samples(pres, levels)
     assert cayley_levels == []
     assert rows == [kfold_row(pres, k) for k in levels]
+
+
+# On a label-3 edge t has order 6 on Z[t]/(t^2 - t + 1), and the block's
+# cokernel at k = 0..5 mod 6 is Z^2, 0, Z/3, (Z/2)^2, Z/3, 0: c non-unit
+# invariant factors per edge, for braidN's N - 2 edges.
+BRAID_FACTORS = (2, 0, 1, 2, 1, 0)
+
+
+@pytest.mark.parametrize("strands", range(3, 9))
+def test_braid_rows_follow_k_mod_6(strands):
+    w = width([3] * (strands - 2))
+    levels = list(range(2 * w + 1, 2 * w + 13))
+    rows = exponent_kernel_samples(builtin_target(f"braid{strands}").presentation, levels)
+    assert [(row.d_lower, row.d_upper) for row in rows] == [
+        (1 + (strands - 2) * BRAID_FACTORS[k % 6], w + 1) for k in levels]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from((3, 5, 7, 9, 11)), min_size=1, max_size=6),
+       st.integers(1, 300))
+def test_merged_block_factors_equal_the_whole_matrix(labels, k):
+    # labels repeat and differ, so blocks share and mix primes
+    assert odd_tree_bounds(labels, k) == (d_oracle(labels, k), 1 + width(labels))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
